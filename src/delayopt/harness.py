@@ -119,7 +119,8 @@ def summarize_cell(algorithm: str, delay: str, runs: list[RunResult], window: in
     return SummaryRow(
         algorithm=algorithm, delay=delay, seeds=len(runs),
         regret_mean=rm, regret_sd=rs,
-        gap_window_mean=float(np.nanmean(gaps)) if gaps else float("nan"),
+        # environments without a path oracle log all-NaN gaps
+        gap_window_mean=float(np.nanmean(gaps)) if not np.all(np.isnan(gaps)) else float("nan"),
         drift_sq_total=float(np.mean(drift_totals)),
         step_sq_total=float(np.mean(step_totals)),
         ratio=float(np.mean(ratios)) if ratios else float("nan"),

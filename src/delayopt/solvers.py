@@ -2,9 +2,11 @@
 
 Three inner solvers cover the environments: warm-started gradient descent for
 smooth strongly convex objectives, log-domain Sinkhorn iterations for entropic
-couplings, and an exact grid shortest-path solver. Conjugate gradient handles
-the symmetric positive-definite adjoint systems without materializing the
-inner Hessian.
+couplings, and an exact grid shortest-path solver. An exact linear assignment
+solver prices the minimum-cost transport plan between uniform marginals, the
+Sinkhorn environment's regret comparator. Conjugate gradient handles the
+symmetric positive-definite adjoint systems without materializing the inner
+Hessian.
 """
 
 from __future__ import annotations
@@ -122,6 +124,75 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
     return np.squeeze(out, axis=axis)
+
+
+def assignment_min_cost(cost_matrix: np.ndarray) -> tuple[list[int], float]:
+    """Exact minimum-cost perfect matching of an n x n cost matrix.
+
+    Returns ``(cols, total)``: row ``i`` is matched to column ``cols[i]`` and
+    ``total`` is the summed cost of the matching. Shortest augmenting paths
+    with dual potentials (Hungarian / Jonker-Volgenant), O(n^3). By
+    Birkhoff-von Neumann the transport problem between uniform marginals has a
+    permutation optimum, so its value is ``total / n``.
+
+    The loops run over plain Python lists: for the small matrices used here
+    numpy's per-element overhead would dominate.
+    """
+    C = np.asarray(cost_matrix, dtype=float)
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] == 0:
+        raise ContractError("assignment_min_cost needs a non-empty square cost matrix")
+    if not np.all(np.isfinite(C)):
+        raise ContractError("assignment_min_cost needs finite costs")
+    n = C.shape[0]
+    rows = C.tolist()
+    inf = math.inf
+    # 1-indexed potentials; column 0 is the virtual source of each augmentation
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match = [0] * (n + 1)  # match[j]: row (1-indexed) assigned to column j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            row = rows[i0 - 1]
+            ui0 = u[i0]
+            delta = inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - ui0 - v[j]
+                    if reduced < minv[j]:
+                        minv[j] = reduced
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        # flip the alternating path back to the source
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    cols = [0] * n
+    for j in range(1, n + 1):
+        cols[match[j] - 1] = j - 1
+    total = 0.0
+    for i in range(n):
+        total += rows[i][cols[i]]
+    return cols, total
 
 
 def dijkstra_grid(

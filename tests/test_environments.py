@@ -3,6 +3,7 @@ linearity of the Hessian actions, closed forms, and structural behaviors."""
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from delayopt.core import ContractError
 from delayopt.delays import DelaySchedule
@@ -12,7 +13,7 @@ from delayopt.environments.hard_quadratic import HardQuadraticConfig
 from delayopt.environments.lqr import LQRConfig, LQRProblem
 from delayopt.optimizers import make_algorithm
 from delayopt.runner import run_online
-from delayopt.solvers import dijkstra_grid
+from delayopt.solvers import dijkstra_grid, sinkhorn_log
 
 FD_STEP = 1e-5
 FD_REL = 1e-4
@@ -291,6 +292,45 @@ def test_sinkhorn_positive_costs_always():
         theta = rng.standard_normal(env.p) * 5.0
         costs, _ = env.predicted_costs(theta, env.features)
         assert np.all(costs >= env.cfg.cost_floor)
+
+
+def test_sinkhorn_comparator_is_exact_min_cost_plan():
+    env = fresh("sinkhorn")
+    n = env.cfg.n
+    for t in range(2, 12):
+        env.begin_round(t)
+        _, w, z = sample_outcome(env)
+        C = z["costs_true"].reshape(n, n)
+        r, c = linear_sum_assignment(C)
+        cmp = env.comparator_round_loss(z)
+        assert cmp == pytest.approx(float(C[r, c].sum()) / n, rel=1e-12)
+        # a near-optimal entropic plan with tight marginals cannot beat it
+        plan = sinkhorn_log(C, env.mu, env.nu, 0.01, 150)
+        assert cmp <= float(z["costs_true"] @ plan.ravel())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [5, 50])
+@pytest.mark.parametrize("algorithm", ["transport_adam", "stale_adam"])
+def test_sinkhorn_regret_bounded_below_by_marginal_residual(algorithm, d, seed):
+    # the comparator is the exact minimum-cost plan between uniform marginals;
+    # the executed plan has exact column sums but row sums off by at most the
+    # marginal residual, so it can undercut the comparator by at most
+    # n * residual * max cost
+    env = make_environment("sinkhorn", seed=seed, drift_noise=0.1)
+    slack = []
+    realize = env.realize_outcome
+
+    def realize_and_bound(t, theta, w):
+        z, loss, gap = realize(t, theta, w)
+        slack.append(env.cfg.n * env.marginal_residual(w) * float(np.max(z["costs_true"])))
+        return z, loss, gap
+
+    env.realize_outcome = realize_and_bound
+    res = run_online(env, make_algorithm(algorithm, eta0=0.002),
+                     DelaySchedule(kind="constant", d=d, seed=seed), rounds=80)
+    assert res.rounds_logged == 80
+    assert np.all(res.columns["regret_inc"] >= -np.asarray(slack))
 
 
 # -- grid environment ------------------------------------------------------------------

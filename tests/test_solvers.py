@@ -1,11 +1,15 @@
 """Inner solvers and the linear solver against independent oracles:
 hand-iterated recursions, exhaustive path enumeration, closed-form couplings,
-and dense linear algebra."""
+scipy's assignment and LP solvers, and dense linear algebra."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment, linprog
 
 from delayopt.core import ContractError
 from delayopt.environments import make_environment
@@ -13,6 +17,7 @@ from delayopt.solvers import (
     CGConfig,
     InnerSolverConfig,
     SolverError,
+    assignment_min_cost,
     conjugate_gradient,
     dijkstra_grid,
     inner_gd,
@@ -124,6 +129,60 @@ def test_sinkhorn_rejects_bad_inputs():
         sinkhorn_log(C, np.array([1.0, 0.0]), nu, 0.1, 5)
     with pytest.raises(ContractError):
         sinkhorn_log(C, np.array([0.6, 0.6]), nu, 0.1, 5)
+
+
+# -- exact assignment ------------------------------------------------------------
+
+
+@st.composite
+def square_costs(draw):
+    n = draw(st.integers(1, 12))
+    # small integer costs force ties between optimal matchings
+    elements = draw(st.sampled_from([
+        st.integers(0, 3).map(float),
+        st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
+    ]))
+    return draw(arrays(np.float64, (n, n), elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_costs())
+def test_assignment_matches_scipy(C):
+    cols, total = assignment_min_cost(C)
+    n = C.shape[0]
+    assert sorted(cols) == list(range(n))
+    assert total == pytest.approx(float(C[np.arange(n), cols].sum()), abs=1e-12)
+    r, c = linear_sum_assignment(C)
+    assert total == pytest.approx(float(C[r, c].sum()), rel=1e-12, abs=1e-12)
+
+
+def test_assignment_equals_uniform_transport_lp():
+    # Birkhoff-von Neumann: with uniform marginals the transport LP optimum is
+    # a permutation scaled by 1/n
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        for _ in range(5):
+            C = rng.uniform(0.0, 3.0, size=(n, n))
+            rows = np.kron(np.eye(n), np.ones(n))  # row sums of the flattened plan
+            cols = np.kron(np.ones(n), np.eye(n))  # column sums
+            lp = linprog(C.ravel(), A_eq=np.vstack([rows, cols]), b_eq=np.full(2 * n, 1.0 / n),
+                         bounds=(0, None), method="highs")
+            assert lp.status == 0
+            _, total = assignment_min_cost(C)
+            assert total / n == pytest.approx(lp.fun, rel=1e-9, abs=1e-12)
+
+
+def test_assignment_rejects_bad_inputs():
+    with pytest.raises(ContractError):
+        assignment_min_cost(np.zeros((2, 3)))
+    with pytest.raises(ContractError):
+        assignment_min_cost(np.zeros(4))
+    with pytest.raises(ContractError):
+        assignment_min_cost(np.zeros((0, 0)))
+    with pytest.raises(ContractError):
+        assignment_min_cost(np.array([[0.0, np.nan], [1.0, 2.0]]))
+    with pytest.raises(ContractError):
+        assignment_min_cost(np.array([[0.0, np.inf], [1.0, 2.0]]))
 
 
 # -- grid shortest path -------------------------------------------------------
