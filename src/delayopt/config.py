@@ -86,10 +86,15 @@ class ExperimentConfig:
                     raise ConfigError(f"[compare] {role} {nm!r} does not match any [algorithm.*] section")
 
     def hash(self) -> str:
-        """Stable digest of the full configuration for CSV headers."""
+        """Stable digest of the configuration for CSV headers.
+
+        ``out_dir`` is left out: it says where outputs go, not what produced
+        them, so identical runs written to two directories stay byte-identical.
+        """
         blob = io.StringIO()
         for f in dataclasses.fields(self):
-            blob.write(f"{f.name}={getattr(self, f.name)!r}\n")
+            if f.name != "out_dir":
+                blob.write(f"{f.name}={getattr(self, f.name)!r}\n")
         return hashlib.sha256(blob.getvalue().encode()).hexdigest()[:12]
 
 

@@ -20,13 +20,6 @@ class ContractError(ValueError):
     """An environment or caller violated the bilevel-problem contract."""
 
 
-def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ContractError(f"{name} contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class OutcomeRecord:
     """Feedback for one dispatched round, revealed after its delay elapses.
@@ -89,16 +82,23 @@ class BilevelProblem(ABC):
     @abstractmethod
     def cross_partial_transpose_vp(self, w: np.ndarray, theta: np.ndarray, v: np.ndarray, ctx: Any = None) -> np.ndarray: ...
 
-    def prediction_target(self, z: Any) -> Optional[np.ndarray]:
-        """Regression target for the two-stage baseline; None if unsupported."""
-        return None
-
     def exact_inner(self, theta: np.ndarray, ctx: Any = None) -> Optional[np.ndarray]:
         """Closed-form inner minimizer, or None when no closed form exists."""
         return None
 
+    def exact_adjoint(self, w: np.ndarray, theta: np.ndarray, z: Any) -> Optional[np.ndarray]:
+        """Closed-form adjoint at ``(w, theta)`` for outcome ``z``, or None when
+        no closed form exists and the adjoint is solved by conjugate gradient."""
+        return None
+
     def surrogate_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
         raise ContractError(f"{type(self).__name__} does not define a decision surrogate gradient")
+
+    def two_stage_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
+        """Gradient of the prediction error on the arrived outcome, for the
+        two-stage baseline; environments without a prediction target keep
+        this default."""
+        raise ContractError(f"{type(self).__name__} has no prediction target")
 
 
 @dataclass(frozen=True)

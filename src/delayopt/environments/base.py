@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from delayopt.core import BilevelProblem, OutcomeRecord
+from delayopt.core import BilevelProblem
 from delayopt.solvers import InnerSolveReport
 
 
@@ -40,6 +40,3 @@ class Environment(BilevelProblem):
     @abstractmethod
     def comparator_round_loss(self, z: Any) -> float:
         """Per-round loss of the fixed hindsight comparator on outcome ``z``."""
-
-    def two_stage_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no prediction target")

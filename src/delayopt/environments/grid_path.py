@@ -124,9 +124,6 @@ class GridPathProblem(Environment):
     def grad_theta_true_fixed_w(self, w, theta, z):
         return np.zeros(self.p)
 
-    def prediction_target(self, z):
-        return z["costs_true"]
-
     def surrogate_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
         """Finite difference of path indicators along the realized-cost direction."""
         z = record.payload

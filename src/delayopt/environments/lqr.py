@@ -133,9 +133,6 @@ class LQRProblem(Environment):
     def grad_theta_true_fixed_w(self, w, theta, z):
         return np.zeros(self.p)  # realized loss has no explicit parameter term
 
-    def prediction_target(self, z):
-        return z["x_next"]
-
     # -- runner hooks ---------------------------------------------------------
 
     def theta_init(self):

@@ -17,8 +17,9 @@ no-op and the transport correction could never differ from the stale
 baseline.
 
 The entropic term makes the inner objective strongly convex with curvature
-``regularization / w`` per coordinate, so the inner Hessian action is
-diagonal and the adjoint solve is cheap.
+``regularization / w`` per coordinate. On the marginal-preserving couplings
+the adjoint system therefore has a closed form through a 2n dual system (see
+``exact_adjoint``), so no iterative solve is needed.
 """
 
 from __future__ import annotations
@@ -140,34 +141,35 @@ class SinkhornProblem(Environment):
         w = np.maximum(np.asarray(w), self.cfg.coupling_floor)
         return self.cfg.regularization * np.asarray(v) / w
 
-    def _tangent_project(self, v: np.ndarray) -> np.ndarray:
-        """Project onto the transport polytope's tangent space (coupling
-        perturbations with zero row and column sums): double centering."""
-        n = self.cfg.n
-        M = np.asarray(v).reshape(n, n)
-        row = M.mean(axis=1, keepdims=True)
-        col = M.mean(axis=0, keepdims=True)
-        return (M - row - col + M.mean()).ravel()
+    def exact_adjoint(self, w, theta, z):
+        """Adjoint restricted to the transport polytope's tangent space.
 
-    def adjoint_rhs(self, w, theta, z):
-        return self._tangent_project(self.grad_w_true(w, theta, z))
+        The coupling keeps fixed marginals, so the adjoint solves the entropic
+        Hessian ``eps / w`` on perturbations with zero row and column sums.
+        That solution is ``v = K * (c + a_i + b_j)`` with ``K = w / eps`` and
+        ``c`` the realized-cost gradient; the duals ``(a, b)`` make the row and
+        column sums of ``v`` vanish, a 2n system
+        ``[[diag K1, K], [K^T, diag K^T 1]] (a, b) = -(row sums, column sums of K * c)``
+        whose null direction ``(a + s, b - s)`` is removed by pinning the last
+        column dual to 0.
 
-    def adjoint_operator(self, w, theta, z):
-        """Entropic Hessian restricted to the marginal-preserving subspace;
-        positive definite there, which is what the adjoint solve needs.
-
-        Coordinates carrying negligible mass have curvature inversely
-        proportional to that mass; flooring them keeps the system spectrum in
-        two tight clusters so the solve converges in a handful of iterations,
-        at the cost of an O(floor) bias on already-negligible coordinates.
+        Masses below ``adjoint_floor`` are raised to it: the curvature of
+        near-empty coordinates is inversely proportional to their mass, and
+        the floor bounds it at the cost of an O(floor) bias on those
+        already-negligible coordinates.
         """
-        w = np.maximum(np.asarray(w), self.cfg.adjoint_floor)
-        eps = self.cfg.regularization
-
-        def apply_A(v):
-            return self._tangent_project(eps * self._tangent_project(v) / w)
-
-        return apply_A
+        n = self.cfg.n
+        K = np.maximum(np.asarray(w), self.cfg.adjoint_floor).reshape(n, n) / self.cfg.regularization
+        C = self.grad_w_true(w, theta, z).reshape(n, n)
+        KC = K * C
+        M = np.zeros((2 * n - 1, 2 * n - 1))
+        M[:n, :n] = np.diag(K.sum(axis=1))
+        M[:n, n:] = K[:, :-1]
+        M[n:, :n] = K[:, :-1].T
+        M[n:, n:] = np.diag(K.sum(axis=0)[:-1])
+        duals = np.linalg.solve(M, -np.concatenate([KC.sum(axis=1), KC.sum(axis=0)[:-1]]))
+        a, b = duals[:n], np.append(duals[n:], 0.0)
+        return (K * (C + a[:, None] + b[None, :])).ravel()
 
     def cross_partial_transpose_vp(self, w, theta, v, ctx=None):
         feats = self._ctx_features(ctx)
@@ -193,9 +195,6 @@ class SinkhornProblem(Environment):
 
     def grad_theta_true_fixed_w(self, w, theta, z):
         return np.zeros(self.p)
-
-    def prediction_target(self, z):
-        return z["costs_true"]
 
     # -- runner hooks ---------------------------------------------------------
 

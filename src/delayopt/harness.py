@@ -109,11 +109,12 @@ class SummaryRow:
         ])
 
 
-def summarize_cell(algorithm: str, delay: str, runs: list[RunResult], window: int) -> SummaryRow:
-    regrets = [r.cumulative_regret for r in runs]
-    gaps = [r.window_mean("opt_gap", window) for r in runs]
-    drift_totals = [float(np.sum(r.columns["drift_sq"])) for r in runs]
-    step_totals = [float(np.sum(r.columns["step_sq_sum"])) for r in runs]
+def summarize_cell(algorithm: str, delay: str, runs: list[dict[str, np.ndarray]], window: int) -> SummaryRow:
+    """One summary row from the per-round columns of each run of a cell."""
+    regrets = [float(np.sum(cols["regret_inc"])) for cols in runs]
+    gaps = [float(np.mean(cols["opt_gap"][-window:])) for cols in runs]
+    drift_totals = [float(np.sum(cols["drift_sq"])) for cols in runs]
+    step_totals = [float(np.sum(cols["step_sq_sum"])) for cols in runs]
     ratios = [d / s for d, s in zip(drift_totals, step_totals) if s > 0]
     rm, rs = mean_sd(regrets)
     return SummaryRow(
@@ -124,7 +125,8 @@ def summarize_cell(algorithm: str, delay: str, runs: list[RunResult], window: in
         drift_sq_total=float(np.mean(drift_totals)),
         step_sq_total=float(np.mean(step_totals)),
         ratio=float(np.mean(ratios)) if ratios else float("nan"),
-        diverged=sum(1 for r in runs if r.diverged),
+        # a run that diverged stops on its first diverged round
+        diverged=sum(1 for cols in runs if cols["diverged"][-1]),
     )
 
 
@@ -159,7 +161,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1, write: bool = True)
     for algo in cfg.algorithms:
         for spec in cfg.delays:
             delay = spec.describe()
-            runs = [results[(algo.name, delay, s)] for s in cfg.seeds]
+            runs = [results[(algo.name, delay, s)].columns for s in cfg.seeds]
             summary.append(summarize_cell(algo.name, delay, runs, cfg.summary_window))
 
     if write:
@@ -359,14 +361,7 @@ def recompute_summary(cfg: ExperimentConfig) -> list[SummaryRow]:
     for algo in cfg.algorithms:
         for spec in cfg.delays:
             delay = spec.describe()
-            cell_runs = []
-            for seed in cfg.seeds:
-                key = RunKey(algo.name, delay, seed)
-                cols = read_run_csv(os.path.join(runs_dir, key.filename()))
-                cell_runs.append(RunResult(
-                    columns=cols, diverged=bool(cols["diverged"][-1]), diverged_round=None,
-                    delay_hash="", poisson_cap_hits=0, cg_iterations=0, skipped_arrivals=0,
-                    comparator_note="", final_theta=np.zeros(1),
-                ))
+            cell_runs = [read_run_csv(os.path.join(runs_dir, RunKey(algo.name, delay, seed).filename()))
+                         for seed in cfg.seeds]
             rows.append(summarize_cell(algo.name, delay, cell_runs, cfg.summary_window))
     return rows

@@ -11,24 +11,16 @@ what makes the transport correction optimizer-agnostic.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 import numpy as np
 
 from delayopt.core import BilevelProblem, ContractError, OutcomeRecord
-from delayopt.solvers import CGConfig, SolverError
-from delayopt.transport import (
-    AdjointVector,
-    TransportBuffer,
-    TransportDiagnostics,
-    hypergradient_at,
-    solve_adjoint,
-    transport_step,
-)
-
-log = logging.getLogger(__name__)
+from delayopt.solvers import CGConfig
+from delayopt.transport import TransportBuffer, TransportDiagnostics, transport_step
+# unused here, but bench/instrument.py traces these two bindings of this module
+from delayopt.transport import hypergradient_at, solve_adjoint  # noqa: F401
 
 
 @dataclass
@@ -112,83 +104,51 @@ def make_base_rule(cfg: "AlgorithmConfig"):
 
 
 class TransportEngine:
-    """Arrival gradients at the current parameters plus buffer re-evaluation."""
+    """Arrival gradients plus buffer re-evaluation at the current parameters.
 
-    def __init__(self, problem: BilevelProblem, capacity: int, cg: CGConfig,
-                 adjoint_at_dispatch: bool = False):
+    With ``at_dispatch`` each arrival is solved and evaluated at its dispatch
+    snapshot instead; that is only meaningful with capacity 0, where nothing
+    is re-evaluated.
+    """
+
+    def __init__(self, problem: BilevelProblem, capacity: int, cg: CGConfig, at_dispatch: bool = False):
         self.problem = problem
         self.buffer = TransportBuffer(capacity)
         self.cg = cg
-        self.adjoint_at_dispatch = adjoint_at_dispatch
-        self._warm: Optional[AdjointVector] = None
+        self.at_dispatch = at_dispatch
 
     def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, TransportDiagnostics]:
-        g, warm, diag = transport_step(
-            self.buffer, arrivals, self.problem, theta_t, self.cg,
-            warm_adjoint=self._warm, adjoint_at_dispatch=self.adjoint_at_dispatch,
-        )
-        self._warm = warm
-        return g, diag
+        return transport_step(self.buffer, arrivals, self.problem, theta_t, self.cg, self.at_dispatch)
 
     def end_round(self) -> int:
         return self.buffer.evict_to_capacity()
 
 
-class StaleArrivalEngine:
-    """Summed arrival gradients at their dispatch snapshots (theta_s, w_s)."""
+class StaleArrivalEngine(TransportEngine):
+    """Summed arrival gradients at their dispatch snapshots (theta_s, w_s);
+    with capacity 0 nothing is kept for re-evaluation past the round."""
 
     def __init__(self, problem: BilevelProblem, cg: CGConfig):
-        self.problem = problem
-        self.cg = cg
-        self._warm: Optional[AdjointVector] = None
-
-    def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, TransportDiagnostics]:
-        diag = TransportDiagnostics(arrivals=len(arrivals))
-        g = np.zeros_like(theta_t)
-        for rec in arrivals:
-            if self.problem.uses_decision_surrogate:
-                g += self.problem.surrogate_gradient(rec.dispatch_params, rec)
-                continue
-            try:
-                adj = solve_adjoint(self.problem, rec.dispatch_decision, rec.dispatch_params,
-                                    rec.payload, self.cg, warm=self._warm)
-            except SolverError as exc:
-                diag.skipped_arrivals += 1
-                log.warning("round %d arrival skipped: %s", rec.round, exc)
-                continue
-            self._warm = adj
-            diag.cg_iterations += adj.solve_iterations
-            g += hypergradient_at(self.problem, rec.dispatch_decision, adj, rec.dispatch_params, rec.payload)
-        return g, diag
-
-    def end_round(self) -> int:
-        return 0
+        super().__init__(problem, 0, cg, at_dispatch=True)
 
 
 class TwoStageEngine:
-    """Regression gradients of the prediction error on arrived targets.
+    """Regression gradients of the prediction error on arrived targets,
+    scoring the prediction the model made at dispatch (evaluated at the
+    stored snapshot parameters)."""
 
-    By default the gradient scores the prediction the model actually made at
-    dispatch (evaluated at the stored snapshot parameters); set
-    ``at_dispatch=False`` to regress the current parameters on the old data
-    instead.
-    """
-
-    def __init__(self, problem: BilevelProblem, at_dispatch: bool = True):
-        probe = getattr(problem, "two_stage_gradient", None)
-        if probe is None or type(problem).prediction_target is BilevelProblem.prediction_target:
+    def __init__(self, problem: BilevelProblem):
+        if type(problem).two_stage_gradient is BilevelProblem.two_stage_gradient:
             raise ContractError(
                 f"{type(problem).__name__} exposes no prediction target; "
                 "the two-stage baseline cannot run on it"
             )
         self.problem = problem
-        self.at_dispatch = at_dispatch
 
     def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, TransportDiagnostics]:
         g = np.zeros_like(theta_t)
         for rec in arrivals:
-            point = rec.dispatch_params if self.at_dispatch else theta_t
-            g += self.problem.two_stage_gradient(point, rec)
+            g += self.problem.two_stage_gradient(rec.dispatch_params, rec)
         return g, TransportDiagnostics(arrivals=len(arrivals))
 
     def end_round(self) -> int:
@@ -210,12 +170,12 @@ class AlgorithmConfig:
     adam_beta2: float = 0.999
     adam_floor: float = 1e-8
     event_driven: bool = False
-    adjoint_at_dispatch: bool = False
-    two_stage_at_dispatch: bool = True
     # the feasible ball must sit outside the divergence guard, otherwise the
     # projection masks every instability the guard is meant to catch
     theta_radius: float = 1e7
     divergence_norm: float = 1e6
+    # conjugate-gradient adjoint settings, for environments without a
+    # closed-form adjoint
     cg_tolerance: float = 1e-8
     cg_max_iterations: Optional[int] = None
 
@@ -270,10 +230,9 @@ def attach_transport(cfg: AlgorithmConfig) -> AlgorithmConfig:
 
 def make_engine(cfg: AlgorithmConfig, problem: BilevelProblem, buffer_capacity: int):
     if cfg.gradient == "transport":
-        return TransportEngine(problem, buffer_capacity, cfg.cg_config(),
-                               adjoint_at_dispatch=cfg.adjoint_at_dispatch)
+        return TransportEngine(problem, buffer_capacity, cfg.cg_config())
     if cfg.gradient == "stale":
         return StaleArrivalEngine(problem, cfg.cg_config())
     if cfg.gradient == "two_stage":
-        return TwoStageEngine(problem, at_dispatch=cfg.two_stage_at_dispatch)
+        return TwoStageEngine(problem)
     raise ContractError(f"unknown gradient source {cfg.gradient!r}")

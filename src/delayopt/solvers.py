@@ -4,9 +4,10 @@ Three inner solvers cover the environments: warm-started gradient descent for
 smooth strongly convex objectives, log-domain Sinkhorn iterations for entropic
 couplings, and an exact grid shortest-path solver. An exact linear assignment
 solver prices the minimum-cost transport plan between uniform marginals, the
-Sinkhorn environment's regret comparator. Conjugate gradient handles the
-symmetric positive-definite adjoint systems without materializing the inner
-Hessian.
+Sinkhorn environment's regret comparator. Conjugate gradient solves the
+symmetric positive-definite adjoint systems of environments without a
+closed-form adjoint (the control and scalar quadratic environments) from the
+inner Hessian action alone, without materializing the Hessian.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class SolverError(RuntimeError):
 class InnerSolverConfig:
     steps: int
     step_size: float
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.steps < 1:
@@ -265,7 +265,6 @@ def _relax(u: int, v: int, nd: float, dist, parent, heap) -> None:
 class CGConfig:
     tolerance: float = 1e-8
     max_iterations: Optional[int] = None  # defaults to 10 * dimension
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -275,10 +274,9 @@ class CGConfig:
 def conjugate_gradient(
     apply_A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
-    x0: Optional[np.ndarray] = None,
     cfg: Optional[CGConfig] = None,
 ) -> tuple[np.ndarray, float, int]:
-    """Solve ``A x = b`` for a symmetric positive definite operator.
+    """Solve ``A x = b`` for a symmetric positive definite operator, from zero.
 
     Returns ``(x, residual_norm, iterations)`` with the residual guaranteed
     below ``tolerance * max(1, ||b||)`` unless the iteration cap was hit.
@@ -289,8 +287,8 @@ def conjugate_gradient(
     b = np.asarray(b, dtype=float)
     n = b.size
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else 10 * n
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float, copy=True)
-    r = b - apply_A(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     tol = cfg.tolerance * max(1.0, float(np.linalg.norm(b)))
     res = float(np.linalg.norm(r))
     if res <= tol:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -27,21 +27,8 @@ log = logging.getLogger(__name__)
 @dataclass
 class AdjointVector:
     values: np.ndarray
-    solve_residual: float
-    solve_iterations: int
-
-
-@dataclass
-class Hypergradient:
-    values: np.ndarray
-    source_round: int
-    evaluated_at_round: int
-
-
-class AdjointSolveError(SolverError):
-    def __init__(self, round_index: int, cause: Exception):
-        super().__init__(f"adjoint solve failed for round {round_index}: {cause}")
-        self.round_index = round_index
+    solve_residual: float  # 0 for a closed-form adjoint
+    solve_iterations: int  # CG iterations; 0 for a closed-form adjoint
 
 
 def solve_adjoint(
@@ -50,29 +37,19 @@ def solve_adjoint(
     theta: np.ndarray,
     z_s: Any,
     cg: CGConfig,
-    warm: Optional[AdjointVector] = None,
 ) -> AdjointVector:
     """Solve H_w v = grad_w of the realized loss at the stored decision.
 
-    The Hessian action is evaluated at ``(w_s, theta)``; a previous adjoint
-    may seed the iteration, which pays off while parameters move slowly.
-    Environments whose inner problem is constrained expose
-    ``adjoint_operator``/``adjoint_rhs`` overrides that restrict the system to
-    the feasible set's tangent space; the defaults are the unconstrained
-    Hessian action and loss gradient.
+    Uses the environment's closed-form adjoint when it has one. Otherwise
+    runs conjugate gradient from zero on the Hessian action at
+    ``(w_s, theta)`` against the realized-loss gradient.
     """
-    rhs_fn = getattr(problem, "adjoint_rhs", None)
-    op_fn = getattr(problem, "adjoint_operator", None)
-    if rhs_fn is not None:
-        rhs = rhs_fn(w_s, theta, z_s)
-    else:
-        rhs = problem.grad_w_true(w_s, theta, z_s)
-    if op_fn is not None:
-        apply_A = op_fn(w_s, theta, z_s)
-    else:
-        apply_A = lambda v: problem.hess_ww_model_vp(w_s, theta, v, ctx=z_s)
-    x0 = warm.values if (warm is not None and cg.warm_start and warm.values.shape == rhs.shape) else None
-    x, residual, iters = conjugate_gradient(apply_A, rhs, x0=x0, cfg=cg)
+    exact = problem.exact_adjoint(w_s, theta, z_s)
+    if exact is not None:
+        return AdjointVector(values=exact, solve_residual=0.0, solve_iterations=0)
+    rhs = problem.grad_w_true(w_s, theta, z_s)
+    x, residual, iters = conjugate_gradient(
+        lambda v: problem.hess_ww_model_vp(w_s, theta, v, ctx=z_s), rhs, cfg=cg)
     return AdjointVector(values=x, solve_residual=residual, solve_iterations=iters)
 
 
@@ -104,7 +81,6 @@ class TransportBufferEntry:
     adjoint: Optional[AdjointVector]  # None for surrogate-gradient environments
     record: OutcomeRecord
     cached_gradient: np.ndarray
-    cache_round: int
 
 
 class TransportBuffer:
@@ -138,16 +114,12 @@ class TransportBuffer:
             evicted += 1
         return evicted
 
-    def rounds(self) -> list[int]:
-        return list(self._entries.keys())
-
 
 @dataclass
 class TransportDiagnostics:
     arrivals: int = 0
     skipped_arrivals: int = 0
     cg_iterations: int = 0
-    evicted: int = 0
 
 
 def _round_gradient(problem: BilevelProblem, entry: TransportBufferEntry, theta: np.ndarray) -> np.ndarray:
@@ -177,43 +149,43 @@ def transport_step(
     problem: BilevelProblem,
     theta_t: np.ndarray,
     cg: CGConfig,
-    warm_adjoint: Optional[AdjointVector] = None,
-    adjoint_at_dispatch: bool = False,
-) -> tuple[np.ndarray, Optional[AdjointVector], TransportDiagnostics]:
+    at_dispatch: bool = False,
+) -> tuple[np.ndarray, TransportDiagnostics]:
     """One transport round: arrival gradients plus re-evaluation increments.
 
+    Each arrival's adjoint is solved and its gradient evaluated at one point:
+    ``theta_t``, or the arrival's dispatch snapshot when ``at_dispatch`` is
+    set (the stale baseline, which keeps nothing buffered past the round).
     Every pre-existing entry's cache holds its gradient at the previous call's
     parameter point, so the increment ``g_s(theta_t) - cache`` is the one-step
-    re-evaluation change. Arrivals are solved, summed at the current
-    parameters and cached before the re-evaluation loop runs, so a new entry's
-    transport increment on its arrival round is exactly zero. A failed adjoint
-    solve skips that round with a warning instead of aborting the run.
+    re-evaluation change. Arrivals are solved, summed and cached before the
+    re-evaluation loop runs, so a new entry's transport increment on its
+    arrival round is exactly zero. A failed adjoint solve skips that round
+    with a warning instead of aborting the run.
 
-    Returns the corrected gradient, the last adjoint (for warm-starting), and
-    per-round diagnostics. Eviction to capacity is the caller's final step.
+    Returns the corrected gradient and per-round diagnostics. Eviction to
+    capacity is the caller's final step.
     """
     diag = TransportDiagnostics(arrivals=len(arrivals))
     g_total = np.zeros_like(np.asarray(theta_t, dtype=float))
     preexisting = list(buffer)
 
-    last_adjoint = warm_adjoint
     for rec in arrivals:
+        point = rec.dispatch_params if at_dispatch else theta_t
         adjoint = None
         if not problem.uses_decision_surrogate:
-            theta_solve = rec.dispatch_params if adjoint_at_dispatch else theta_t
             try:
-                adjoint = solve_adjoint(problem, rec.dispatch_decision, theta_solve, rec.payload, cg, warm=last_adjoint)
+                adjoint = solve_adjoint(problem, rec.dispatch_decision, point, rec.payload, cg)
             except SolverError as exc:
                 diag.skipped_arrivals += 1
                 log.warning("round %d arrival skipped: %s", rec.round, exc)
                 continue
             diag.cg_iterations += adjoint.solve_iterations
-            last_adjoint = adjoint
         entry = TransportBufferEntry(
             round=rec.round, decision=rec.dispatch_decision, adjoint=adjoint,
-            record=rec, cached_gradient=np.zeros(0), cache_round=rec.round,
+            record=rec, cached_gradient=np.zeros(0),
         )
-        g_s = _round_gradient(problem, entry, theta_t)
+        g_s = _round_gradient(problem, entry, point)
         entry.cached_gradient = g_s
         g_total += g_s
         buffer.insert(entry)
@@ -224,7 +196,7 @@ def transport_step(
             g_total += g_new - entry.cached_gradient
             entry.cached_gradient = g_new
 
-    return g_total, last_adjoint, diag
+    return g_total, diag
 
 
 def transport_error_surrogates(

@@ -3,6 +3,9 @@ linearity of the Hessian actions, closed forms, and structural behaviors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from delayopt.core import ContractError
@@ -11,9 +14,10 @@ from delayopt.environments import make_environment
 from delayopt.environments.grid_path import GridPathConfig, GridPathProblem
 from delayopt.environments.hard_quadratic import HardQuadraticConfig
 from delayopt.environments.lqr import LQRConfig, LQRProblem
+from delayopt.environments.sinkhorn_flow import SinkhornConfig, SinkhornProblem
 from delayopt.optimizers import make_algorithm
 from delayopt.runner import run_online
-from delayopt.solvers import dijkstra_grid, sinkhorn_log
+from delayopt.solvers import CGConfig, conjugate_gradient, dijkstra_grid, sinkhorn_log
 
 FD_STEP = 1e-5
 FD_REL = 1e-4
@@ -283,6 +287,48 @@ def test_sinkhorn_batched_hypergradients_match_single():
     for i in range(3):
         single = hypergradient_at(env, decisions[i], np.asarray(adjoints[i]), theta, payloads[i])
         assert np.allclose(batch[i], single, atol=1e-12)
+
+
+@st.composite
+def adjoint_cases(draw):
+    n = draw(st.integers(2, 7))
+    q = n * n
+    # masses spanning nine decades, one forced far below the adjoint floor
+    log_mass = draw(arrays(float, q, elements=st.floats(-9.0, 0.0)))
+    costs = draw(arrays(float, q, elements=st.floats(0.01, 2.0)))
+    floor = draw(st.sampled_from([1e-6, 1e-4, 1e-3]))
+    eps = draw(st.sampled_from([0.01, 0.05, 0.5]))
+    w = 10.0 ** log_mass
+    w /= w.sum()
+    w[draw(st.integers(0, q - 1))] = 1e-3 * floor
+    return n, w, costs, floor, eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(adjoint_cases())
+def test_sinkhorn_exact_adjoint_equals_cg_on_floored_tangent_operator(case):
+    n, w, costs, floor, eps = case
+    env = SinkhornProblem(SinkhornConfig(n=n, feature_dim=2, regularization=eps, adjoint_floor=floor))
+    z = {"features": np.ones(2), "costs_true": costs}
+    v = env.exact_adjoint(w, env.theta_init(), z)
+
+    # reference: the entropic Hessian with masses floored, restricted to
+    # couplings with zero row and column sums by double centering
+    w_floored = np.maximum(w, floor)
+
+    def project(x):
+        M = x.reshape(n, n)
+        return (M - M.mean(axis=1, keepdims=True) - M.mean(axis=0, keepdims=True) + M.mean()).ravel()
+
+    ref, _, _ = conjugate_gradient(lambda u: project(eps * project(u) / w_floored), project(costs),
+                                   cfg=CGConfig(tolerance=1e-14, max_iterations=100 * n * n))
+    # rounding scale of the terms; costs separable into row plus column
+    # offsets have a zero adjoint, where only rounding is left
+    scale = n * float(w_floored.max()) / eps * float(costs.max())
+    assert np.linalg.norm(v - ref) <= 1e-7 * np.linalg.norm(ref) + 1e-12 * scale
+    V = v.reshape(n, n)
+    assert np.all(np.abs(V.sum(axis=1)) <= 1e-12 * scale)
+    assert np.all(np.abs(V.sum(axis=0)) <= 1e-12 * scale)
 
 
 def test_sinkhorn_positive_costs_always():

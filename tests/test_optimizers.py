@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delayopt.core import ContractError
+from delayopt.core import ContractError, OutcomeRecord
 from delayopt.delays import DelaySchedule
 from delayopt.environments import make_environment
 from delayopt.optimizers import (
     AlgorithmConfig,
     StepSchedule,
+    StaleArrivalEngine,
     adaptive_step,
     attach_transport,
     make_algorithm,
     make_engine,
 )
 from delayopt.runner import run_online
+from delayopt.solvers import CGConfig
+from delayopt.transport import hypergradient_at, solve_adjoint
 
 
 def quad(seed=0, **kw):
@@ -74,6 +79,49 @@ def test_two_stage_requires_prediction_target():
     cfg = make_algorithm("two_stage", eta0=0.1)
     with pytest.raises(ContractError, match="prediction target"):
         make_engine(cfg, env, buffer_capacity=0)
+
+
+# -- stale arrivals --------------------------------------------------------------------
+
+
+def played_records(env, rng, count, spread):
+    """Outcome records of ``count`` rounds, each dispatched at its own parameters."""
+    w_prev = env.initial_decision()
+    records = []
+    for t in range(1, count + 1):
+        env.begin_round(t)
+        theta = env.theta_init() + spread * rng.standard_normal(env.p)
+        w_prev = env.solve_inner(theta, w_prev).solution
+        z, _, _ = env.realize_outcome(t, theta, w_prev)
+        records.append(OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w_prev))
+    return records
+
+
+@pytest.mark.parametrize("name,route,spread", [
+    ("lqr", "adjoint", 0.01), ("sinkhorn", "adjoint", 0.01), ("grid_path", "surrogate", 0.05),
+])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16), count=st.integers(1, 5), split=st.integers(0, 5))
+def test_stale_engine_sums_arrival_gradients_at_dispatch(name, route, spread, seed, count, split):
+    env = make_environment(name, seed=seed)
+    rng = np.random.default_rng(seed)
+    records = played_records(env, rng, count, spread)
+    engine = StaleArrivalEngine(env, CGConfig())
+    theta_now = env.theta_init() + spread * rng.standard_normal(env.p)
+    for batch in (records[:split], records[split:]):
+        expected = np.zeros(env.p)
+        for rec in batch:
+            theta_s, w_s, z_s = rec.dispatch_params, rec.dispatch_decision, rec.payload
+            if route == "adjoint":
+                v_s = solve_adjoint(env, w_s, theta_s, z_s, CGConfig())
+                expected += hypergradient_at(env, w_s, v_s, theta_s, z_s)
+            else:
+                expected += env.surrogate_gradient(theta_s, rec)
+        g, diag = engine.round_gradient(theta_now, batch)
+        np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-15)
+        assert diag.arrivals == len(batch) and diag.skipped_arrivals == 0
+        engine.end_round()
+        assert len(engine.buffer) == 0
 
 
 # -- trajectory identities -----------------------------------------------------------
@@ -184,17 +232,6 @@ def test_zero_gradient_rounds_keep_theta_constant():
     env = quad(seed=0)
     res = run_online(env, make_algorithm("stale_omd", eta0=0.1), const_delay(7), rounds=7)
     assert np.all(res.columns["step_sq"] == 0.0)
-
-
-def test_adjoint_at_dispatch_flag_inert_when_adjoint_system_is_theta_free():
-    # the coupling environment's adjoint system (entropic Hessian, realized-cost
-    # rhs) has no explicit parameter dependence, so both conventions agree
-    def one(flag):
-        env = make_environment("sinkhorn", seed=1)
-        return run_online(env, make_algorithm("transport_adam", eta0=1e-3, adjoint_at_dispatch=flag),
-                          const_delay(3, seed=1), rounds=40)
-    r1, r2 = one(True), one(False)
-    assert np.max(np.abs(r1.columns["true_loss"] - r2.columns["true_loss"])) <= 1e-12
 
 
 def test_robust_omd_clips_gradient():

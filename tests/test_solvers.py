@@ -275,15 +275,6 @@ def test_cg_two_eigenvalues_two_iterations():
     assert res <= 1e-8 * max(1.0, np.linalg.norm(b))
 
 
-def test_cg_warm_start_exact_solution():
-    A = np.diag([2.0, 5.0, 9.0])
-    b = np.array([2.0, 10.0, 18.0])
-    x_star = np.array([1.0, 2.0, 2.0])
-    x, res, iters = conjugate_gradient(lambda v: A @ v, b, x0=x_star)
-    assert iters == 0
-    assert res <= CGConfig().tolerance * max(1.0, np.linalg.norm(b))
-
-
 def test_cg_random_spd_meets_tolerance():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -53,6 +53,8 @@ def test_adjoint_diagonal_oracle():
     class DiagProblem:
         p = q = 4
         uses_decision_surrogate = False
+        def exact_adjoint(self, w, theta, z):
+            return None
         def grad_w_true(self, w, theta, z):
             return z
         def hess_ww_model_vp(self, w, theta, v, ctx=None):
@@ -119,19 +121,19 @@ def test_buffer_capacity_and_fifo_order():
     for t in (4, 7, 9, 12):
         buf.insert(TransportBufferEntry(round=t, decision=np.zeros(1), adjoint=None,
                                         record=record(quad_env(), t, 0.0),
-                                        cached_gradient=np.zeros(1), cache_round=t))
+                                        cached_gradient=np.zeros(1)))
     assert buf.evict_to_capacity() == 1
-    assert buf.rounds() == [7, 9, 12]
+    assert [e.round for e in buf] == [7, 9, 12]
     with pytest.raises(ContractError):
         buf.insert(TransportBufferEntry(round=9, decision=np.zeros(1), adjoint=None,
                                         record=record(quad_env(), 9, 0.0),
-                                        cached_gradient=np.zeros(1), cache_round=9))
+                                        cached_gradient=np.zeros(1)))
 
 
 def test_transport_step_empty_is_zero():
     env = quad_env()
     buf = TransportBuffer(capacity=5)
-    g, _, diag = transport_step(buf, [], env, np.array([1.0]), CG)
+    g, diag = transport_step(buf, [], env, np.array([1.0]), CG)
     assert g[0] == 0.0 and len(buf) == 0 and diag.arrivals == 0
 
 
@@ -140,7 +142,7 @@ def test_transport_step_single_arrival_equals_arrival_gradient():
     buf = TransportBuffer(capacity=5)
     theta = np.array([0.6])
     rec = record(env, 1, 0.6)
-    g, _, _ = transport_step(buf, [rec], env, theta, CG)
+    g, _ = transport_step(buf, [rec], env, theta, CG)
     adj = solve_adjoint(env, rec.dispatch_decision, theta, None, CG)
     expected = hypergradient_at(env, rec.dispatch_decision, adj, theta, None)
     assert g[0] == pytest.approx(expected[0], abs=1e-12)
@@ -164,11 +166,11 @@ def test_telescope_exactness_over_path():
     rng = np.random.default_rng(2)
     theta0 = np.array([1.1])
     rec = record(env, 1, theta0[0], w_val=2.0)
-    total, _, _ = transport_step(buf, [rec], env, theta0, CG)
+    total, _ = transport_step(buf, [rec], env, theta0, CG)
     theta = theta0
     for _ in range(5):
         theta = theta + rng.normal(scale=0.8, size=1)
-        g, _, _ = transport_step(buf, [], env, theta, CG)
+        g, _ = transport_step(buf, [], env, theta, CG)
         total = total + g
     entry = next(iter(buf))
     direct = hypergradient_at(env, entry.decision, entry.adjoint, theta, None)
@@ -179,13 +181,15 @@ def test_transport_step_skips_failed_adjoint(caplog):
     class Breaking:
         p = q = 1
         uses_decision_surrogate = False
+        def exact_adjoint(self, w, theta, z):
+            return None
         def grad_w_true(self, w, theta, z):
             return np.array([1.0])
         def hess_ww_model_vp(self, w, theta, v, ctx=None):
             return -np.asarray(v)  # not SPD
     buf = TransportBuffer(capacity=2)
     rec = OutcomeRecord(round=3, payload=None, dispatch_params=np.zeros(1), dispatch_decision=np.zeros(1))
-    g, _, diag = transport_step(buf, [rec], Breaking(), np.zeros(1), CG)
+    g, diag = transport_step(buf, [rec], Breaking(), np.zeros(1), CG)
     assert diag.skipped_arrivals == 1
     assert g[0] == 0.0 and len(buf) == 0
 
