@@ -6,13 +6,14 @@ four simulated environments, a delay-queue simulator, and a statistics
 harness that writes reproducible CSV experiment tables.
 """
 
-from delayopt.core import BilevelProblem, OutcomeRecord, decision_regret, optimality_gap
+from delayopt.core import BilevelProblem, OutcomeRecord
 from delayopt.solvers import (
     CGConfig,
     InnerSolverConfig,
     InnerSolveReport,
     conjugate_gradient,
     dijkstra_grid,
+    grid_shortest_paths,
     inner_gd,
     sinkhorn_log,
 )

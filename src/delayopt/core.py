@@ -1,4 +1,4 @@
-"""Shared bilevel-problem contract and decision-quality bookkeeping.
+"""Shared bilevel-problem contract and the outcome record.
 
 Every environment implements :class:`BilevelProblem`: an inner (model-based)
 objective over decisions ``w`` and an outer (realized) decision loss, plus the
@@ -94,71 +94,13 @@ class BilevelProblem(ABC):
     def surrogate_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
         raise ContractError(f"{type(self).__name__} does not define a decision surrogate gradient")
 
+    def surrogate_gradients_at_many(self, theta: np.ndarray, records: Sequence[OutcomeRecord]) -> np.ndarray:
+        """``surrogate_gradient`` of every record at one theta, as rows of an
+        (m, p) matrix; environments with a batched solver override this."""
+        return np.stack([self.surrogate_gradient(theta, r) for r in records])
+
     def two_stage_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
         """Gradient of the prediction error on the arrived outcome, for the
         two-stage baseline; environments without a prediction target keep
         this default."""
         raise ContractError(f"{type(self).__name__} has no prediction target")
-
-
-@dataclass(frozen=True)
-class RegretReport:
-    """Cumulative decision loss relative to a fixed comparator.
-
-    When the comparator term cannot be evaluated (no exact inner solution),
-    ``comparator_available`` is False and ``value`` holds the cumulative loss
-    alone, flagged rather than silently mislabeled as regret.
-    """
-
-    value: float
-    cumulative_loss: float
-    comparator_term: float
-    comparator_available: bool
-
-
-def decision_regret(
-    trajectory: Sequence[tuple[np.ndarray, np.ndarray, Any]],
-    problem: BilevelProblem,
-    comparator: np.ndarray,
-) -> RegretReport:
-    """Cumulative realized loss minus the comparator's loss on the same outcomes.
-
-    ``trajectory`` holds per-round ``(theta_t, w_t, z_t)``. The comparator term
-    replays every outcome under the comparator parameters' exact inner
-    decision, so both sums run over the realized per-round losses.
-    """
-    comparator = np.asarray(comparator, dtype=float)
-    cumulative = 0.0
-    for theta_t, w_t, z_t in trajectory:
-        cumulative += problem.true_loss(np.asarray(w_t, float), np.asarray(theta_t, float), z_t)
-
-    w_cmp = problem.exact_inner(comparator)
-    if w_cmp is None:
-        return RegretReport(
-            value=cumulative, cumulative_loss=cumulative, comparator_term=float("nan"),
-            comparator_available=False,
-        )
-    cmp_term = 0.0
-    for _, _, z_t in trajectory:
-        cmp_term += problem.true_loss(w_cmp, comparator, z_t)
-    return RegretReport(
-        value=cumulative - cmp_term, cumulative_loss=cumulative,
-        comparator_term=cmp_term, comparator_available=True,
-    )
-
-
-class OracleError(ValueError):
-    """The supposedly optimal reference cost exceeds the achieved cost."""
-
-
-def optimality_gap(path_cost: float, oracle_cost: float, tol: float = 1e-9) -> float:
-    """Excess realized cost over the oracle optimum, clamped at zero.
-
-    An oracle cost above the achieved cost (beyond ``tol``) signals a broken
-    oracle and raises rather than returning a negative gap.
-    """
-    if oracle_cost > path_cost + tol:
-        raise OracleError(
-            f"oracle not optimal: oracle_cost={oracle_cost!r} exceeds path_cost={path_cost!r}"
-        )
-    return max(0.0, float(path_cost) - float(oracle_cost))

@@ -1,5 +1,4 @@
-"""Feedback-channel simulation: delay schedules, the outstanding-round queue,
-and the mean-reverting drift process applied to environment parameters.
+"""Feedback-channel simulation: delay schedules and the outstanding-round queue.
 
 Delay sampling uses its own seed stream, decoupled from everything else, so a
 comparison between two algorithms can replay identical delay realizations.
@@ -9,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Optional
 
 import numpy as np
 
@@ -120,26 +118,3 @@ class DelayQueue:
         self.sigma = len(self.outstanding)
         self.envelope = max(self.envelope, self.sigma)
         return [rec for _, rec in arrivals]
-
-
-@dataclass
-class OUProcess:
-    """Order-one mean-reverting drift: x <- (1-rate)*x + rate*mean + scale*noise.
-
-    Stationary variance per coordinate is scale^2 / (rate * (2 - rate)).
-    """
-
-    mean: np.ndarray
-    rate: float = 0.05
-    noise_scale: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.state = self.mean.copy()
-        self._rng = np.random.default_rng([int(self.seed), 104729])
-
-    def step(self) -> np.ndarray:
-        noise = self._rng.standard_normal(self.mean.shape) if self.noise_scale else 0.0
-        self.state = (1.0 - self.rate) * self.state + self.rate * self.mean + self.noise_scale * noise
-        return self.state

@@ -11,18 +11,24 @@ The outer gradient is the finite-difference-of-paths surrogate: perturb the
 predicted costs in the direction of the realized true costs, re-solve, and
 read the gradient off the change in the path indicator, scaled back by the
 perturbation size.
+
+Single solves (the decision, the oracle, the comparator, an arrival's
+gradient) use the heap solver. Re-evaluating the transport buffer is one
+batched solve per round of every buffered round's base and bumped paths,
+which returns the heap solver's paths bit for bit: ties go to the neighbour
+smallest in (distance, row, column), the order in which the heap settles
+cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
 
 import numpy as np
 
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments.base import Environment
-from delayopt.solvers import InnerSolveReport, dijkstra_grid
+from delayopt.solvers import InnerSolveReport, dijkstra_grid, grid_shortest_paths
 
 TERRAIN_LEVELS = (1.0, 2.0, 5.0, 10.0)
 
@@ -132,6 +138,23 @@ class GridPathProblem(Environment):
         base_path, _ = self._shortest(costs, start, goal)
         bumped = costs + self.cfg.perturbation * z["costs_true"]
         bump_path, _ = self._shortest(bumped, start, goal)
+        return self._path_change_gradient(base_path, bump_path, mask)
+
+    def surrogate_gradients_at_many(self, theta: np.ndarray, records: list[OutcomeRecord]) -> np.ndarray:
+        """``surrogate_gradient`` of every record at one theta, as an (m, p)
+        matrix from a single batched solve of the 2m base and bumped paths;
+        row i is bit-identical to ``surrogate_gradient(theta, records[i])``."""
+        m = len(records)
+        costs, mask = self.predicted_costs(theta)
+        payloads = [r.payload for r in records]
+        bumped = [costs + self.cfg.perturbation * z["costs_true"] for z in payloads]
+        grids = np.stack([costs] * m + bumped).reshape(2 * m, self.cfg.height, self.cfg.width)
+        starts = [z["start"] for z in payloads] * 2
+        goals = [z["goal"] for z in payloads] * 2
+        paths, _ = grid_shortest_paths(grids, starts, goals)
+        return np.stack([self._path_change_gradient(paths[i], paths[m + i], mask) for i in range(m)])
+
+    def _path_change_gradient(self, base_path, bump_path, mask) -> np.ndarray:
         delta = (bump_path - base_path) * mask
         return self.features.T @ delta / self.cfg.perturbation
 

@@ -1,5 +1,5 @@
-"""Reported statistics: regressions, Welch tests, improvement percentages,
-stability boundary search, and per-run summaries.
+"""Reported statistics: Welch tests, improvement percentages, stability
+boundary search, and per-run summaries.
 
 The t-distribution tail is computed from a continued-fraction regularized
 incomplete beta so runs have no statistics dependency; the implementation is
@@ -18,36 +18,6 @@ import numpy as np
 from delayopt.core import ContractError
 
 P_VALUE_FLOOR = 1e-12
-
-
-@dataclass
-class RegressionResult:
-    slope: float
-    intercept: float
-    r_squared: float
-    n_points: int
-
-
-def loglog_fit(points: Sequence[tuple[float, float]]) -> RegressionResult:
-    """Ordinary least squares on (ln x, ln y); inputs must be positive."""
-    if len(points) < 3:
-        raise ContractError("log-log regression needs at least 3 points")
-    xs = np.array([p[0] for p in points], dtype=float)
-    ys = np.array([p[1] for p in points], dtype=float)
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ContractError("log-log regression requires positive inputs")
-    lx, ly = np.log(xs), np.log(ys)
-    lx_c = lx - lx.mean()
-    denom = float(lx_c @ lx_c)
-    if denom == 0:
-        raise ContractError("degenerate regression: all x equal")
-    slope = float(lx_c @ (ly - ly.mean())) / denom
-    intercept = float(ly.mean() - slope * lx.mean())
-    resid = ly - (intercept + slope * lx)
-    ss_res = float(resid @ resid)
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
-    return RegressionResult(slope=slope, intercept=intercept, r_squared=r2, n_points=len(points))
 
 
 @dataclass

@@ -11,7 +11,7 @@ what makes the transport correction optimizer-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -216,16 +216,6 @@ def make_algorithm(name: str, **overrides) -> AlgorithmConfig:
     kwargs: dict[str, Any] = dict(_REGISTRY[name])
     kwargs.update(overrides)
     return AlgorithmConfig(name=name, **kwargs)
-
-
-def attach_transport(cfg: AlgorithmConfig) -> AlgorithmConfig:
-    """Swap the stale arrival sum for the transport-corrected gradient,
-    leaving the base rule and schedule untouched."""
-    if cfg.gradient == "transport":
-        return cfg
-    if cfg.gradient != "stale":
-        raise ContractError("transport attaches to stale-gradient optimizers only")
-    return replace(cfg, gradient="transport", name=cfg.name + "+transport")
 
 
 def make_engine(cfg: AlgorithmConfig, problem: BilevelProblem, buffer_capacity: int):

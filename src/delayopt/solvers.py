@@ -2,12 +2,14 @@
 
 Three inner solvers cover the environments: warm-started gradient descent for
 smooth strongly convex objectives, log-domain Sinkhorn iterations for entropic
-couplings, and an exact grid shortest-path solver. An exact linear assignment
-solver prices the minimum-cost transport plan between uniform marginals, the
-Sinkhorn environment's regret comparator. Conjugate gradient solves the
-symmetric positive-definite adjoint systems of environments without a
-closed-form adjoint (the control and scalar quadratic environments) from the
-inner Hessian action alone, without materializing the Hessian.
+couplings, and an exact grid shortest-path solver. A batched grid solver
+returns the same paths for many grids at once from one vectorized min-plus
+relaxation, for re-evaluating a whole transport buffer. An exact linear
+assignment solver prices the minimum-cost transport plan between uniform
+marginals, the Sinkhorn environment's regret comparator. Conjugate gradient
+solves the symmetric positive-definite adjoint systems of environments
+without a closed-form adjoint (the control and scalar quadratic environments)
+from the inner Hessian action alone, without materializing the Hessian.
 """
 
 from __future__ import annotations
@@ -206,9 +208,7 @@ def dijkstra_grid(
     start cell is excluded. Ties are broken lexicographically on
     (cost, row, column) so paths are identical across platforms.
     """
-    costs = np.asarray(cell_costs, dtype=float)
-    if np.any(costs <= 0):
-        raise SolverError("dijkstra_grid requires strictly positive cell costs")
+    costs = _checked_costs(cell_costs, "dijkstra_grid")
     H, W = costs.shape
     sr, sc = start
     gr, gc = goal
@@ -259,6 +259,89 @@ def _relax(u: int, v: int, nd: float, dist, parent, heap) -> None:
         dist[v] = nd
         parent[v] = u
         heapq.heappush(heap, (nd, v))
+
+
+def _checked_costs(cell_costs: np.ndarray, solver: str) -> np.ndarray:
+    costs = np.asarray(cell_costs, dtype=float)
+    # NaN fails every comparison, so test for the valid range, not against it
+    if not np.all(np.isfinite(costs) & (costs > 0)):
+        raise SolverError(f"{solver} requires finite, strictly positive cell costs")
+    return costs
+
+
+def grid_shortest_paths(
+    cell_costs: np.ndarray,
+    starts: np.ndarray,
+    goals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Many :func:`dijkstra_grid` solves at once, with identical results.
+
+    ``cell_costs`` is ``(m, H, W)``; ``starts`` and ``goals`` are ``(m, 2)``
+    (row, column) pairs. Returns ``(indicators, totals)``: ``indicators[i]``
+    is the flat ``H * W`` 0/1 vector of the cells path ``i`` enters (start
+    excluded) and ``totals[i]`` its cost.
+
+    Distances come from min-plus relaxation over the whole batch: each sweep
+    offers every cell ``min(neighbour distances) + cost``, and the sweeps stop
+    when no cell improves. Rounding is monotone, so ``min(a, b) + c`` equals
+    ``min(a + c, b + c)`` and the fixed point is the heap solver's distances
+    bit for bit. Paths are then backtracked from every goal at once. The
+    parent of ``v`` is its neighbour ``u`` smallest in ``(dist[u], u)``: by
+    the same monotonicity it satisfies ``dist[u] + cost[v] == dist[v]``, and
+    it is the first such neighbour the heap solver settles, so ties break the
+    same way too. For a single problem the heap solver is faster; this pays
+    off once a batch holds a few dozen problems.
+    """
+    costs = _checked_costs(cell_costs, "grid_shortest_paths")
+    if costs.ndim != 3:
+        raise ContractError("grid_shortest_paths needs an (m, H, W) cost array")
+    m, H, W = costs.shape
+    starts = np.asarray(starts, dtype=np.int64).reshape(m, 2)
+    goals = np.asarray(goals, dtype=np.int64).reshape(m, 2)
+    ends = np.concatenate([starts, goals])
+    if np.any((ends < 0) | (ends >= (H, W))):
+        raise ContractError("start/goal outside the grid")
+    if np.any(np.all(starts == goals, axis=1)):
+        raise ContractError("start and goal must differ")
+
+    # batch axis innermost, and a border of inf so every shift is one slab
+    c = np.ascontiguousarray(costs.transpose(1, 2, 0))
+    padded = np.full((H + 2, W + 2, m), np.inf)
+    rows = np.arange(m)
+    padded[starts[:, 0] + 1, starts[:, 1] + 1, rows] = 0.0
+    dist = padded[1:-1, 1:-1]
+    up, down = padded[:-2, 1:-1], padded[2:, 1:-1]
+    left, right = padded[1:-1, :-2], padded[1:-1, 2:]
+    offer, across = np.empty_like(c), np.empty_like(c)
+    while True:
+        np.minimum(up, down, out=offer)
+        np.minimum(left, right, out=across)
+        np.minimum(offer, across, out=offer)
+        offer += c
+        if not (offer < dist).any():
+            break
+        np.minimum(dist, offer, out=dist)
+
+    # first minimum over the neighbours in ascending index order
+    # (up, left, right, down), as a flat-index step
+    lower = np.where(left < up, -1, -W)
+    higher = np.where(down < right, W, 1)
+    step = np.where(np.minimum(right, down) < np.minimum(up, left), higher, lower)
+    step = step.reshape(H * W, m)
+
+    n = H * W
+    s_idx = starts[:, 0] * W + starts[:, 1]
+    cur = goals[:, 0] * W + goals[:, 1]
+    totals = dist.reshape(n, m)[cur, rows]
+    indicators = np.zeros((m, n))
+    for _ in range(n):
+        walking = cur != s_idx
+        if not walking.any():
+            return indicators, totals
+        r, v = rows[walking], cur[walking]
+        indicators[r, v] = 1.0
+        cur[walking] = v + step[v, r]
+    raise SolverError("grid_shortest_paths: backtracking did not reach the start")
 
 
 @dataclass

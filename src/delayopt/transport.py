@@ -129,10 +129,13 @@ def _round_gradient(problem: BilevelProblem, entry: TransportBufferEntry, theta:
 
 
 def _round_gradients_batch(problem: BilevelProblem, entries: list[TransportBufferEntry], theta: np.ndarray) -> list[np.ndarray]:
-    """Re-evaluate many buffered gradients at once when the environment offers
-    a batched path; falls back to the per-entry formula otherwise."""
+    """Re-evaluate many buffered gradients at once: one batched surrogate call
+    for decision-surrogate environments, the environment's batched
+    hypergradient when it offers one, the per-entry formula otherwise."""
+    if problem.uses_decision_surrogate:
+        return list(problem.surrogate_gradients_at_many(theta, [e.record for e in entries]))
     batched = getattr(problem, "hypergradients_at_many", None)
-    if batched is not None and not problem.uses_decision_surrogate:
+    if batched is not None:
         mat = batched(
             theta,
             [e.decision for e in entries],

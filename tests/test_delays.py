@@ -1,11 +1,10 @@
-"""Delay schedules, queue bookkeeping, and the drift process, checked against
-brute-force replays and closed-form stationary statistics."""
+"""Delay schedules and queue bookkeeping, checked against brute-force replays
+and closed-form queue statistics."""
 
 import numpy as np
-import pytest
 
 from delayopt.core import OutcomeRecord
-from delayopt.delays import DelayQueue, DelaySchedule, OUProcess
+from delayopt.delays import DelayQueue, DelaySchedule
 
 
 def rec(t):
@@ -111,35 +110,3 @@ def test_delay_hash_pairing():
     for t in range(1, 200):
         c.sample(t)
     assert c.realized_hash() != a.realized_hash()
-
-
-# -- drift process -------------------------------------------------------------
-
-
-def test_ou_fixed_point_without_noise():
-    p = OUProcess(mean=np.array([2.0, -1.0]), rate=0.05, noise_scale=0.0)
-    for _ in range(10):
-        p.step()
-    assert np.allclose(p.state, [2.0, -1.0], atol=1e-12)
-
-
-def test_ou_geometric_decay():
-    p = OUProcess(mean=np.zeros(3), rate=0.05, noise_scale=0.0)
-    p.state = np.array([1.0, 2.0, -3.0])
-    prev = np.linalg.norm(p.state)
-    for _ in range(5):
-        p.step()
-        cur = np.linalg.norm(p.state)
-        assert cur == pytest.approx(0.95 * prev, rel=1e-12)
-        prev = cur
-
-
-def test_ou_stationary_variance_matches_ar1_formula():
-    # Var = scale^2 / (rate * (2 - rate)) for x <- (1-rate) x + rate m + scale xi
-    rate, scale = 0.05, 0.3
-    p = OUProcess(mean=np.zeros(1), rate=rate, noise_scale=scale, seed=9)
-    xs = np.empty(100_000)
-    for i in range(xs.size):
-        xs[i] = p.step()[0]
-    expected = scale**2 / (rate * (2 - rate))
-    assert abs(xs[2000:].var() - expected) / expected <= 0.10

@@ -11,7 +11,6 @@ from delayopt.metrics import (
     SearchError,
     eta_max_search,
     improvement_pct,
-    loglog_fit,
     p_value_display,
     regularized_incomplete_beta,
     student_t_two_sided,
@@ -23,39 +22,6 @@ try:
     HAVE_SCIPY = True
 except ImportError:
     HAVE_SCIPY = False
-
-
-# -- log-log regression ------------------------------------------------------------
-
-
-def test_loglog_exact_linear():
-    pts = [(s, float(s)) for s in (1, 2, 5, 10)]
-    fit = loglog_fit(pts)
-    assert fit.slope == pytest.approx(1.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-
-def test_loglog_exact_quadratic():
-    pts = [(s, float(s) ** 2) for s in (1, 2, 5, 10)]
-    fit = loglog_fit(pts)
-    assert fit.slope == pytest.approx(2.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-
-def test_loglog_noisy_power_law():
-    rng = np.random.default_rng(0)
-    xs = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
-    ys = 3.0 * xs**1.5 * (1 + 0.01 * rng.standard_normal(xs.size))
-    fit = loglog_fit(list(zip(xs, ys)))
-    assert 1.45 <= fit.slope <= 1.55
-    assert math.exp(fit.intercept) == pytest.approx(3.0, rel=0.1)
-
-
-def test_loglog_input_validation():
-    with pytest.raises(ContractError):
-        loglog_fit([(1.0, 1.0), (2.0, 2.0)])
-    with pytest.raises(ContractError):
-        loglog_fit([(1.0, 1.0), (2.0, -2.0), (3.0, 3.0)])
 
 
 # -- welch test -----------------------------------------------------------------------

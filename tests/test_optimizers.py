@@ -13,7 +13,6 @@ from delayopt.optimizers import (
     StepSchedule,
     StaleArrivalEngine,
     adaptive_step,
-    attach_transport,
     make_algorithm,
     make_engine,
 )
@@ -55,18 +54,7 @@ def test_schedule_validation():
         StepSchedule(eta0=0.1, mode="bogus")
 
 
-# -- named algorithms and composition ----------------------------------------------
-
-
-def test_attach_transport_swaps_gradient_source():
-    base = make_algorithm("stale_adam", eta0=1e-3)
-    composed = attach_transport(base)
-    assert composed.gradient == "transport"
-    assert composed.base == base.base
-    assert composed.eta0 == base.eta0
-    assert attach_transport(composed) is composed
-    with pytest.raises(ContractError):
-        attach_transport(make_algorithm("two_stage", eta0=1e-3))
+# -- named algorithms --------------------------------------------------------------
 
 
 def test_unknown_algorithm_rejected():

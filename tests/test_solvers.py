@@ -20,6 +20,7 @@ from delayopt.solvers import (
     assignment_min_cost,
     conjugate_gradient,
     dijkstra_grid,
+    grid_shortest_paths,
     inner_gd,
     sinkhorn_log,
 )
@@ -254,6 +255,66 @@ def test_dijkstra_rejects_nonpositive_costs_and_equal_endpoints():
         dijkstra_grid(np.array([[1.0, 0.0]]), (0, 0), (0, 1))
     with pytest.raises(ContractError):
         dijkstra_grid(np.ones((2, 2)), (0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("cell", [(1, 1), (2, 2)], ids=["centre", "goal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_both_grid_solvers_reject_nonfinite_or_nonpositive_cost(cell, bad):
+    # a NaN centre used to be routed around like a wall, and a NaN goal used
+    # to surface as "no path"; both now name the bad cost
+    costs = np.ones((3, 3))
+    costs[cell] = bad
+    with pytest.raises(SolverError, match="finite, strictly positive"):
+        dijkstra_grid(costs, (0, 0), (2, 2))
+    with pytest.raises(SolverError, match="finite, strictly positive"):
+        grid_shortest_paths(costs[None], [(0, 0)], [(2, 2)])
+
+
+# -- batched grid shortest paths ------------------------------------------------
+
+
+@st.composite
+def path_batches(draw):
+    H = draw(st.integers(1, 8))
+    W = draw(st.integers(2 if H == 1 else 1, 8))
+    m = draw(st.integers(1, 20))
+    # small integer costs force many equal-cost paths, so ties are exercised
+    elements = st.integers(1, 3).map(float) if draw(st.booleans()) else st.floats(0.01, 100.0)
+    costs = draw(arrays(float, (m, H, W), elements=elements))
+    cell = st.tuples(st.integers(0, H - 1), st.integers(0, W - 1))
+    ends = draw(st.lists(st.tuples(cell, cell).filter(lambda e: e[0] != e[1]), min_size=m, max_size=m))
+    return costs, [s for s, _ in ends], [g for _, g in ends]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_batches())
+def test_batched_paths_identical_to_dijkstra(batch):
+    costs, starts, goals = batch
+    m, H, W = costs.shape
+    indicators, totals = grid_shortest_paths(costs, starts, goals)
+    assert indicators.shape == (m, H * W) and totals.shape == (m,)
+    for i in range(m):
+        path, total = dijkstra_grid(costs[i], starts[i], goals[i])
+        expected = np.zeros(H * W)
+        for r, c in path[1:]:
+            expected[r * W + c] = 1.0
+        assert np.array_equal(indicators[i], expected)
+        assert totals[i] == total
+
+
+@pytest.mark.parametrize("start, goal", [
+    ((1, 1), (1, 1)),
+    ((-1, 0), (1, 2)),
+    ((0, 0), (2, 0)),
+    ((0, 3), (1, 1)),
+])
+def test_batched_paths_raise_the_same_contract_error(start, goal):
+    costs = np.ones((2, 3))
+    with pytest.raises(ContractError) as heap:
+        dijkstra_grid(costs, start, goal)
+    with pytest.raises(ContractError) as batched:
+        grid_shortest_paths(np.stack([costs, costs]), [(0, 0), start], [(1, 2), goal])
+    assert str(batched.value) == str(heap.value)
 
 
 # -- conjugate gradient --------------------------------------------------------

@@ -3,14 +3,20 @@ error surrogates, against closed forms and the exact telescoping identity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments import make_environment
+from delayopt.environments.grid_path import GridPathConfig, GridPathProblem
+from delayopt.optimizers import TransportEngine
 from delayopt.solvers import CGConfig
 from delayopt.transport import (
     AdjointVector,
     TransportBuffer,
     TransportBufferEntry,
+    _round_gradient,
+    _round_gradients_batch,
     hypergradient_at,
     solve_adjoint,
     transport_error_surrogates,
@@ -192,6 +198,81 @@ def test_transport_step_skips_failed_adjoint(caplog):
     g, diag = transport_step(buf, [rec], Breaking(), np.zeros(1), CG)
     assert diag.skipped_arrivals == 1
     assert g[0] == 0.0 and len(buf) == 0
+
+
+# -- batched re-evaluation and telescoping ------------------------------------------
+
+
+def played_entries(env, rng, count, spread):
+    """Buffer entries of ``count`` rounds, each dispatched at its own parameters."""
+    w_prev = env.initial_decision()
+    entries = []
+    for t in range(1, count + 1):
+        env.begin_round(t)
+        theta = env.theta_init() + spread * rng.standard_normal(env.p)
+        w_prev = env.solve_inner(theta, w_prev).solution
+        z, _, _ = env.realize_outcome(t, theta, w_prev)
+        rec = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w_prev)
+        adjoint = None if env.uses_decision_surrogate else solve_adjoint(env, w_prev, theta, z, CG)
+        entries.append(TransportBufferEntry(round=t, decision=w_prev, adjoint=adjoint, record=rec,
+                                            cached_gradient=np.zeros(env.p)))
+    return entries
+
+
+def test_batched_reevaluation_equals_per_entry_on_grid_exactly():
+    env = make_environment("grid_path", seed=3)
+    rng = np.random.default_rng(3)
+    entries = played_entries(env, rng, 12, spread=0.05)
+    theta = env.theta_init() + 0.05 * rng.standard_normal(env.p)
+    rows = _round_gradients_batch(env, entries, theta)
+    assert any(np.any(row != 0) for row in rows)  # some bumped paths differ
+    for entry, row in zip(entries, rows):
+        assert np.array_equal(row, _round_gradient(env, entry, theta))
+
+
+def test_batched_reevaluation_equals_per_entry_on_sinkhorn():
+    env = make_environment("sinkhorn", seed=3)
+    assert hasattr(env, "hypergradients_at_many")
+    rng = np.random.default_rng(3)
+    entries = played_entries(env, rng, 6, spread=0.01)
+    theta = env.theta_init() + 0.01 * rng.standard_normal(env.p)
+    rows = _round_gradients_batch(env, entries, theta)
+    for entry, row in zip(entries, rows):
+        single = _round_gradient(env, entry, theta)
+        assert np.linalg.norm(row - single) <= 1e-12 * np.linalg.norm(single)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**16), delays=st.lists(st.integers(0, 4), min_size=2, max_size=10))
+def test_transport_gradients_telescope_on_grid(seed, delays):
+    # with no evictions, the gradients applied so far sum to every buffered
+    # round's surrogate gradient at the latest parameters
+    env = GridPathProblem(GridPathConfig(height=6, width=7, feature_dim=12), seed=seed)
+    rng = np.random.default_rng(seed)
+    rounds = len(delays)
+    engine = TransportEngine(env, capacity=rounds, cg=CG)
+    theta = env.theta_init()
+    w = env.initial_decision()
+    pending: dict[int, list[OutcomeRecord]] = {}
+    applied = np.zeros(env.p)
+    scale = 1.0
+    for t, delay in enumerate(delays, start=1):
+        env.begin_round(t)
+        w = env.solve_inner(theta, w).solution
+        z, _, _ = env.realize_outcome(t, theta, w)
+        rec = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w)
+        pending.setdefault(t + delay, []).append(rec)
+        g, _ = engine.round_gradient(theta, pending.pop(t, []))
+        assert engine.end_round() == 0
+        applied += g
+        scale = max(scale, float(np.abs(g).max()))
+        theta_last = theta
+        theta = theta + 0.5 * rng.standard_normal(env.p)
+    expected = np.zeros(env.p)
+    for entry in engine.buffer:
+        expected += env.surrogate_gradient(theta_last, entry.record)
+    assert len(engine.buffer) == sum(1 for t, d in enumerate(delays, start=1) if t + d <= rounds)
+    np.testing.assert_allclose(applied, expected, rtol=0, atol=1e-12 * rounds * scale)
 
 
 # -- error surrogates --------------------------------------------------------------
