@@ -1,4 +1,4 @@
-"""Shared bilevel-problem contract and the outcome record.
+"""Shared bilevel-problem contract, the outcome record and decision regret.
 
 Every environment implements :class:`BilevelProblem`: an inner (model-based)
 objective over decisions ``w`` and an outer (realized) decision loss, plus the
@@ -104,3 +104,49 @@ class BilevelProblem(ABC):
         two-stage baseline; environments without a prediction target keep
         this default."""
         raise ContractError(f"{type(self).__name__} has no prediction target")
+
+
+@dataclass(frozen=True)
+class RegretReport:
+    """Cumulative decision loss relative to a fixed comparator.
+
+    When the comparator term cannot be evaluated (no exact inner solution),
+    ``comparator_available`` is False and ``value`` holds the cumulative loss
+    alone, flagged rather than silently mislabeled as regret.
+    """
+
+    value: float
+    cumulative_loss: float
+    comparator_term: float
+    comparator_available: bool
+
+
+def decision_regret(
+    trajectory: Sequence[tuple[np.ndarray, np.ndarray, Any]],
+    problem: BilevelProblem,
+    comparator: np.ndarray,
+) -> RegretReport:
+    """Cumulative realized loss minus the comparator's loss on the same outcomes.
+
+    ``trajectory`` holds per-round ``(theta_t, w_t, z_t)``. The comparator term
+    replays every outcome under the comparator parameters' exact inner
+    decision, so both sums run over the realized per-round losses.
+    """
+    comparator = np.asarray(comparator, dtype=float)
+    cumulative = 0.0
+    for theta_t, w_t, z_t in trajectory:
+        cumulative += problem.true_loss(np.asarray(w_t, float), np.asarray(theta_t, float), z_t)
+
+    w_cmp = problem.exact_inner(comparator)
+    if w_cmp is None:
+        return RegretReport(
+            value=cumulative, cumulative_loss=cumulative, comparator_term=float("nan"),
+            comparator_available=False,
+        )
+    cmp_term = 0.0
+    for _, _, z_t in trajectory:
+        cmp_term += problem.true_loss(w_cmp, comparator, z_t)
+    return RegretReport(
+        value=cumulative - cmp_term, cumulative_loss=cumulative,
+        comparator_term=cmp_term, comparator_available=True,
+    )
