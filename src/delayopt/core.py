@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +81,32 @@ class BilevelProblem(ABC):
 
     @abstractmethod
     def cross_partial_transpose_vp(self, w: np.ndarray, theta: np.ndarray, v: np.ndarray, ctx: Any = None) -> np.ndarray: ...
+
+    def model_gradient_at(self, theta: np.ndarray, ctx: Any = None) -> Callable[[np.ndarray], np.ndarray]:
+        """``w -> grad_w_model(w, theta, ctx)`` with ``theta`` and ``ctx`` held
+        fixed, for inner solvers that take many steps at one parameter point.
+        Environments override it to form their theta-only terms once."""
+        return lambda w: self.grad_w_model(w, theta, ctx)
+
+    def hypergradients_at_many(
+        self,
+        theta: np.ndarray,
+        decisions: Sequence[np.ndarray],
+        adjoints: Sequence[np.ndarray],
+        payloads: Sequence[Any],
+    ) -> np.ndarray:
+        """Two-term hypergradient of every stored ``(w_s, v_s, z_s)`` at one
+        theta, as rows of an (m, p) matrix: the explicit realized-loss term
+        minus the cross partial applied to the adjoint. Environments with a
+        stacked form override this."""
+        rows = []
+        for w, v, z in zip(decisions, adjoints, payloads):
+            direct = self.grad_theta_true_fixed_w(w, theta, z)
+            implicit = self.cross_partial_transpose_vp(w, theta, v, ctx=z)
+            if direct.shape != implicit.shape:
+                raise ContractError("hypergradient term dimension mismatch")
+            rows.append(direct - implicit)
+        return np.stack(rows)
 
     def exact_inner(self, theta: np.ndarray, ctx: Any = None) -> Optional[np.ndarray]:
         """Closed-form inner minimizer, or None when no closed form exists."""

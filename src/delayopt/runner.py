@@ -77,6 +77,7 @@ def run_online(
     theta = np.array(env.theta_init(), dtype=float)
     w_prev = np.array(env.initial_decision(), dtype=float)
     history: list[Optional[np.ndarray]] = [None, theta.copy()]  # history[t] = theta_t, 1-indexed
+    step_sqs: list[float] = [0.0]  # step_sqs[t] = ||theta_{t+1} - theta_t||^2, 1-indexed
 
     cols: dict[str, list] = {name: [] for name in ROW_COLUMNS}
     diverged = False
@@ -124,7 +125,8 @@ def run_online(
         history.append(theta_next)
         step = theta_next - theta
         step_sq = float(step @ step)
-        drift_sq, step_sq_sum = transport_error_surrogates(history, queue.outstanding, t)
+        step_sqs.append(step_sq)
+        drift_sq, step_sq_sum = transport_error_surrogates(history, step_sqs, queue.outstanding, t)
         if check_window_inequality and is_constant_delay and delay.d >= 1:
             bound = delay.d * step_sq_sum
             if drift_sq > bound * (1 + 1e-9) + 1e-15:

@@ -64,17 +64,21 @@ def inner_gd(
 ) -> InnerSolveReport:
     """Run exactly ``cfg.steps`` gradient steps on the model objective.
 
-    Deterministic; raises on a non-finite gradient, reporting the step index.
+    The gradient comes from ``problem.model_gradient_at(theta, ctx)``, taken
+    once per solve, so an environment can form its theta-only terms once
+    rather than at every step. Deterministic; raises on a non-finite
+    gradient, reporting the step index.
     """
     w = np.array(w_init, dtype=float, copy=True)
     if not np.all(np.isfinite(w)):
         raise ContractError("inner_gd requires a finite starting decision")
+    grad = problem.model_gradient_at(theta, ctx)
     for k in range(cfg.steps):
-        g = problem.grad_w_model(w, theta, ctx)
-        if not np.all(np.isfinite(g)):
+        g = grad(w)
+        if not np.isfinite(g).all():
             raise SolverError(f"inner divergence at step {k}")
         w -= cfg.step_size * g
-    residual = float(np.linalg.norm(problem.grad_w_model(w, theta, ctx)))
+    residual = float(np.linalg.norm(grad(w)))
     w_star = problem.exact_inner(theta, ctx)
     if w_star is not None:
         eps = float(np.linalg.norm(w - w_star))

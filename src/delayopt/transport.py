@@ -130,20 +130,18 @@ def _round_gradient(problem: BilevelProblem, entry: TransportBufferEntry, theta:
 
 def _round_gradients_batch(problem: BilevelProblem, entries: list[TransportBufferEntry], theta: np.ndarray) -> list[np.ndarray]:
     """Re-evaluate many buffered gradients at once: one batched surrogate call
-    for decision-surrogate environments, the environment's batched
-    hypergradient when it offers one, the per-entry formula otherwise."""
+    for decision-surrogate environments, one batched hypergradient call for
+    the adjoint route."""
     if problem.uses_decision_surrogate:
-        return list(problem.surrogate_gradients_at_many(theta, [e.record for e in entries]))
-    batched = getattr(problem, "hypergradients_at_many", None)
-    if batched is not None:
-        mat = batched(
+        mat = problem.surrogate_gradients_at_many(theta, [e.record for e in entries])
+    else:
+        mat = problem.hypergradients_at_many(
             theta,
             [e.decision for e in entries],
             [e.adjoint.values for e in entries],
             [e.record.payload for e in entries],
         )
-        return [mat[i] for i in range(len(entries))]
-    return [_round_gradient(problem, e, theta) for e in entries]
+    return list(mat)
 
 
 def transport_step(
@@ -204,13 +202,16 @@ def transport_step(
 
 def transport_error_surrogates(
     param_history: list[np.ndarray],
+    step_sqs: list[float],
     outstanding: set[int],
     t: int,
 ) -> tuple[float, float]:
     """Per-round transport-error surrogates over the outstanding window.
 
     ``param_history[s]`` must hold theta_{s} for every s in the window through
-    theta_{t+1} (the parameters after round t's update). Returns
+    theta_{t+1} (the parameters after round t's update), and ``step_sqs[s]``
+    the squared step ||theta_{s+1} - theta_s||^2 for every outstanding s.
+    Returns
 
       drift_sq  -- squared total parameter drift across the window,
       step_sq_sum -- sum of squared per-step changes over outstanding rounds,
@@ -226,6 +227,5 @@ def transport_error_surrogates(
     drift_sq = float(drift @ drift)
     step_sq = 0.0
     for s in outstanding:
-        d = param_history[s + 1] - param_history[s]
-        step_sq += float(d @ d)
+        step_sq += step_sqs[s]
     return drift_sq, step_sq

@@ -2,6 +2,8 @@
 and closed-form queue statistics."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayopt.core import OutcomeRecord
 from delayopt.delays import DelayQueue, DelaySchedule
@@ -79,6 +81,42 @@ def test_random_schedule_set_identity_and_envelope():
         assert q.envelope == envelope
 
 
+@st.composite
+def delay_sequences(draw):
+    """A drawn delay list, or the delays one of the four schedule kinds samples."""
+    source = draw(st.sampled_from(["list", "constant", "uniform", "poisson", "bursty"]))
+    if source == "list":
+        return draw(st.lists(st.integers(0, 15), min_size=1, max_size=120))
+    params = {
+        "constant": lambda: dict(d=draw(st.integers(0, 15))),
+        "uniform": lambda: dict(d_max=draw(st.integers(0, 15))),
+        "poisson": lambda: dict(lam=draw(st.floats(0.1, 3.0))),
+        "bursty": lambda: dict(d_high=draw(st.integers(0, 15)), block_len=draw(st.integers(1, 12))),
+    }[source]()
+    sched = DelaySchedule(kind=source, seed=draw(st.integers(0, 2**16)), **params)
+    return [sched.sample(t) for t in range(1, draw(st.integers(1, 120)) + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(delays=delay_sequences())
+def test_queue_set_identity_property(delays):
+    # Q_t = Q_{t-1} + {t} - A_t, where A_t holds exactly the rounds s with
+    # s + d_s = t; sigma_t = |Q_t|; the envelope is the running max of sigma
+    q = DelayQueue()
+    prev: set[int] = set()
+    envelope = 0
+    for t, d in enumerate(delays, start=1):
+        q.dispatch(t, d, rec(t))
+        arrived = [r.round for r in q.advance(t)]
+        assert arrived == sorted(s for s in prev | {t} if s + delays[s - 1] == t)
+        assert q.outstanding == (prev | {t}) - set(arrived)
+        assert q.sigma == len(q.outstanding)
+        assert q.envelope >= envelope
+        envelope = max(envelope, q.sigma)
+        assert q.envelope == envelope
+        prev = set(q.outstanding)
+
+
 def test_conservation_every_round_arrives_once():
     _, q, hist = replay("uniform", 5000, d_max=40, seed=3)
     arrived = [r for _, _, a in hist for r in a]
@@ -93,11 +131,17 @@ def test_uniform_mean_queue_length():
 
 
 def test_poisson_delays_capped_and_counted():
-    sched = DelaySchedule(kind="poisson", lam=0.8, seed=5)
-    samples = [sched.sample(t) for t in range(1, 50_001)]
-    cap = int(10 * 0.8)
+    # cap = 10 * 0.35 = 3: rare enough to truncate, common enough to hit
+    lam, seed, n = 0.35, 5, 50_000
+    sched = DelaySchedule(kind="poisson", lam=lam, seed=seed)
+    samples = [sched.sample(t) for t in range(1, n + 1)]
+    cap = int(10 * lam)
     assert max(samples) <= cap
-    assert sched.cap_hits == sum(1 for s in samples if s == cap) or sched.cap_hits >= 0
+    replay_rng = np.random.default_rng([seed, 7919])  # the schedule's own stream
+    raw = [int(replay_rng.poisson(lam)) for _ in range(n)]
+    assert sched.cap_hits == sum(1 for d in raw if d > cap)
+    assert sched.cap_hits > 0
+    assert samples == [min(d, cap) for d in raw]
 
 
 def test_delay_hash_pairing():

@@ -239,6 +239,25 @@ def test_lqr_unstable_gain_flags_run():
 # -- coupling environment -------------------------------------------------------------
 
 
+def test_lqr_model_gradient_at_equals_inline_formula():
+    # the theta-frozen closure, grad_w_model and the exact gain reproduce the
+    # per-call formulas bit for bit
+    env = fresh("lqr")
+    n_u, n_x = env.cfg.n_u, env.cfg.n_x
+    rng = np.random.default_rng(12)
+    for scale in (1e-3, 1.0, 30.0):
+        theta = env.theta_init() + scale * rng.standard_normal(env.p)
+        A, B = env._unpack(theta)
+        grad = env.model_gradient_at(theta)
+        for _ in range(3):
+            w = scale * rng.standard_normal(env.q)
+            inline = (2.0 * ((env.R + B.T @ env.Q @ B) @ w.reshape(n_u, n_x) - B.T @ env.Q @ A)).ravel()
+            assert np.array_equal(grad(w), inline)
+            assert np.array_equal(env.grad_w_model(w, theta), inline)
+        gain = np.linalg.solve(env.R + B.T @ env.Q @ B, B.T @ env.Q @ A)
+        assert np.array_equal(env.exact_inner(theta), gain.ravel())
+
+
 def test_sinkhorn_true_loss_is_model_loss_minus_entropy_at_true_costs():
     env = fresh("sinkhorn")
     feats = env.features.copy()

@@ -137,6 +137,44 @@ def test_d0_transport_equals_base_adam():
     assert np.max(np.abs(r1.columns["true_loss"] - r2.columns["true_loss"])) <= 1e-12
 
 
+# transport/stale pair per base rule; each pair differs only in gradient source
+ZERO_STALENESS_PAIRS = {
+    "plain_gd": ("transport_omd", "stale_omd"),
+    "adam": ("transport_adam", "stale_adam"),
+    "dftrl": ("dftrl_transport", "dftrl"),
+}
+# schedules whose every draw is 0: feedback lands in the round that made it
+ZERO_DELAYS = (
+    dict(kind="constant", d=0),
+    dict(kind="uniform", d_max=0),
+    dict(kind="bursty", d_high=0, block_len=3),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    env_name=st.sampled_from(["hard_quadratic", "lqr", "sinkhorn", "grid_path"]),
+    base=st.sampled_from(sorted(ZERO_STALENESS_PAIRS)),
+    delay=st.sampled_from(ZERO_DELAYS),
+    seed=st.integers(0, 2**16),
+    rounds=st.integers(1, 40),
+)
+def test_zero_staleness_transport_and_stale_runs_bit_identical(env_name, base, delay, seed, rounds):
+    # at zero staleness the transport buffer never holds a round past its
+    # arrival, so transport and stale gradients coincide and every logged
+    # column must agree bit for bit
+    runs = []
+    for name in ZERO_STALENESS_PAIRS[base]:
+        env = make_environment(env_name, seed=seed)
+        runs.append(run_online(env, make_algorithm(name), DelaySchedule(seed=seed, **delay), rounds))
+    transport, stale = runs
+    assert transport.delay_hash == stale.delay_hash
+    assert transport.columns.keys() == stale.columns.keys()
+    for column, values in transport.columns.items():
+        assert values.tobytes() == stale.columns[column].tobytes(), column
+    assert transport.final_theta.tobytes() == stale.final_theta.tobytes()
+
+
 def test_geometric_convergence_synchronous():
     # theta' = (1 - eta * coupling^2) theta when feedback is immediate
     env = quad(seed=0)

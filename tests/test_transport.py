@@ -242,6 +242,50 @@ def test_batched_reevaluation_equals_per_entry_on_sinkhorn():
         assert np.linalg.norm(row - single) <= 1e-12 * np.linalg.norm(single)
 
 
+@pytest.mark.parametrize("name", ["hard_quadratic", "lqr"])
+def test_batched_reevaluation_equals_per_entry_on_adjoint_envs_exactly(name):
+    # hard_quadratic takes the default stacked per-entry formula, lqr its own
+    # stacked products; both must match the arrival path bit for bit
+    env = make_environment(name, seed=3)
+    rng = np.random.default_rng(3)
+    entries = played_entries(env, rng, 9, spread=0.05)
+    theta = env.theta_init() + 0.05 * rng.standard_normal(env.p)
+    rows = _round_gradients_batch(env, entries, theta)
+    assert any(np.any(row != 0) for row in rows)
+    for entry, row in zip(entries, rows):
+        assert np.array_equal(row, _round_gradient(env, entry, theta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 25), seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 30.0]))
+def test_lqr_stacked_hypergradients_equal_per_entry_bitwise(m, seed, scale):
+    env = make_environment("lqr", seed=0)
+    rng = np.random.default_rng(seed)
+    theta = env.theta_init() + scale * rng.standard_normal(env.p)
+    decisions = [scale * rng.standard_normal(env.q) for _ in range(m)]
+    adjoints = [scale * rng.standard_normal(env.q) for _ in range(m)]
+    batch = env.hypergradients_at_many(theta, decisions, adjoints, [None] * m)
+    assert batch.shape == (m, env.p)
+    for i in range(m):
+        assert np.array_equal(batch[i], hypergradient_at(env, decisions[i], adjoints[i], theta, None))
+
+
+def test_default_batched_hypergradients_equal_per_entry_and_check_shapes():
+    env = quad_env(bias=0.1)
+    rng = np.random.default_rng(5)
+    theta = np.array([0.3])
+    decisions = [rng.standard_normal(1) for _ in range(7)]
+    adjoints = [rng.standard_normal(1) for _ in range(7)]
+    batch = env.hypergradients_at_many(theta, decisions, adjoints, [None] * 7)
+    for i in range(7):
+        assert np.array_equal(batch[i], hypergradient_at(env, decisions[i], adjoints[i], theta, None))
+    env.grad_theta_true_fixed_w = lambda w, th, z=None: np.zeros(2)
+    with pytest.raises(ContractError, match="dimension mismatch"):
+        env.hypergradients_at_many(theta, decisions, adjoints, [None] * 7)
+    with pytest.raises(ContractError, match="dimension mismatch"):
+        hypergradient_at(env, decisions[0], adjoints[0], theta, None)
+
+
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**16), delays=st.lists(st.integers(0, 4), min_size=2, max_size=10))
 def test_transport_gradients_telescope_on_grid(seed, delays):
@@ -286,13 +330,22 @@ def path_history(steps):
     return hist
 
 
+def step_norms(hist):
+    """steps[s] = ||theta_{s+1} - theta_s||^2 for every step in ``hist``."""
+    steps = [0.0]
+    for s in range(1, len(hist) - 1):
+        d = hist[s + 1] - hist[s]
+        steps.append(float(d @ d))
+    return steps
+
+
 def test_surrogates_constant_step_ratio_is_window_length():
     d = 10
     delta = 0.25
     hist = path_history([delta] * 40)
     t = 30
     outstanding = set(range(t - d + 1, t + 1))
-    drift_sq, step_sq = transport_error_surrogates(hist, outstanding, t)
+    drift_sq, step_sq = transport_error_surrogates(hist, step_norms(hist), outstanding, t)
     assert drift_sq == pytest.approx((d * delta) ** 2, rel=1e-12)
     assert step_sq == pytest.approx(d * delta**2, rel=1e-12)
     assert drift_sq / step_sq == pytest.approx(d, rel=1e-12)
@@ -301,15 +354,16 @@ def test_surrogates_constant_step_ratio_is_window_length():
 def test_surrogates_unit_window_always_equal():
     rng = np.random.default_rng(4)
     hist = path_history(list(rng.normal(size=20)))
+    steps = step_norms(hist)
     for t in range(1, 19):
-        drift_sq, step_sq = transport_error_surrogates(hist, {t}, t)
+        drift_sq, step_sq = transport_error_surrogates(hist, steps, {t}, t)
         assert drift_sq == pytest.approx(step_sq, rel=1e-12)
 
 
 def test_surrogates_zero_motion_and_empty_window():
     hist = path_history([0.0] * 10)
-    assert transport_error_surrogates(hist, {3, 4, 5}, 5) == (0.0, 0.0)
-    assert transport_error_surrogates(hist, set(), 5) == (0.0, 0.0)
+    assert transport_error_surrogates(hist, step_norms(hist), {3, 4, 5}, 5) == (0.0, 0.0)
+    assert transport_error_surrogates(hist, step_norms(hist), set(), 5) == (0.0, 0.0)
 
 
 def test_cauchy_schwarz_window_inequality_random_paths():
@@ -322,5 +376,5 @@ def test_cauchy_schwarz_window_inequality_random_paths():
         t = 12
         d = int(rng.integers(1, 10))
         outstanding = set(range(t - d + 1, t + 1))
-        drift_sq, step_sq = transport_error_surrogates(hist, outstanding, t)
+        drift_sq, step_sq = transport_error_surrogates(hist, step_norms(hist), outstanding, t)
         assert drift_sq <= d * step_sq * (1 + 1e-9) + 1e-15
