@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from delayopt.core import ContractError
-from delayopt.delays import DelaySchedule
+from delayopt.delays import DELAY_KINDS, DelaySchedule
+from delayopt.environments import environment_config_fields, environment_names
 from delayopt.optimizers import AlgorithmConfig, make_algorithm
 
 
@@ -71,6 +72,17 @@ class ExperimentConfig:
     compare: Optional[CompareSettings] = None
 
     def validate(self) -> None:
+        if self.environment not in environment_names():
+            raise ConfigError(f"[experiment] environment {self.environment!r} is unknown; "
+                              f"known: {', '.join(environment_names())}")
+        fields = environment_config_fields(self.environment)
+        for key in self.env_args:
+            if key not in fields:
+                raise ConfigError(f"[environment.args] unknown key {key!r} "
+                                  f"for environment {self.environment!r}")
+        for spec in self.delays:
+            if spec.kind not in DELAY_KINDS:
+                raise ConfigError(f"[delay] kind {spec.kind!r} is unknown; known: {', '.join(DELAY_KINDS)}")
         if self.rounds < 1:
             raise ConfigError("[experiment] rounds must be >= 1")
         if not self.seeds:

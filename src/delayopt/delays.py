@@ -14,6 +14,7 @@ import numpy as np
 from delayopt.core import ContractError, OutcomeRecord
 
 POISSON_CAP_FACTOR = 10  # sampled Poisson delays are truncated at cap = 10 * mean
+DELAY_KINDS = ("constant", "uniform", "poisson", "bursty")
 
 
 @dataclass
@@ -39,7 +40,7 @@ class DelaySchedule:
     _sampled: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("constant", "uniform", "poisson", "bursty"):
+        if self.kind not in DELAY_KINDS:
             raise ContractError(f"unknown delay kind {self.kind!r}")
         self._rng = np.random.default_rng([int(self.seed), 7919])
 

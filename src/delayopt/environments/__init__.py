@@ -1,3 +1,5 @@
+import dataclasses
+
 from delayopt.environments.base import Environment
 from delayopt.environments.hard_quadratic import HardQuadraticConfig, HardQuadraticProblem
 from delayopt.environments.lqr import LQRConfig, LQRProblem
@@ -16,10 +18,19 @@ def environment_names() -> list[str]:
     return sorted(_FACTORIES)
 
 
-def make_environment(name: str, seed: int, **overrides) -> Environment:
-    """Build a freshly seeded environment instance by registry name."""
+def _factory(name: str):
     if name not in _FACTORIES:
         raise ValueError(f"unknown environment {name!r}; known: {', '.join(environment_names())}")
-    cfg_cls, env_cls = _FACTORIES[name]
+    return _FACTORIES[name]
+
+
+def environment_config_fields(name: str) -> set[str]:
+    """Field names of a registered environment's config dataclass."""
+    return {f.name for f in dataclasses.fields(_factory(name)[0])}
+
+
+def make_environment(name: str, seed: int, **overrides) -> Environment:
+    """Build a freshly seeded environment instance by registry name."""
+    cfg_cls, env_cls = _factory(name)
     cfg = cfg_cls(**overrides)
     return env_cls(cfg, seed=seed)

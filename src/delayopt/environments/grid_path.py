@@ -12,12 +12,15 @@ predicted costs in the direction of the realized true costs, re-solve, and
 read the gradient off the change in the path indicator, scaled back by the
 perturbation size.
 
-Single solves (the decision, the oracle, the comparator, an arrival's
-gradient) use the heap solver. Re-evaluating the transport buffer is one
-batched solve per round of every buffered round's base and bumped paths,
-which returns the heap solver's paths bit for bit: ties go to the neighbour
-smallest in (distance, row, column), the order in which the heap settles
-cells.
+The decision, the oracle and the comparator are single solves on the heap
+solver, three per round. Re-evaluating the transport buffer is one batched
+solve per round of every buffered round's base and bumped paths. When the
+buffer already holds entries, the round's transport arrivals join that batch
+at the current parameters; an arrival into an empty buffer (every round at
+d = 0), and every stale arrival, which is evaluated at its dispatch snapshot,
+keeps two heap solves. The batched solve returns the heap solver's paths bit
+for bit: ties go to the neighbour smallest in (distance, row, column), the
+order in which the heap settles cells.
 """
 
 from __future__ import annotations

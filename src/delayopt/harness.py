@@ -320,6 +320,7 @@ def run_k_sweep(cfg: ExperimentConfig, k_values: list[int], parallel: int = 1,
             env_args={**cfg.env_args, "inner_iterations": k},
             out_dir=os.path.join(cfg.out_dir, f"k{k}"),
         )
+        sub.validate()
         print(f"-- inner iterations K={k}")
         out.append((k, run_controlled_comparison(sub, parallel=parallel, write=write)))
     return out
@@ -327,8 +328,12 @@ def run_k_sweep(cfg: ExperimentConfig, k_values: list[int], parallel: int = 1,
 
 def run_delay_patterns(cfg: ExperimentConfig, parallel: int = 1, write: bool = True) -> ExperimentResult:
     """Compare delay patterns with matched mean queue length (constant,
-    uniform, bursty)."""
-    mean_queue = cfg.delays[0].d if cfg.delays else 20
+    uniform, bursty). The base config's single constant delay d >= 1 sets
+    the mean queue length."""
+    if len(cfg.delays) != 1 or cfg.delays[0].kind != "constant" or cfg.delays[0].d < 1:
+        raise ConfigError("[delay] delay-patterns needs a single constant delay with d >= 1, "
+                          f"got {', '.join(spec.describe() for spec in cfg.delays)}")
+    mean_queue = cfg.delays[0].d
     patterns = [
         DelaySpec(kind="constant", d=mean_queue),
         DelaySpec(kind="uniform", d_max=2 * mean_queue),

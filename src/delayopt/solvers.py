@@ -211,6 +211,13 @@ def dijkstra_grid(
     The cost of a path is the sum of the costs of the cells it enters; the
     start cell is excluded. Ties are broken lexicographically on
     (cost, row, column) so paths are identical across platforms.
+
+    The loop runs on plain Python lists: indexing a numpy array yields a
+    boxed scalar per access, which costs more than the arithmetic itself.
+    Python float addition is the same IEEE double add as numpy's, the heap
+    still orders on ``(cost, index)`` and a neighbour is relaxed only on
+    strict improvement, in up, down, left, right order, so paths, totals and
+    ties are those of the array version bit for bit.
     """
     costs = _checked_costs(cell_costs, "dijkstra_grid")
     H, W = costs.shape
@@ -221,17 +228,20 @@ def dijkstra_grid(
     if start == goal:
         raise ContractError("start and goal must differ")
 
-    flat = costs.ravel()
+    flat = costs.ravel().tolist()
     n = H * W
     s_idx = sr * W + sc
     g_idx = gr * W + gc
-    dist = np.full(n, np.inf)
-    parent = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
+    dist = [math.inf] * n
+    parent = [-1] * n
+    done = [False] * n
     dist[s_idx] = 0.0
     heap: list[tuple[float, int]] = [(0.0, s_idx)]
+    push, pop = heapq.heappush, heapq.heappop
+    # strict improvement only: the first settle under the (cost, index) heap
+    # order fixes lexicographic tie-breaking
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if done[u]:
             continue
         done[u] = True
@@ -239,30 +249,41 @@ def dijkstra_grid(
             break
         r, c = divmod(u, W)
         if r > 0:
-            _relax(u, u - W, d + flat[u - W], dist, parent, heap)
+            v = u - W
+            nd = d + flat[v]
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                push(heap, (nd, v))
         if r + 1 < H:
-            _relax(u, u + W, d + flat[u + W], dist, parent, heap)
+            v = u + W
+            nd = d + flat[v]
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                push(heap, (nd, v))
         if c > 0:
-            _relax(u, u - 1, d + flat[u - 1], dist, parent, heap)
+            v = u - 1
+            nd = d + flat[v]
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                push(heap, (nd, v))
         if c + 1 < W:
-            _relax(u, u + 1, d + flat[u + 1], dist, parent, heap)
+            v = u + 1
+            nd = d + flat[v]
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                push(heap, (nd, v))
     if not done[g_idx]:
         raise SolverError("no path from start to goal")
     path_idx = [g_idx]
     while path_idx[-1] != s_idx:
-        path_idx.append(int(parent[path_idx[-1]]))
+        path_idx.append(parent[path_idx[-1]])
     path_idx.reverse()
     path = [(i // W, i % W) for i in path_idx]
-    return path, float(dist[g_idx])
-
-
-def _relax(u: int, v: int, nd: float, dist, parent, heap) -> None:
-    # strict improvement only: the first settle under the (cost, index) heap
-    # order fixes lexicographic tie-breaking
-    if nd < dist[v]:
-        dist[v] = nd
-        parent[v] = u
-        heapq.heappush(heap, (nd, v))
+    return path, dist[g_idx]
 
 
 def _checked_costs(cell_costs: np.ndarray, solver: str) -> np.ndarray:

@@ -159,10 +159,19 @@ def transport_step(
     set (the stale baseline, which keeps nothing buffered past the round).
     Every pre-existing entry's cache holds its gradient at the previous call's
     parameter point, so the increment ``g_s(theta_t) - cache`` is the one-step
-    re-evaluation change. Arrivals are solved, summed and cached before the
-    re-evaluation loop runs, so a new entry's transport increment on its
-    arrival round is exactly zero. A failed adjoint solve skips that round
-    with a warning instead of aborting the run.
+    re-evaluation change. An arrival's gradient is summed and cached as is,
+    with no increment, so a new entry's transport increment on its arrival
+    round is exactly zero. A failed adjoint solve skips that round with a
+    warning instead of aborting the run.
+
+    On the surrogate route at ``theta_t`` with a non-empty buffer, arrivals
+    join the buffer's batched re-evaluation: one call evaluates the arrivals
+    first, then the pre-existing entries, and ``g_total`` still adds every
+    arrival's gradient before every increment. The batched surrogate rows are
+    bit-identical to single evaluations, so this changes no output. An empty
+    buffer (every round at d = 0) keeps single evaluations, which beat a
+    batch of one. The adjoint route keeps them too: its stacked rows match
+    per-entry rows only to rounding, and folding would change results.
 
     Returns the corrected gradient and per-round diagnostics. Eviction to
     capacity is the caller's final step.
@@ -170,7 +179,9 @@ def transport_step(
     diag = TransportDiagnostics(arrivals=len(arrivals))
     g_total = np.zeros_like(np.asarray(theta_t, dtype=float))
     preexisting = list(buffer)
+    fold = problem.uses_decision_surrogate and not at_dispatch and bool(preexisting)
 
+    folded: list[TransportBufferEntry] = []
     for rec in arrivals:
         point = rec.dispatch_params if at_dispatch else theta_t
         adjoint = None
@@ -186,14 +197,20 @@ def transport_step(
             round=rec.round, decision=rec.dispatch_decision, adjoint=adjoint,
             record=rec, cached_gradient=np.zeros(0),
         )
-        g_s = _round_gradient(problem, entry, point)
-        entry.cached_gradient = g_s
-        g_total += g_s
+        if fold:
+            folded.append(entry)
+        else:
+            g_s = _round_gradient(problem, entry, point)
+            entry.cached_gradient = g_s
+            g_total += g_s
         buffer.insert(entry)
 
     if preexisting:
-        fresh = _round_gradients_batch(problem, preexisting, theta_t)
-        for entry, g_new in zip(preexisting, fresh):
+        fresh = _round_gradients_batch(problem, folded + preexisting, theta_t)
+        for entry, g_s in zip(folded, fresh):
+            entry.cached_gradient = g_s
+            g_total += g_s
+        for entry, g_new in zip(preexisting, fresh[len(folded):]):
             g_total += g_new - entry.cached_gradient
             entry.cached_gradient = g_new
 

@@ -1,6 +1,7 @@
 """Config parsing, CSV plumbing, determinism, and the CLI surface."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -180,3 +181,71 @@ def test_cli_seed_and_out_overrides(tmp_path):
     rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "ovr"), "--seeds", "5"])
     assert rc == 0
     assert (tmp_path / "ovr" / "runs" / "stale_omd__constant-0__seed5.csv").exists()
+
+
+TYPOS = [
+    ("grid_path", "[environment.args]\nheigth = 5\n", r"\[environment.args\] unknown key 'heigth'"),
+    ("gridpath", "", r"\[experiment\] environment 'gridpath' is unknown"),
+    ("grid_path", "[delay]\nkind = constnat\n", r"\[delay\] kind 'constnat' is unknown"),
+]
+
+
+def typo_config(environment, extra, out):
+    return (f"[experiment]\nenvironment = {environment}\nrounds = 3\nout = {out}\n{extra}"
+            "[algorithm.transport_adam]\neta0 = 0.001\n")
+
+
+@pytest.mark.parametrize("environment, extra, message", TYPOS)
+def test_config_typos_fail_at_parse_time(tmp_path, environment, extra, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(typo_config(environment, extra, tmp_path))
+
+
+@pytest.mark.parametrize("environment, extra, message", TYPOS)
+def test_cli_config_typos_exit_2_before_running(tmp_path, capsys, environment, extra, message):
+    from delayopt.cli import main
+    cfg_path = tmp_path / "typo.ini"
+    cfg_path.write_text(typo_config(environment, extra, tmp_path / "out"))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.match("error: " + message, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_k_rejects_environment_without_inner_iterations(tmp_path, capsys):
+    from delayopt.cli import main
+    from delayopt.harness import run_k_sweep
+    text = MINIMAL.format(out=tmp_path / "k")
+    with pytest.raises(ConfigError, match=r"\[environment.args\] unknown key 'inner_iterations'"):
+        run_k_sweep(parse_config(text), [1, 3], write=False)
+    cfg_path = tmp_path / "k.ini"
+    cfg_path.write_text(text)
+    assert main(["sweep-k", "--config", str(cfg_path), "--k-values", "1"]) == 1
+    assert "error: [environment.args] unknown key 'inner_iterations'" in capsys.readouterr().err
+    assert not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize("delay", [
+    "kind = uniform\nd_max = 20\n",
+    "kind = poisson\nlam = 3\n",
+    "kind = constant\nd = 0\n",
+    "kind = constant\nsweep = 5,20\n",
+])
+def test_delay_patterns_needs_one_constant_delay_of_at_least_one(tmp_path, capsys, delay):
+    from delayopt.cli import main
+    from delayopt.harness import run_delay_patterns
+    text = MINIMAL.format(out=tmp_path / "pat").replace("kind = constant\nd = 0\n", delay)
+    with pytest.raises(ConfigError, match=r"\[delay\] delay-patterns needs a single constant delay"):
+        run_delay_patterns(parse_config(text), write=False)
+    cfg_path = tmp_path / "pat.ini"
+    cfg_path.write_text(text)
+    assert main(["delay-patterns", "--config", str(cfg_path)]) == 1
+    assert "error: [delay] delay-patterns" in capsys.readouterr().err
+    assert not (tmp_path / "pat").exists()
+
+
+def test_delay_patterns_scales_the_constant_base_delay(tmp_path):
+    from delayopt.harness import run_delay_patterns
+    cfg = parse_config(MINIMAL.format(out=tmp_path / "pat").replace("d = 0", "d = 3"))
+    result = run_delay_patterns(cfg, write=False)
+    assert [row.delay for row in result.summary] == ["constant:3", "uniform:0-6", "bursty:10x6"]

@@ -319,6 +319,48 @@ def test_transport_gradients_telescope_on_grid(seed, delays):
     np.testing.assert_allclose(applied, expected, rtol=0, atol=1e-12 * rounds * scale)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), delays=st.lists(st.integers(0, 4), min_size=2, max_size=12),
+       capacity=st.integers(1, 12))
+def test_folded_arrivals_equal_single_evaluations_on_grid(seed, delays, capacity):
+    # arrivals joining the buffer's batched solve give, every round, exactly
+    # the gradient of heap-evaluated arrivals plus per-entry re-evaluation,
+    # summed in the same order: arrivals first, then increments
+    env = GridPathProblem(GridPathConfig(height=6, width=7, feature_dim=12), seed=seed)
+    rng = np.random.default_rng(seed)
+    buf = TransportBuffer(capacity)
+    ref: list[list] = []  # [record, cached gradient], oldest first
+    theta = env.theta_init()
+    w = env.initial_decision()
+    pending: dict[int, list[OutcomeRecord]] = {}
+    for t, delay in enumerate(delays, start=1):
+        env.begin_round(t)
+        w = env.solve_inner(theta, w).solution
+        z, _, _ = env.realize_outcome(t, theta, w)
+        rec = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w)
+        pending.setdefault(t + delay, []).append(rec)
+        arrivals = pending.pop(t, [])
+
+        g, _ = transport_step(buf, arrivals, env, theta, CG)
+        buf.evict_to_capacity()
+
+        expected = np.zeros(env.p)
+        fresh = []
+        for a in arrivals:
+            g_s = env.surrogate_gradient(theta, a)
+            expected += g_s
+            fresh.append([a, g_s])
+        for entry in ref:
+            g_new = env.surrogate_gradient(theta, entry[0])
+            expected += g_new - entry[1]
+            entry[1] = g_new
+        ref = (ref + fresh)[-capacity:]
+
+        assert np.array_equal(g, expected)
+        assert [e.round for e in buf] == [e[0].round for e in ref]
+        theta = theta + 0.5 * rng.standard_normal(env.p)
+
+
 # -- error surrogates --------------------------------------------------------------
 
 
