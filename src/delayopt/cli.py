@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from delayopt.config import ConfigError, apply_env_overrides, load_config
+from delayopt.config import ConfigError, _int_list, apply_env_overrides, load_config
 from delayopt.harness import (
     print_summary,
     recompute_summary,
@@ -40,7 +40,7 @@ def _load(args) -> "ExperimentConfig":
     if args.out:
         cfg.out_dir = args.out
     if args.seeds:
-        cfg.seeds = [int(tok) for tok in args.seeds.replace(",", " ").split()]
+        cfg.seeds = _int_list(args.seeds, "--seeds")
     cfg.validate()
     return cfg
 
@@ -71,6 +71,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load(args)
+        if args.command == "sweep-k":
+            ks = _int_list(args.k_values, "--k-values")
     except (ConfigError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -84,7 +86,6 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             run_controlled_comparison(cfg, parallel=args.parallel)
         elif args.command == "sweep-k":
-            ks = [int(tok) for tok in args.k_values.replace(",", " ").split()]
             run_k_sweep(cfg, ks, parallel=args.parallel)
         elif args.command == "delay-patterns":
             run_delay_patterns(cfg, parallel=args.parallel)

@@ -76,10 +76,13 @@ class ExperimentConfig:
             raise ConfigError(f"[experiment] environment {self.environment!r} is unknown; "
                               f"known: {', '.join(environment_names())}")
         fields = environment_config_fields(self.environment)
-        for key in self.env_args:
+        for key, value in self.env_args.items():
             if key not in fields:
                 raise ConfigError(f"[environment.args] unknown key {key!r} "
                                   f"for environment {self.environment!r}")
+            if not _fits(value, fields[key]):
+                raise ConfigError(f"[environment.args] {key} = {value!r}: expected "
+                                  f"{fields[key].__name__} for environment {self.environment!r}")
         for spec in self.delays:
             if spec.kind not in DELAY_KINDS:
                 raise ConfigError(f"[delay] kind {spec.kind!r} is unknown; known: {', '.join(DELAY_KINDS)}")
@@ -128,6 +131,13 @@ def _coerce(value: str) -> Any:
     except ValueError:
         pass
     return text
+
+
+def _fits(value: Any, expected: type) -> bool:
+    """Whether a coerced value suits a field of type ``expected``; an int
+    suits a float field, and is kept as written."""
+    kinds = (int, float) if expected is float else expected
+    return isinstance(value, kinds) and isinstance(value, bool) == (expected is bool)
 
 
 def _int_list(text: str, where: str) -> list[int]:

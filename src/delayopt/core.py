@@ -1,10 +1,10 @@
-"""Shared bilevel-problem contract, the outcome record and decision regret.
+"""Smooth bilevel-problem contract, the outcome record and decision regret.
 
-Every environment implements :class:`BilevelProblem`: an inner (model-based)
-objective over decisions ``w`` and an outer (realized) decision loss, plus the
-analytic derivative products the optimizers consume. All second-order
-quantities are exposed as matrix-free actions so the decision dimension can
-grow without dense Hessian storage.
+The smooth environments implement :class:`BilevelProblem`: an inner
+(model-based) objective over decisions ``w`` and an outer (realized) decision
+loss, plus the analytic derivative products the adjoint route consumes. All
+second-order quantities are exposed as matrix-free actions so the decision
+dimension can grow without dense Hessian storage.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class OutcomeRecord:
 
 
 class BilevelProblem(ABC):
-    """Behavioral contract every environment provides to the optimizers.
+    """The adjoint route's derivative products, for smooth environments.
 
     ``ctx`` arguments select the round context (features, endpoints, ...)
     under which model-side quantities are evaluated; ``None`` means the
@@ -56,13 +56,6 @@ class BilevelProblem(ABC):
     p: int  # outer parameter dimension
     q: int  # inner decision dimension
     mu_w_hint: float = 1.0  # strong-convexity lower bound used for error estimates
-
-    # Environments whose inner solver is combinatorial supply a direct outer
-    # gradient surrogate instead of the adjoint route.
-    uses_decision_surrogate: bool = False
-
-    @abstractmethod
-    def model_loss(self, w: np.ndarray, theta: np.ndarray, ctx: Any = None) -> float: ...
 
     @abstractmethod
     def true_loss(self, w: np.ndarray, theta: np.ndarray, z: Any) -> float: ...
@@ -116,20 +109,6 @@ class BilevelProblem(ABC):
         """Closed-form adjoint at ``(w, theta)`` for outcome ``z``, or None when
         no closed form exists and the adjoint is solved by conjugate gradient."""
         return None
-
-    def surrogate_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
-        raise ContractError(f"{type(self).__name__} does not define a decision surrogate gradient")
-
-    def surrogate_gradients_at_many(self, theta: np.ndarray, records: Sequence[OutcomeRecord]) -> np.ndarray:
-        """``surrogate_gradient`` of every record at one theta, as rows of an
-        (m, p) matrix; environments with a batched solver override this."""
-        return np.stack([self.surrogate_gradient(theta, r) for r in records])
-
-    def two_stage_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
-        """Gradient of the prediction error on the arrived outcome, for the
-        two-stage baseline; environments without a prediction target keep
-        this default."""
-        raise ContractError(f"{type(self).__name__} has no prediction target")
 
 
 @dataclass(frozen=True)

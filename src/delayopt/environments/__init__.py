@@ -1,4 +1,4 @@
-import dataclasses
+import typing
 
 from delayopt.environments.base import Environment
 from delayopt.environments.hard_quadratic import HardQuadraticConfig, HardQuadraticProblem
@@ -24,9 +24,9 @@ def _factory(name: str):
     return _FACTORIES[name]
 
 
-def environment_config_fields(name: str) -> set[str]:
-    """Field names of a registered environment's config dataclass."""
-    return {f.name for f in dataclasses.fields(_factory(name)[0])}
+def environment_config_fields(name: str) -> dict[str, type]:
+    """Field names and types of a registered environment's config dataclass."""
+    return typing.get_type_hints(_factory(name)[0])
 
 
 def make_environment(name: str, seed: int, **overrides) -> Environment:

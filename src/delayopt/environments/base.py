@@ -1,23 +1,26 @@
-"""Runner-facing environment interface on top of the bilevel contract.
+"""Runner-facing environment interface.
 
 An environment owns its exogenous randomness (drift, contexts, noise), its
 round context, and its inner-solver pipeline. Two environments with the same
 seed replay identical exogenous sequences regardless of the optimizer driving
-them, which is what makes paired algorithm comparisons valid.
+them, which is what makes paired algorithm comparisons valid. The smooth
+environments also implement ``delayopt.core.BilevelProblem``, the adjoint route.
 """
 
 from __future__ import annotations
 
-from abc import abstractmethod
-from typing import Any, Optional
+from abc import ABC, abstractmethod
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from delayopt.core import BilevelProblem
+from delayopt.core import ContractError, OutcomeRecord
 from delayopt.solvers import InnerSolveReport
 
 
-class Environment(BilevelProblem):
+class Environment(ABC):
+    p: int  # outer parameter dimension
+    q: int  # inner decision dimension
     unstable: bool = False  # set when evaluation blows up; feeds the divergence criterion
     comparator_note: str = ""
 
@@ -40,3 +43,17 @@ class Environment(BilevelProblem):
     @abstractmethod
     def comparator_round_loss(self, z: Any) -> float:
         """Per-round loss of the fixed hindsight comparator on outcome ``z``."""
+
+    @abstractmethod
+    def hypergradients_at_many(self, theta: np.ndarray, decisions: Sequence[np.ndarray],
+                               adjoints: Sequence[Optional[np.ndarray]], payloads: Sequence[Any]) -> np.ndarray:
+        """Outer gradient of every stored round (decision, adjoint or None,
+        outcome payload) at one ``theta``, as rows of an (m, p) matrix. Row i
+        is bit-identical to evaluating round i alone, so any set of rounds at
+        one parameter point can be batched without changing a result."""
+
+    def two_stage_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
+        """Gradient of the prediction error on the arrived outcome, for the
+        two-stage baseline; environments without a prediction target keep
+        this default."""
+        raise ContractError(f"{type(self).__name__} has no prediction target")

@@ -12,14 +12,16 @@ predicted costs in the direction of the realized true costs, re-solve, and
 read the gradient off the change in the path indicator, scaled back by the
 perturbation size.
 
-The decision, the oracle and the comparator are single solves on the heap
-solver, three per round. Re-evaluating the transport buffer is one batched
-solve per round of every buffered round's base and bumped paths. When the
-buffer already holds entries, the round's transport arrivals join that batch
-at the current parameters; an arrival into an empty buffer (every round at
-d = 0), and every stale arrival, which is evaluated at its dispatch snapshot,
-keeps two heap solves. The batched solve returns the heap solver's paths bit
-for bit: ties go to the neighbour smallest in (distance, row, column), the
+There is no adjoint, so the environment has no derivative products and
+``hypergradients_at_many`` reads only the stored payloads. The decision, the
+oracle and the comparator are single solves on the heap solver, three per
+round. Re-evaluating the transport buffer, with the round's transport
+arrivals, is one batched solve per round of every round's base and bumped
+paths. A batch of one (an arrival into an empty buffer, as every round at
+d = 0, or a stale arrival at its own dispatch snapshot) keeps two heap
+solves: at one grid the heap solver is faster than the vectorized min-plus
+solve. The batched solve returns the heap solver's paths
+bit for bit: ties go to the neighbour smallest in (distance, row, column), the
 order in which the heap settles cells.
 """
 
@@ -54,8 +56,6 @@ class GridPathConfig:
 
 
 class GridPathProblem(Environment):
-    uses_decision_surrogate = True
-
     def __init__(self, cfg: GridPathConfig, seed: int = 0):
         self.cfg = cfg
         self.n_cells = cfg.height * cfg.width
@@ -107,55 +107,34 @@ class GridPathProblem(Environment):
             indicator[r * self.cfg.width + c] = 1.0
         return indicator, total
 
-    # -- bilevel contract (linear pieces; no usable curvature) -------------------
-
-    def model_loss(self, w, theta, ctx=None) -> float:
-        costs, _ = self.predicted_costs(theta)
-        return float(costs @ np.asarray(w))
-
-    def grad_w_model(self, w, theta, ctx=None):
-        costs, _ = self.predicted_costs(theta)
-        return costs
-
-    def hess_ww_model_vp(self, w, theta, v, ctx=None):
-        raise ContractError("shortest-path inner objective is linear; use the surrogate gradient")
-
-    def cross_partial_transpose_vp(self, w, theta, v, ctx=None):
-        _, mask = self.predicted_costs(theta)
-        return self.features.T @ (np.asarray(v) * mask)
-
-    def true_loss(self, w, theta, z) -> float:
-        return float(z["costs_true"] @ np.asarray(w))
-
-    def grad_w_true(self, w, theta, z):
-        return z["costs_true"].copy()
-
-    def grad_theta_true_fixed_w(self, w, theta, z):
-        return np.zeros(self.p)
+    # -- outer gradient -----------------------------------------------------------
 
     def surrogate_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
-        """Finite difference of path indicators along the realized-cost direction."""
-        z = record.payload
-        start, goal = z["start"], z["goal"]
-        costs, mask = self.predicted_costs(theta)
-        base_path, _ = self._shortest(costs, start, goal)
-        bumped = costs + self.cfg.perturbation * z["costs_true"]
-        bump_path, _ = self._shortest(bumped, start, goal)
-        return self._path_change_gradient(base_path, bump_path, mask)
+        """Finite difference of path indicators along the realized-cost
+        direction, from two heap solves; the per-round reference."""
+        return self._heap_gradient(theta, record.payload)
 
-    def surrogate_gradients_at_many(self, theta: np.ndarray, records: list[OutcomeRecord]) -> np.ndarray:
-        """``surrogate_gradient`` of every record at one theta, as an (m, p)
-        matrix from a single batched solve of the 2m base and bumped paths;
-        row i is bit-identical to ``surrogate_gradient(theta, records[i])``."""
-        m = len(records)
+    def hypergradients_at_many(self, theta, decisions, adjoints, payloads) -> np.ndarray:
+        """``surrogate_gradient`` of every stored round at one theta, from the
+        payloads only: two heap solves for one round, else one batched solve
+        of the 2m base and bumped paths, bit-identical per row."""
+        m = len(payloads)
+        if m == 1:
+            return self._heap_gradient(theta, payloads[0])[None, :]
         costs, mask = self.predicted_costs(theta)
-        payloads = [r.payload for r in records]
         bumped = [costs + self.cfg.perturbation * z["costs_true"] for z in payloads]
         grids = np.stack([costs] * m + bumped).reshape(2 * m, self.cfg.height, self.cfg.width)
         starts = [z["start"] for z in payloads] * 2
         goals = [z["goal"] for z in payloads] * 2
         paths, _ = grid_shortest_paths(grids, starts, goals)
         return np.stack([self._path_change_gradient(paths[i], paths[m + i], mask) for i in range(m)])
+
+    def _heap_gradient(self, theta: np.ndarray, z: dict) -> np.ndarray:
+        costs, mask = self.predicted_costs(theta)
+        base_path, _ = self._shortest(costs, z["start"], z["goal"])
+        bumped = costs + self.cfg.perturbation * z["costs_true"]
+        bump_path, _ = self._shortest(bumped, z["start"], z["goal"])
+        return self._path_change_gradient(base_path, bump_path, mask)
 
     def _path_change_gradient(self, base_path, bump_path, mask) -> np.ndarray:
         delta = (bump_path - base_path) * mask

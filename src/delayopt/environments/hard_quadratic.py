@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from delayopt.core import ContractError
+from delayopt.core import BilevelProblem, ContractError
 from delayopt.environments.base import Environment
 from delayopt.solvers import InnerSolveReport
 
@@ -40,7 +40,7 @@ class HardQuadraticConfig:
             raise ContractError("mu_w must be positive")
 
 
-class HardQuadraticProblem(Environment):
+class HardQuadraticProblem(BilevelProblem, Environment):
     p = 1
     q = 1
 

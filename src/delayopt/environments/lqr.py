@@ -25,7 +25,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from delayopt.core import ContractError
+from delayopt.core import BilevelProblem, ContractError
 from delayopt.environments.base import Environment
 from delayopt.solvers import InnerSolveReport, InnerSolverConfig, inner_gd
 
@@ -46,7 +46,7 @@ class LQRConfig:
     task_seed: int = 0  # dynamics matrices and initial parameters; run seed drives noise
 
 
-class LQRProblem(Environment):
+class LQRProblem(BilevelProblem, Environment):
     def __init__(self, cfg: LQRConfig, seed: int = 0):
         self.cfg = cfg
         n_x, n_u = cfg.n_x, cfg.n_u

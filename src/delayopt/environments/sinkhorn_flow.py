@@ -20,6 +20,11 @@ The entropic term makes the inner objective strongly convex with curvature
 ``regularization / w`` per coordinate. On the marginal-preserving couplings
 the adjoint system therefore has a closed form through a 2n dual system (see
 ``exact_adjoint``), so no iterative solve is needed.
+
+Re-evaluating stored rounds forms each round's raw activations with its own
+matrix-vector product, stacked in one ``matmul`` call: one matrix-matrix
+product over all rounds runs another BLAS kernel, whose rows differ from a
+single round's at rounding level.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from delayopt.core import ContractError
+from delayopt.core import BilevelProblem, ContractError
 from delayopt.environments.base import Environment
 from delayopt.solvers import InnerSolveReport, assignment_min_cost, sinkhorn_log
 
@@ -56,7 +61,7 @@ class SinkhornConfig:
             raise ContractError("inner iterations must be >= 1")
 
 
-class SinkhornProblem(Environment):
+class SinkhornProblem(BilevelProblem, Environment):
     def __init__(self, cfg: SinkhornConfig, seed: int = 0):
         self.cfg = cfg
         n, k = cfg.n, cfg.feature_dim
@@ -178,10 +183,10 @@ class SinkhornProblem(Environment):
 
     def hypergradients_at_many(self, theta, decisions, adjoints, payloads):
         """Batched re-evaluation of stored-round hypergradients at one
-        parameter point; same result as the per-round formula."""
+        parameter point; rows are bit-identical to the per-round formula."""
         F = np.stack([z["features"] for z in payloads])  # (m, k)
         V = np.stack(adjoints)  # (m, q)
-        raw = F @ self._weights(theta).T  # (m, q)
+        raw = np.matmul(self._weights(theta), F[:, :, None])[:, :, 0]  # (m, q)
         costs = np.exp(np.minimum(raw, self._log_cap))
         dcost = np.where((costs < self.cfg.cost_floor) | (raw >= self._log_cap), 0.0, costs)
         U = -(V * dcost)  # direct term is zero; gradient = -(v * dC) outer features

@@ -16,7 +16,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from delayopt.core import BilevelProblem, ContractError, OutcomeRecord
+from delayopt.core import ContractError, OutcomeRecord
+from delayopt.environments.base import Environment
 from delayopt.solvers import CGConfig
 from delayopt.transport import TransportBuffer, TransportDiagnostics, transport_step
 # unused here, but bench/instrument.py traces these two bindings of this module
@@ -111,7 +112,7 @@ class TransportEngine:
     is re-evaluated.
     """
 
-    def __init__(self, problem: BilevelProblem, capacity: int, cg: CGConfig, at_dispatch: bool = False):
+    def __init__(self, problem: Environment, capacity: int, cg: CGConfig, at_dispatch: bool = False):
         self.problem = problem
         self.buffer = TransportBuffer(capacity)
         self.cg = cg
@@ -128,7 +129,7 @@ class StaleArrivalEngine(TransportEngine):
     """Summed arrival gradients at their dispatch snapshots (theta_s, w_s);
     with capacity 0 nothing is kept for re-evaluation past the round."""
 
-    def __init__(self, problem: BilevelProblem, cg: CGConfig):
+    def __init__(self, problem: Environment, cg: CGConfig):
         super().__init__(problem, 0, cg, at_dispatch=True)
 
 
@@ -137,8 +138,8 @@ class TwoStageEngine:
     scoring the prediction the model made at dispatch (evaluated at the
     stored snapshot parameters)."""
 
-    def __init__(self, problem: BilevelProblem):
-        if type(problem).two_stage_gradient is BilevelProblem.two_stage_gradient:
+    def __init__(self, problem: Environment):
+        if type(problem).two_stage_gradient is Environment.two_stage_gradient:
             raise ContractError(
                 f"{type(problem).__name__} exposes no prediction target; "
                 "the two-stage baseline cannot run on it"
@@ -218,7 +219,7 @@ def make_algorithm(name: str, **overrides) -> AlgorithmConfig:
     return AlgorithmConfig(name=name, **kwargs)
 
 
-def make_engine(cfg: AlgorithmConfig, problem: BilevelProblem, buffer_capacity: int):
+def make_engine(cfg: AlgorithmConfig, problem: Environment, buffer_capacity: int):
     if cfg.gradient == "transport":
         return TransportEngine(problem, buffer_capacity, cfg.cg_config())
     if cfg.gradient == "stale":

@@ -45,8 +45,10 @@ class InnerSolveReport:
     """Approximate inner solution plus how far from optimal it plausibly is.
 
     ``residual_norm`` is the model-gradient norm at exit. ``epsilon_estimate``
-    is the distance to the exact minimizer when a closed form is available,
-    otherwise the residual divided by the strong-convexity hint.
+    bounds the distance to the exact minimizer: for a mu-strongly convex
+    objective that distance is at most the residual divided by mu, the
+    strong-convexity hint. On a quadratic whose curvature is mu the bound is
+    the distance itself.
     """
 
     solution: np.ndarray
@@ -79,11 +81,7 @@ def inner_gd(
             raise SolverError(f"inner divergence at step {k}")
         w -= cfg.step_size * g
     residual = float(np.linalg.norm(grad(w)))
-    w_star = problem.exact_inner(theta, ctx)
-    if w_star is not None:
-        eps = float(np.linalg.norm(w - w_star))
-    else:
-        eps = residual / max(problem.mu_w_hint, 1e-12)
+    eps = residual / max(problem.mu_w_hint, 1e-12)
     return InnerSolveReport(solution=w, iterations_used=cfg.steps, residual_norm=residual, epsilon_estimate=eps)
 
 

@@ -19,6 +19,7 @@ from typing import Any, Optional
 import numpy as np
 
 from delayopt.core import BilevelProblem, ContractError, OutcomeRecord
+from delayopt.environments.base import Environment
 from delayopt.solvers import CGConfig, SolverError, conjugate_gradient
 
 log = logging.getLogger(__name__)
@@ -78,7 +79,7 @@ def hypergradient_at(
 class TransportBufferEntry:
     round: int
     decision: np.ndarray
-    adjoint: Optional[AdjointVector]  # None for surrogate-gradient environments
+    adjoint: Optional[np.ndarray]  # adjoint values; None off the adjoint route
     record: OutcomeRecord
     cached_gradient: np.ndarray
 
@@ -122,56 +123,30 @@ class TransportDiagnostics:
     cg_iterations: int = 0
 
 
-def _round_gradient(problem: BilevelProblem, entry: TransportBufferEntry, theta: np.ndarray) -> np.ndarray:
-    if problem.uses_decision_surrogate:
-        return problem.surrogate_gradient(theta, entry.record)
-    return hypergradient_at(problem, entry.decision, entry.adjoint, theta, entry.record.payload)
-
-
-def _round_gradients_batch(problem: BilevelProblem, entries: list[TransportBufferEntry], theta: np.ndarray) -> list[np.ndarray]:
-    """Re-evaluate many buffered gradients at once: one batched surrogate call
-    for decision-surrogate environments, one batched hypergradient call for
-    the adjoint route."""
-    if problem.uses_decision_surrogate:
-        mat = problem.surrogate_gradients_at_many(theta, [e.record for e in entries])
-    else:
-        mat = problem.hypergradients_at_many(
-            theta,
-            [e.decision for e in entries],
-            [e.adjoint.values for e in entries],
-            [e.record.payload for e in entries],
-        )
-    return list(mat)
-
-
 def transport_step(
     buffer: TransportBuffer,
     arrivals: list[OutcomeRecord],
-    problem: BilevelProblem,
+    problem: Environment,
     theta_t: np.ndarray,
     cg: CGConfig,
     at_dispatch: bool = False,
 ) -> tuple[np.ndarray, TransportDiagnostics]:
     """One transport round: arrival gradients plus re-evaluation increments.
 
-    Each arrival's adjoint is solved and its gradient evaluated at one point:
-    ``theta_t``, or the arrival's dispatch snapshot when ``at_dispatch`` is
-    set (the stale baseline, which keeps nothing buffered past the round).
+    Gradients come from ``problem.hypergradients_at_many`` under one rule:
+    at ``theta_t`` one call evaluates the arrivals, in arrival order, then the
+    pre-existing entries, oldest first; with ``at_dispatch`` (the stale
+    baseline, which keeps nothing buffered past the round) each arrival is a
+    batch of one at its dispatch snapshot. Rows are bit-identical to single
+    evaluations, so batching changes no output. On the adjoint route
+    (``problem`` is a ``BilevelProblem``) each arrival's adjoint is first
+    solved at that same point; a failed solve skips the round with a warning.
+
     Every pre-existing entry's cache holds its gradient at the previous call's
     parameter point, so the increment ``g_s(theta_t) - cache`` is the one-step
-    re-evaluation change. An arrival's gradient is summed and cached as is,
-    with no increment, so a new entry's transport increment on its arrival
-    round is exactly zero. A failed adjoint solve skips that round with a
-    warning instead of aborting the run.
-
-    On the surrogate route at ``theta_t`` with a non-empty buffer, arrivals
-    join the buffer's batched re-evaluation: one call evaluates the arrivals
-    first, then the pre-existing entries, and ``g_total`` still adds every
-    arrival's gradient before every increment. The batched surrogate rows are
-    bit-identical to single evaluations, so this changes no output. An empty
-    buffer (every round at d = 0) keeps single evaluations, which beat a
-    batch of one. The adjoint route keeps them too: its stacked rows match
-    per-entry rows only to rounding, and folding would change results.
+    re-evaluation change. An arrival's gradient is summed, before every
+    increment, and cached as is, so its increment on its arrival round is
+    exactly zero.
 
     Returns the corrected gradient and per-round diagnostics. Eviction to
     capacity is the caller's final step.
@@ -179,42 +154,50 @@ def transport_step(
     diag = TransportDiagnostics(arrivals=len(arrivals))
     g_total = np.zeros_like(np.asarray(theta_t, dtype=float))
     preexisting = list(buffer)
-    fold = problem.uses_decision_surrogate and not at_dispatch and bool(preexisting)
 
-    folded: list[TransportBufferEntry] = []
+    fresh: list[TransportBufferEntry] = []
     for rec in arrivals:
         point = rec.dispatch_params if at_dispatch else theta_t
         adjoint = None
-        if not problem.uses_decision_surrogate:
+        if isinstance(problem, BilevelProblem):
             try:
-                adjoint = solve_adjoint(problem, rec.dispatch_decision, point, rec.payload, cg)
+                solved = solve_adjoint(problem, rec.dispatch_decision, point, rec.payload, cg)
             except SolverError as exc:
                 diag.skipped_arrivals += 1
                 log.warning("round %d arrival skipped: %s", rec.round, exc)
                 continue
-            diag.cg_iterations += adjoint.solve_iterations
+            diag.cg_iterations += solved.solve_iterations
+            adjoint = solved.values
         entry = TransportBufferEntry(
             round=rec.round, decision=rec.dispatch_decision, adjoint=adjoint,
             record=rec, cached_gradient=np.zeros(0),
         )
-        if fold:
-            folded.append(entry)
+        if at_dispatch:
+            entry.cached_gradient = _gradients_at(problem, point, [entry])[0]
+            g_total += entry.cached_gradient
         else:
-            g_s = _round_gradient(problem, entry, point)
-            entry.cached_gradient = g_s
-            g_total += g_s
+            fresh.append(entry)
         buffer.insert(entry)
 
-    if preexisting:
-        fresh = _round_gradients_batch(problem, folded + preexisting, theta_t)
-        for entry, g_s in zip(folded, fresh):
+    if fresh or preexisting:
+        rows = _gradients_at(problem, theta_t, fresh + preexisting)
+        for entry, g_s in zip(fresh, rows):
             entry.cached_gradient = g_s
             g_total += g_s
-        for entry, g_new in zip(preexisting, fresh[len(folded):]):
+        for entry, g_new in zip(preexisting, rows[len(fresh):]):
             g_total += g_new - entry.cached_gradient
             entry.cached_gradient = g_new
 
     return g_total, diag
+
+
+def _gradients_at(problem: Environment, theta: np.ndarray, entries: list[TransportBufferEntry]) -> np.ndarray:
+    return problem.hypergradients_at_many(
+        theta,
+        [e.decision for e in entries],
+        [e.adjoint for e in entries],
+        [e.record.payload for e in entries],
+    )
 
 
 def transport_error_surrogates(

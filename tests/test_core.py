@@ -54,7 +54,7 @@ def test_regret_additive_over_concatenation():
 
 
 def test_regret_flags_missing_comparator():
-    env = make_environment("grid_path", seed=0)
+    env = make_environment("sinkhorn", seed=0)  # no closed-form inner solution
     env.begin_round(1)
     theta = env.theta_init()
     w = env.solve_inner(theta, env.initial_decision()).solution

@@ -5,14 +5,21 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delayopt.config import ConfigError, apply_env_overrides, parse_config
+from delayopt.config import ConfigError, _int_list, apply_env_overrides, parse_config
 from delayopt.harness import (
+    RunKey,
+    read_run_csv,
     recompute_summary,
     run_controlled_comparison,
     run_experiment,
     run_stability_sweep,
+    summarize_cell,
+    write_run_csv,
 )
+from delayopt.runner import ROW_COLUMNS, RunResult
 from delayopt.presets import load_preset, preset_names
 
 MINIMAL = """
@@ -78,6 +85,43 @@ def test_summary_round_trip(tmp_path):
         assert re_row.regret_mean == pytest.approx(emitted.regret_mean, abs=1e-9)
         assert re_row.regret_sd == pytest.approx(emitted.regret_sd, abs=1e-9)
         assert re_row.drift_sq_total == pytest.approx(emitted.drift_sq_total, rel=1e-9, abs=1e-12)
+
+
+finite = st.floats(-1e9, 1e9, allow_nan=False)  # run-column magnitudes; summaries square them
+
+
+@st.composite
+def run_columns(draw):
+    rounds = draw(st.integers(1, 6))
+    cols = {c: draw(st.lists(finite, min_size=rounds, max_size=rounds)) for c in ROW_COLUMNS}
+    cols["opt_gap"] = draw(st.lists(finite | st.just(float("nan")), min_size=rounds, max_size=rounds))
+    cols["diverged"] = [0.0] * (rounds - 1) + [draw(st.sampled_from([0.0, 1.0]))]
+    return {c: np.asarray(v) for c, v in cols.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.lists(run_columns(), min_size=1, max_size=3))
+def test_run_csv_round_trip_keeps_nine_significant_digits(tmp_path_factory, runs):
+    cfg = parse_config(MINIMAL.format(out=tmp_path_factory.mktemp("csv")))
+    cfg.seeds = list(range(len(runs)))
+    algo, delay = cfg.algorithms[0].name, cfg.delays[0].describe()
+    os.makedirs(os.path.join(cfg.out_dir, "runs"))
+    rounded = []
+    for seed, cols in enumerate(runs):
+        key = RunKey(algo, delay, seed)
+        res = RunResult(columns=cols, diverged=False, diverged_round=None, delay_hash="0", poisson_cap_hits=0,
+                        cg_iterations=0, skipped_arrivals=0, comparator_note="", final_theta=np.zeros(1))
+        path = os.path.join(cfg.out_dir, "runs", key.filename())
+        write_run_csv(path, cfg, key, res)
+        back = read_run_csv(path)
+        assert list(back) == list(ROW_COLUMNS)
+        for c in ROW_COLUMNS:
+            for x, y in zip(cols[c], back[c]):
+                assert (np.isnan(x) and np.isnan(y)) or y == float("%.9g" % x)
+        rounded.append(back)
+    in_memory = summarize_cell(algo, delay, rounded, cfg.summary_window)
+    [recomputed] = recompute_summary(cfg)
+    assert recomputed.as_csv() == in_memory.as_csv()
 
 
 def test_paired_delay_hashes_verified(tmp_path):
@@ -185,6 +229,9 @@ def test_cli_seed_and_out_overrides(tmp_path):
 
 TYPOS = [
     ("grid_path", "[environment.args]\nheigth = 5\n", r"\[environment.args\] unknown key 'heigth'"),
+    ("grid_path", "[environment.args]\nheight = abc\n",
+     r"\[environment.args\] height = 'abc': expected int for environment 'grid_path'"),
+    ("grid_path", "[environment.args]\nheight = 6.5\n", r"\[environment.args\] height = 6.5: expected int"),
     ("gridpath", "", r"\[experiment\] environment 'gridpath' is unknown"),
     ("grid_path", "[delay]\nkind = constnat\n", r"\[delay\] kind 'constnat' is unknown"),
 ]
@@ -210,6 +257,26 @@ def test_cli_config_typos_exit_2_before_running(tmp_path, capsys, environment, e
     err = capsys.readouterr().err
     assert re.match("error: " + message, err)
     assert not (tmp_path / "out").exists()
+
+
+def test_int_for_float_environment_arg_is_kept_as_written(tmp_path):
+    cfg = parse_config(typo_config("grid_path", "[environment.args]\nperturbation = 2\n", tmp_path))
+    assert cfg.env_args == {"perturbation": 2} and type(cfg.env_args["perturbation"]) is int
+    with pytest.raises(ConfigError, match=r"perturbation = True: expected float"):
+        parse_config(typo_config("grid_path", "[environment.args]\nperturbation = true\n", tmp_path))
+
+
+def test_malformed_integer_lists_are_config_errors(tmp_path, capsys):
+    from delayopt.cli import main
+    with pytest.raises(ConfigError, match=r"--seeds: expected a list of integers, got '0x'"):
+        _int_list("0x", "--seeds")
+    assert _int_list("1, 3 5", "--k-values") == [1, 3, 5]
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "grid_delay_sweep", "--seeds", "0x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --seeds: expected a list of integers, got '0x'\n"
+    assert main(["sweep-k", "--preset", "k_sweep", "--k-values", "1,a", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --k-values: expected a list of integers, got '1,a'\n"
+    assert not out.exists()
 
 
 def test_sweep_k_rejects_environment_without_inner_iterations(tmp_path, capsys):

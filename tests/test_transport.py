@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayopt.core import ContractError, OutcomeRecord
+from delayopt.core import BilevelProblem, ContractError, OutcomeRecord
 from delayopt.environments import make_environment
 from delayopt.environments.grid_path import GridPathConfig, GridPathProblem
 from delayopt.optimizers import TransportEngine
@@ -15,8 +15,6 @@ from delayopt.transport import (
     AdjointVector,
     TransportBuffer,
     TransportBufferEntry,
-    _round_gradient,
-    _round_gradients_batch,
     hypergradient_at,
     solve_adjoint,
     transport_error_surrogates,
@@ -58,7 +56,6 @@ def test_adjoint_zero_rhs():
 def test_adjoint_diagonal_oracle():
     class DiagProblem:
         p = q = 4
-        uses_decision_surrogate = False
         def exact_adjoint(self, w, theta, z):
             return None
         def grad_w_true(self, w, theta, z):
@@ -184,23 +181,27 @@ def test_telescope_exactness_over_path():
 
 
 def test_transport_step_skips_failed_adjoint(caplog):
-    class Breaking:
-        p = q = 1
-        uses_decision_surrogate = False
-        def exact_adjoint(self, w, theta, z):
-            return None
-        def grad_w_true(self, w, theta, z):
-            return np.array([1.0])
-        def hess_ww_model_vp(self, w, theta, v, ctx=None):
-            return -np.asarray(v)  # not SPD
+    env = quad_env()
+    env.hess_ww_model_vp = lambda w, theta, v, ctx=None: -np.asarray(v)  # not SPD
     buf = TransportBuffer(capacity=2)
-    rec = OutcomeRecord(round=3, payload=None, dispatch_params=np.zeros(1), dispatch_decision=np.zeros(1))
-    g, diag = transport_step(buf, [rec], Breaking(), np.zeros(1), CG)
+    rec = record(env, 3, 0.0, w_val=1.0)  # adjoint right-hand side w - a * theta = 1
+    g, diag = transport_step(buf, [rec], env, np.zeros(1), CG)
     assert diag.skipped_arrivals == 1
     assert g[0] == 0.0 and len(buf) == 0
 
 
 # -- batched re-evaluation and telescoping ------------------------------------------
+
+
+ENV_SPREADS = {"hard_quadratic": 0.05, "lqr": 0.05, "sinkhorn": 0.01, "grid_path": 0.05}
+
+
+def adjoint_of(env, rec, theta):
+    """The adjoint values ``transport_step`` solves for an arrival at ``theta``;
+    None off the adjoint route."""
+    if not isinstance(env, BilevelProblem):
+        return None
+    return solve_adjoint(env, rec.dispatch_decision, theta, rec.payload, CG).values
 
 
 def played_entries(env, rng, count, spread):
@@ -213,10 +214,39 @@ def played_entries(env, rng, count, spread):
         w_prev = env.solve_inner(theta, w_prev).solution
         z, _, _ = env.realize_outcome(t, theta, w_prev)
         rec = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w_prev)
-        adjoint = None if env.uses_decision_surrogate else solve_adjoint(env, w_prev, theta, z, CG)
-        entries.append(TransportBufferEntry(round=t, decision=w_prev, adjoint=adjoint, record=rec,
-                                            cached_gradient=np.zeros(env.p)))
+        entries.append(TransportBufferEntry(round=t, decision=w_prev, adjoint=adjoint_of(env, rec, theta),
+                                            record=rec, cached_gradient=np.zeros(env.p)))
     return entries
+
+
+def reevaluate(env, entries, theta):
+    """One batched re-evaluation of ``entries`` at ``theta``."""
+    return env.hypergradients_at_many(theta, [e.decision for e in entries], [e.adjoint for e in entries],
+                                      [e.record.payload for e in entries])
+
+
+def single_gradient(env, rec, adjoint, theta):
+    """The per-round reference: the two-term formula on the adjoint route,
+    two heap solves on the grid."""
+    if isinstance(env, BilevelProblem):
+        return hypergradient_at(env, rec.dispatch_decision, adjoint, theta, rec.payload)
+    return env.surrogate_gradient(theta, rec)
+
+
+@pytest.mark.parametrize("name", sorted(ENV_SPREADS))
+@settings(max_examples=12, deadline=None)
+@given(m=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_every_batched_row_equals_its_single_evaluation_bitwise(name, m, seed):
+    # m = 1 takes grid_path's heap branch, larger m its batched solve
+    env = make_environment(name, seed=seed)
+    rng = np.random.default_rng(seed)
+    spread = ENV_SPREADS[name]
+    entries = played_entries(env, rng, m, spread)
+    theta = env.theta_init() + spread * rng.standard_normal(env.p)
+    rows = reevaluate(env, entries, theta)
+    assert rows.shape == (m, env.p)
+    for entry, row in zip(entries, rows):
+        assert np.array_equal(row, single_gradient(env, entry.record, entry.adjoint, theta))
 
 
 def test_batched_reevaluation_equals_per_entry_on_grid_exactly():
@@ -224,22 +254,21 @@ def test_batched_reevaluation_equals_per_entry_on_grid_exactly():
     rng = np.random.default_rng(3)
     entries = played_entries(env, rng, 12, spread=0.05)
     theta = env.theta_init() + 0.05 * rng.standard_normal(env.p)
-    rows = _round_gradients_batch(env, entries, theta)
+    rows = reevaluate(env, entries, theta)
     assert any(np.any(row != 0) for row in rows)  # some bumped paths differ
     for entry, row in zip(entries, rows):
-        assert np.array_equal(row, _round_gradient(env, entry, theta))
+        assert np.array_equal(row, env.surrogate_gradient(theta, entry.record))
 
 
 def test_batched_reevaluation_equals_per_entry_on_sinkhorn():
     env = make_environment("sinkhorn", seed=3)
-    assert hasattr(env, "hypergradients_at_many")
     rng = np.random.default_rng(3)
     entries = played_entries(env, rng, 6, spread=0.01)
     theta = env.theta_init() + 0.01 * rng.standard_normal(env.p)
-    rows = _round_gradients_batch(env, entries, theta)
+    rows = reevaluate(env, entries, theta)
     for entry, row in zip(entries, rows):
-        single = _round_gradient(env, entry, theta)
-        assert np.linalg.norm(row - single) <= 1e-12 * np.linalg.norm(single)
+        assert np.array_equal(row, hypergradient_at(env, entry.decision, entry.adjoint, theta,
+                                                    entry.record.payload))
 
 
 @pytest.mark.parametrize("name", ["hard_quadratic", "lqr"])
@@ -250,10 +279,11 @@ def test_batched_reevaluation_equals_per_entry_on_adjoint_envs_exactly(name):
     rng = np.random.default_rng(3)
     entries = played_entries(env, rng, 9, spread=0.05)
     theta = env.theta_init() + 0.05 * rng.standard_normal(env.p)
-    rows = _round_gradients_batch(env, entries, theta)
+    rows = reevaluate(env, entries, theta)
     assert any(np.any(row != 0) for row in rows)
     for entry, row in zip(entries, rows):
-        assert np.array_equal(row, _round_gradient(env, entry, theta))
+        assert np.array_equal(row, hypergradient_at(env, entry.decision, entry.adjoint, theta,
+                                                    entry.record.payload))
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,17 +349,14 @@ def test_transport_gradients_telescope_on_grid(seed, delays):
     np.testing.assert_allclose(applied, expected, rtol=0, atol=1e-12 * rounds * scale)
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**16), delays=st.lists(st.integers(0, 4), min_size=2, max_size=12),
-       capacity=st.integers(1, 12))
-def test_folded_arrivals_equal_single_evaluations_on_grid(seed, delays, capacity):
-    # arrivals joining the buffer's batched solve give, every round, exactly
-    # the gradient of heap-evaluated arrivals plus per-entry re-evaluation,
-    # summed in the same order: arrivals first, then increments
-    env = GridPathProblem(GridPathConfig(height=6, width=7, feature_dim=12), seed=seed)
+def check_folded_arrivals(env, spread, seed, delays, capacity):
+    """Every round, ``transport_step``'s gradient equals, bit for bit, single
+    evaluations of the arrivals plus per-entry re-evaluation of the buffer,
+    summed in the same order (arrivals first, then increments), and the
+    buffer holds the same rounds."""
     rng = np.random.default_rng(seed)
     buf = TransportBuffer(capacity)
-    ref: list[list] = []  # [record, cached gradient], oldest first
+    ref: list[list] = []  # [record, adjoint, cached gradient], oldest first
     theta = env.theta_init()
     w = env.initial_decision()
     pending: dict[int, list[OutcomeRecord]] = {}
@@ -347,18 +374,37 @@ def test_folded_arrivals_equal_single_evaluations_on_grid(seed, delays, capacity
         expected = np.zeros(env.p)
         fresh = []
         for a in arrivals:
-            g_s = env.surrogate_gradient(theta, a)
+            adjoint = adjoint_of(env, a, theta)
+            g_s = single_gradient(env, a, adjoint, theta)
             expected += g_s
-            fresh.append([a, g_s])
+            fresh.append([a, adjoint, g_s])
         for entry in ref:
-            g_new = env.surrogate_gradient(theta, entry[0])
-            expected += g_new - entry[1]
-            entry[1] = g_new
+            g_new = single_gradient(env, entry[0], entry[1], theta)
+            expected += g_new - entry[2]
+            entry[2] = g_new
         ref = (ref + fresh)[-capacity:]
 
         assert np.array_equal(g, expected)
         assert [e.round for e in buf] == [e[0].round for e in ref]
-        theta = theta + 0.5 * rng.standard_normal(env.p)
+        theta = theta + spread * rng.standard_normal(env.p)
+
+
+FOLD_CASES = dict(seed=st.integers(0, 2**16), delays=st.lists(st.integers(0, 4), min_size=2, max_size=12),
+                  capacity=st.integers(1, 12))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**FOLD_CASES)
+def test_folded_arrivals_equal_single_evaluations_on_grid(seed, delays, capacity):
+    env = GridPathProblem(GridPathConfig(height=6, width=7, feature_dim=12), seed=seed)
+    check_folded_arrivals(env, 0.5, seed, delays, capacity)
+
+
+@pytest.mark.parametrize("name", ["hard_quadratic", "lqr", "sinkhorn"])
+@settings(max_examples=10, deadline=None)
+@given(**FOLD_CASES)
+def test_folded_arrivals_equal_single_evaluations_on_adjoint_envs(name, seed, delays, capacity):
+    check_folded_arrivals(make_environment(name, seed=seed), ENV_SPREADS[name], seed, delays, capacity)
 
 
 # -- error surrogates --------------------------------------------------------------
