@@ -14,7 +14,6 @@ import sys
 from delayopt.config import ConfigError, _int_list, apply_env_overrides, load_config
 from delayopt.harness import (
     print_summary,
-    recompute_summary,
     run_controlled_comparison,
     run_delay_patterns,
     run_experiment,

@@ -13,16 +13,20 @@ read the gradient off the change in the path indicator, scaled back by the
 perturbation size.
 
 There is no adjoint, so the environment has no derivative products and
-``hypergradients_at_many`` reads only the stored payloads. The decision, the
-oracle and the comparator are single solves on the heap solver, three per
-round. Re-evaluating the transport buffer, with the round's transport
-arrivals, is one batched solve per round of every round's base and bumped
-paths. A batch of one (an arrival into an empty buffer, as every round at
-d = 0, or a stale arrival at its own dispatch snapshot) keeps two heap
-solves: at one grid the heap solver is faster than the vectorized min-plus
-solve. The batched solve returns the heap solver's paths
-bit for bit: ties go to the neighbour smallest in (distance, row, column), the
-order in which the heap settles cells.
+``hypergradients_at_many`` reads only the stored payloads. The decision and
+the oracle are single solves on the heap solver, two per round. The
+comparator's costs never change, so its path comes from a cached heap
+shortest-path tree per start (at most one per border cell), solved on first
+use; each round only backtracks from its goal. Re-evaluating the transport
+buffer, with the round's transport arrivals, is one batched solve per round.
+Every stored round is evaluated at the same theta, so the base paths share
+the predicted grid and one distance field per distinct start; each bumped
+path keeps a field of its own. A batch of one (an arrival into an empty
+buffer, as every round at d = 0, or a stale arrival at its own dispatch
+snapshot) keeps two heap solves: at one grid the heap solver is faster than
+the vectorized min-plus solve. The batched solve returns the heap solver's
+paths bit for bit: ties go to the neighbour smallest in (distance, row,
+column), the order in which the heap settles cells.
 """
 
 from __future__ import annotations
@@ -33,7 +37,13 @@ import numpy as np
 
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments.base import Environment
-from delayopt.solvers import InnerSolveReport, dijkstra_grid, grid_shortest_paths
+from delayopt.solvers import (
+    InnerSolveReport,
+    dijkstra_grid,
+    grid_shortest_paths,
+    shortest_path_tree,
+    tree_path,
+)
 
 TERRAIN_LEVELS = (1.0, 2.0, 5.0, 10.0)
 
@@ -82,6 +92,8 @@ class GridPathProblem(Environment):
             self.features, np.full(self.n_cells, float(np.mean(self.base_costs))), rcond=None
         )
         self.comparator_note = "fixed comparator: least-squares terrain fit"
+        self._cmp_grid = self.predicted_costs(self.theta_cmp)[0].reshape(cfg.height, cfg.width)
+        self._cmp_trees: dict[tuple[int, int], list[int]] = {}  # start -> heap parents
 
     def _border_cells(self) -> list[tuple[int, int]]:
         H, W = self.cfg.height, self.cfg.width
@@ -102,10 +114,13 @@ class GridPathProblem(Environment):
     def _shortest(self, costs: np.ndarray, start, goal) -> tuple[np.ndarray, float]:
         grid = costs.reshape(self.cfg.height, self.cfg.width)
         path, total = dijkstra_grid(grid, start, goal)
+        return self._indicator(path), total
+
+    def _indicator(self, path: list[tuple[int, int]]) -> np.ndarray:
         indicator = np.zeros(self.n_cells)
         for r, c in path[1:]:  # entered cells; start excluded
             indicator[r * self.cfg.width + c] = 1.0
-        return indicator, total
+        return indicator
 
     # -- outer gradient -----------------------------------------------------------
 
@@ -116,27 +131,34 @@ class GridPathProblem(Environment):
 
     def hypergradients_at_many(self, theta, decisions, adjoints, payloads) -> np.ndarray:
         """``surrogate_gradient`` of every stored round at one theta, from the
-        payloads only: two heap solves for one round, else one batched solve
-        of the 2m base and bumped paths, bit-identical per row."""
+        payloads only: two heap solves for one round, else one batched solve,
+        bit-identical per row. Every base path is on the same grid, so the
+        batch holds one base field per distinct start, then the m bumped
+        grids."""
         m = len(payloads)
         if m == 1:
             return self._heap_gradient(theta, payloads[0])[None, :]
         costs, mask = self.predicted_costs(theta)
-        bumped = [costs + self.cfg.perturbation * z["costs_true"] for z in payloads]
-        grids = np.stack([costs] * m + bumped).reshape(2 * m, self.cfg.height, self.cfg.width)
-        starts = [z["start"] for z in payloads] * 2
+        field_of: dict[tuple[int, int], int] = {}
+        for z in payloads:
+            field_of.setdefault(z["start"], len(field_of))
+        u = len(field_of)
+        bumped = costs + self.cfg.perturbation * np.stack([z["costs_true"] for z in payloads])
+        grids = np.concatenate([np.broadcast_to(costs, (u, self.n_cells)), bumped])
+        starts = list(field_of) + [z["start"] for z in payloads]
         goals = [z["goal"] for z in payloads] * 2
-        paths, _ = grid_shortest_paths(grids, starts, goals)
-        return np.stack([self._path_change_gradient(paths[i], paths[m + i], mask) for i in range(m)])
+        sources = [field_of[z["start"]] for z in payloads] + list(range(u, u + m))
+        paths, _ = grid_shortest_paths(grids.reshape(u + m, self.cfg.height, self.cfg.width),
+                                       starts, goals, sources)
+        delta = (paths[m:] - paths[:m]) * mask
+        # one matrix-vector product per row, as in the single evaluation
+        return np.matmul(self.features.T, delta[:, :, None])[:, :, 0] / self.cfg.perturbation
 
     def _heap_gradient(self, theta: np.ndarray, z: dict) -> np.ndarray:
         costs, mask = self.predicted_costs(theta)
         base_path, _ = self._shortest(costs, z["start"], z["goal"])
         bumped = costs + self.cfg.perturbation * z["costs_true"]
         bump_path, _ = self._shortest(bumped, z["start"], z["goal"])
-        return self._path_change_gradient(base_path, bump_path, mask)
-
-    def _path_change_gradient(self, base_path, bump_path, mask) -> np.ndarray:
         delta = (bump_path - base_path) * mask
         return self.features.T @ delta / self.cfg.perturbation
 
@@ -172,8 +194,15 @@ class GridPathProblem(Environment):
         return z, realized, gap
 
     def comparator_round_loss(self, z) -> float:
-        costs, _ = self.predicted_costs(self.theta_cmp)
-        indicator, _ = self._shortest(costs, z["start"], z["goal"])
+        """True cost of the comparator's path, backtracked from the heap tree
+        of its start: the comparator's costs never change, so each start's
+        tree is solved once, on first use."""
+        start = z["start"]
+        parent = self._cmp_trees.get(start)
+        if parent is None:
+            _, parent = shortest_path_tree(self._cmp_grid, start)
+            self._cmp_trees[start] = parent
+        indicator = self._indicator(tree_path(parent, start, z["goal"], self.cfg.width))
         return float(z["costs_true"] @ indicator)
 
     def two_stage_gradient(self, theta, record):

@@ -16,7 +16,6 @@ biased gradients settles at ``theta = -bias / coupling``, paying
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
 
 import numpy as np
 

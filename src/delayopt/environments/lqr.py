@@ -21,11 +21,10 @@ bit-identical to the per-entry hypergradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
 
 import numpy as np
 
-from delayopt.core import BilevelProblem, ContractError
+from delayopt.core import BilevelProblem
 from delayopt.environments.base import Environment
 from delayopt.solvers import InnerSolveReport, InnerSolverConfig, inner_gd
 

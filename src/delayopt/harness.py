@@ -16,10 +16,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from delayopt.config import CompareSettings, ConfigError, DelaySpec, ExperimentConfig, StabilitySettings
+from delayopt.config import ConfigError, DelaySpec, ExperimentConfig
 from delayopt.environments import make_environment
 from delayopt.metrics import (
-    SearchError,
     eta_max_search,
     improvement_pct,
     mean_sd,

@@ -9,7 +9,7 @@ Runs are deterministic given (environment seed, delay seed, config).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -208,28 +208,48 @@ def dijkstra_grid(
 
     The cost of a path is the sum of the costs of the cells it enters; the
     start cell is excluded. Ties are broken lexicographically on
-    (cost, row, column) so paths are identical across platforms.
+    (cost, row, column) so paths are identical across platforms. The search
+    is :func:`shortest_path_tree`'s, stopped once the goal is settled.
+    """
+    dist, parent = shortest_path_tree(cell_costs, start, goal)
+    W = np.shape(cell_costs)[1]
+    return tree_path(parent, start, goal, W), dist[goal[0] * W + goal[1]]
+
+
+def shortest_path_tree(
+    cell_costs: np.ndarray,
+    start: tuple[int, int],
+    goal: Optional[tuple[int, int]] = None,
+) -> tuple[list[float], list[int]]:
+    """Heap shortest-path distances and parents from ``start``, flat row-major.
+
+    Returns ``(dist, parent)`` as lists over the ``H * W`` cells;
+    ``parent[start]`` is -1. Without ``goal`` every cell is settled. With one,
+    the search stops once the goal is settled, which fixes the parents of
+    every cell on its path. A settled cell's parent never changes again, so
+    :func:`tree_path` on the full tree gives the early-stopped path for every
+    goal, bit for bit.
 
     The loop runs on plain Python lists: indexing a numpy array yields a
     boxed scalar per access, which costs more than the arithmetic itself.
-    Python float addition is the same IEEE double add as numpy's, the heap
-    still orders on ``(cost, index)`` and a neighbour is relaxed only on
-    strict improvement, in up, down, left, right order, so paths, totals and
-    ties are those of the array version bit for bit.
+    Python float addition is the same IEEE double add as numpy's. The heap
+    orders on ``(cost, index)`` and a neighbour is relaxed only on strict
+    improvement, in up, down, left, right order, so ties break the same way
+    on every platform and :func:`grid_shortest_paths` reproduces them.
     """
-    costs = _checked_costs(cell_costs, "dijkstra_grid")
+    costs = _checked_costs(cell_costs, "grid shortest-path solve")
     H, W = costs.shape
     sr, sc = start
-    gr, gc = goal
+    gr, gc = start if goal is None else goal
     if not (0 <= sr < H and 0 <= sc < W and 0 <= gr < H and 0 <= gc < W):
         raise ContractError("start/goal outside the grid")
-    if start == goal:
+    if goal is not None and (sr, sc) == (gr, gc):
         raise ContractError("start and goal must differ")
 
     flat = costs.ravel().tolist()
     n = H * W
     s_idx = sr * W + sc
-    g_idx = gr * W + gc
+    g_idx = -1 if goal is None else gr * W + gc
     dist = [math.inf] * n
     parent = [-1] * n
     done = [False] * n
@@ -274,14 +294,27 @@ def dijkstra_grid(
                 dist[v] = nd
                 parent[v] = u
                 push(heap, (nd, v))
-    if not done[g_idx]:
-        raise SolverError("no path from start to goal")
+    return dist, parent
+
+
+def tree_path(
+    parent: list[int],
+    start: tuple[int, int],
+    goal: tuple[int, int],
+    width: int,
+) -> list[tuple[int, int]]:
+    """The ``start`` to ``goal`` path of a :func:`shortest_path_tree` parent
+    list over a grid ``width`` cells wide, as (row, column) cells."""
+    s_idx = start[0] * width + start[1]
+    g_idx = goal[0] * width + goal[1]
     path_idx = [g_idx]
     while path_idx[-1] != s_idx:
-        path_idx.append(parent[path_idx[-1]])
+        v = parent[path_idx[-1]]
+        if v < 0:
+            raise SolverError("no path from start to goal")
+        path_idx.append(v)
     path_idx.reverse()
-    path = [(i // W, i % W) for i in path_idx]
-    return path, dist[g_idx]
+    return [divmod(i, width) for i in path_idx]
 
 
 def _checked_costs(cell_costs: np.ndarray, solver: str) -> np.ndarray:
@@ -296,52 +329,69 @@ def grid_shortest_paths(
     cell_costs: np.ndarray,
     starts: np.ndarray,
     goals: np.ndarray,
+    sources: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Many :func:`dijkstra_grid` solves at once, with identical results.
 
-    ``cell_costs`` is ``(m, H, W)``; ``starts`` and ``goals`` are ``(m, 2)``
-    (row, column) pairs. Returns ``(indicators, totals)``: ``indicators[i]``
-    is the flat ``H * W`` 0/1 vector of the cells path ``i`` enters (start
-    excluded) and ``totals[i]`` its cost.
+    ``cell_costs`` is ``(k, H, W)`` and ``starts`` ``(k, 2)``: one distance
+    field per grid and start. ``goals`` is ``(m, 2)`` and ``sources`` ``(m,)``:
+    query ``j`` is the path from ``starts[sources[j]]`` to ``goals[j]`` on
+    grid ``sources[j]``, so queries that share a grid and start share one
+    field, and a field no query uses is still solved. Points are (row,
+    column) pairs. Returns ``(indicators, totals)``: ``indicators[j]`` is the
+    flat ``H * W`` 0/1 vector of the cells path ``j`` enters (start excluded)
+    and ``totals[j]`` its cost.
 
-    Distances come from min-plus relaxation over the whole batch: each sweep
-    offers every cell ``min(neighbour distances) + cost``, and the sweeps stop
-    when no cell improves. Rounding is monotone, so ``min(a, b) + c`` equals
-    ``min(a + c, b + c)`` and the fixed point is the heap solver's distances
-    bit for bit. Paths are then backtracked from every goal at once. The
-    parent of ``v`` is its neighbour ``u`` smallest in ``(dist[u], u)``: by
-    the same monotonicity it satisfies ``dist[u] + cost[v] == dist[v]``, and
-    it is the first such neighbour the heap solver settles, so ties break the
-    same way too. For a single problem the heap solver is faster; this pays
-    off once a batch holds a few dozen problems.
+    Distances come from min-plus relaxation over all fields at once: each
+    sweep offers every cell ``min(neighbour distances) + cost``, and the
+    sweeps stop when no cell improves. Rounding is monotone, so
+    ``min(a, b) + c`` equals ``min(a + c, b + c)`` and the fixed point is the
+    heap solver's distances bit for bit. A cell at Manhattan distance ``h``
+    from its start stays infinite until sweep ``h``, so no sweep up to the
+    largest such distance over the fields can be the last; those sweeps skip
+    the improvement test. Paths are then backtracked from every goal at once.
+    The parent of ``v`` is its neighbour ``u`` smallest in ``(dist[u], u)``:
+    by the same monotonicity it satisfies ``dist[u] + cost[v] == dist[v]``,
+    and it is the first such neighbour the heap solver settles, so ties break
+    the same way too. For a single problem the heap solver is faster; this
+    pays off once a batch holds a few dozen fields.
     """
     costs = _checked_costs(cell_costs, "grid_shortest_paths")
     if costs.ndim != 3:
-        raise ContractError("grid_shortest_paths needs an (m, H, W) cost array")
-    m, H, W = costs.shape
-    starts = np.asarray(starts, dtype=np.int64).reshape(m, 2)
-    goals = np.asarray(goals, dtype=np.int64).reshape(m, 2)
+        raise ContractError("grid_shortest_paths needs a (k, H, W) cost array")
+    k, H, W = costs.shape
+    starts = np.asarray(starts, dtype=np.int64).reshape(k, 2)
+    goals = np.asarray(goals, dtype=np.int64).reshape(-1, 2)
+    m = len(goals)
+    sources = np.asarray(sources, dtype=np.int64)
+    if sources.shape != (m,):
+        raise ContractError("grid_shortest_paths needs one source per goal")
+    if np.any((sources < 0) | (sources >= k)):
+        raise ContractError("source index outside the fields")
     ends = np.concatenate([starts, goals])
     if np.any((ends < 0) | (ends >= (H, W))):
         raise ContractError("start/goal outside the grid")
-    if np.any(np.all(starts == goals, axis=1)):
+    if np.any(np.all(starts[sources] == goals, axis=1)):
         raise ContractError("start and goal must differ")
 
-    # batch axis innermost, and a border of inf so every shift is one slab
+    # field axis innermost, and a border of inf so every shift is one slab
     c = np.ascontiguousarray(costs.transpose(1, 2, 0))
-    padded = np.full((H + 2, W + 2, m), np.inf)
-    rows = np.arange(m)
-    padded[starts[:, 0] + 1, starts[:, 1] + 1, rows] = 0.0
+    padded = np.full((H + 2, W + 2, k), np.inf)
+    padded[starts[:, 0] + 1, starts[:, 1] + 1, np.arange(k)] = 0.0
     dist = padded[1:-1, 1:-1]
     up, down = padded[:-2, 1:-1], padded[2:, 1:-1]
     left, right = padded[1:-1, :-2], padded[1:-1, 2:]
     offer, across = np.empty_like(c), np.empty_like(c)
+    far = int(np.max(np.maximum(starts[:, 0], H - 1 - starts[:, 0])
+                     + np.maximum(starts[:, 1], W - 1 - starts[:, 1])))
+    sweep = 0
     while True:
         np.minimum(up, down, out=offer)
         np.minimum(left, right, out=across)
         np.minimum(offer, across, out=offer)
         offer += c
-        if not (offer < dist).any():
+        sweep += 1
+        if sweep > far and not (offer < dist).any():
             break
         np.minimum(dist, offer, out=dist)
 
@@ -350,20 +400,21 @@ def grid_shortest_paths(
     lower = np.where(left < up, -1, -W)
     higher = np.where(down < right, W, 1)
     step = np.where(np.minimum(right, down) < np.minimum(up, left), higher, lower)
-    step = step.reshape(H * W, m)
+    step = step.reshape(H * W, k)
 
     n = H * W
-    s_idx = starts[:, 0] * W + starts[:, 1]
+    s_idx = (starts[:, 0] * W + starts[:, 1])[sources]
     cur = goals[:, 0] * W + goals[:, 1]
-    totals = dist.reshape(n, m)[cur, rows]
+    totals = dist.reshape(n, k)[cur, sources]
     indicators = np.zeros((m, n))
+    rows = np.arange(m)
     for _ in range(n):
         walking = cur != s_idx
         if not walking.any():
             return indicators, totals
-        r, v = rows[walking], cur[walking]
-        indicators[r, v] = 1.0
-        cur[walking] = v + step[v, r]
+        j, v = rows[walking], cur[walking]
+        indicators[j, v] = 1.0
+        cur[walking] = v + step[v, sources[j]]
     raise SolverError("grid_shortest_paths: backtracking did not reach the start")
 
 

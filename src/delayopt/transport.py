@@ -78,7 +78,6 @@ def hypergradient_at(
 @dataclass
 class TransportBufferEntry:
     round: int
-    decision: np.ndarray
     adjoint: Optional[np.ndarray]  # adjoint values; None off the adjoint route
     record: OutcomeRecord
     cached_gradient: np.ndarray
@@ -169,8 +168,7 @@ def transport_step(
             diag.cg_iterations += solved.solve_iterations
             adjoint = solved.values
         entry = TransportBufferEntry(
-            round=rec.round, decision=rec.dispatch_decision, adjoint=adjoint,
-            record=rec, cached_gradient=np.zeros(0),
+            round=rec.round, adjoint=adjoint, record=rec, cached_gradient=np.zeros(0),
         )
         if at_dispatch:
             entry.cached_gradient = _gradients_at(problem, point, [entry])[0]
@@ -194,7 +192,7 @@ def transport_step(
 def _gradients_at(problem: Environment, theta: np.ndarray, entries: list[TransportBufferEntry]) -> np.ndarray:
     return problem.hypergradients_at_many(
         theta,
-        [e.decision for e in entries],
+        [e.record.dispatch_decision for e in entries],
         [e.adjoint for e in entries],
         [e.record.payload for e in entries],
     )

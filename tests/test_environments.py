@@ -458,6 +458,24 @@ def test_grid_costs_positive_and_misspecified():
     assert np.all(env.current_true_costs() > 0)
 
 
+def test_grid_comparator_from_cached_trees_equals_recompute_and_solve():
+    env = fresh("grid_path")
+    H, W = env.cfg.height, env.cfg.width
+    theta, w = env.theta_init(), env.initial_decision()
+    starts = []
+    for t in range(1, 61):
+        env.begin_round(t)
+        z, _, _ = env.realize_outcome(t, theta, w)
+        costs, _ = env.predicted_costs(env.theta_cmp)
+        path, _ = dijkstra_grid(costs.reshape(H, W), z["start"], z["goal"])
+        indicator = np.zeros(env.n_cells)
+        for r, c in path[1:]:
+            indicator[r * W + c] = 1.0
+        assert env.comparator_round_loss(z) == float(z["costs_true"] @ indicator)
+        starts.append(z["start"])
+    assert len(set(starts)) < len(starts)  # some rounds reuse a cached tree
+
+
 def test_grid_rejects_nonpositive_perturbation():
     with pytest.raises(ContractError):
         GridPathConfig(perturbation=0.0)

@@ -22,7 +22,9 @@ from delayopt.solvers import (
     dijkstra_grid,
     grid_shortest_paths,
     inner_gd,
+    shortest_path_tree,
     sinkhorn_log,
+    tree_path,
 )
 
 
@@ -267,10 +269,19 @@ def test_both_grid_solvers_reject_nonfinite_or_nonpositive_cost(cell, bad):
     with pytest.raises(SolverError, match="finite, strictly positive"):
         dijkstra_grid(costs, (0, 0), (2, 2))
     with pytest.raises(SolverError, match="finite, strictly positive"):
-        grid_shortest_paths(costs[None], [(0, 0)], [(2, 2)])
+        grid_shortest_paths(costs[None], [(0, 0)], [(2, 2)], np.arange(1))
 
 
 # -- batched grid shortest paths ------------------------------------------------
+
+
+def grid_cells(H, W):
+    return st.tuples(st.integers(0, H - 1), st.integers(0, W - 1))
+
+
+def cost_elements(draw):
+    # small integer costs force many equal-cost paths, so ties are exercised
+    return st.integers(1, 3).map(float) if draw(st.booleans()) else st.floats(0.01, 100.0)
 
 
 @st.composite
@@ -278,10 +289,8 @@ def path_batches(draw):
     H = draw(st.integers(1, 8))
     W = draw(st.integers(2 if H == 1 else 1, 8))
     m = draw(st.integers(1, 20))
-    # small integer costs force many equal-cost paths, so ties are exercised
-    elements = st.integers(1, 3).map(float) if draw(st.booleans()) else st.floats(0.01, 100.0)
-    costs = draw(arrays(float, (m, H, W), elements=elements))
-    cell = st.tuples(st.integers(0, H - 1), st.integers(0, W - 1))
+    costs = draw(arrays(float, (m, H, W), elements=cost_elements(draw)))
+    cell = grid_cells(H, W)
     ends = draw(st.lists(st.tuples(cell, cell).filter(lambda e: e[0] != e[1]), min_size=m, max_size=m))
     return costs, [s for s, _ in ends], [g for _, g in ends]
 
@@ -291,7 +300,7 @@ def path_batches(draw):
 def test_batched_paths_identical_to_dijkstra(batch):
     costs, starts, goals = batch
     m, H, W = costs.shape
-    indicators, totals = grid_shortest_paths(costs, starts, goals)
+    indicators, totals = grid_shortest_paths(costs, starts, goals, np.arange(m))
     assert indicators.shape == (m, H * W) and totals.shape == (m,)
     for i in range(m):
         path, total = dijkstra_grid(costs[i], starts[i], goals[i])
@@ -313,8 +322,69 @@ def test_batched_paths_raise_the_same_contract_error(start, goal):
     with pytest.raises(ContractError) as heap:
         dijkstra_grid(costs, start, goal)
     with pytest.raises(ContractError) as batched:
-        grid_shortest_paths(np.stack([costs, costs]), [(0, 0), start], [(1, 2), goal])
+        grid_shortest_paths(np.stack([costs, costs]), [(0, 0), start], [(1, 2), goal], np.arange(2))
     assert str(batched.value) == str(heap.value)
+
+
+@st.composite
+def shared_field_batches(draw):
+    """k fields, m queries drawn over them, plus one last field no query uses."""
+    H = draw(st.integers(1, 7))
+    W = draw(st.integers(2 if H == 1 else 1, 9))
+    k = draw(st.integers(1, 5))
+    costs = draw(arrays(float, (k + 1, H, W), elements=cost_elements(draw)))
+    starts = draw(st.lists(grid_cells(H, W), min_size=k + 1, max_size=k + 1))
+    sources = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=16))
+    goals = [draw(grid_cells(H, W).filter(lambda g, s=starts[j]: g != s)) for j in sources]
+    return costs, starts, goals, sources
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_field_batches())
+def test_shared_fields_identical_to_per_query_dijkstra(batch):
+    costs, starts, goals, sources = batch
+    _, H, W = costs.shape
+    indicators, totals = grid_shortest_paths(costs, starts, goals, sources)
+    assert indicators.shape == (len(goals), H * W) and totals.shape == (len(goals),)
+    for j, f in enumerate(sources):
+        path, total = dijkstra_grid(costs[f], starts[f], goals[j])
+        expected = np.zeros(H * W)
+        for r, c in path[1:]:
+            expected[r * W + c] = 1.0
+        assert np.array_equal(indicators[j], expected)
+        assert totals[j] == total
+
+
+@pytest.mark.parametrize("sources, message", [
+    ([0, 2], "source index outside the fields"),
+    ([0, -1], "source index outside the fields"),
+    ([1, 1], "start and goal must differ"),  # field 1 starts at query 0's goal
+])
+def test_shared_fields_reject_bad_sources(sources, message):
+    costs = np.ones((2, 2, 3))
+    with pytest.raises(ContractError, match=message):
+        grid_shortest_paths(costs, [(0, 0), (1, 2)], [(1, 2), (1, 0)], sources)
+
+
+@st.composite
+def single_grids(draw):
+    H = draw(st.integers(1, 6))
+    W = draw(st.integers(2 if H == 1 else 1, 7))
+    return draw(arrays(float, (H, W), elements=cost_elements(draw)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(single_grids())
+def test_full_tree_backtracks_to_every_dijkstra_path(costs):
+    H, W = costs.shape
+    cells = [(r, c) for r in range(H) for c in range(W)]
+    for start in cells:
+        dist, parent = shortest_path_tree(costs, start)
+        for goal in cells:
+            if goal != start:
+                path, total = dijkstra_grid(costs, start, goal)
+                assert tree_path(parent, start, goal, W) == path
+                assert dist[goal[0] * W + goal[1]] == total
 
 
 # -- conjugate gradient --------------------------------------------------------

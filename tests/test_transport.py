@@ -122,13 +122,13 @@ def test_hypergradient_zero_terms():
 def test_buffer_capacity_and_fifo_order():
     buf = TransportBuffer(capacity=3)
     for t in (4, 7, 9, 12):
-        buf.insert(TransportBufferEntry(round=t, decision=np.zeros(1), adjoint=None,
+        buf.insert(TransportBufferEntry(round=t, adjoint=None,
                                         record=record(quad_env(), t, 0.0),
                                         cached_gradient=np.zeros(1)))
     assert buf.evict_to_capacity() == 1
     assert [e.round for e in buf] == [7, 9, 12]
     with pytest.raises(ContractError):
-        buf.insert(TransportBufferEntry(round=9, decision=np.zeros(1), adjoint=None,
+        buf.insert(TransportBufferEntry(round=9, adjoint=None,
                                         record=record(quad_env(), 9, 0.0),
                                         cached_gradient=np.zeros(1)))
 
@@ -158,7 +158,7 @@ def test_new_arrival_contributes_zero_increment_on_its_round():
     theta = np.array([0.4])
     transport_step(buf, [record(env, 1, 0.4)], env, theta, CG)
     entry = next(iter(buf))
-    g_direct = hypergradient_at(env, entry.decision, entry.adjoint, theta, None)
+    g_direct = hypergradient_at(env, entry.record.dispatch_decision, entry.adjoint, theta, None)
     assert entry.cached_gradient[0] == pytest.approx(g_direct[0], abs=1e-15)
 
 
@@ -176,7 +176,7 @@ def test_telescope_exactness_over_path():
         g, _ = transport_step(buf, [], env, theta, CG)
         total = total + g
     entry = next(iter(buf))
-    direct = hypergradient_at(env, entry.decision, entry.adjoint, theta, None)
+    direct = hypergradient_at(env, entry.record.dispatch_decision, entry.adjoint, theta, None)
     assert abs(total[0] - direct[0]) <= 1e-12
 
 
@@ -214,15 +214,15 @@ def played_entries(env, rng, count, spread):
         w_prev = env.solve_inner(theta, w_prev).solution
         z, _, _ = env.realize_outcome(t, theta, w_prev)
         rec = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w_prev)
-        entries.append(TransportBufferEntry(round=t, decision=w_prev, adjoint=adjoint_of(env, rec, theta),
+        entries.append(TransportBufferEntry(round=t, adjoint=adjoint_of(env, rec, theta),
                                             record=rec, cached_gradient=np.zeros(env.p)))
     return entries
 
 
 def reevaluate(env, entries, theta):
     """One batched re-evaluation of ``entries`` at ``theta``."""
-    return env.hypergradients_at_many(theta, [e.decision for e in entries], [e.adjoint for e in entries],
-                                      [e.record.payload for e in entries])
+    return env.hypergradients_at_many(theta, [e.record.dispatch_decision for e in entries],
+                                      [e.adjoint for e in entries], [e.record.payload for e in entries])
 
 
 def single_gradient(env, rec, adjoint, theta):
@@ -260,6 +260,28 @@ def test_batched_reevaluation_equals_per_entry_on_grid_exactly():
         assert np.array_equal(row, env.surrogate_gradient(theta, entry.record))
 
 
+@pytest.mark.parametrize("pattern", [[(0, 3)], [(0, 3), (11, 5)]], ids=["one-start", "two-starts"])
+def test_grid_rows_equal_single_evaluations_when_starts_repeat(pattern):
+    # every payload's start cycles through ``pattern``, so base paths share
+    # distance fields; goals and realized costs differ per round
+    env = make_environment("grid_path", seed=4)
+    rng = np.random.default_rng(4)
+    theta = env.theta_init() + 0.05 * rng.standard_normal(env.p)
+    records = []
+    for t in range(1, 15):
+        env.begin_round(t)
+        start = pattern[t % len(pattern)]
+        goal = env.goal if env.goal != start else env.start
+        z = {"costs_true": env.current_true_costs(), "start": start, "goal": goal}
+        records.append(OutcomeRecord(round=t, payload=z, dispatch_params=theta,
+                                     dispatch_decision=env.initial_decision()))
+    rows = env.hypergradients_at_many(theta, [r.dispatch_decision for r in records],
+                                      [None] * len(records), [r.payload for r in records])
+    assert any(np.any(row != 0) for row in rows)
+    for rec, row in zip(records, rows):
+        assert np.array_equal(row, env.surrogate_gradient(theta, rec))
+
+
 def test_batched_reevaluation_equals_per_entry_on_sinkhorn():
     env = make_environment("sinkhorn", seed=3)
     rng = np.random.default_rng(3)
@@ -267,7 +289,7 @@ def test_batched_reevaluation_equals_per_entry_on_sinkhorn():
     theta = env.theta_init() + 0.01 * rng.standard_normal(env.p)
     rows = reevaluate(env, entries, theta)
     for entry, row in zip(entries, rows):
-        assert np.array_equal(row, hypergradient_at(env, entry.decision, entry.adjoint, theta,
+        assert np.array_equal(row, hypergradient_at(env, entry.record.dispatch_decision, entry.adjoint, theta,
                                                     entry.record.payload))
 
 
@@ -282,7 +304,7 @@ def test_batched_reevaluation_equals_per_entry_on_adjoint_envs_exactly(name):
     rows = reevaluate(env, entries, theta)
     assert any(np.any(row != 0) for row in rows)
     for entry, row in zip(entries, rows):
-        assert np.array_equal(row, hypergradient_at(env, entry.decision, entry.adjoint, theta,
+        assert np.array_equal(row, hypergradient_at(env, entry.record.dispatch_decision, entry.adjoint, theta,
                                                     entry.record.payload))
 
 
