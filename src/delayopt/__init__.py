@@ -6,9 +6,8 @@ four simulated environments, a delay-queue simulator, and a statistics
 harness that writes reproducible CSV experiment tables.
 """
 
-from delayopt.core import BilevelProblem, OutcomeRecord, decision_regret
+from delayopt.core import BilevelProblem, OutcomeRecord
 from delayopt.solvers import (
-    CGConfig,
     InnerSolverConfig,
     InnerSolveReport,
     conjugate_gradient,
@@ -18,7 +17,6 @@ from delayopt.solvers import (
     sinkhorn_log,
 )
 from delayopt.transport import (
-    AdjointVector,
     TransportBuffer,
     TransportBufferEntry,
     hypergradient_at,

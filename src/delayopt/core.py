@@ -1,17 +1,18 @@
-"""Smooth bilevel-problem contract, the outcome record and decision regret.
+"""Smooth bilevel-problem contract and the outcome record.
 
 The smooth environments implement :class:`BilevelProblem`: an inner
 (model-based) objective over decisions ``w`` and an outer (realized) decision
-loss, plus the analytic derivative products the adjoint route consumes. All
-second-order quantities are exposed as matrix-free actions so the decision
-dimension can grow without dense Hessian storage.
+loss, plus the analytic derivative products the adjoint route consumes. Every
+smooth environment solves its adjoint in closed form (``exact_adjoint``);
+the cross partial is exposed as a matrix-free action, so re-evaluating a
+stored round never forms a dense derivative.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -58,9 +59,6 @@ class BilevelProblem(ABC):
     mu_w_hint: float = 1.0  # strong-convexity lower bound used for error estimates
 
     @abstractmethod
-    def true_loss(self, w: np.ndarray, theta: np.ndarray, z: Any) -> float: ...
-
-    @abstractmethod
     def grad_w_model(self, w: np.ndarray, theta: np.ndarray, ctx: Any = None) -> np.ndarray: ...
 
     @abstractmethod
@@ -68,9 +66,6 @@ class BilevelProblem(ABC):
 
     @abstractmethod
     def grad_theta_true_fixed_w(self, w: np.ndarray, theta: np.ndarray, z: Any) -> np.ndarray: ...
-
-    @abstractmethod
-    def hess_ww_model_vp(self, w: np.ndarray, theta: np.ndarray, v: np.ndarray, ctx: Any = None) -> np.ndarray: ...
 
     @abstractmethod
     def cross_partial_transpose_vp(self, w: np.ndarray, theta: np.ndarray, v: np.ndarray, ctx: Any = None) -> np.ndarray: ...
@@ -101,57 +96,8 @@ class BilevelProblem(ABC):
             rows.append(direct - implicit)
         return np.stack(rows)
 
-    def exact_inner(self, theta: np.ndarray, ctx: Any = None) -> Optional[np.ndarray]:
-        """Closed-form inner minimizer, or None when no closed form exists."""
-        return None
-
-    def exact_adjoint(self, w: np.ndarray, theta: np.ndarray, z: Any) -> Optional[np.ndarray]:
-        """Closed-form adjoint at ``(w, theta)`` for outcome ``z``, or None when
-        no closed form exists and the adjoint is solved by conjugate gradient."""
-        return None
-
-
-@dataclass(frozen=True)
-class RegretReport:
-    """Cumulative decision loss relative to a fixed comparator.
-
-    When the comparator term cannot be evaluated (no exact inner solution),
-    ``comparator_available`` is False and ``value`` holds the cumulative loss
-    alone, flagged rather than silently mislabeled as regret.
-    """
-
-    value: float
-    cumulative_loss: float
-    comparator_term: float
-    comparator_available: bool
-
-
-def decision_regret(
-    trajectory: Sequence[tuple[np.ndarray, np.ndarray, Any]],
-    problem: BilevelProblem,
-    comparator: np.ndarray,
-) -> RegretReport:
-    """Cumulative realized loss minus the comparator's loss on the same outcomes.
-
-    ``trajectory`` holds per-round ``(theta_t, w_t, z_t)``. The comparator term
-    replays every outcome under the comparator parameters' exact inner
-    decision, so both sums run over the realized per-round losses.
-    """
-    comparator = np.asarray(comparator, dtype=float)
-    cumulative = 0.0
-    for theta_t, w_t, z_t in trajectory:
-        cumulative += problem.true_loss(np.asarray(w_t, float), np.asarray(theta_t, float), z_t)
-
-    w_cmp = problem.exact_inner(comparator)
-    if w_cmp is None:
-        return RegretReport(
-            value=cumulative, cumulative_loss=cumulative, comparator_term=float("nan"),
-            comparator_available=False,
-        )
-    cmp_term = 0.0
-    for _, _, z_t in trajectory:
-        cmp_term += problem.true_loss(w_cmp, comparator, z_t)
-    return RegretReport(
-        value=cumulative - cmp_term, cumulative_loss=cumulative,
-        comparator_term=cmp_term, comparator_available=True,
-    )
+    @abstractmethod
+    def exact_adjoint(self, w: np.ndarray, theta: np.ndarray, z: Any) -> np.ndarray:
+        """Closed-form adjoint at ``(w, theta)`` for outcome ``z``: the solution
+        ``v`` of ``H_ww v = grad_w_true(w, theta, z)`` over the feasible decision
+        directions, with ``H_ww`` the model objective's Hessian in ``w``."""

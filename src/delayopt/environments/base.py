@@ -4,7 +4,8 @@ An environment owns its exogenous randomness (drift, contexts, noise), its
 round context, and its inner-solver pipeline. Two environments with the same
 seed replay identical exogenous sequences regardless of the optimizer driving
 them, which is what makes paired algorithm comparisons valid. The smooth
-environments also implement ``delayopt.core.BilevelProblem``, the adjoint route.
+environments also implement ``delayopt.core.BilevelProblem``, the adjoint route,
+each with a closed-form adjoint.
 """
 
 from __future__ import annotations

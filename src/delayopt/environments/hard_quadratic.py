@@ -68,8 +68,8 @@ class HardQuadraticProblem(BilevelProblem, Environment):
     def grad_theta_true_fixed_w(self, w, theta, z=None):
         return np.array([-self.cfg.a * (w[0] - self.cfg.a * theta[0])])
 
-    def hess_ww_model_vp(self, w, theta, v, ctx=None):
-        return self.cfg.mu_w * np.asarray(v, dtype=float)
+    def exact_adjoint(self, w, theta, z=None):
+        return self.grad_w_true(w, theta, z) / self.cfg.mu_w
 
     def cross_partial_transpose_vp(self, w, theta, v, ctx=None):
         return np.array([-self.cfg.b * self.cfg.mu_w * v[0]])

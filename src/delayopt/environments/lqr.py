@@ -7,8 +7,9 @@ realized loss plays the gain on the true dynamics with persistent state and
 process noise, so bad gains feed back into the data the learner sees.
 
 Everything is polynomial in (gain, parameters), so all derivative products
-are analytic, the inner Hessian action is a small positive definite matrix
-product, and the exact inner gain has a closed form.
+are analytic. The model objective is quadratic in the gain with Hessian
+``2 M`` (acting on the n_u x n_x gain, ``M = R + B'QB`` positive definite),
+so both the exact inner gain and the adjoint are one small linear solve.
 
 Two hot paths are shaped by that structure. The model gradient
 ``2 (M W - C)`` has theta-only terms ``M = R + B'QB`` and ``C = B'QA``, formed
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delayopt.core import BilevelProblem
+from delayopt.core import BilevelProblem, ContractError
 from delayopt.environments.base import Environment
 from delayopt.solvers import InnerSolveReport, InnerSolverConfig, inner_gd
 
@@ -43,6 +44,10 @@ class LQRConfig:
     loss_cap: float = 1e8
     state_cap: float = 1e8
     task_seed: int = 0  # dynamics matrices and initial parameters; run seed drives noise
+
+    def __post_init__(self):
+        if self.r_weight <= 0:
+            raise ContractError("r_weight must be positive: the model objective needs R > 0")
 
 
 class LQRProblem(BilevelProblem, Environment):
@@ -112,10 +117,11 @@ class LQRProblem(BilevelProblem, Environment):
     def grad_w_model(self, w, theta, ctx=None):
         return self.model_gradient_at(theta, ctx)(np.asarray(w))
 
-    def hess_ww_model_vp(self, w, theta, v, ctx=None):
-        _, B = self._unpack(theta)
-        V = self._gain(v)
-        return (2.0 * (self.R + B.T @ self.Q @ B) @ V).ravel()
+    def exact_adjoint(self, w, theta, z):
+        """``2 M V = G`` for the adjoint gain ``V``, with ``G`` the realized-loss
+        gradient as an (n_u, n_x) gain."""
+        M, _ = self._model_terms(theta)
+        return np.linalg.solve(2.0 * M, self._gain(self.grad_w_true(w, theta, z))).ravel()
 
     def cross_partial_transpose_vp(self, w, theta, v, ctx=None):
         A, B = self._unpack(theta)

@@ -142,10 +142,6 @@ class SinkhornProblem(BilevelProblem, Environment):
         w = np.maximum(np.asarray(w), self.cfg.coupling_floor)
         return costs + self.cfg.regularization * (1.0 + np.log(w))
 
-    def hess_ww_model_vp(self, w, theta, v, ctx=None):
-        w = np.maximum(np.asarray(w), self.cfg.coupling_floor)
-        return self.cfg.regularization * np.asarray(v) / w
-
     def exact_adjoint(self, w, theta, z):
         """Adjoint restricted to the transport polytope's tangent space.
 

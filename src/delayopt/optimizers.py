@@ -18,7 +18,6 @@ import numpy as np
 
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments.base import Environment
-from delayopt.solvers import CGConfig
 from delayopt.transport import TransportBuffer, TransportDiagnostics, transport_step
 # unused here, but bench/instrument.py traces these two bindings of this module
 from delayopt.transport import hypergradient_at, solve_adjoint  # noqa: F401
@@ -112,14 +111,13 @@ class TransportEngine:
     is re-evaluated.
     """
 
-    def __init__(self, problem: Environment, capacity: int, cg: CGConfig, at_dispatch: bool = False):
+    def __init__(self, problem: Environment, capacity: int, at_dispatch: bool = False):
         self.problem = problem
         self.buffer = TransportBuffer(capacity)
-        self.cg = cg
         self.at_dispatch = at_dispatch
 
     def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, TransportDiagnostics]:
-        return transport_step(self.buffer, arrivals, self.problem, theta_t, self.cg, self.at_dispatch)
+        return transport_step(self.buffer, arrivals, self.problem, theta_t, self.at_dispatch)
 
     def end_round(self) -> int:
         return self.buffer.evict_to_capacity()
@@ -129,8 +127,8 @@ class StaleArrivalEngine(TransportEngine):
     """Summed arrival gradients at their dispatch snapshots (theta_s, w_s);
     with capacity 0 nothing is kept for re-evaluation past the round."""
 
-    def __init__(self, problem: Environment, cg: CGConfig):
-        super().__init__(problem, 0, cg, at_dispatch=True)
+    def __init__(self, problem: Environment):
+        super().__init__(problem, 0, at_dispatch=True)
 
 
 class TwoStageEngine:
@@ -175,16 +173,9 @@ class AlgorithmConfig:
     # projection masks every instability the guard is meant to catch
     theta_radius: float = 1e7
     divergence_norm: float = 1e6
-    # conjugate-gradient adjoint settings, for environments without a
-    # closed-form adjoint
-    cg_tolerance: float = 1e-8
-    cg_max_iterations: Optional[int] = None
 
     def schedule(self) -> StepSchedule:
         return StepSchedule(eta0=self.eta0, beta=self.beta_damping, mode=self.schedule_mode)
-
-    def cg_config(self) -> CGConfig:
-        return CGConfig(tolerance=self.cg_tolerance, max_iterations=self.cg_max_iterations)
 
 
 _REGISTRY: dict[str, dict[str, Any]] = {
@@ -221,9 +212,9 @@ def make_algorithm(name: str, **overrides) -> AlgorithmConfig:
 
 def make_engine(cfg: AlgorithmConfig, problem: Environment, buffer_capacity: int):
     if cfg.gradient == "transport":
-        return TransportEngine(problem, buffer_capacity, cfg.cg_config())
+        return TransportEngine(problem, buffer_capacity)
     if cfg.gradient == "stale":
-        return StaleArrivalEngine(problem, cfg.cg_config())
+        return StaleArrivalEngine(problem)
     if cfg.gradient == "two_stage":
         return TwoStageEngine(problem)
     raise ContractError(f"unknown gradient source {cfg.gradient!r}")

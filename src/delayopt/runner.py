@@ -35,7 +35,6 @@ class RunResult:
     diverged_round: Optional[int]
     delay_hash: str
     poisson_cap_hits: int
-    cg_iterations: int
     skipped_arrivals: int
     comparator_note: str
     final_theta: np.ndarray
@@ -82,7 +81,6 @@ def run_online(
     cols: dict[str, list] = {name: [] for name in ROW_COLUMNS}
     diverged = False
     diverged_round: Optional[int] = None
-    cg_total = 0
     skipped = 0
     is_constant_delay = delay.kind == "constant"
 
@@ -110,7 +108,6 @@ def run_online(
 
         if do_update:
             g, diag = engine.round_gradient(theta, arrivals)
-            cg_total += diag.cg_iterations
             skipped += diag.skipped_arrivals
             if algo.clip_norm is not None:
                 norm = float(np.linalg.norm(g))
@@ -153,7 +150,6 @@ def run_online(
         diverged_round=diverged_round,
         delay_hash=delay.realized_hash(),
         poisson_cap_hits=delay.cap_hits,
-        cg_iterations=cg_total,
         skipped_arrivals=skipped,
         comparator_note=env.comparator_note,
         final_theta=theta if not diverged else history[-1],

@@ -7,9 +7,9 @@ returns the same paths for many grids at once from one vectorized min-plus
 relaxation, for re-evaluating a whole transport buffer. An exact linear
 assignment solver prices the minimum-cost transport plan between uniform
 marginals, the Sinkhorn environment's regret comparator. Conjugate gradient
-solves the symmetric positive-definite adjoint systems of environments
-without a closed-form adjoint (the control and scalar quadratic environments)
-from the inner Hessian action alone, without materializing the Hessian.
+solves a symmetric positive-definite system from its operator action alone;
+every environment solves its adjoint in closed form, so it serves only as the
+reference those closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -418,20 +418,11 @@ def grid_shortest_paths(
     raise SolverError("grid_shortest_paths: backtracking did not reach the start")
 
 
-@dataclass
-class CGConfig:
-    tolerance: float = 1e-8
-    max_iterations: Optional[int] = None  # defaults to 10 * dimension
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ContractError("CG tolerance must be positive")
-
-
 def conjugate_gradient(
     apply_A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
-    cfg: Optional[CGConfig] = None,
+    tolerance: float = 1e-8,
+    max_iterations: Optional[int] = None,
 ) -> tuple[np.ndarray, float, int]:
     """Solve ``A x = b`` for a symmetric positive definite operator, from zero.
 
@@ -440,13 +431,11 @@ def conjugate_gradient(
     Detected negative curvature raises, since it means the operator is not SPD
     on the explored subspace.
     """
-    cfg = cfg or CGConfig()
     b = np.asarray(b, dtype=float)
-    n = b.size
-    max_iter = cfg.max_iterations if cfg.max_iterations is not None else 10 * n
+    max_iter = max_iterations if max_iterations is not None else 10 * b.size
     x = np.zeros_like(b)
     r = b.copy()
-    tol = cfg.tolerance * max(1.0, float(np.linalg.norm(b)))
+    tol = tolerance * max(1.0, float(np.linalg.norm(b)))
     res = float(np.linalg.norm(r))
     if res <= tol:
         return x, res, 0

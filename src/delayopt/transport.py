@@ -2,7 +2,8 @@
 
 A round's hypergradient is assembled from two terms: the explicit derivative
 of the realized loss in the outer parameters, and an implicit term routed
-through an adjoint solve against the inner Hessian. Once a round's feedback
+through the adjoint of the inner Hessian, which every smooth environment
+solves in closed form. Once a round's feedback
 has arrived, its stored ``(w_s, v_s)`` pair lets the gradient be re-evaluated
 at any later parameter point without re-solving the inner problem; the
 transport step accumulates those one-step re-evaluation increments, which
@@ -20,44 +21,23 @@ import numpy as np
 
 from delayopt.core import BilevelProblem, ContractError, OutcomeRecord
 from delayopt.environments.base import Environment
-from delayopt.solvers import CGConfig, SolverError, conjugate_gradient
+from delayopt.solvers import SolverError
+# unused here, but bench/instrument.py traces this binding of this module
+from delayopt.solvers import conjugate_gradient  # noqa: F401
 
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class AdjointVector:
-    values: np.ndarray
-    solve_residual: float  # 0 for a closed-form adjoint
-    solve_iterations: int  # CG iterations; 0 for a closed-form adjoint
-
-
-def solve_adjoint(
-    problem: BilevelProblem,
-    w_s: np.ndarray,
-    theta: np.ndarray,
-    z_s: Any,
-    cg: CGConfig,
-) -> AdjointVector:
-    """Solve H_w v = grad_w of the realized loss at the stored decision.
-
-    Uses the environment's closed-form adjoint when it has one. Otherwise
-    runs conjugate gradient from zero on the Hessian action at
-    ``(w_s, theta)`` against the realized-loss gradient.
-    """
-    exact = problem.exact_adjoint(w_s, theta, z_s)
-    if exact is not None:
-        return AdjointVector(values=exact, solve_residual=0.0, solve_iterations=0)
-    rhs = problem.grad_w_true(w_s, theta, z_s)
-    x, residual, iters = conjugate_gradient(
-        lambda v: problem.hess_ww_model_vp(w_s, theta, v, ctx=z_s), rhs, cfg=cg)
-    return AdjointVector(values=x, solve_residual=residual, solve_iterations=iters)
+def solve_adjoint(problem: BilevelProblem, w_s: np.ndarray, theta: np.ndarray, z_s: Any) -> np.ndarray:
+    """The adjoint ``v`` solving ``H_w v = grad_w`` of the realized loss at the
+    stored decision, from the environment's closed form at ``(w_s, theta)``."""
+    return problem.exact_adjoint(w_s, theta, z_s)
 
 
 def hypergradient_at(
     problem: BilevelProblem,
     w_s: np.ndarray,
-    v_s: AdjointVector | np.ndarray,
+    v_s: np.ndarray,
     theta_query: np.ndarray,
     z_s: Any,
 ) -> np.ndarray:
@@ -67,9 +47,8 @@ def hypergradient_at(
     theta-dependent factors are recomputed, so the cost is a couple of
     matrix-vector products.
     """
-    v = v_s.values if isinstance(v_s, AdjointVector) else np.asarray(v_s, dtype=float)
     direct = problem.grad_theta_true_fixed_w(w_s, theta_query, z_s)
-    implicit = problem.cross_partial_transpose_vp(w_s, theta_query, v, ctx=z_s)
+    implicit = problem.cross_partial_transpose_vp(w_s, theta_query, v_s, ctx=z_s)
     if direct.shape != implicit.shape:
         raise ContractError("hypergradient term dimension mismatch")
     return direct - implicit
@@ -119,7 +98,6 @@ class TransportBuffer:
 class TransportDiagnostics:
     arrivals: int = 0
     skipped_arrivals: int = 0
-    cg_iterations: int = 0
 
 
 def transport_step(
@@ -127,7 +105,6 @@ def transport_step(
     arrivals: list[OutcomeRecord],
     problem: Environment,
     theta_t: np.ndarray,
-    cg: CGConfig,
     at_dispatch: bool = False,
 ) -> tuple[np.ndarray, TransportDiagnostics]:
     """One transport round: arrival gradients plus re-evaluation increments.
@@ -160,13 +137,11 @@ def transport_step(
         adjoint = None
         if isinstance(problem, BilevelProblem):
             try:
-                solved = solve_adjoint(problem, rec.dispatch_decision, point, rec.payload, cg)
+                adjoint = solve_adjoint(problem, rec.dispatch_decision, point, rec.payload)
             except SolverError as exc:
                 diag.skipped_arrivals += 1
                 log.warning("round %d arrival skipped: %s", rec.round, exc)
                 continue
-            diag.cg_iterations += solved.solve_iterations
-            adjoint = solved.values
         entry = TransportBufferEntry(
             round=rec.round, adjoint=adjoint, record=rec, cached_gradient=np.zeros(0),
         )

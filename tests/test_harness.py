@@ -110,7 +110,7 @@ def test_run_csv_round_trip_keeps_nine_significant_digits(tmp_path_factory, runs
     for seed, cols in enumerate(runs):
         key = RunKey(algo, delay, seed)
         res = RunResult(columns=cols, diverged=False, diverged_round=None, delay_hash="0", poisson_cap_hits=0,
-                        cg_iterations=0, skipped_arrivals=0, comparator_note="", final_theta=np.zeros(1))
+                        skipped_arrivals=0, comparator_note="", final_theta=np.zeros(1))
         path = os.path.join(cfg.out_dir, "runs", key.filename())
         write_run_csv(path, cfg, key, res)
         back = read_run_csv(path)
@@ -158,6 +158,8 @@ def test_config_error_messages_name_section_and_key():
         parse_config("[experiment]\nbogus = 1\n[algorithm.stale_omd]\neta0 = 0.1\n")
     with pytest.raises(ConfigError, match=r"\[algorithm.stale_omd\] unknown key"):
         parse_config("[algorithm.stale_omd]\nnot_a_field = 3\n")
+    with pytest.raises(ConfigError, match=r"\[algorithm.stale_omd\] unknown key 'cg_tolerance'"):
+        parse_config("[algorithm.stale_omd]\ncg_tolerance = 1e-8\n")
     with pytest.raises(ConfigError, match="treatment"):
         parse_config("[algorithm.stale_omd]\neta0 = 0.1\n[compare]\ntreatment = missing\ncontrol = stale_omd\n")
     with pytest.raises(ConfigError, match="at least one"):

@@ -17,7 +17,6 @@ from delayopt.optimizers import (
     make_engine,
 )
 from delayopt.runner import run_online
-from delayopt.solvers import CGConfig
 from delayopt.transport import hypergradient_at, solve_adjoint
 
 
@@ -94,14 +93,14 @@ def test_stale_engine_sums_arrival_gradients_at_dispatch(name, route, spread, se
     env = make_environment(name, seed=seed)
     rng = np.random.default_rng(seed)
     records = played_records(env, rng, count, spread)
-    engine = StaleArrivalEngine(env, CGConfig())
+    engine = StaleArrivalEngine(env)
     theta_now = env.theta_init() + spread * rng.standard_normal(env.p)
     for batch in (records[:split], records[split:]):
         expected = np.zeros(env.p)
         for rec in batch:
             theta_s, w_s, z_s = rec.dispatch_params, rec.dispatch_decision, rec.payload
             if route == "adjoint":
-                v_s = solve_adjoint(env, w_s, theta_s, z_s, CGConfig())
+                v_s = solve_adjoint(env, w_s, theta_s, z_s)
                 expected += hypergradient_at(env, w_s, v_s, theta_s, z_s)
             else:
                 expected += env.surrogate_gradient(theta_s, rec)

@@ -14,7 +14,6 @@ from scipy.optimize import linear_sum_assignment, linprog
 from delayopt.core import ContractError
 from delayopt.environments import make_environment
 from delayopt.solvers import (
-    CGConfig,
     InnerSolverConfig,
     SolverError,
     assignment_min_cost,
@@ -413,7 +412,7 @@ def test_cg_random_spd_meets_tolerance():
         M = rng.standard_normal((n, n))
         A = M @ M.T + n * np.eye(n)
         b = rng.standard_normal(n)
-        x, res, iters = conjugate_gradient(lambda v: A @ v, b, cfg=CGConfig(tolerance=1e-10))
+        x, res, iters = conjugate_gradient(lambda v: A @ v, b, tolerance=1e-10)
         assert res <= 1e-10 * max(1.0, np.linalg.norm(b))
         assert np.allclose(A @ x, b, atol=1e-7)
 
@@ -426,7 +425,7 @@ def test_cg_error_monotone_in_A_norm():
     x_star = np.linalg.solve(A, b)
 
     def a_norm_err(k):
-        x, _, _ = conjugate_gradient(lambda v: A @ v, b, cfg=CGConfig(tolerance=1e-16, max_iterations=k))
+        x, _, _ = conjugate_gradient(lambda v: A @ v, b, tolerance=1e-16, max_iterations=k)
         e = x - x_star
         return float(e @ (A @ e))
 

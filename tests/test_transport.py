@@ -10,9 +10,8 @@ from delayopt.core import BilevelProblem, ContractError, OutcomeRecord
 from delayopt.environments import make_environment
 from delayopt.environments.grid_path import GridPathConfig, GridPathProblem
 from delayopt.optimizers import TransportEngine
-from delayopt.solvers import CGConfig
+from delayopt.solvers import SolverError
 from delayopt.transport import (
-    AdjointVector,
     TransportBuffer,
     TransportBufferEntry,
     hypergradient_at,
@@ -20,8 +19,6 @@ from delayopt.transport import (
     transport_error_surrogates,
     transport_step,
 )
-
-CG = CGConfig()
 
 
 def quad_env(a=1.0, b=2.0, mu_w=1.0, bias=0.0):
@@ -40,31 +37,27 @@ def record(env, t, theta_val, w_val=None):
 def test_adjoint_scalar_closed_form():
     env = quad_env()
     w, theta = np.array([1.7]), np.array([0.4])
-    adj = solve_adjoint(env, w, theta, None, CG)
-    assert adj.values[0] == pytest.approx(w[0] - theta[0], abs=1e-10)
+    adj = solve_adjoint(env, w, theta, None)
+    assert adj[0] == pytest.approx(w[0] - theta[0], abs=1e-10)
 
 
 def test_adjoint_zero_rhs():
     env = quad_env()
     theta = np.array([0.9])
     w = np.array([env.cfg.a * theta[0]])  # rhs = w - a*theta = 0
-    adj = solve_adjoint(env, w, theta, None, CG)
-    assert abs(adj.values[0]) <= 1e-12
-    assert adj.solve_iterations == 0
+    adj = solve_adjoint(env, w, theta, None)
+    assert adj[0] == 0.0
 
 
 def test_adjoint_diagonal_oracle():
+    # a diagonal Hessian's closed form, passed through unchanged
     class DiagProblem:
         p = q = 4
         def exact_adjoint(self, w, theta, z):
-            return None
-        def grad_w_true(self, w, theta, z):
-            return z
-        def hess_ww_model_vp(self, w, theta, v, ctx=None):
-            return np.array([2.0, 4.0, 8.0, 0.5]) * v
+            return z / np.array([2.0, 4.0, 8.0, 0.5])
     rhs = np.array([1.0, 2.0, -4.0, 1.0])
-    adj = solve_adjoint(DiagProblem(), np.zeros(4), np.zeros(1), rhs, CG)
-    assert np.allclose(adj.values, rhs / np.array([2.0, 4.0, 8.0, 0.5]), atol=1e-8)
+    adj = solve_adjoint(DiagProblem(), np.zeros(4), np.zeros(1), rhs)
+    assert np.array_equal(adj, [0.5, 0.5, -0.5, 2.0])
 
 
 # -- two-term re-evaluation ------------------------------------------------------
@@ -74,8 +67,7 @@ def test_hypergradient_exact_inner_closed_form():
     env = quad_env()
     theta = np.array([0.5])
     w = env.exact_inner(theta)
-    v = AdjointVector(values=np.array([(env.cfg.b - env.cfg.a) * theta[0] / env.cfg.mu_w]),
-                      solve_residual=0.0, solve_iterations=0)
+    v = np.array([(env.cfg.b - env.cfg.a) * theta[0] / env.cfg.mu_w])
     g = hypergradient_at(env, w, v, theta, None)
     assert g[0] == pytest.approx(env.coupling**2 * theta[0], abs=1e-12)
 
@@ -85,7 +77,7 @@ def test_hypergradient_matches_finite_difference_of_reduced_objective():
     for theta_val in (-1.2, 0.3, 0.9):
         theta = np.array([theta_val])
         w = env.exact_inner(theta)
-        adj = solve_adjoint(env, w, theta, None, CG)
+        adj = solve_adjoint(env, w, theta, None)
         g = hypergradient_at(env, w, adj, theta, None)
         h = 1e-6
         fd = (env.reduced_objective(theta_val + h) - env.reduced_objective(theta_val - h)) / (2 * h)
@@ -98,12 +90,12 @@ def test_hypergradient_biased_solver_formula():
     eps = 0.1
     theta = np.array([0.0])
     w = np.array([env.cfg.b * theta[0] + eps])
-    adj = solve_adjoint(env, w, theta, None, CG)
+    adj = solve_adjoint(env, w, theta, None)
     g = hypergradient_at(env, w, adj, theta, None)
     assert g[0] == pytest.approx(env.coupling * eps, abs=1e-10)
     theta = np.array([0.7])
     w = np.array([env.cfg.b * theta[0] + eps])
-    adj = solve_adjoint(env, w, theta, None, CG)
+    adj = solve_adjoint(env, w, theta, None)
     g = hypergradient_at(env, w, adj, theta, None)
     assert g[0] == pytest.approx(env.coupling**2 * theta[0] + env.coupling * eps, abs=1e-10)
 
@@ -112,7 +104,7 @@ def test_hypergradient_zero_terms():
     env = quad_env()
     theta = np.array([0.0])
     w = np.array([0.0])
-    v = AdjointVector(values=np.zeros(1), solve_residual=0.0, solve_iterations=0)
+    v = np.zeros(1)
     assert hypergradient_at(env, w, v, theta, None)[0] == 0.0
 
 
@@ -136,7 +128,7 @@ def test_buffer_capacity_and_fifo_order():
 def test_transport_step_empty_is_zero():
     env = quad_env()
     buf = TransportBuffer(capacity=5)
-    g, diag = transport_step(buf, [], env, np.array([1.0]), CG)
+    g, diag = transport_step(buf, [], env, np.array([1.0]))
     assert g[0] == 0.0 and len(buf) == 0 and diag.arrivals == 0
 
 
@@ -145,8 +137,8 @@ def test_transport_step_single_arrival_equals_arrival_gradient():
     buf = TransportBuffer(capacity=5)
     theta = np.array([0.6])
     rec = record(env, 1, 0.6)
-    g, _ = transport_step(buf, [rec], env, theta, CG)
-    adj = solve_adjoint(env, rec.dispatch_decision, theta, None, CG)
+    g, _ = transport_step(buf, [rec], env, theta)
+    adj = solve_adjoint(env, rec.dispatch_decision, theta, None)
     expected = hypergradient_at(env, rec.dispatch_decision, adj, theta, None)
     assert g[0] == pytest.approx(expected[0], abs=1e-12)
     assert len(buf) == 1
@@ -156,7 +148,7 @@ def test_new_arrival_contributes_zero_increment_on_its_round():
     env = quad_env()
     buf = TransportBuffer(capacity=5)
     theta = np.array([0.4])
-    transport_step(buf, [record(env, 1, 0.4)], env, theta, CG)
+    transport_step(buf, [record(env, 1, 0.4)], env, theta)
     entry = next(iter(buf))
     g_direct = hypergradient_at(env, entry.record.dispatch_decision, entry.adjoint, theta, None)
     assert entry.cached_gradient[0] == pytest.approx(g_direct[0], abs=1e-15)
@@ -169,25 +161,30 @@ def test_telescope_exactness_over_path():
     rng = np.random.default_rng(2)
     theta0 = np.array([1.1])
     rec = record(env, 1, theta0[0], w_val=2.0)
-    total, _ = transport_step(buf, [rec], env, theta0, CG)
+    total, _ = transport_step(buf, [rec], env, theta0)
     theta = theta0
     for _ in range(5):
         theta = theta + rng.normal(scale=0.8, size=1)
-        g, _ = transport_step(buf, [], env, theta, CG)
+        g, _ = transport_step(buf, [], env, theta)
         total = total + g
     entry = next(iter(buf))
     direct = hypergradient_at(env, entry.record.dispatch_decision, entry.adjoint, theta, None)
     assert abs(total[0] - direct[0]) <= 1e-12
 
 
-def test_transport_step_skips_failed_adjoint(caplog):
+def test_transport_step_skips_failed_adjoint(caplog, monkeypatch):
     env = quad_env()
-    env.hess_ww_model_vp = lambda w, theta, v, ctx=None: -np.asarray(v)  # not SPD
+
+    def fail(w, theta, z):
+        raise SolverError("singular adjoint system")
+
+    monkeypatch.setattr(env, "exact_adjoint", fail)
     buf = TransportBuffer(capacity=2)
-    rec = record(env, 3, 0.0, w_val=1.0)  # adjoint right-hand side w - a * theta = 1
-    g, diag = transport_step(buf, [rec], env, np.zeros(1), CG)
+    rec = record(env, 3, 0.0, w_val=1.0)
+    g, diag = transport_step(buf, [rec], env, np.zeros(1))
     assert diag.skipped_arrivals == 1
     assert g[0] == 0.0 and len(buf) == 0
+    assert "round 3 arrival skipped: singular adjoint system" in caplog.text
 
 
 # -- batched re-evaluation and telescoping ------------------------------------------
@@ -201,7 +198,7 @@ def adjoint_of(env, rec, theta):
     None off the adjoint route."""
     if not isinstance(env, BilevelProblem):
         return None
-    return solve_adjoint(env, rec.dispatch_decision, theta, rec.payload, CG).values
+    return solve_adjoint(env, rec.dispatch_decision, theta, rec.payload)
 
 
 def played_entries(env, rng, count, spread):
@@ -346,7 +343,7 @@ def test_transport_gradients_telescope_on_grid(seed, delays):
     env = GridPathProblem(GridPathConfig(height=6, width=7, feature_dim=12), seed=seed)
     rng = np.random.default_rng(seed)
     rounds = len(delays)
-    engine = TransportEngine(env, capacity=rounds, cg=CG)
+    engine = TransportEngine(env, capacity=rounds)
     theta = env.theta_init()
     w = env.initial_decision()
     pending: dict[int, list[OutcomeRecord]] = {}
@@ -390,7 +387,7 @@ def check_folded_arrivals(env, spread, seed, delays, capacity):
         pending.setdefault(t + delay, []).append(rec)
         arrivals = pending.pop(t, [])
 
-        g, _ = transport_step(buf, arrivals, env, theta, CG)
+        g, _ = transport_step(buf, arrivals, env, theta)
         buf.evict_to_capacity()
 
         expected = np.zeros(env.p)
