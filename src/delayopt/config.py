@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from delayopt.core import ContractError
 from delayopt.delays import DELAY_KINDS, DelaySchedule
-from delayopt.environments import environment_config_fields, environment_names
+from delayopt.environments import environment_config, environment_config_fields, environment_names
 from delayopt.optimizers import AlgorithmConfig, make_algorithm
 
 
@@ -83,6 +83,10 @@ class ExperimentConfig:
             if not _fits(value, fields[key]):
                 raise ConfigError(f"[environment.args] {key} = {value!r}: expected "
                                   f"{fields[key].__name__} for environment {self.environment!r}")
+        try:
+            environment_config(self.environment, **self.env_args)
+        except ContractError as exc:
+            raise ConfigError(f"[environment.args] {exc} (environment {self.environment!r})") from exc
         for spec in self.delays:
             if spec.kind not in DELAY_KINDS:
                 raise ConfigError(f"[delay] kind {spec.kind!r} is unknown; known: {', '.join(DELAY_KINDS)}")
@@ -95,6 +99,11 @@ class ExperimentConfig:
         names = [a.name for a in self.algorithms]
         if len(set(names)) != len(names):
             raise ConfigError("algorithm names must be unique")
+        for algo in self.algorithms:
+            try:
+                algo.schedule()
+            except ContractError as exc:
+                raise ConfigError(f"[algorithm.{algo.name}]: {exc}") from exc
         if self.compare is not None:
             for role, nm in (("treatment", self.compare.treatment), ("control", self.compare.control)):
                 if nm not in names:

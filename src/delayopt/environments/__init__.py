@@ -29,8 +29,12 @@ def environment_config_fields(name: str) -> dict[str, type]:
     return typing.get_type_hints(_factory(name)[0])
 
 
+def environment_config(name: str, **overrides):
+    """A registered environment's config dataclass; value ranges are checked
+    here, with ``ContractError``."""
+    return _factory(name)[0](**overrides)
+
+
 def make_environment(name: str, seed: int, **overrides) -> Environment:
     """Build a freshly seeded environment instance by registry name."""
-    cfg_cls, env_cls = _factory(name)
-    cfg = cfg_cls(**overrides)
-    return env_cls(cfg, seed=seed)
+    return _factory(name)[1](environment_config(name, **overrides), seed=seed)

@@ -5,7 +5,7 @@ round context, and its inner-solver pipeline. Two environments with the same
 seed replay identical exogenous sequences regardless of the optimizer driving
 them, which is what makes paired algorithm comparisons valid. The smooth
 environments also implement ``delayopt.core.BilevelProblem``, the adjoint route,
-each with a closed-form adjoint.
+each with a closed-form adjoint; the others answer ``exact_adjoint`` with None.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ class Environment(ABC):
     q: int  # inner decision dimension
     unstable: bool = False  # set when evaluation blows up; feeds the divergence criterion
     comparator_note: str = ""
+    # whether two_stage_gradient is implemented, so the two-stage baseline can run
+    has_prediction_target: bool = False
 
     @abstractmethod
     def theta_init(self) -> np.ndarray: ...
@@ -53,8 +55,14 @@ class Environment(ABC):
         is bit-identical to evaluating round i alone, so any set of rounds at
         one parameter point can be batched without changing a result."""
 
+    def exact_adjoint(self, w: np.ndarray, theta: np.ndarray, z: Any) -> Optional[np.ndarray]:
+        """The adjoint stored with an arrived round; None here, for an
+        environment off the adjoint route, whose ``hypergradients_at_many``
+        rows read only the decision and the outcome payload."""
+        return None
+
     def two_stage_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
         """Gradient of the prediction error on the arrived outcome, for the
-        two-stage baseline; environments without a prediction target keep
-        this default."""
+        two-stage baseline; environments that set ``has_prediction_target``
+        override this default."""
         raise ContractError(f"{type(self).__name__} has no prediction target")

@@ -66,6 +66,8 @@ class GridPathConfig:
 
 
 class GridPathProblem(Environment):
+    has_prediction_target = True
+
     def __init__(self, cfg: GridPathConfig, seed: int = 0):
         self.cfg = cfg
         self.n_cells = cfg.height * cfg.width

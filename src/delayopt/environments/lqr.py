@@ -51,6 +51,8 @@ class LQRConfig:
 
 
 class LQRProblem(BilevelProblem, Environment):
+    has_prediction_target = True
+
     def __init__(self, cfg: LQRConfig, seed: int = 0):
         self.cfg = cfg
         n_x, n_u = cfg.n_x, cfg.n_u

@@ -62,6 +62,8 @@ class SinkhornConfig:
 
 
 class SinkhornProblem(BilevelProblem, Environment):
+    has_prediction_target = True
+
     def __init__(self, cfg: SinkhornConfig, seed: int = 0):
         self.cfg = cfg
         n, k = cfg.n, cfg.feature_dim

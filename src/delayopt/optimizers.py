@@ -4,7 +4,7 @@ An algorithm is a (gradient source, base update rule, step schedule) triple.
 Gradient sources decide *which* outer gradient a round applies: the
 transport-corrected sum, the stale arrival sum evaluated at dispatch
 snapshots, or the two-stage regression gradient. Base rules decide *how* a
-gradient moves the parameters: plain projected gradient, Adam, or lazy
+gradient moves the parameters: plain gradient descent, Adam, or lazy
 cumulative-gradient FTRL. Any source composes with any base rule, which is
 what makes the transport correction optimizer-agnostic.
 """
@@ -58,10 +58,11 @@ class PlainGD:
 class Adam:
     """Adam with bias correction; the schedule's eta_t is the learning rate."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, floor: float = 1e-8):
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ContractError("Adam moment decays must lie in [0, 1)")
-        self.beta1, self.beta2, self.floor = beta1, beta2, floor
+    beta1 = 0.9  # first-moment decay
+    beta2 = 0.999  # second-moment decay
+    floor = 1e-8  # added to the root second moment
+
+    def __init__(self):
         self.m: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
         self.t = 0
@@ -97,38 +98,45 @@ def make_base_rule(cfg: "AlgorithmConfig"):
     if cfg.base == "plain_gd":
         return PlainGD()
     if cfg.base == "adam":
-        return Adam(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, floor=cfg.adam_floor)
+        return Adam()
     if cfg.base == "dftrl":
         return LazyFTRL()
     raise ContractError(f"unknown base rule {cfg.base!r}")
 
 
 class TransportEngine:
-    """Arrival gradients plus buffer re-evaluation at the current parameters.
+    """Arrival gradients plus buffer re-evaluation at the current parameters."""
 
-    With ``at_dispatch`` each arrival is solved and evaluated at its dispatch
-    snapshot instead; that is only meaningful with capacity 0, where nothing
-    is re-evaluated.
-    """
-
-    def __init__(self, problem: Environment, capacity: int, at_dispatch: bool = False):
+    def __init__(self, problem: Environment, capacity: int):
         self.problem = problem
         self.buffer = TransportBuffer(capacity)
-        self.at_dispatch = at_dispatch
 
     def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, TransportDiagnostics]:
-        return transport_step(self.buffer, arrivals, self.problem, theta_t, self.at_dispatch)
+        return transport_step(self.buffer, arrivals, self.problem, theta_t)
 
     def end_round(self) -> int:
         return self.buffer.evict_to_capacity()
 
 
-class StaleArrivalEngine(TransportEngine):
-    """Summed arrival gradients at their dispatch snapshots (theta_s, w_s);
-    with capacity 0 nothing is kept for re-evaluation past the round."""
+class StaleArrivalEngine:
+    """Summed arrival gradients, each solved and evaluated at its dispatch
+    snapshot (theta_s, w_s): one unbuffered transport round per arrival, so
+    nothing is kept for re-evaluation."""
 
     def __init__(self, problem: Environment):
-        super().__init__(problem, 0, at_dispatch=True)
+        self.problem = problem
+
+    def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, TransportDiagnostics]:
+        g = np.zeros_like(theta_t)
+        diag = TransportDiagnostics(arrivals=len(arrivals))
+        for rec in arrivals:
+            g_s, diag_s = transport_step(TransportBuffer(0), [rec], self.problem, rec.dispatch_params)
+            g += g_s
+            diag.skipped_arrivals += diag_s.skipped_arrivals
+        return g, diag
+
+    def end_round(self) -> int:
+        return 0
 
 
 class TwoStageEngine:
@@ -137,7 +145,7 @@ class TwoStageEngine:
     stored snapshot parameters)."""
 
     def __init__(self, problem: Environment):
-        if type(problem).two_stage_gradient is Environment.two_stage_gradient:
+        if not problem.has_prediction_target:
             raise ContractError(
                 f"{type(problem).__name__} exposes no prediction target; "
                 "the two-stage baseline cannot run on it"
@@ -165,14 +173,6 @@ class AlgorithmConfig:
     beta_damping: float = 1.0
     schedule_mode: str = "queue_adaptive"
     clip_norm: Optional[float] = None  # gradient norm clip before the base rule
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_floor: float = 1e-8
-    event_driven: bool = False
-    # the feasible ball must sit outside the divergence guard, otherwise the
-    # projection masks every instability the guard is meant to catch
-    theta_radius: float = 1e7
-    divergence_norm: float = 1e6
 
     def schedule(self) -> StepSchedule:
         return StepSchedule(eta0=self.eta0, beta=self.beta_damping, mode=self.schedule_mode)

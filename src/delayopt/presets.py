@@ -107,8 +107,9 @@ control = stale_adam
 
 
 register("controlled_comparison_dftrl", """
-# Same protocol with the lazy cumulative-gradient base rule, demonstrating
-# that the transport correction is independent of the update rule.
+# Same protocol with the lazy cumulative-gradient base rule. On this
+# unconstrained domain lazy FTRL with a constant step is plain gradient
+# descent, so this preset reruns transport against stale OMD, up to rounding.
 [experiment]
 name = controlled_comparison_dftrl
 environment = sinkhorn

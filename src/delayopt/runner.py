@@ -3,7 +3,9 @@ delay schedule together, producing one row of diagnostics per round.
 
 Each round: warm-started inner solve, execute the decision, dispatch it into
 the delay queue, collect arrivals, refresh the queue envelope and step size,
-apply the algorithm's gradient through its base rule, project, evict, log.
+apply the algorithm's gradient through its base rule, evict, log. A run stops
+at the first round whose parameters are non-finite or exceed
+``DIVERGENCE_NORM`` in norm, or whose environment reports itself unstable.
 Runs are deterministic given (environment seed, delay seed, config).
 """
 
@@ -24,6 +26,8 @@ ROW_COLUMNS = (
     "t", "sigma", "envelope", "eta", "true_loss", "regret_inc",
     "step_sq", "drift_sq", "step_sq_sum", "opt_gap", "diverged",
 )
+
+DIVERGENCE_NORM = 1e6
 
 
 @dataclass
@@ -63,7 +67,6 @@ def run_online(
     algo: AlgorithmConfig,
     delay: DelaySchedule,
     rounds: int,
-    check_window_inequality: bool = True,
 ) -> RunResult:
     if rounds < 1:
         raise ContractError("rounds must be >= 1")
@@ -97,26 +100,14 @@ def run_online(
         arrivals = queue.advance(t)
         sigma, envelope = queue.sigma, queue.envelope
 
-        if algo.event_driven:
-            # event-driven variant: update only when feedback lands, damping by
-            # the live queue instead of the monotone envelope
-            eta = adaptive_step(schedule, sigma)
-            do_update = bool(arrivals)
-        else:
-            eta = adaptive_step(schedule, envelope)
-            do_update = True
-
-        if do_update:
-            g, diag = engine.round_gradient(theta, arrivals)
-            skipped += diag.skipped_arrivals
-            if algo.clip_norm is not None:
-                norm = float(np.linalg.norm(g))
-                if norm > algo.clip_norm:
-                    g = g * (algo.clip_norm / norm)
-            theta_next = base.update(theta, g, eta)
-            theta_next = _project_ball(theta_next, algo.theta_radius)
-        else:
-            theta_next = theta.copy()
+        eta = adaptive_step(schedule, envelope)
+        g, diag = engine.round_gradient(theta, arrivals)
+        skipped += diag.skipped_arrivals
+        if algo.clip_norm is not None:
+            norm = float(np.linalg.norm(g))
+            if norm > algo.clip_norm:
+                g = g * (algo.clip_norm / norm)
+        theta_next = base.update(theta, g, eta)
         engine.end_round()
 
         history.append(theta_next)
@@ -124,7 +115,7 @@ def run_online(
         step_sq = float(step @ step)
         step_sqs.append(step_sq)
         drift_sq, step_sq_sum = transport_error_surrogates(history, step_sqs, queue.outstanding, t)
-        if check_window_inequality and is_constant_delay and delay.d >= 1:
+        if is_constant_delay and delay.d >= 1:
             bound = delay.d * step_sq_sum
             if drift_sq > bound * (1 + 1e-9) + 1e-15:
                 raise AssertionError(
@@ -133,7 +124,7 @@ def run_online(
 
         regret_inc = true_loss - env.comparator_round_loss(z_t)
 
-        bad_theta = not np.all(np.isfinite(theta_next)) or float(np.linalg.norm(theta_next)) > algo.divergence_norm
+        bad_theta = not np.all(np.isfinite(theta_next)) or float(np.linalg.norm(theta_next)) > DIVERGENCE_NORM
         row_diverged = bad_theta or env.unstable
         _append(cols, t, sigma, envelope, eta, true_loss, regret_inc, step_sq,
                 drift_sq, step_sq_sum, opt_gap, row_diverged)
@@ -169,10 +160,3 @@ def _append(cols, t, sigma, envelope, eta, true_loss, regret_inc, step_sq,
     cols["step_sq_sum"].append(step_sq_sum)
     cols["opt_gap"].append(np.nan if opt_gap is None else opt_gap)
     cols["diverged"].append(1.0 if diverged else 0.0)
-
-
-def _project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
-    norm = float(np.linalg.norm(theta))
-    if np.isfinite(norm) and norm > radius:
-        return theta * (radius / norm)
-    return theta

@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from delayopt.core import BilevelProblem, ContractError, OutcomeRecord
+from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments.base import Environment
 from delayopt.solvers import SolverError
 # unused here, but bench/instrument.py traces this binding of this module
@@ -28,20 +28,22 @@ from delayopt.solvers import conjugate_gradient  # noqa: F401
 log = logging.getLogger(__name__)
 
 
-def solve_adjoint(problem: BilevelProblem, w_s: np.ndarray, theta: np.ndarray, z_s: Any) -> np.ndarray:
+def solve_adjoint(problem: Environment, w_s: np.ndarray, theta: np.ndarray, z_s: Any) -> Optional[np.ndarray]:
     """The adjoint ``v`` solving ``H_w v = grad_w`` of the realized loss at the
-    stored decision, from the environment's closed form at ``(w_s, theta)``."""
+    stored decision, from the environment's closed form at ``(w_s, theta)``;
+    None for an environment off the adjoint route."""
     return problem.exact_adjoint(w_s, theta, z_s)
 
 
 def hypergradient_at(
-    problem: BilevelProblem,
+    problem: Environment,
     w_s: np.ndarray,
     v_s: np.ndarray,
     theta_query: np.ndarray,
     z_s: Any,
 ) -> np.ndarray:
-    """Two-term hypergradient at an arbitrary parameter point.
+    """Two-term hypergradient of a smooth environment at an arbitrary
+    parameter point.
 
     Holds the stored decision and adjoint frozen; only the explicit
     theta-dependent factors are recomputed, so the cost is a couple of
@@ -105,18 +107,15 @@ def transport_step(
     arrivals: list[OutcomeRecord],
     problem: Environment,
     theta_t: np.ndarray,
-    at_dispatch: bool = False,
 ) -> tuple[np.ndarray, TransportDiagnostics]:
     """One transport round: arrival gradients plus re-evaluation increments.
 
-    Gradients come from ``problem.hypergradients_at_many`` under one rule:
-    at ``theta_t`` one call evaluates the arrivals, in arrival order, then the
-    pre-existing entries, oldest first; with ``at_dispatch`` (the stale
-    baseline, which keeps nothing buffered past the round) each arrival is a
-    batch of one at its dispatch snapshot. Rows are bit-identical to single
-    evaluations, so batching changes no output. On the adjoint route
-    (``problem`` is a ``BilevelProblem``) each arrival's adjoint is first
-    solved at that same point; a failed solve skips the round with a warning.
+    Each arrival's adjoint is first solved at ``theta_t`` (None for an
+    environment off the adjoint route); a failed solve skips the round with a
+    warning. One ``problem.hypergradients_at_many`` call at ``theta_t`` then
+    evaluates the arrivals, in arrival order, and the pre-existing entries,
+    oldest first. Rows are bit-identical to single evaluations, so batching
+    changes no output.
 
     Every pre-existing entry's cache holds its gradient at the previous call's
     parameter point, so the increment ``g_s(theta_t) - cache`` is the one-step
@@ -133,23 +132,16 @@ def transport_step(
 
     fresh: list[TransportBufferEntry] = []
     for rec in arrivals:
-        point = rec.dispatch_params if at_dispatch else theta_t
-        adjoint = None
-        if isinstance(problem, BilevelProblem):
-            try:
-                adjoint = solve_adjoint(problem, rec.dispatch_decision, point, rec.payload)
-            except SolverError as exc:
-                diag.skipped_arrivals += 1
-                log.warning("round %d arrival skipped: %s", rec.round, exc)
-                continue
+        try:
+            adjoint = solve_adjoint(problem, rec.dispatch_decision, theta_t, rec.payload)
+        except SolverError as exc:
+            diag.skipped_arrivals += 1
+            log.warning("round %d arrival skipped: %s", rec.round, exc)
+            continue
         entry = TransportBufferEntry(
             round=rec.round, adjoint=adjoint, record=rec, cached_gradient=np.zeros(0),
         )
-        if at_dispatch:
-            entry.cached_gradient = _gradients_at(problem, point, [entry])[0]
-            g_total += entry.cached_gradient
-        else:
-            fresh.append(entry)
+        fresh.append(entry)
         buffer.insert(entry)
 
     if fresh or preexisting:

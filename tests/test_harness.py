@@ -1,5 +1,6 @@
 """Config parsing, CSV plumbing, determinism, and the CLI surface."""
 
+import dataclasses
 import os
 import re
 
@@ -19,6 +20,7 @@ from delayopt.harness import (
     summarize_cell,
     write_run_csv,
 )
+from delayopt.optimizers import AlgorithmConfig, algorithm_names, make_algorithm
 from delayopt.runner import ROW_COLUMNS, RunResult
 from delayopt.presets import load_preset, preset_names
 
@@ -259,6 +261,57 @@ def test_cli_config_typos_exit_2_before_running(tmp_path, capsys, environment, e
     err = capsys.readouterr().err
     assert re.match("error: " + message, err)
     assert not (tmp_path / "out").exists()
+
+
+VALUE_RANGES = [
+    ("lqr", "r_weight = 0.0", "", r"\[environment.args\] r_weight must be positive"),
+    ("hard_quadratic", "mu_w = 0", "", r"\[environment.args\] mu_w must be positive"),
+    ("hard_quadratic", "", "eta0 = 0", r"\[algorithm.transport_omd\]: eta0 must be positive"),
+    ("hard_quadratic", "", "schedule_mode = bogus",
+     r"\[algorithm.transport_omd\]: unknown schedule mode 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("environment, env_arg, algo_arg, message", VALUE_RANGES,
+                         ids=["r_weight", "mu_w", "eta0", "schedule_mode"])
+def test_value_range_errors_exit_2_before_running(tmp_path, capsys, environment, env_arg, algo_arg, message):
+    from delayopt.cli import main
+    text = (f"[experiment]\nenvironment = {environment}\nrounds = 3\nout = {tmp_path / 'out'}\n"
+            f"[environment.args]\n{env_arg}\n[algorithm.transport_omd]\n{algo_arg}\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+    cfg_path = tmp_path / "range.ini"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert re.match("error: " + message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def schema_table(after: str) -> list[list[str]]:
+    """Body rows of the first table after the line ``after`` in
+    docs/config_schema.md, cells stripped of spaces and backticks."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "config_schema.md")
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    rows = []
+    for line in lines[lines.index(after) + 1:]:
+        if line.startswith("|"):
+            rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+        elif rows:
+            break
+    return rows[2:]  # past the header and its rule
+
+
+def test_config_schema_lists_every_algorithm_key_and_registry_entry():
+    keys = [row[0] for row in schema_table("## `[algorithm.<label>]`")]
+    assert keys == [f.name for f in dataclasses.fields(AlgorithmConfig) if f.name != "name"]
+    entries = schema_table("The registry entries set these fields, and leave `eta0` at its default:")
+    assert [row[0] for row in entries] == algorithm_names()
+    for kind, gradient, base, mode, clip, damping in entries:
+        algo = make_algorithm(kind)
+        assert (algo.gradient, algo.base, algo.schedule_mode) == (gradient, base, mode), kind
+        assert algo.clip_norm == (None if clip == "none" else float(clip)), kind
+        assert algo.beta_damping == float(damping), kind
 
 
 def test_int_for_float_environment_arg_is_kept_as_written(tmp_path):

@@ -107,8 +107,7 @@ def test_stale_engine_sums_arrival_gradients_at_dispatch(name, route, spread, se
         g, diag = engine.round_gradient(theta_now, batch)
         np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-15)
         assert diag.arrivals == len(batch) and diag.skipped_arrivals == 0
-        engine.end_round()
-        assert len(engine.buffer) == 0
+        assert engine.end_round() == 0
 
 
 # -- trajectory identities -----------------------------------------------------------
@@ -219,30 +218,13 @@ def test_dftrl_two_identical_arrivals_linearity():
 
 def test_divergence_guard_halts_run():
     env = quad(seed=0)
-    algo = make_algorithm("stale_omd", eta0=5.0, schedule_mode="constant",
-                          theta_radius=1e9, divergence_norm=1e6)
+    algo = make_algorithm("stale_omd", eta0=5.0, schedule_mode="constant")
     res = run_online(env, algo, const_delay(0), rounds=500)
     assert res.diverged
     assert res.diverged_round is not None
     assert res.rounds_logged == res.diverged_round
     assert res.columns["diverged"][-1] == 1.0
     assert np.all(res.columns["diverged"][:-1] == 0.0)
-
-
-def test_projection_radius_bounds_parameters():
-    env = quad(seed=0)
-    algo = make_algorithm("stale_omd", eta0=5.0, schedule_mode="constant", theta_radius=2.0)
-    res = run_online(env, algo, const_delay(0), rounds=200)
-    assert not res.diverged  # projection keeps the iterate on the ball
-
-
-def test_event_driven_updates_only_on_arrivals():
-    env = quad(seed=0)
-    algo = make_algorithm("stale_omd", eta0=0.1, schedule_mode="constant", event_driven=True)
-    res = run_online(env, algo, const_delay(5), rounds=20)
-    # first 5 rounds have no arrivals: no parameter motion
-    assert np.all(res.columns["step_sq"][:5] == 0.0)
-    assert np.any(res.columns["step_sq"][5:] > 0.0)
 
 
 def test_eta_column_nonincreasing_queue_adaptive():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayopt.core import BilevelProblem, ContractError, OutcomeRecord
+from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments import make_environment
+from delayopt.environments.base import Environment
 from delayopt.environments.grid_path import GridPathConfig, GridPathProblem
-from delayopt.optimizers import TransportEngine
+from delayopt.optimizers import StaleArrivalEngine, TransportEngine
 from delayopt.solvers import SolverError
 from delayopt.transport import (
     TransportBuffer,
@@ -187,6 +188,74 @@ def test_transport_step_skips_failed_adjoint(caplog, monkeypatch):
     assert "round 3 arrival skipped: singular adjoint system" in caplog.text
 
 
+class AdjointRecorder(Environment):
+    """Not a ``BilevelProblem``, yet with an adjoint: each re-evaluation row is
+    the adjoint it is handed, and every call's adjoints are kept."""
+
+    p = q = 2
+
+    def __init__(self):
+        self.calls = []
+
+    def theta_init(self):
+        return np.zeros(2)
+
+    def initial_decision(self):
+        return np.zeros(2)
+
+    def solve_inner(self, theta, w_prev):
+        raise NotImplementedError
+
+    def realize_outcome(self, t, theta, w):
+        raise NotImplementedError
+
+    def comparator_round_loss(self, z):
+        return 0.0
+
+    def exact_adjoint(self, w, theta, z):
+        return w + z * theta
+
+    def hypergradients_at_many(self, theta, decisions, adjoints, payloads):
+        self.calls.append(list(adjoints))
+        return np.stack(adjoints)
+
+
+def recorder_arrival(t, theta):
+    return OutcomeRecord(round=t, payload=float(t), dispatch_params=np.array(theta),
+                         dispatch_decision=np.array([t, -t], dtype=float))
+
+
+def test_transport_step_hands_every_arrival_its_exact_adjoint():
+    env = AdjointRecorder()
+    buf = TransportBuffer(capacity=4)
+    first, second = recorder_arrival(1, [9.0, 9.0]), recorder_arrival(2, [8.0, 8.0])
+    theta1, theta2 = np.array([0.5, -1.0]), np.array([2.0, 3.0])
+    transport_step(buf, [first, second], env, theta1)
+    third = recorder_arrival(3, [7.0, 7.0])
+    transport_step(buf, [third], env, theta2)
+    # arrivals are solved at the current point; buffered rounds keep their adjoints
+    expected = [
+        [adjoint_of(env, first, theta1), adjoint_of(env, second, theta1)],
+        [adjoint_of(env, third, theta2), adjoint_of(env, first, theta1), adjoint_of(env, second, theta1)],
+    ]
+    assert len(env.calls) == 2
+    for handed, want in zip(env.calls, expected):
+        assert len(handed) == len(want)
+        for got, ref in zip(handed, want):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+
+
+def test_stale_engine_hands_each_arrival_its_dispatch_adjoint():
+    env = AdjointRecorder()
+    arrivals = [recorder_arrival(1, [9.0, 9.0]), recorder_arrival(2, [8.0, 8.0])]
+    g, diag = StaleArrivalEngine(env).round_gradient(np.array([0.5, -1.0]), arrivals)
+    want = [adjoint_of(env, rec, rec.dispatch_params) for rec in arrivals]
+    assert [len(handed) for handed in env.calls] == [1, 1]
+    for (got,), ref in zip(env.calls, want):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+    assert np.array_equal(g, want[0] + want[1]) and diag.arrivals == 2
+
+
 # -- batched re-evaluation and telescoping ------------------------------------------
 
 
@@ -196,9 +265,7 @@ ENV_SPREADS = {"hard_quadratic": 0.05, "lqr": 0.05, "sinkhorn": 0.01, "grid_path
 def adjoint_of(env, rec, theta):
     """The adjoint values ``transport_step`` solves for an arrival at ``theta``;
     None off the adjoint route."""
-    if not isinstance(env, BilevelProblem):
-        return None
-    return solve_adjoint(env, rec.dispatch_decision, theta, rec.payload)
+    return env.exact_adjoint(rec.dispatch_decision, theta, rec.payload)
 
 
 def played_entries(env, rng, count, spread):
@@ -225,7 +292,7 @@ def reevaluate(env, entries, theta):
 def single_gradient(env, rec, adjoint, theta):
     """The per-round reference: the two-term formula on the adjoint route,
     two heap solves on the grid."""
-    if isinstance(env, BilevelProblem):
+    if adjoint is not None:
         return hypergradient_at(env, rec.dispatch_decision, adjoint, theta, rec.payload)
     return env.surrogate_gradient(theta, rec)
 
