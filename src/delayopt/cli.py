@@ -81,7 +81,7 @@ def main(argv=None) -> int:
             result = run_experiment(cfg, parallel=args.parallel)
             print_summary(result.summary)
         elif args.command == "stability":
-            run_stability_sweep(cfg)
+            run_stability_sweep(cfg, parallel=args.parallel)
         elif args.command == "compare":
             run_controlled_comparison(cfg, parallel=args.parallel)
         elif args.command == "sweep-k":

@@ -17,8 +17,13 @@ from typing import Any, Optional
 
 from delayopt.core import ContractError
 from delayopt.delays import DELAY_KINDS, DelaySchedule
-from delayopt.environments import environment_config, environment_config_fields, environment_names
-from delayopt.optimizers import AlgorithmConfig, make_algorithm
+from delayopt.environments import (
+    environment_class,
+    environment_config,
+    environment_config_fields,
+    environment_names,
+)
+from delayopt.optimizers import BASE_RULES, GRADIENT_SOURCES, AlgorithmConfig, make_algorithm
 
 
 class ConfigError(ValueError):
@@ -99,11 +104,21 @@ class ExperimentConfig:
         names = [a.name for a in self.algorithms]
         if len(set(names)) != len(names):
             raise ConfigError("algorithm names must be unique")
+        has_target = environment_class(self.environment).has_prediction_target
         for algo in self.algorithms:
+            where = f"[algorithm.{algo.name}]"
+            if algo.gradient not in GRADIENT_SOURCES:
+                raise ConfigError(f"{where} gradient {algo.gradient!r} is unknown; "
+                                  f"known: {', '.join(GRADIENT_SOURCES)}")
+            if algo.base not in BASE_RULES:
+                raise ConfigError(f"{where} base {algo.base!r} is unknown; known: {', '.join(BASE_RULES)}")
+            if algo.gradient == "two_stage" and not has_target:
+                raise ConfigError(f"{where}: environment {self.environment!r} exposes no prediction "
+                                  "target; the two-stage baseline cannot run on it")
             try:
                 algo.schedule()
             except ContractError as exc:
-                raise ConfigError(f"[algorithm.{algo.name}]: {exc}") from exc
+                raise ConfigError(f"{where}: {exc}") from exc
         if self.compare is not None:
             for role, nm in (("treatment", self.compare.treatment), ("control", self.compare.control)):
                 if nm not in names:

@@ -29,6 +29,11 @@ def environment_config_fields(name: str) -> dict[str, type]:
     return typing.get_type_hints(_factory(name)[0])
 
 
+def environment_class(name: str) -> type[Environment]:
+    """A registered environment's class, for its declared attributes."""
+    return _factory(name)[1]
+
+
 def environment_config(name: str, **overrides):
     """A registered environment's config dataclass; value ranges are checked
     here, with ``ContractError``."""
@@ -37,4 +42,4 @@ def environment_config(name: str, **overrides):
 
 def make_environment(name: str, seed: int, **overrides) -> Environment:
     """Build a freshly seeded environment instance by registry name."""
-    return _factory(name)[1](environment_config(name, **overrides), seed=seed)
+    return environment_class(name)(environment_config(name, **overrides), seed=seed)

@@ -9,6 +9,7 @@ byte-identical files and any run can be traced back to its settings.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -211,17 +212,29 @@ def stability_probe(cfg: ExperimentConfig, algo: AlgorithmConfig, d: int, horizo
     return is_stable
 
 
-def run_stability_sweep(cfg: ExperimentConfig, write: bool = True) -> list[tuple[str, int, float]]:
+def _stability_cell(args) -> float:
+    cfg, algo, d = args
+    st = cfg.stability
+    return eta_max_search(stability_probe(cfg, algo, d, st.horizon), st.eta_lo, st.eta_hi, st.resolution)
+
+
+def run_stability_sweep(cfg: ExperimentConfig, parallel: int = 1, write: bool = True) -> list[tuple[str, int, float]]:
+    """Bisect ``eta_max`` for every (algorithm, delay) pair; print each and
+    write ``stability.csv``. The bisections are independent, so output is
+    independent of worker scheduling."""
     if cfg.stability is None:
         raise ConfigError("stability sweep needs a [stability] section")
     st = cfg.stability
+    cells = [(cfg, algo, d) for algo in cfg.algorithms for d in st.delays]
+    if parallel > 1:
+        with ProcessPoolExecutor(max_workers=parallel, mp_context=multiprocessing.get_context("spawn")) as pool:
+            etas: Iterable[float] = list(pool.map(_stability_cell, cells))
+    else:
+        etas = map(_stability_cell, cells)  # lazy: each line prints as its bisection ends
     rows: list[tuple[str, int, float]] = []
-    for algo in cfg.algorithms:
-        for d in st.delays:
-            is_stable = stability_probe(cfg, algo, d, st.horizon)
-            eta = eta_max_search(is_stable, st.eta_lo, st.eta_hi, st.resolution)
-            rows.append((algo.name, d, eta))
-            print(f"eta_max[{algo.name}, d={d}] = {eta:.6g}")
+    for (_, algo, d), eta in zip(cells, etas):
+        rows.append((algo.name, d, eta))
+        print(f"eta_max[{algo.name}, d={d}] = {eta:.6g}")
     if write:
         os.makedirs(cfg.out_dir, exist_ok=True)
         with open(os.path.join(cfg.out_dir, "stability.csv"), "w", encoding="utf-8", newline="\n") as fh:

@@ -94,14 +94,13 @@ class LazyFTRL:
         return self.theta1 - eta * self.cumulative
 
 
+BASE_RULES = {"plain_gd": PlainGD, "adam": Adam, "dftrl": LazyFTRL}
+
+
 def make_base_rule(cfg: "AlgorithmConfig"):
-    if cfg.base == "plain_gd":
-        return PlainGD()
-    if cfg.base == "adam":
-        return Adam()
-    if cfg.base == "dftrl":
-        return LazyFTRL()
-    raise ContractError(f"unknown base rule {cfg.base!r}")
+    if cfg.base not in BASE_RULES:
+        raise ContractError(f"unknown base rule {cfg.base!r}")
+    return BASE_RULES[cfg.base]()
 
 
 class TransportEngine:
@@ -208,6 +207,9 @@ def make_algorithm(name: str, **overrides) -> AlgorithmConfig:
     kwargs: dict[str, Any] = dict(_REGISTRY[name])
     kwargs.update(overrides)
     return AlgorithmConfig(name=name, **kwargs)
+
+
+GRADIENT_SOURCES = ("transport", "stale", "two_stage")
 
 
 def make_engine(cfg: AlgorithmConfig, problem: Environment, buffer_capacity: int):

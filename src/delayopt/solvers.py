@@ -68,18 +68,23 @@ def inner_gd(
 
     The gradient comes from ``problem.model_gradient_at(theta, ctx)``, taken
     once per solve, so an environment can form its theta-only terms once
-    rather than at every step. Deterministic; raises on a non-finite
-    gradient, reporting the step index.
+    rather than at every step. Deterministic.
+
+    Finiteness is checked once, after the last step: subtracting an infinite
+    or NaN step from the iterate never gives a finite value, so a non-finite
+    gradient at any step leaves the solution non-finite and raises
+    ``SolverError``; floating-point warnings inside the loop are silenced.
     """
     w = np.array(w_init, dtype=float, copy=True)
     if not np.all(np.isfinite(w)):
         raise ContractError("inner_gd requires a finite starting decision")
     grad = problem.model_gradient_at(theta, ctx)
-    for k in range(cfg.steps):
-        g = grad(w)
-        if not np.isfinite(g).all():
-            raise SolverError(f"inner divergence at step {k}")
-        w -= cfg.step_size * g
+    step_size = cfg.step_size
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.steps):
+            w -= step_size * grad(w)
+    if not np.isfinite(w).all():
+        raise SolverError(f"inner divergence within {cfg.steps} steps")
     residual = float(np.linalg.norm(grad(w)))
     eps = residual / max(problem.mu_w_hint, 1e-12)
     return InnerSolveReport(solution=w, iterations_used=cfg.steps, residual_norm=residual, epsilon_estimate=eps)
@@ -117,17 +122,20 @@ def sinkhorn_log(
     f = np.zeros(C.shape[0])
     g = np.zeros(C.shape[1])
     M = -C / eps
+    a = np.empty_like(M)  # shifted log-kernel, overwritten in place each half-sweep
     for _ in range(iterations):
-        # log-sum-exp over columns/rows with the dual shifts applied
-        f = eps * (log_mu - _logsumexp(M + g[None, :] / eps, axis=1))
-        g = eps * (log_nu - _logsumexp(M + f[:, None] / eps, axis=0))
+        # log-sum-exp over columns, then rows, with the dual shifts applied
+        np.add(M, g / eps, out=a)
+        m = a.max(axis=1)
+        a -= m[:, None]
+        np.exp(a, out=a)
+        f = eps * (log_mu - (m + np.log(a.sum(axis=1))))
+        np.add(M, (f / eps)[:, None], out=a)
+        m = a.max(axis=0)
+        a -= m
+        np.exp(a, out=a)
+        g = eps * (log_nu - (m + np.log(a.sum(axis=0))))
     return np.exp(M + f[:, None] / eps + g[None, :] / eps)
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
 
 
 def assignment_min_cost(cost_matrix: np.ndarray) -> tuple[list[int], float]:

@@ -31,8 +31,12 @@ log = logging.getLogger(__name__)
 def solve_adjoint(problem: Environment, w_s: np.ndarray, theta: np.ndarray, z_s: Any) -> Optional[np.ndarray]:
     """The adjoint ``v`` solving ``H_w v = grad_w`` of the realized loss at the
     stored decision, from the environment's closed form at ``(w_s, theta)``;
-    None for an environment off the adjoint route."""
-    return problem.exact_adjoint(w_s, theta, z_s)
+    None for an environment off the adjoint route. A singular closed-form
+    system raises ``SolverError``, which skips the arrival."""
+    try:
+        return problem.exact_adjoint(w_s, theta, z_s)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"adjoint solve failed: {exc}") from exc
 
 
 def hypergradient_at(

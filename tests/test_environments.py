@@ -282,11 +282,51 @@ def test_lqr_model_gradient_at_equals_inline_formula():
         grad = env.model_gradient_at(theta)
         for _ in range(3):
             w = scale * rng.standard_normal(env.q)
-            inline = (2.0 * ((env.R + B.T @ env.Q @ B) @ w.reshape(n_u, n_x) - B.T @ env.Q @ A)).ravel()
+            inline = (2.0 * ((env.R + B.T @ B) @ w.reshape(n_u, n_x) - B.T @ A)).ravel()
             assert np.array_equal(grad(w), inline)
             assert np.array_equal(env.grad_w_model(w, theta), inline)
-        gain = np.linalg.solve(env.R + B.T @ env.Q @ B, B.T @ env.Q @ A)
+        gain = np.linalg.solve(env.R + B.T @ B, B.T @ A)
         assert np.array_equal(env.exact_inner(theta), gain.ravel())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_x=st.integers(1, 10), n_u=st.integers(1, 4), r_weight=st.sampled_from([0.01, 0.1, 1.0, 3.7]),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**16))
+def test_lqr_round_formulas_equal_explicit_cost_products_bitwise(n_x, n_u, r_weight, scale, seed):
+    # every per-round formula reproduces its form with explicit Q = I and
+    # R = r_weight I products bit for bit
+    env = make_environment("lqr", seed=seed, n_x=n_x, n_u=n_u, r_weight=r_weight, task_seed=seed)
+    Q, R = np.eye(n_x), r_weight * np.eye(n_u)
+    rng = np.random.default_rng(seed)
+    theta = env.theta_init() + scale * rng.standard_normal(env.p)
+    A, B = env._unpack(theta)
+    QB = Q @ B
+    for t in range(1, 6):
+        w, v = scale * rng.standard_normal(env.q), scale * rng.standard_normal(env.q)
+        z, loss, _ = env.realize_outcome(t, theta, w)
+        x, xi, u, x_next = z["x"], z["xi"], z["u"], z["x_next"]
+        expected = float(u @ (R @ u) + x_next @ (Q @ x_next))
+        assert loss == min(expected, env.cfg.loss_cap)
+        assert env.true_loss(w, theta, z) == expected
+        u_cmp = -env.W_cmp @ x
+        x_cmp = env.A_true @ x + env.B_true @ u_cmp + xi
+        assert env.comparator_round_loss(z) == float(u_cmp @ (R @ u_cmp) + x_cmp @ (Q @ x_cmp))
+        dLdu = 2.0 * (R @ u) + 2.0 * (env.B_true.T @ (Q @ x_next))
+        assert np.array_equal(env.grad_w_true(w, theta, z), (-np.outer(dLdu, x)).ravel())
+        W, V = w.reshape(n_u, n_x), v.reshape(n_u, n_x)
+        dA = -2.0 * QB @ V
+        dB = 2.0 * (QB @ (W @ V.T) + QB @ (V @ W.T) - Q @ A @ V.T)
+        cross = np.concatenate([dA.ravel(), dB.ravel()])
+        assert np.array_equal(env.cross_partial_transpose_vp(w, theta, v), cross)
+        assert np.array_equal(env.hypergradients_at_many(theta, [w], [v], [z])[0], np.zeros(env.p) - cross)
+
+
+def test_lqr_nan_outcome_caps_loss_and_resets_state():
+    env = fresh("lqr")
+    z, loss, _ = env.realize_outcome(1, env.theta_init(), np.full(env.q, np.nan))
+    assert np.isnan(z["x_next"]).all()
+    assert loss == env.cfg.loss_cap and env.unstable
+    assert np.array_equal(env.x, np.zeros(env.cfg.n_x))
 
 
 def test_sinkhorn_true_loss_is_model_loss_minus_entropy_at_true_costs():

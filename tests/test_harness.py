@@ -210,6 +210,39 @@ delays = 0
     assert (tmp_path / "st" / "stability.csv").exists()
 
 
+def test_parallel_stability_sweep_matches_serial(tmp_path, capsys):
+    text = """
+[experiment]
+environment = lqr
+rounds = 30
+seeds = 0,1
+
+[algorithm.transport_omd]
+eta0 = 0.01
+schedule_mode = constant
+
+[algorithm.two_stage]
+eta0 = 0.01
+
+[stability]
+eta_lo = 0.0001
+eta_hi = 16.0
+resolution = 0.5
+horizon = 30
+delays = 1,5
+"""
+    outputs = {}
+    for parallel in (1, 2):
+        cfg = parse_config(text)
+        cfg.out_dir = str(tmp_path / f"p{parallel}")
+        rows = run_stability_sweep(cfg, parallel=parallel)
+        with open(os.path.join(cfg.out_dir, "stability.csv"), "rb") as fh:
+            outputs[parallel] = (rows, fh.read(), capsys.readouterr().out)
+    assert [(name, d) for name, d, _ in outputs[1][0]] == [
+        ("transport_omd", 1), ("transport_omd", 5), ("two_stage", 1), ("two_stage", 5)]
+    assert outputs[2] == outputs[1]
+
+
 def test_cli_run_and_errors(tmp_path, capsys):
     from delayopt.cli import main
     cfg_path = tmp_path / "c.ini"
@@ -281,6 +314,31 @@ def test_value_range_errors_exit_2_before_running(tmp_path, capsys, environment,
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
     cfg_path = tmp_path / "range.ini"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert re.match("error: " + message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+ALGORITHM_ERRORS = [
+    ("lqr", "transport_omd", "base = bogus",
+     r"\[algorithm.transport_omd\] base 'bogus' is unknown; known: plain_gd, adam, dftrl"),
+    ("lqr", "transport_omd", "gradient = bogus",
+     r"\[algorithm.transport_omd\] gradient 'bogus' is unknown; known: transport, stale, two_stage"),
+    ("hard_quadratic", "two_stage", "",
+     r"\[algorithm.two_stage\]: environment 'hard_quadratic' exposes no prediction target"),
+]
+
+
+@pytest.mark.parametrize("environment, algorithm, algo_arg, message", ALGORITHM_ERRORS,
+                         ids=["base", "gradient", "two_stage_without_target"])
+def test_algorithm_errors_exit_2_before_running(tmp_path, capsys, environment, algorithm, algo_arg, message):
+    from delayopt.cli import main
+    text = (f"[experiment]\nenvironment = {environment}\nrounds = 3\nout = {tmp_path / 'out'}\n"
+            f"[algorithm.{algorithm}]\n{algo_arg}\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+    cfg_path = tmp_path / "algo.ini"
     cfg_path.write_text(text)
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert re.match("error: " + message, capsys.readouterr().err)

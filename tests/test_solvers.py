@@ -3,6 +3,7 @@ hand-iterated recursions, exhaustive path enumeration, closed-form couplings,
 scipy's assignment and LP solvers, and dense linear algebra."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from delayopt.core import ContractError
 from delayopt.environments import make_environment
+from delayopt.environments.lqr import LQRConfig, LQRProblem
 from delayopt.solvers import (
     InnerSolverConfig,
     SolverError,
@@ -75,6 +77,55 @@ def test_inner_gd_rejects_bad_config():
         InnerSolverConfig(steps=1, step_size=0.0)
 
 
+def reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size):
+    """Per-step gradient descent on the LQR model objective with explicit
+    ``Q = I`` and ``R = r_weight I`` products, checking every gradient."""
+    A = theta[: n_x * n_x].reshape(n_x, n_x)
+    B = theta[n_x * n_x:].reshape(n_x, n_u)
+    Q, R = np.eye(n_x), r_weight * np.eye(n_u)
+
+    def grad(w):
+        return (2.0 * ((R + B.T @ Q @ B) @ w.reshape(n_u, n_x) - B.T @ Q @ A)).ravel()
+
+    w = w0.copy()
+    for _ in range(steps):
+        g = grad(w)
+        if not np.isfinite(g).all():
+            return None
+        w -= step_size * g
+    return w, float(np.linalg.norm(grad(w)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_x=st.integers(1, 12), n_u=st.integers(1, 5), r_weight=st.sampled_from([0.01, 0.1, 1.0, 3.7]),
+       b_scale=st.sampled_from([0.1, 0.5, 2.0]), scale=st.sampled_from([1e-3, 1.0, 30.0]),
+       steps=st.integers(1, 15), step_size=st.sampled_from([1e-3, 0.01, 0.05]), seed=st.integers(0, 2**16))
+def test_lqr_inner_gd_equals_per_step_reference_bitwise(n_x, n_u, r_weight, b_scale, scale, steps, step_size, seed):
+    env = LQRProblem(LQRConfig(n_x=n_x, n_u=n_u, r_weight=r_weight, b_scale=b_scale, task_seed=seed), seed=seed)
+    rng = np.random.default_rng(seed)
+    theta = env.theta_init() + scale * rng.standard_normal(env.p)
+    w0 = scale * rng.standard_normal(env.q)
+    reference = reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size)
+    cfg = InnerSolverConfig(steps=steps, step_size=step_size)
+    if reference is None:
+        with pytest.raises(SolverError, match=f"inner divergence within {steps} steps"):
+            inner_gd(env, theta, w0, cfg)
+        return
+    rep = inner_gd(env, theta, w0, cfg)
+    assert np.array_equal(rep.solution, reference[0])
+    assert rep.residual_norm == reference[1]
+
+
+def test_diverging_inner_solve_raises_without_a_warning():
+    env = make_environment("lqr", seed=0)
+    theta, w0 = env.theta_init(), env.initial_decision()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverError, match="inner divergence within 200 steps"):
+            inner_gd(env, theta, w0, InnerSolverConfig(steps=200, step_size=1e6))
+    assert caught == []
+
+
 # -- log-domain sinkhorn ------------------------------------------------------
 
 
@@ -120,6 +171,35 @@ def test_sinkhorn_marginal_residual_monotone():
             res = marginal_residual(P, mu, nu)
             assert res <= prev * (1 + 1e-9)
             prev = res
+
+
+def sinkhorn_log_reference(C, mu, nu, eps, iterations):
+    """The log-domain loop as first written: a fresh log-sum-exp per half-sweep."""
+
+    def logsumexp(a, axis):
+        m = np.max(a, axis=axis, keepdims=True)
+        out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
+        return np.squeeze(out, axis=axis)
+
+    log_mu, log_nu = np.log(mu), np.log(nu)
+    f, g = np.zeros(C.shape[0]), np.zeros(C.shape[1])
+    M = -C / eps
+    for _ in range(iterations):
+        f = eps * (log_mu - logsumexp(M + g[None, :] / eps, axis=1))
+        g = eps * (log_nu - logsumexp(M + f[:, None] / eps, axis=0))
+    return np.exp(M + f[:, None] / eps + g[None, :] / eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10), m=st.integers(1, 10), eps=st.sampled_from([0.01, 0.05, 0.3, 1.0]),
+       cost_scale=st.sampled_from([0.1, 1.0, 30.0]), iterations=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_sinkhorn_equals_reference_loop_bitwise(n, m, eps, cost_scale, iterations, seed):
+    rng = np.random.default_rng(seed)
+    C = cost_scale * rng.uniform(0.0, 1.0, size=(n, m))
+    mu = rng.uniform(0.2, 1.0, n)
+    nu = rng.uniform(0.2, 1.0, m)
+    mu, nu = mu / mu.sum(), nu / nu.sum()
+    assert np.array_equal(sinkhorn_log(C, mu, nu, eps, iterations), sinkhorn_log_reference(C, mu, nu, eps, iterations))
 
 
 def test_sinkhorn_rejects_bad_inputs():

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayopt.core import ContractError, OutcomeRecord
+from delayopt.delays import DelaySchedule
 from delayopt.environments import make_environment
 from delayopt.environments.base import Environment
 from delayopt.environments.grid_path import GridPathConfig, GridPathProblem
-from delayopt.optimizers import StaleArrivalEngine, TransportEngine
+from delayopt.optimizers import StaleArrivalEngine, TransportEngine, make_algorithm
+from delayopt.runner import run_online
 from delayopt.solvers import SolverError
 from delayopt.transport import (
     TransportBuffer,
@@ -186,6 +188,24 @@ def test_transport_step_skips_failed_adjoint(caplog, monkeypatch):
     assert diag.skipped_arrivals == 1
     assert g[0] == 0.0 and len(buf) == 0
     assert "round 3 arrival skipped: singular adjoint system" in caplog.text
+
+
+@pytest.mark.parametrize("algorithm", ["transport_omd", "stale_omd"])
+def test_singular_closed_form_adjoint_skips_the_arrival(caplog, monkeypatch, algorithm):
+    # np.linalg.solve signals a singular system with LinAlgError; both engines
+    # skip such an arrival with a warning instead of ending the run
+    env = make_environment("lqr", seed=0)
+
+    def singular(w, theta, z):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(env, "exact_adjoint", singular)
+    res = run_online(env, make_algorithm(algorithm), DelaySchedule(kind="constant", d=0, seed=0), rounds=4)
+    assert res.rounds_logged == 4 and not res.diverged
+    assert res.skipped_arrivals == 4
+    assert np.array_equal(res.final_theta, env.theta_init())
+    for t in range(1, 5):
+        assert f"round {t} arrival skipped: adjoint solve failed: Singular matrix" in caplog.text
 
 
 class AdjointRecorder(Environment):
