@@ -3,7 +3,7 @@
 Subcommands map to experiment families: plain runs, the stability-boundary
 sweep, treatment/control comparisons, the inner-iteration sweep, and the
 delay-pattern comparison. Configurations come from a preset name or an INI
-file; a few flags and DELAYOPT_* environment variables override the basics.
+file; a few flags override the basics.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from delayopt.config import ConfigError, _int_list, apply_env_overrides, load_config
+from delayopt.config import ConfigError, _int_list, load_config
 from delayopt.harness import (
     print_summary,
     run_controlled_comparison,
@@ -35,7 +35,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _load(args) -> "ExperimentConfig":
     cfg = load_config(args.config) if args.config else load_preset(args.preset)
-    apply_env_overrides(cfg)
     if args.out:
         cfg.out_dir = args.out
     if args.seeds:

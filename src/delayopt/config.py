@@ -11,7 +11,7 @@ import configparser
 import dataclasses
 import hashlib
 import io
-import os
+import typing
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -87,7 +87,7 @@ class ExperimentConfig:
                                   f"for environment {self.environment!r}")
             if not _fits(value, fields[key]):
                 raise ConfigError(f"[environment.args] {key} = {value!r}: expected "
-                                  f"{fields[key].__name__} for environment {self.environment!r}")
+                                  f"{_type_name(fields[key])} for environment {self.environment!r}")
         try:
             environment_config(self.environment, **self.env_args)
         except ContractError as exc:
@@ -137,15 +137,13 @@ class ExperimentConfig:
         return hashlib.sha256(blob.getvalue().encode()).hexdigest()[:12]
 
 
-_INT_KEYS = {"rounds", "summary_window", "d", "d_max", "d_high", "block_len", "horizon"}
-_FLOAT_KEYS = {"lam", "eta_lo", "eta_hi", "resolution"}
-
-
 def _coerce(value: str) -> Any:
     text = value.strip()
     low = text.lower()
     if low in ("true", "false"):
         return low == "true"
+    if low == "none":
+        return None
     try:
         return int(text)
     except ValueError:
@@ -157,11 +155,23 @@ def _coerce(value: str) -> Any:
     return text
 
 
-def _fits(value: Any, expected: type) -> bool:
-    """Whether a coerced value suits a field of type ``expected``; an int
-    suits a float field, and is kept as written."""
+def _fits(value: Any, expected: Any) -> bool:
+    """Whether a coerced value suits a field of type ``expected``: None suits
+    only an Optional field, and an int suits a float field and is kept as
+    written."""
+    if typing.get_origin(expected) is typing.Union:  # Optional[T]
+        if value is None:
+            return True
+        (expected,) = (arg for arg in typing.get_args(expected) if arg is not type(None))
     kinds = (int, float) if expected is float else expected
     return isinstance(value, kinds) and isinstance(value, bool) == (expected is bool)
+
+
+def _type_name(expected: Any) -> str:
+    args = typing.get_args(expected)
+    if not args:
+        return expected.__name__
+    return " or ".join("none" if arg is type(None) else arg.__name__ for arg in args)
 
 
 def _int_list(text: str, where: str) -> list[int]:
@@ -169,6 +179,45 @@ def _int_list(text: str, where: str) -> list[int]:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"{where}: expected a list of integers, got {text!r}") from exc
+
+
+def _section_keys(cls: type, *names: str, **extra: Any) -> dict[str, Any]:
+    """Declared types of the named fields of dataclass ``cls`` (all fields
+    if none are named), plus section-only keys and their types."""
+    hints = typing.get_type_hints(cls)
+    return {**{name: hints[name] for name in (names or hints)}, **extra}
+
+
+# INI key -> type, per section. typing.get_type_hints costs more than a whole
+# parse, so the tables are built once, at import.
+_EXPERIMENT_KEYS = _section_keys(ExperimentConfig, "name", "environment", "rounds", "seeds",
+                                 "summary_window", out=str)
+_DELAY_KEYS = _section_keys(DelaySpec, sweep=list[int])
+# the section label is the algorithm's name, and ``kind`` its registry entry
+_ALGORITHM_KEYS = {key: t for key, t in _section_keys(AlgorithmConfig, kind=str).items() if key != "name"}
+_STABILITY_KEYS = _section_keys(StabilitySettings)
+_COMPARE_KEYS = _section_keys(CompareSettings)
+
+
+def _read_section(parser: configparser.ConfigParser, section: str, keys: dict[str, Any]) -> dict[str, Any]:
+    """A section's items as typed values: a ``str`` key takes the stripped
+    text, a ``list[int]`` key an integer list, and any other key the coerced
+    value, which must suit the declared type."""
+    values: dict[str, Any] = {}
+    for key, raw in parser.items(section):
+        if key not in keys:
+            raise ConfigError(f"[{section}] unknown key {key!r}")
+        expected = keys[key]
+        if expected is str:
+            values[key] = raw.strip()
+        elif expected == list[int]:
+            values[key] = _int_list(raw, f"[{section}] {key}")
+        else:
+            value = _coerce(raw)
+            if not _fits(value, expected):
+                raise ConfigError(f"[{section}] {key} = {value!r}: expected {_type_name(expected)}")
+            values[key] = value
+    return values
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -180,39 +229,18 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig(algorithms=[])
     if parser.has_section("experiment"):
-        for key, raw in parser.items("experiment"):
-            if key == "name":
-                cfg.name = raw.strip()
-            elif key == "environment":
-                cfg.environment = raw.strip()
-            elif key == "rounds":
-                cfg.rounds = int(raw)
-            elif key == "seeds":
-                cfg.seeds = _int_list(raw, "[experiment] seeds")
-            elif key == "summary_window":
-                cfg.summary_window = int(raw)
-            elif key == "out":
-                cfg.out_dir = raw.strip()
-            else:
-                raise ConfigError(f"[experiment] unknown key {key!r}")
+        values = _read_section(parser, "experiment", _EXPERIMENT_KEYS)
+        if "out" in values:
+            values["out_dir"] = values.pop("out")
+        cfg = dataclasses.replace(cfg, **values)
 
     if parser.has_section("environment.args"):
         cfg.env_args = {k: _coerce(v) for k, v in parser.items("environment.args")}
 
     if parser.has_section("delay"):
-        spec = DelaySpec()
-        sweep: Optional[list[int]] = None
-        for key, raw in parser.items("delay"):
-            if key == "sweep":
-                sweep = _int_list(raw, "[delay] sweep")
-            elif key in ("kind",):
-                spec.kind = raw.strip()
-            elif key in _INT_KEYS:
-                setattr(spec, key, int(raw))
-            elif key in _FLOAT_KEYS:
-                setattr(spec, key, float(raw))
-            else:
-                raise ConfigError(f"[delay] unknown key {key!r}")
+        values = _read_section(parser, "delay", _DELAY_KEYS)
+        sweep = values.pop("sweep", None)
+        spec = DelaySpec(**values)
         if sweep is not None:
             if spec.kind != "constant":
                 raise ConfigError("[delay] sweep lists are only supported for constant delays")
@@ -224,44 +252,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if not section.startswith("algorithm."):
             continue
         label = section.split(".", 1)[1]
-        items = dict(parser.items(section))
-        kind = items.pop("kind", label)
-        overrides: dict[str, Any] = {}
-        for key, raw in items.items():
-            if key not in {f.name for f in dataclasses.fields(AlgorithmConfig)}:
-                raise ConfigError(f"[{section}] unknown key {key!r}")
-            val = _coerce(raw)
-            if key == "clip_norm" and isinstance(val, str) and val.lower() == "none":
-                val = None
-            overrides[key] = val
+        overrides = _read_section(parser, section, _ALGORITHM_KEYS)
         try:
-            algo = make_algorithm(kind, **overrides)
-        except (ContractError, TypeError) as exc:
+            algo = make_algorithm(overrides.pop("kind", label), **overrides)
+        except ContractError as exc:
             raise ConfigError(f"[{section}]: {exc}") from exc
-        algo = dataclasses.replace(algo, name=label)
-        cfg.algorithms.append(algo)
+        cfg.algorithms.append(dataclasses.replace(algo, name=label))
 
     if parser.has_section("stability"):
-        st = StabilitySettings()
-        for key, raw in parser.items("stability"):
-            if key == "delays":
-                st.delays = _int_list(raw, "[stability] delays")
-            elif key in ("eta_lo", "eta_hi", "resolution"):
-                setattr(st, key, float(raw))
-            elif key == "horizon":
-                st.horizon = int(raw)
-            else:
-                raise ConfigError(f"[stability] unknown key {key!r}")
-        cfg.stability = st
+        cfg.stability = StabilitySettings(**_read_section(parser, "stability", _STABILITY_KEYS))
 
     if parser.has_section("compare"):
-        cmp_ = CompareSettings()
-        for key, raw in parser.items("compare"):
-            if key in ("treatment", "control"):
-                setattr(cmp_, key, raw.strip())
-            else:
-                raise ConfigError(f"[compare] unknown key {key!r}")
-        cfg.compare = cmp_
+        cfg.compare = CompareSettings(**_read_section(parser, "compare", _COMPARE_KEYS))
 
     cfg.validate()
     return cfg
@@ -274,14 +276,3 @@ def load_config(path: str) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)
-
-
-def apply_env_overrides(cfg: ExperimentConfig, environ=os.environ) -> ExperimentConfig:
-    """DELAYOPT_OUT and DELAYOPT_SEEDS mirror the corresponding CLI flags."""
-    out = environ.get("DELAYOPT_OUT")
-    seeds = environ.get("DELAYOPT_SEEDS")
-    if out:
-        cfg.out_dir = out
-    if seeds:
-        cfg.seeds = _int_list(seeds, "DELAYOPT_SEEDS")
-    return cfg

@@ -14,6 +14,10 @@ _FACTORIES = {
 }
 
 
+# resolved once: typing.get_type_hints costs a quarter of a config parse
+_CONFIG_FIELDS = {name: typing.get_type_hints(config) for name, (config, _) in _FACTORIES.items()}
+
+
 def environment_names() -> list[str]:
     return sorted(_FACTORIES)
 
@@ -26,7 +30,8 @@ def _factory(name: str):
 
 def environment_config_fields(name: str) -> dict[str, type]:
     """Field names and types of a registered environment's config dataclass."""
-    return typing.get_type_hints(_factory(name)[0])
+    _factory(name)  # rejects an unknown name
+    return _CONFIG_FIELDS[name]
 
 
 def environment_class(name: str) -> type[Environment]:

@@ -13,7 +13,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -65,6 +65,16 @@ def _run_cell(args) -> tuple[tuple[str, str, int], RunResult]:
     cfg, algo, delay_spec, seed = args
     res = run_one(cfg, algo, delay_spec, seed)
     return (algo.name, delay_spec.describe(), seed), res
+
+
+def _map_cells(fn: Callable, cells: list, parallel: int) -> Iterable:
+    """``fn`` over ``cells`` in order. With ``parallel > 1`` the cells run on
+    that many spawned worker processes and the results come as a list;
+    otherwise they run lazily in this process, each as it is consumed."""
+    if parallel > 1:
+        with ProcessPoolExecutor(max_workers=parallel, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, cells))
+    return map(fn, cells)
 
 
 def write_run_csv(path: str, cfg: ExperimentConfig, key: RunKey, res: RunResult) -> None:
@@ -147,15 +157,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1, write: bool = True)
         for spec in cfg.delays
         for seed in cfg.seeds
     ]
-    results: dict[tuple[str, str, int], RunResult] = {}
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for key, res in pool.map(_run_cell, cells):
-                results[key] = res
-    else:
-        for args in cells:
-            key, res = _run_cell(args)
-            results[key] = res
+    results: dict[tuple[str, str, int], RunResult] = dict(_map_cells(_run_cell, cells, parallel))
 
     summary: list[SummaryRow] = []
     for algo in cfg.algorithms:
@@ -226,11 +228,7 @@ def run_stability_sweep(cfg: ExperimentConfig, parallel: int = 1, write: bool = 
         raise ConfigError("stability sweep needs a [stability] section")
     st = cfg.stability
     cells = [(cfg, algo, d) for algo in cfg.algorithms for d in st.delays]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel, mp_context=multiprocessing.get_context("spawn")) as pool:
-            etas: Iterable[float] = list(pool.map(_stability_cell, cells))
-    else:
-        etas = map(_stability_cell, cells)  # lazy: each line prints as its bisection ends
+    etas = _map_cells(_stability_cell, cells, parallel)  # serial: each line prints as its bisection ends
     rows: list[tuple[str, int, float]] = []
     for (_, algo, d), eta in zip(cells, etas):
         rows.append((algo.name, d, eta))

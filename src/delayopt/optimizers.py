@@ -184,8 +184,6 @@ _REGISTRY: dict[str, dict[str, Any]] = {
     "stale_omd": dict(gradient="stale", base="plain_gd", schedule_mode="queue_adaptive"),
     # stale gradients + mandatory adaptive schedule + norm clipping
     "robust_omd": dict(gradient="stale", base="plain_gd", schedule_mode="queue_adaptive", clip_norm=10.0),
-    # lazy cumulative-gradient FTRL over stale arrivals
-    "dftrl": dict(gradient="stale", base="dftrl", schedule_mode="queue_adaptive"),
     # predict-then-optimize baseline: regression on arrived targets
     "two_stage": dict(gradient="two_stage", base="plain_gd", schedule_mode="constant"),
     "two_stage_adam": dict(gradient="two_stage", base="adam", schedule_mode="constant", clip_norm=1.0),
@@ -193,7 +191,6 @@ _REGISTRY: dict[str, dict[str, Any]] = {
     "transport_adam": dict(gradient="transport", base="adam", schedule_mode="constant", clip_norm=1.0, beta_damping=0.0),
     "stale_adam": dict(gradient="stale", base="adam", schedule_mode="constant", clip_norm=1.0, beta_damping=0.0),
     "robust_adam": dict(gradient="stale", base="adam", schedule_mode="queue_adaptive", clip_norm=1.0),
-    "dftrl_transport": dict(gradient="transport", base="dftrl", schedule_mode="queue_adaptive"),
 }
 
 

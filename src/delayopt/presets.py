@@ -106,38 +106,6 @@ control = stale_adam
 """)
 
 
-register("controlled_comparison_dftrl", """
-# Same protocol with the lazy cumulative-gradient base rule. On this
-# unconstrained domain lazy FTRL with a constant step is plain gradient
-# descent, so this preset reruns transport against stale OMD, up to rounding.
-[experiment]
-name = controlled_comparison_dftrl
-environment = sinkhorn
-rounds = 1000
-seeds = 0,1,2,3,4
-out = results/controlled_comparison_dftrl
-
-[environment.args]
-drift_noise = 0.1
-
-[delay]
-kind = constant
-sweep = 1,5,10,20,50
-
-[algorithm.dftrl_transport]
-eta0 = 0.002
-schedule_mode = constant
-
-[algorithm.dftrl]
-eta0 = 0.002
-schedule_mode = constant
-
-[compare]
-treatment = dftrl_transport
-control = dftrl
-""")
-
-
 register("uniform_delay_validation", """
 # Uniform random delays carry roughly half the queue load of constant delays
 # with the same maximum; the transport benefit scales accordingly.

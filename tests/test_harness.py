@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayopt.config import ConfigError, _int_list, apply_env_overrides, parse_config
+from delayopt.config import ConfigError, _int_list, parse_config
 from delayopt.harness import (
     RunKey,
     read_run_csv,
@@ -168,15 +168,6 @@ def test_config_error_messages_name_section_and_key():
         parse_config("[experiment]\nrounds = 5\n")
 
 
-def test_env_overrides(tmp_path, monkeypatch):
-    cfg = parse_config(MINIMAL.format(out=tmp_path))
-    monkeypatch.setenv("DELAYOPT_OUT", str(tmp_path / "envout"))
-    monkeypatch.setenv("DELAYOPT_SEEDS", "3,4")
-    apply_env_overrides(cfg)
-    assert cfg.out_dir == str(tmp_path / "envout")
-    assert cfg.seeds == [3, 4]
-
-
 def test_presets_parse_and_validate():
     for name in preset_names():
         cfg = load_preset(name)
@@ -243,6 +234,30 @@ delays = 1,5
     assert outputs[2] == outputs[1]
 
 
+def test_parallel_experiment_writes_the_serial_bytes(tmp_path):
+    text = MINIMAL.replace("d = 0", "sweep = 0,3").replace("seeds = 0", "seeds = 0,1")
+    outputs = {}
+    for parallel in (1, 2):
+        cfg = parse_config(text.format(out=tmp_path / f"p{parallel}"))
+        run_experiment(cfg, parallel=parallel)
+        outputs[parallel] = {path.relative_to(tmp_path / f"p{parallel}"): path.read_bytes()
+                             for path in sorted((tmp_path / f"p{parallel}").rglob("*.csv"))}
+    assert len(outputs[1]) == 1 + 4  # summary.csv and 2 delays x 2 seeds
+    assert outputs[2] == outputs[1]
+
+
+def test_cli_counts_a_failed_inner_solve_as_diverged(tmp_path):
+    from delayopt.cli import main
+    cfg_path = tmp_path / "solve.ini"
+    cfg_path.write_text(f"[experiment]\nenvironment = lqr\nrounds = 20\nseeds = 0,1\nout = {tmp_path / 'out'}\n"
+                        "[environment.args]\ninner_step_size = 100.0\ninner_steps = 200\n"
+                        "[delay]\nkind = constant\nd = 1\n[algorithm.transport_omd]\n")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    header, row = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    assert {k: v for k, v in zip(header, row) if k in ("seeds", "diverged")} == {"seeds": "2", "diverged": "2"}
+
+
 def test_cli_run_and_errors(tmp_path, capsys):
     from delayopt.cli import main
     cfg_path = tmp_path / "c.ini"
@@ -271,11 +286,15 @@ TYPOS = [
     ("grid_path", "[environment.args]\nheight = 6.5\n", r"\[environment.args\] height = 6.5: expected int"),
     ("gridpath", "", r"\[experiment\] environment 'gridpath' is unknown"),
     ("grid_path", "[delay]\nkind = constnat\n", r"\[delay\] kind 'constnat' is unknown"),
+    ("grid_path", "rounds = abc\n", r"\[experiment\] rounds = 'abc': expected int$"),
+    ("grid_path", "[delay]\nkind = uniform\nd_max = 1.5\n", r"\[delay\] d_max = 1.5: expected int$"),
+    ("grid_path", "[delay]\nhorizon = 3\n", r"\[delay\] unknown key 'horizon'$"),
+    ("grid_path", "[stability]\nhorizon = x\n", r"\[stability\] horizon = 'x': expected int$"),
 ]
 
 
 def typo_config(environment, extra, out):
-    return (f"[experiment]\nenvironment = {environment}\nrounds = 3\nout = {out}\n{extra}"
+    return (f"[experiment]\nenvironment = {environment}\nout = {out}\n{extra}"
             "[algorithm.transport_adam]\neta0 = 0.001\n")
 
 
@@ -327,11 +346,16 @@ ALGORITHM_ERRORS = [
      r"\[algorithm.transport_omd\] gradient 'bogus' is unknown; known: transport, stale, two_stage"),
     ("hard_quadratic", "two_stage", "",
      r"\[algorithm.two_stage\]: environment 'hard_quadratic' exposes no prediction target"),
+    ("lqr", "transport_omd", "eta0 = abc", r"\[algorithm.transport_omd\] eta0 = 'abc': expected float$"),
+    ("lqr", "transport_omd", "clip_norm = abc",
+     r"\[algorithm.transport_omd\] clip_norm = 'abc': expected float or none$"),
+    ("lqr", "transport_omd", "name = foo", r"\[algorithm.transport_omd\] unknown key 'name'$"),
 ]
 
 
 @pytest.mark.parametrize("environment, algorithm, algo_arg, message", ALGORITHM_ERRORS,
-                         ids=["base", "gradient", "two_stage_without_target"])
+                         ids=["base", "gradient", "two_stage_without_target", "eta0_type", "clip_norm_type",
+                              "name_key"])
 def test_algorithm_errors_exit_2_before_running(tmp_path, capsys, environment, algorithm, algo_arg, message):
     from delayopt.cli import main
     text = (f"[experiment]\nenvironment = {environment}\nrounds = 3\nout = {tmp_path / 'out'}\n"
@@ -370,6 +394,11 @@ def test_config_schema_lists_every_algorithm_key_and_registry_entry():
         assert (algo.gradient, algo.base, algo.schedule_mode) == (gradient, base, mode), kind
         assert algo.clip_norm == (None if clip == "none" else float(clip)), kind
         assert algo.beta_damping == float(damping), kind
+
+
+def test_clip_norm_none_parses_to_none():
+    cfg = parse_config("[algorithm.robust_omd]\nclip_norm = none\n[algorithm.stale_omd]\nclip_norm = 2\n")
+    assert [algo.clip_norm for algo in cfg.algorithms] == [None, 2]
 
 
 def test_int_for_float_environment_arg_is_kept_as_written(tmp_path):

@@ -1,18 +1,21 @@
 """Update rules, gradient engines, schedules, and the online loop invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.delays import DelaySchedule
-from delayopt.environments import make_environment
+from delayopt.environments import environment_class, environment_names, make_environment
 from delayopt.optimizers import (
     AlgorithmConfig,
     StepSchedule,
     StaleArrivalEngine,
     adaptive_step,
+    algorithm_names,
     make_algorithm,
     make_engine,
 )
@@ -114,17 +117,17 @@ def test_stale_engine_sums_arrival_gradients_at_dispatch(name, route, spread, se
 
 
 def test_d0_trajectories_identical_across_hypergradient_family():
-    names = ("transport_omd", "stale_omd", "robust_omd", "dftrl")
+    algos = [make_algorithm(name, eta0=0.1, clip_norm=None) for name in ("transport_omd", "stale_omd", "robust_omd")]
+    algos.append(make_algorithm("stale_omd", base="dftrl", eta0=0.1, clip_norm=None))
     base = None
-    for name in names:
+    for algo in algos:
         env = quad(seed=1)
-        algo = make_algorithm(name, eta0=0.1, clip_norm=None)
         res = run_online(env, algo, const_delay(0, seed=1), rounds=60)
         losses = res.columns["true_loss"]
         if base is None:
             base = losses
         else:
-            assert np.max(np.abs(losses - base)) <= 1e-12, name
+            assert np.max(np.abs(losses - base)) <= 1e-12, (algo.name, algo.base)
 
 
 def test_d0_transport_equals_base_adam():
@@ -137,9 +140,9 @@ def test_d0_transport_equals_base_adam():
 
 # transport/stale pair per base rule; each pair differs only in gradient source
 ZERO_STALENESS_PAIRS = {
-    "plain_gd": ("transport_omd", "stale_omd"),
-    "adam": ("transport_adam", "stale_adam"),
-    "dftrl": ("dftrl_transport", "dftrl"),
+    "plain_gd": (make_algorithm("transport_omd"), make_algorithm("stale_omd")),
+    "adam": (make_algorithm("transport_adam"), make_algorithm("stale_adam")),
+    "dftrl": (make_algorithm("transport_omd", base="dftrl"), make_algorithm("stale_omd", base="dftrl")),
 }
 # schedules whose every draw is 0: feedback lands in the round that made it
 ZERO_DELAYS = (
@@ -162,9 +165,9 @@ def test_zero_staleness_transport_and_stale_runs_bit_identical(env_name, base, d
     # arrival, so transport and stale gradients coincide and every logged
     # column must agree bit for bit
     runs = []
-    for name in ZERO_STALENESS_PAIRS[base]:
+    for algo in ZERO_STALENESS_PAIRS[base]:
         env = make_environment(env_name, seed=seed)
-        runs.append(run_online(env, make_algorithm(name), DelaySchedule(seed=seed, **delay), rounds))
+        runs.append(run_online(env, algo, DelaySchedule(seed=seed, **delay), rounds))
     transport, stale = runs
     assert transport.delay_hash == stale.delay_hash
     assert transport.columns.keys() == stale.columns.keys()
@@ -216,6 +219,32 @@ def test_dftrl_two_identical_arrivals_linearity():
     assert th3[0] == pytest.approx(1.0 - 0.1 * 2 * 0.4, abs=1e-15)
 
 
+def test_no_two_registry_names_give_the_same_run():
+    # one constant-delay grid_path cell; every pair of names sharing a
+    # gradient source must differ well past rounding (robust_omd's clip binds)
+    regret = {}
+    for name in algorithm_names():
+        env = make_environment("grid_path", seed=0)
+        regret[name] = run_online(env, make_algorithm(name), const_delay(5), rounds=30).cumulative_regret
+    for a, b in itertools.combinations(algorithm_names(), 2):
+        if make_algorithm(a).gradient == make_algorithm(b).gradient:
+            assert abs(regret[a] - regret[b]) > 1e-3 * abs(regret[b]), (a, b)
+
+
+@pytest.mark.parametrize("env_name, shift", [("hard_quadratic", 2.8e-3), ("sinkhorn", 1.2e-2)])
+def test_dftrl_base_differs_from_gradient_descent_once_the_step_changes(env_name, shift):
+    # lazy FTRL is gradient descent while the step is constant (constant
+    # delay); uniform delays move the queue-adaptive step and set them apart
+    def regret(base, delay):
+        env = make_environment(env_name, seed=0)
+        return run_online(env, make_algorithm("stale_omd", base=base), delay, rounds=60).cumulative_regret
+
+    uniform = dict(kind="uniform", d_max=10, seed=0)
+    lazy, gd = regret("dftrl", DelaySchedule(**uniform)), regret("plain_gd", DelaySchedule(**uniform))
+    assert (lazy - gd) / gd == pytest.approx(shift, rel=0.05)
+    assert regret("dftrl", const_delay(5)) == pytest.approx(regret("plain_gd", const_delay(5)), rel=1e-12)
+
+
 def test_divergence_guard_halts_run():
     env = quad(seed=0)
     algo = make_algorithm("stale_omd", eta0=5.0, schedule_mode="constant")
@@ -225,6 +254,43 @@ def test_divergence_guard_halts_run():
     assert res.rounds_logged == res.diverged_round
     assert res.columns["diverged"][-1] == 1.0
     assert np.all(res.columns["diverged"][:-1] == 0.0)
+
+
+def test_failed_inner_solve_ends_the_run_as_diverged():
+    # step 100 makes every LQR inner solve overflow, so round 1 plays the
+    # initial decision, is logged, and ends the run
+    kw = dict(seed=0, inner_step_size=100.0, inner_steps=200)
+    res = run_online(make_environment("lqr", **kw), make_algorithm("transport_omd"), const_delay(1), rounds=20)
+    assert res.diverged and res.diverged_round == 1 and res.rounds_logged == 1
+    assert res.columns["diverged"].tolist() == [1.0]
+    env = make_environment("lqr", **kw)
+    env.begin_round(1)
+    _, loss, _ = env.realize_outcome(1, env.theta_init(), env.initial_decision())
+    assert res.columns["true_loss"][0] == loss
+
+
+# every registry algorithm on every environment that can run it
+RUNNABLE = [(env_name, name) for env_name in environment_names() for name in algorithm_names()
+            if make_algorithm(name).gradient != "two_stage" or environment_class(env_name).has_prediction_target]
+
+
+@settings(max_examples=40, deadline=None)
+@example(cell=("lqr", "two_stage_adam"), eta0=1e4, d=0, seed=0, rounds=60)  # overflow in the clip norm
+@example(cell=("lqr", "two_stage"), eta0=10.0, d=0, seed=0, rounds=60)  # overflow in step @ step
+@given(
+    cell=st.sampled_from(RUNNABLE),
+    eta0=st.floats(1e-3, 1e4),
+    d=st.integers(0, 10),
+    seed=st.integers(0, 2**16),
+    rounds=st.integers(1, 60),
+)
+def test_runs_return_without_warnings_at_any_step_size(cell, eta0, d, seed, rounds):
+    # tier-1 turns warnings into errors, so an overflow in the runner's own
+    # arithmetic on a blowing-up run fails here
+    env_name, name = cell
+    res = run_online(make_environment(env_name, seed=seed), make_algorithm(name, eta0=eta0),
+                     const_delay(d, seed=seed), rounds)
+    assert res.rounds_logged == (res.diverged_round if res.diverged else rounds)
 
 
 def test_eta_column_nonincreasing_queue_adaptive():
