@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from delayopt.core import ContractError
-from delayopt.delays import DELAY_KINDS, DelaySchedule
+from delayopt.delays import DELAY_KINDS, DELAY_PARAMETERS, DelaySchedule
 from delayopt.environments import (
     environment_class,
     environment_config,
@@ -239,6 +239,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if parser.has_section("delay"):
         values = _read_section(parser, "delay", _DELAY_KEYS)
+        kind = values.get("kind", DelaySpec.kind)
+        if kind in DELAY_PARAMETERS:  # an unknown kind fails in validate()
+            reads = DELAY_PARAMETERS[kind]
+            for key in values:
+                if key not in ("kind", "sweep", *reads):
+                    raise ConfigError(f"[delay] {key} is not read by kind {kind!r}, "
+                                      f"which reads only {', '.join(reads)}")
         sweep = values.pop("sweep", None)
         spec = DelaySpec(**values)
         if sweep is not None:

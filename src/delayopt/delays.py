@@ -14,7 +14,14 @@ import numpy as np
 from delayopt.core import ContractError, OutcomeRecord
 
 POISSON_CAP_FACTOR = 10  # sampled Poisson delays are truncated at cap = 10 * mean
-DELAY_KINDS = ("constant", "uniform", "poisson", "bursty")
+# the parameters each kind reads; a schedule ignores the others
+DELAY_PARAMETERS = {
+    "constant": ("d",),
+    "uniform": ("d_max",),
+    "poisson": ("lam",),
+    "bursty": ("d_high", "block_len"),
+}
+DELAY_KINDS = tuple(DELAY_PARAMETERS)
 
 
 @dataclass

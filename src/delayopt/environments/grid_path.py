@@ -21,12 +21,14 @@ use; each round only backtracks from its goal. Re-evaluating the transport
 buffer, with the round's transport arrivals, is one batched solve per round.
 Every stored round is evaluated at the same theta, so the base paths share
 the predicted grid and one distance field per distinct start; each bumped
-path keeps a field of its own. A batch of one (an arrival into an empty
-buffer, as every round at d = 0, or a stale arrival at its own dispatch
-snapshot) keeps two heap solves: at one grid the heap solver is faster than
-the vectorized min-plus solve. The batched solve returns the heap solver's
-paths bit for bit: ties go to the neighbour smallest in (distance, row,
-column), the order in which the heap settles cells.
+path keeps a field of its own. The batched solve keeps every field in one
+flat buffer, so each min-plus sweep over all of them is a few contiguous
+array operations, and it backtracks every path at once. A batch of one (an
+arrival into an empty buffer, as every round at d = 0, or a stale arrival at
+its own dispatch snapshot) keeps two heap solves: at one grid the heap solver
+is still the faster one. The batched solve returns the heap solver's paths
+bit for bit: ties go to the neighbour smallest in (distance, row, column),
+the order in which the heap settles cells.
 """
 
 from __future__ import annotations

@@ -167,8 +167,10 @@ delays = 1,10,20,40
 
 register("grid_delay_sweep", """
 # Terrain-grid shortest-path decisions: window-mean optimality gap under
-# no delay and long delay for the transported optimizer vs the regression
-# baseline.
+# no delay and long delay for the transported optimizer against both
+# baselines the Warcraft comparison names. D-FTRL is the stale delayed
+# gradient; it keeps the transported arm's Adam base and step schedule, so
+# only the gradient source differs. 2-Stage is the regression baseline.
 [experiment]
 name = grid_delay_sweep
 environment = grid_path
@@ -182,6 +184,11 @@ kind = constant
 sweep = 0,50
 
 [algorithm.transport_adam]
+eta0 = 0.001
+beta_damping = 1.0
+schedule_mode = queue_adaptive
+
+[algorithm.stale_adam]
 eta0 = 0.001
 beta_damping = 1.0
 schedule_mode = queue_adaptive

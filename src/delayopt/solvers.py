@@ -350,19 +350,41 @@ def grid_shortest_paths(
     flat ``H * W`` 0/1 vector of the cells path ``j`` enters (start excluded)
     and ``totals[j]`` its cost.
 
-    Distances come from min-plus relaxation over all fields at once: each
-    sweep offers every cell ``min(neighbour distances) + cost``, and the
-    sweeps stop when no cell improves. Rounding is monotone, so
-    ``min(a, b) + c`` equals ``min(a + c, b + c)`` and the fixed point is the
+    Layout: all fields live in one flat buffer, field index innermost. Each
+    grid row becomes ``W + 1`` cells of ``k`` values; the extra cell holds
+    ``inf`` and is the right border of its row and the left border of the
+    next. One all-``inf`` row pads the top and one the bottom. With
+    ``L = (W + 1) * k``, the up, down, left and right neighbours of every
+    cell are the contiguous slices at offsets ``-L``, ``+L``, ``-k`` and
+    ``+k``, so a sweep is four whole-buffer operations plus a write to the
+    starts, and no shift bleeds across fields or rows. The border cells cost
+    ``inf``, so they stay ``inf`` without a mask; nothing is ever ``-inf`` or
+    NaN, so the ``inf`` arithmetic raises no warning.
+
+    Distances come from min-plus sweeps between two buffers: each sweep
+    writes ``T(x)[v] = min(x over the neighbours of v) + cost[v]`` into the
+    other buffer and pins every start back to 0. Starting from ``inf``
+    everywhere but the starts, ``T(x) <= x``, and ``T`` is monotone because
+    rounding is, so every later sweep is no larger than the one before: a
+    ``min`` with the old distances would never change a value, and the sweep
+    skips it. Costs are positive, so the fixed point is unique and equals the
     heap solver's distances bit for bit. A cell at Manhattan distance ``h``
-    from its start stays infinite until sweep ``h``, so no sweep up to the
+    from its start stays ``inf`` until sweep ``h``, so no sweep up to the
     largest such distance over the fields can be the last; those sweeps skip
-    the improvement test. Paths are then backtracked from every goal at once.
-    The parent of ``v`` is its neighbour ``u`` smallest in ``(dist[u], u)``:
-    by the same monotonicity it satisfies ``dist[u] + cost[v] == dist[v]``,
-    and it is the first such neighbour the heap solver settles, so ties break
-    the same way too. For a single problem the heap solver is faster; this
-    pays off once a batch holds a few dozen fields.
+    the test. After them the sweeps stop once the two buffers agree: a path
+    may take more hops than that bound.
+
+    Paths are then backtracked from every goal at once. The parent of ``v``
+    is its neighbour ``u`` smallest in ``(dist[u], u)``: by the same
+    monotonicity it satisfies ``dist[u] + cost[v] == dist[v]``, and it is the
+    first such neighbour the heap solver settles, so ties break the same way
+    too. Each cell stores which neighbour that is, and each start "stay", so
+    a walker that has reached its start stays there: a hop moves every walker
+    by looking up its cell's neighbour, with no mask, and the cells walked
+    are marked in one scatter at the end, with the starts cleared. A walk
+    that has not reached its start within ``H * W`` hops raises
+    :class:`SolverError`. For a single problem the heap solver is faster;
+    this pays off once a batch holds a few dozen fields.
     """
     costs = _checked_costs(cell_costs, "grid_shortest_paths")
     if costs.ndim != 3:
@@ -382,48 +404,72 @@ def grid_shortest_paths(
     if np.any(np.all(starts[sources] == goals, axis=1)):
         raise ContractError("start and goal must differ")
 
-    # field axis innermost, and a border of inf so every shift is one slab
-    c = np.ascontiguousarray(costs.transpose(1, 2, 0))
-    padded = np.full((H + 2, W + 2, k), np.inf)
-    padded[starts[:, 0] + 1, starts[:, 1] + 1, np.arange(k)] = 0.0
-    dist = padded[1:-1, 1:-1]
-    up, down = padded[:-2, 1:-1], padded[2:, 1:-1]
-    left, right = padded[1:-1, :-2], padded[1:-1, 2:]
-    offer, across = np.empty_like(c), np.empty_like(c)
+    # flat index of (row r, column c, field f), counted from the first grid
+    # row: (r * row + c) * k + f; the buffers carry one padding row before it
+    row = W + 1
+    L = row * k
+    span = H * L
+    cost = np.full((H, row, k), np.inf)
+    cost[:, :W] = costs.transpose(1, 2, 0)
+    cost = cost.reshape(span)
+    home = (starts[:, 0] * row + starts[:, 1]) * k + np.arange(k)
+    buffers = np.full((2, (H + 2) * L), np.inf)
+    buffers[:, L + home] = 0.0
+    across = np.empty(span)
     far = int(np.max(np.maximum(starts[:, 0], H - 1 - starts[:, 0])
                      + np.maximum(starts[:, 1], W - 1 - starts[:, 1])))
+    src, dst = buffers
     sweep = 0
     while True:
-        np.minimum(up, down, out=offer)
-        np.minimum(left, right, out=across)
+        offer = dst[L:L + span]
+        np.minimum(src[:span], src[2 * L:], out=offer)
+        np.minimum(src[L - k:L - k + span], src[L + k:L + k + span], out=across)
         np.minimum(offer, across, out=offer)
-        offer += c
+        offer += cost
+        offer[home] = 0.0
         sweep += 1
-        if sweep > far and not (offer < dist).any():
+        if sweep > far and np.array_equal(offer, src[L:L + span]):
             break
-        np.minimum(dist, offer, out=dist)
+        src, dst = dst, src
+    dist = src
 
-    # first minimum over the neighbours in ascending index order
-    # (up, left, right, down), as a flat-index step
-    lower = np.where(left < up, -1, -W)
-    higher = np.where(down < right, W, 1)
-    step = np.where(np.minimum(right, down) < np.minimum(up, left), higher, lower)
-    step = step.reshape(H * W, k)
+    # first minimum over the neighbours in ascending index order: code 0..3
+    # for up, left, right, down, and 4 (no step) at the starts; np.where is
+    # several times slower than these bit operations on this many cells
+    up, down = dist[:span], dist[2 * L:]
+    left, right = dist[L - k:L - k + span], dist[L + k:L + k + span]
+    # the two buffers agree, so the other one serves as scratch
+    upper = np.minimum(right, down, out=across) < np.minimum(up, left, out=offer)
+    low, high = left < up, down < right
+    low ^= (low ^ high) & upper  # the winner within the winning pair
+    code = upper.view(np.uint8) << 1
+    code |= low.view(np.uint8)
+    code[home] = 4
+    step = np.array([-L, -k, k, L, 0])
 
     n = H * W
-    s_idx = (starts[:, 0] * W + starts[:, 1])[sources]
-    cur = goals[:, 0] * W + goals[:, 1]
-    totals = dist.reshape(n, k)[cur, sources]
+    cur = (goals[:, 0] * row + goals[:, 1]) * k + sources
+    totals = dist[L + cur]
+    done = home[sources]
+    trail = []
+    # a path of n cells takes n - 1 hops; every fourth hop is tested, and the
+    # last one by the test after the loop
+    for hop in range(1, n):
+        trail.append(cur)
+        cur = cur + step[code[cur]]
+        if hop % 4 == 0 and np.array_equal(cur, done):
+            break
+    if not np.array_equal(cur, done):
+        raise SolverError("grid_shortest_paths: backtracking did not reach the start")
     indicators = np.zeros((m, n))
-    rows = np.arange(m)
-    for _ in range(n):
-        walking = cur != s_idx
-        if not walking.any():
-            return indicators, totals
-        j, v = rows[walking], cur[walking]
-        indicators[j, v] = 1.0
-        cur[walking] = v + step[v, sources[j]]
-    raise SolverError("grid_shortest_paths: backtracking did not reach the start")
+    queries = np.arange(m)
+    if trail:
+        cells = np.stack(trail) // k
+        cells -= cells // row
+        indicators[queries, cells] = 1.0
+    done //= k
+    indicators[queries, done - done // row] = 0.0
+    return indicators, totals
 
 
 def conjugate_gradient(

@@ -290,6 +290,17 @@ TYPOS = [
     ("grid_path", "[delay]\nkind = uniform\nd_max = 1.5\n", r"\[delay\] d_max = 1.5: expected int$"),
     ("grid_path", "[delay]\nhorizon = 3\n", r"\[delay\] unknown key 'horizon'$"),
     ("grid_path", "[stability]\nhorizon = x\n", r"\[stability\] horizon = 'x': expected int$"),
+    # a key the kind does not read used to be dropped: uniform with d = 20
+    # ran every delay as 0
+    ("grid_path", "[delay]\nkind = uniform\nd = 20\n",
+     r"\[delay\] d is not read by kind 'uniform', which reads only d_max$"),
+    ("grid_path", "[delay]\nd_max = 5\n", r"\[delay\] d_max is not read by kind 'constant', which reads only d$"),
+    ("grid_path", "[delay]\nkind = poisson\nlam = 3\nd_high = 9\n",
+     r"\[delay\] d_high is not read by kind 'poisson', which reads only lam$"),
+    ("grid_path", "[delay]\nkind = bursty\nd_high = 9\nlam = 3\n",
+     r"\[delay\] lam is not read by kind 'bursty', which reads only d_high, block_len$"),
+    ("grid_path", "[delay]\nkind = uniform\nd_max = 6\nsweep = 1,2\n",
+     r"\[delay\] sweep lists are only supported for constant delays$"),
 ]
 
 
@@ -313,6 +324,18 @@ def test_cli_config_typos_exit_2_before_running(tmp_path, capsys, environment, e
     err = capsys.readouterr().err
     assert re.match("error: " + message, err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("delay, described", [
+    ("kind = constant\nd = 3\n", ["constant:3"]),
+    ("kind = constant\nsweep = 1,2\n", ["constant:1", "constant:2"]),
+    ("kind = uniform\nd_max = 6\n", ["uniform:0-6"]),
+    ("kind = poisson\nlam = 2.5\n", ["poisson:2.5"]),
+    ("kind = bursty\nd_high = 9\nblock_len = 4\n", ["bursty:4x9"]),
+], ids=["constant", "sweep", "uniform", "poisson", "bursty"])
+def test_every_key_a_kind_reads_parses(tmp_path, delay, described):
+    cfg = parse_config(typo_config("grid_path", "[delay]\n" + delay, tmp_path))
+    assert [spec.describe() for spec in cfg.delays] == described
 
 
 VALUE_RANGES = [

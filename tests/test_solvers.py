@@ -445,6 +445,91 @@ def test_shared_fields_reject_bad_sources(sources, message):
         grid_shortest_paths(costs, [(0, 0), (1, 2)], [(1, 2), (1, 0)], sources)
 
 
+def assert_rows_are_heap_paths(costs, starts, goals, sources):
+    """Run the batched solve and compare every row with its own heap solve."""
+    _, H, W = costs.shape
+    indicators, totals = grid_shortest_paths(costs, starts, goals, sources)
+    for j, f in enumerate(sources):
+        path, total = dijkstra_grid(costs[f], tuple(starts[f]), tuple(goals[j]))
+        expected = np.zeros(H * W)
+        for r, c in path[1:]:
+            expected[r * W + c] = 1.0
+        assert np.array_equal(indicators[j], expected), j
+        assert totals[j] == total, j
+    return indicators, totals
+
+
+def serpentine(H, W, wall):
+    """Open rows joined by one gap at alternating ends, walls of cost ``wall``
+    between them: the only cheap path from (0, 0) to the far corner snakes
+    through every open row."""
+    costs = np.ones((H, W))
+    for i, r in enumerate(range(1, H, 2)):
+        costs[r] = wall
+        costs[r, W - 1 if i % 2 == 0 else 0] = 1.0
+    return costs
+
+
+def test_batched_paths_follow_a_serpentine_far_past_the_manhattan_bound():
+    # sweeps must go on past the Manhattan bound until the buffers agree, and
+    # the walkers need far more hops than that bound
+    maze = serpentine(9, 11, 1e3)
+    costs = np.stack([maze, maze[::-1], serpentine(9, 11, 50.0), np.ones((9, 11))])
+    starts = [(0, 0), (8, 0), (0, 0), (0, 0)]
+    goals = [(8, 10), (0, 10), (8, 10), (8, 10), (4, 5)]
+    sources = [0, 1, 2, 3, 0]
+    indicators, _ = assert_rows_are_heap_paths(costs, starts, goals, sources)
+    far = 8 + 10
+    assert indicators[0].sum() > 2.5 * far  # 5 open rows of 11 and 4 gaps: 58 hops
+    assert indicators[0].sum() >= costs[0].size / 2
+    assert indicators[3].sum() == far
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (1, 2), (2, 1), (1, 13)],
+                         ids=["1x7", "7x1", "1x2", "2x1", "1x13"])
+def test_batched_paths_on_strips_use_every_allowed_hop(shape):
+    # end to end a strip path of n cells takes n - 1 hops, the last one the
+    # backtracking allows
+    n = shape[0] * shape[1]
+    rng = np.random.default_rng(n)
+    costs = rng.uniform(0.5, 2.0, size=(3, *shape))
+    last = (shape[0] - 1, shape[1] - 1)
+    starts = [(0, 0), last, (0, 0)]
+    goals = [last, (0, 0), last, (shape[0] // 2, shape[1] // 2)]
+    sources = [0, 1, 2, 2]
+    indicators, _ = assert_rows_are_heap_paths(costs, starts, goals, sources)
+    assert indicators[:3].sum(axis=1).tolist() == [n - 1] * 3
+
+
+def test_batched_fields_stay_isolated_at_the_workload_shape():
+    # 12 x 12 and about 80 fields with border starts, as one re-evaluation of
+    # the grid_path buffer; neighbouring fields differ in scale by up to 1e6,
+    # so a shift that leaked across fields or border cells would show
+    rng = np.random.default_rng(2024)
+    H = W = 12
+    k = 80
+    border = [(r, c) for r in range(H) for c in range(W) if r in (0, H - 1) or c in (0, W - 1)]
+    scale = 10.0 ** (3 * (np.arange(k) % 3))
+    costs = rng.uniform(1.0, 10.0, size=(k, H, W)) * scale[:, None, None]
+    starts = [border[i] for i in rng.integers(len(border), size=k)]
+    sources = np.concatenate([np.arange(k), rng.integers(k, size=20)])
+    goals = []
+    for f in sources:
+        goal = starts[f]
+        while goal == starts[f]:
+            goal = border[rng.integers(len(border))]
+        goals.append(goal)
+    indicators, totals = assert_rows_are_heap_paths(costs, starts, goals, sources)
+
+    fields = rng.permutation(k)
+    position = np.argsort(fields)  # where each old field sits after the shuffle
+    queries = rng.permutation(len(goals))
+    moved, moved_totals = grid_shortest_paths(costs[fields], [starts[f] for f in fields],
+                                              [goals[j] for j in queries], position[sources[queries]])
+    assert np.array_equal(moved, indicators[queries])
+    assert np.array_equal(moved_totals, totals[queries])
+
+
 @st.composite
 def single_grids(draw):
     H = draw(st.integers(1, 6))
