@@ -1,6 +1,7 @@
 import typing
+from typing import Optional
 
-from delayopt.environments.base import Environment
+from delayopt.environments.base import Environment, RoundMemo
 from delayopt.environments.hard_quadratic import HardQuadraticConfig, HardQuadraticProblem
 from delayopt.environments.lqr import LQRConfig, LQRProblem
 from delayopt.environments.sinkhorn_flow import SinkhornConfig, SinkhornProblem
@@ -45,6 +46,11 @@ def environment_config(name: str, **overrides):
     return _factory(name)[0](**overrides)
 
 
-def make_environment(name: str, seed: int, **overrides) -> Environment:
-    """Build a freshly seeded environment instance by registry name."""
-    return environment_class(name)(environment_config(name, **overrides), seed=seed)
+def make_environment(name: str, seed: int, memo: Optional[RoundMemo] = None, **overrides) -> Environment:
+    """Build a freshly seeded environment instance by registry name. ``memo``
+    is the round memo shared by the cells of this seed (see
+    ``environments/base.py``); without one the environment prices every
+    round itself."""
+    env = environment_class(name)(environment_config(name, **overrides), seed=seed)
+    env.memo = memo
+    return env

@@ -6,17 +6,65 @@ seed replay identical exogenous sequences regardless of the optimizer driving
 them, which is what makes paired algorithm comparisons valid. The smooth
 environments also implement ``delayopt.core.BilevelProblem``, the adjoint route,
 each with a closed-form adjoint; the others answer ``exact_adjoint`` with None.
+
+That pairing is checked, not only promised. A serial ``run_experiment`` runs
+its cells seed-major and hands every cell of one seed the same
+:class:`RoundMemo`, which it drops once that seed's cells are done; nothing
+outlives the harness call. An environment whose per-round values read only
+the round's outcome payload (the sinkhorn comparator, the grid oracle and
+comparator) prices each round once per seed through it, and a cell whose
+payload at a memoized round differs raises ``ContractError`` naming the round.
+Environments whose values read endogenous state (LQR's comparator reads the
+state the played gains produced) never consult it. Cells on worker processes
+(``parallel > 1``) each price their own rounds.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.solvers import InnerSolveReport
+
+
+def _same_payload(a: dict, b: dict) -> bool:
+    """Bitwise equality of two outcome payloads (dicts of arrays and tuples)."""
+    if a.keys() != b.keys():
+        return False
+    for key, x in a.items():
+        y = b[key]
+        if isinstance(x, np.ndarray):
+            if not (isinstance(y, np.ndarray) and x.shape == y.shape and x.dtype == y.dtype
+                    and x.tobytes() == y.tobytes()):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+class RoundMemo:
+    """Per-round values that read only a round's outcome payload, shared by
+    the cells of one seed. Each round keeps a reference to the first payload
+    seen at it; a later payload at that round must equal it bit for bit."""
+
+    def __init__(self):
+        self._payloads: dict[int, dict] = {}
+        self._values: dict[str, dict[int, float]] = {}
+
+    def value(self, t: int, name: str, payload: dict, compute: Callable[[dict], float]) -> float:
+        """``compute(payload)``, computed at most once per round and name."""
+        seen = self._payloads.setdefault(t, payload)
+        if seen is not payload and not _same_payload(seen, payload):
+            raise ContractError(
+                f"round {t}: the outcome payload differs from the one an earlier cell of "
+                f"this seed realized; cells of one seed must replay one exogenous stream")
+        values = self._values.setdefault(name, {})
+        if t not in values:
+            values[t] = compute(payload)
+        return values[t]
 
 
 class Environment(ABC):
@@ -26,6 +74,9 @@ class Environment(ABC):
     comparator_note: str = ""
     # whether two_stage_gradient is implemented, so the two-stage baseline can run
     has_prediction_target: bool = False
+    # the seed's memo, set by make_environment; see the module docstring
+    memo: Optional[RoundMemo] = None
+    round: int = 0  # the round begin_round last began, for memo lookups
 
     @abstractmethod
     def theta_init(self) -> np.ndarray: ...
@@ -35,6 +86,13 @@ class Environment(ABC):
 
     def begin_round(self, t: int) -> None:
         """Advance exogenous state (drift, fresh contexts) for round t."""
+
+    def round_value(self, name: str, z: dict, compute: Callable[[dict], float]) -> float:
+        """``compute(z)`` for the current round's payload ``z``, through the
+        seed's memo when there is one."""
+        if self.memo is None:
+            return compute(z)
+        return self.memo.value(self.round, name, z, compute)
 
     @abstractmethod
     def solve_inner(self, theta: np.ndarray, w_prev: np.ndarray) -> InnerSolveReport: ...

@@ -13,8 +13,11 @@ read the gradient off the change in the path indicator, scaled back by the
 perturbation size.
 
 There is no adjoint, so the environment has no derivative products and
-``hypergradients_at_many`` reads only the stored payloads. The decision and
-the oracle are single solves on the heap solver, two per round. The
+``hypergradients_at_many`` reads only the stored payloads. The decision is
+one heap solve per round. The oracle path on the realized costs and the
+comparator's path read only the round's payload, so with a seed memo (see
+``environments/base.py``) each is priced once per seed and round, whichever
+cell gets there first, and is one heap solve per round without one. The
 comparator's costs never change, so its path comes from a cached heap
 shortest-path tree per start (at most one per border cell), solved on first
 use; each round only backtracks from its goal. Re-evaluating the transport
@@ -149,9 +152,10 @@ class GridPathProblem(Environment):
         u = len(field_of)
         bumped = costs + self.cfg.perturbation * np.stack([z["costs_true"] for z in payloads])
         grids = np.concatenate([np.broadcast_to(costs, (u, self.n_cells)), bumped])
-        starts = list(field_of) + [z["start"] for z in payloads]
-        goals = [z["goal"] for z in payloads] * 2
-        sources = [field_of[z["start"]] for z in payloads] + list(range(u, u + m))
+        starts = np.array([*field_of, *(z["start"] for z in payloads)], dtype=np.int64)
+        goals = np.array([z["goal"] for z in payloads] * 2, dtype=np.int64)
+        sources = np.array([field_of[z["start"]] for z in payloads] + list(range(u, u + m)),
+                           dtype=np.int64)
         paths, _ = grid_shortest_paths(grids.reshape(u + m, self.cfg.height, self.cfg.width),
                                        starts, goals, sources)
         delta = (paths[m:] - paths[:m]) * mask
@@ -175,6 +179,7 @@ class GridPathProblem(Environment):
         return np.zeros(self.q)
 
     def begin_round(self, t: int) -> None:
+        self.round = t
         noise = self._drift_rng.standard_normal(self.n_cells)
         self.drift = (1.0 - self.cfg.drift_rate) * self.drift + self.cfg.drift_noise * noise
         start = self._border[self._endpoint_rng.integers(len(self._border))]
@@ -193,11 +198,17 @@ class GridPathProblem(Environment):
         costs_true = self.current_true_costs()
         z = {"costs_true": costs_true, "start": self.start, "goal": self.goal}
         realized = float(costs_true @ np.asarray(w))
-        _, oracle_cost = self._shortest(costs_true, self.start, self.goal)
-        gap = max(0.0, realized - oracle_cost)
+        gap = max(0.0, realized - self.round_value("oracle", z, self._oracle_cost))
         return z, realized, gap
 
+    def _oracle_cost(self, z: dict) -> float:
+        """Cost of the shortest path on the realized costs: one heap solve."""
+        return self._shortest(z["costs_true"], z["start"], z["goal"])[1]
+
     def comparator_round_loss(self, z) -> float:
+        return self.round_value("comparator", z, self._comparator_loss)
+
+    def _comparator_loss(self, z: dict) -> float:
         """True cost of the comparator's path, backtracked from the heap tree
         of its start: the comparator's costs never change, so each start's
         tree is solved once, on first use."""

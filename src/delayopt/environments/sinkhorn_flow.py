@@ -25,6 +25,10 @@ Re-evaluating stored rounds forms each round's raw activations with its own
 matrix-vector product, stacked in one ``matmul`` call: one matrix-matrix
 product over all rounds runs another BLAS kernel, whose rows differ from a
 single round's at rounding level.
+
+The comparator reads only the round's realized costs, so with a seed memo
+(see ``environments/base.py``) its assignment solve runs once per seed and
+round, whichever cell gets there first.
 """
 
 from __future__ import annotations
@@ -188,7 +192,7 @@ class SinkhornProblem(BilevelProblem, Environment):
         costs = np.exp(np.minimum(raw, self._log_cap))
         dcost = np.where((costs < self.cfg.cost_floor) | (raw >= self._log_cap), 0.0, costs)
         U = -(V * dcost)  # direct term is zero; gradient = -(v * dC) outer features
-        return (U[:, :, None] * F[:, None, :]).reshape(len(payloads), self.p)
+        return np.einsum("ij,ik->ijk", U, F).reshape(len(payloads), self.p)
 
     def true_loss(self, w, theta, z) -> float:
         return float(z["costs_true"] @ np.asarray(w))
@@ -208,6 +212,7 @@ class SinkhornProblem(BilevelProblem, Environment):
         return np.full(self.q, 1.0 / self.q)
 
     def begin_round(self, t: int) -> None:
+        self.round = t
         rate = self.cfg.drift_rate
         noise = self._drift_rng.standard_normal(self.cfg.feature_dim)
         self.features = (
@@ -221,7 +226,9 @@ class SinkhornProblem(BilevelProblem, Environment):
             )
 
     def _solve_coupling(self, theta: np.ndarray, features: np.ndarray, iterations: int) -> np.ndarray:
-        costs, _ = self.predicted_costs(theta, features)
+        # predicted_costs without the derivative it never reads
+        raw = self._weights(theta) @ features
+        costs = np.maximum(np.exp(np.minimum(raw, self._log_cap)), self.cfg.cost_floor)
         plan = sinkhorn_log(costs.reshape(self.cfg.n, self.cfg.n), self.mu, self.nu,
                             self.cfg.regularization, iterations)
         w = plan.ravel()
@@ -253,6 +260,9 @@ class SinkhornProblem(BilevelProblem, Environment):
         return z, self.true_loss(w, theta, z), None
 
     def comparator_round_loss(self, z) -> float:
+        return self.round_value("comparator", z, self._plan_loss)
+
+    def _plan_loss(self, z: dict) -> float:
         # decision-optimal benchmark: the minimum-cost plan on the realized
         # costs. With uniform marginals it is a permutation scaled by 1/n
         # (Birkhoff-von Neumann), so an exact assignment solve prices it. No

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from delayopt.config import ConfigError, DelaySpec, ExperimentConfig
-from delayopt.environments import make_environment
+from delayopt.environments import RoundMemo, make_environment
 from delayopt.metrics import (
     eta_max_search,
     improvement_pct,
@@ -55,19 +55,31 @@ def run_one(
     delay_spec: DelaySpec,
     seed: int,
     rounds: Optional[int] = None,
+    memo: Optional[RoundMemo] = None,
 ) -> RunResult:
-    env = make_environment(cfg.environment, seed=seed, **cfg.env_args)
+    """One cell; ``memo`` is the round memo its seed's cells share, if any."""
+    env = make_environment(cfg.environment, seed=seed, memo=memo, **cfg.env_args)
     schedule = delay_spec.schedule(seed)
     return run_online(env, algo, schedule, rounds or cfg.rounds)
 
 
 def _run_cell(args) -> tuple[tuple[str, str, int], RunResult]:
-    cfg, algo, delay_spec, seed = args
-    res = run_one(cfg, algo, delay_spec, seed)
+    cfg, algo, delay_spec, seed, memo = args
+    res = run_one(cfg, algo, delay_spec, seed, memo=memo)
     return (algo.name, delay_spec.describe(), seed), res
 
 
-def _map_cells(fn: Callable, cells: list, parallel: int) -> Iterable:
+def _experiment_cells(cfg: ExperimentConfig, share: bool) -> Iterable:
+    """Every cell, seed-major. With ``share`` the cells of one seed get one
+    fresh round memo, released once the next seed's cells begin."""
+    for seed in cfg.seeds:
+        memo = RoundMemo() if share else None
+        for algo in cfg.algorithms:
+            for spec in cfg.delays:
+                yield cfg, algo, spec, seed, memo
+
+
+def _map_cells(fn: Callable, cells: Iterable, parallel: int) -> Iterable:
     """``fn`` over ``cells`` in order. With ``parallel > 1`` the cells run on
     that many spawned worker processes and the results come as a list;
     otherwise they run lazily in this process, each as it is consumed."""
@@ -149,14 +161,10 @@ class ExperimentResult:
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1, write: bool = True) -> ExperimentResult:
     """Run every (algorithm, delay, seed) cell; write per-run CSVs and the
-    summary table. Output is independent of worker scheduling."""
+    summary table. Serial cells of one seed share its round memo; on worker
+    processes each cell works alone. Output is independent of both."""
     cfg.validate()
-    cells = [
-        (cfg, algo, spec, seed)
-        for algo in cfg.algorithms
-        for spec in cfg.delays
-        for seed in cfg.seeds
-    ]
+    cells = _experiment_cells(cfg, share=parallel <= 1)
     results: dict[tuple[str, str, int], RunResult] = dict(_map_cells(_run_cell, cells, parallel))
 
     summary: list[SummaryRow] = []

@@ -378,41 +378,50 @@ def grid_shortest_paths(
     is its neighbour ``u`` smallest in ``(dist[u], u)``: by the same
     monotonicity it satisfies ``dist[u] + cost[v] == dist[v]``, and it is the
     first such neighbour the heap solver settles, so ties break the same way
-    too. Each cell stores which neighbour that is, and each start "stay", so
-    a walker that has reached its start stays there: a hop moves every walker
-    by looking up its cell's neighbour, with no mask, and the cells walked
-    are marked in one scatter at the end, with the starts cleared. A walk
-    that has not reached its start within ``H * W`` hops raises
-    :class:`SolverError`. For a single problem the heap solver is faster;
-    this pays off once a batch holds a few dozen fields.
+    too. A successor table holds the flat index of every cell's parent, and
+    each start's own index, so a walker that has reached its start stays
+    there: a hop moves every walker with one gather from the table, with no
+    mask, and the cells walked are marked in one scatter at the end, with the
+    starts cleared. A walk that has not reached its start within ``H * W``
+    hops raises :class:`SolverError`. For a single problem the heap solver is
+    faster; this pays off once a batch holds a few dozen fields.
+
+    The contract is checked once per batch, on the index arrays: shapes,
+    source range, points inside the grid, and start and goal distinct, with
+    the messages of :func:`dijkstra_grid`. Callers pass ``int64`` arrays;
+    other integer sequences are converted.
     """
     costs = _checked_costs(cell_costs, "grid_shortest_paths")
     if costs.ndim != 3:
         raise ContractError("grid_shortest_paths needs a (k, H, W) cost array")
     k, H, W = costs.shape
-    starts = np.asarray(starts, dtype=np.int64).reshape(k, 2)
-    goals = np.asarray(goals, dtype=np.int64).reshape(-1, 2)
-    m = len(goals)
+    starts = np.asarray(starts, dtype=np.int64)
+    goals = np.asarray(goals, dtype=np.int64)
     sources = np.asarray(sources, dtype=np.int64)
-    if sources.shape != (m,):
-        raise ContractError("grid_shortest_paths needs one source per goal")
-    if np.any((sources < 0) | (sources >= k)):
+    m = len(goals)
+    if starts.shape != (k, 2) or goals.shape != (m, 2) or sources.shape != (m,):
+        raise ContractError("grid_shortest_paths needs (k, 2) starts, (m, 2) goals "
+                            "and one source per goal")
+    if m and not (0 <= sources.min() and sources.max() < k):
         raise ContractError("source index outside the fields")
     ends = np.concatenate([starts, goals])
-    if np.any((ends < 0) | (ends >= (H, W))):
+    last = ends.max(axis=0)
+    if not (0 <= ends.min() and last[0] < H and last[1] < W):
         raise ContractError("start/goal outside the grid")
-    if np.any(np.all(starts[sources] == goals, axis=1)):
-        raise ContractError("start and goal must differ")
 
     # flat index of (row r, column c, field f), counted from the first grid
     # row: (r * row + c) * k + f; the buffers carry one padding row before it
     row = W + 1
     L = row * k
     span = H * L
+    home = (starts[:, 0] * row + starts[:, 1]) * k + np.arange(k)
+    cur = (goals[:, 0] * row + goals[:, 1]) * k + sources
+    done = home[sources]
+    if np.any(cur == done):
+        raise ContractError("start and goal must differ")
     cost = np.full((H, row, k), np.inf)
     cost[:, :W] = costs.transpose(1, 2, 0)
     cost = cost.reshape(span)
-    home = (starts[:, 0] * row + starts[:, 1]) * k + np.arange(k)
     buffers = np.full((2, (H + 2) * L), np.inf)
     buffers[:, L + home] = 0.0
     across = np.empty(span)
@@ -445,18 +454,21 @@ def grid_shortest_paths(
     code = upper.view(np.uint8) << 1
     code |= low.view(np.uint8)
     code[home] = 4
-    step = np.array([-L, -k, k, L, 0])
+    # the flat successor of every cell, so one gather moves every walker a
+    # hop. It goes into the scratch buffer, as a fresh array costs more than
+    # the gather; take writes there directly only in a non-raising mode, and
+    # every code is in range anyway
+    after = np.take(np.array([-L, -k, k, L, 0]), code, out=across.view(np.int64), mode="clip")
+    after += np.arange(span)
 
     n = H * W
-    cur = (goals[:, 0] * row + goals[:, 1]) * k + sources
     totals = dist[L + cur]
-    done = home[sources]
     trail = []
     # a path of n cells takes n - 1 hops; every fourth hop is tested, and the
     # last one by the test after the loop
     for hop in range(1, n):
         trail.append(cur)
-        cur = cur + step[code[cur]]
+        cur = after[cur]
         if hop % 4 == 0 and np.array_equal(cur, done):
             break
     if not np.array_equal(cur, done):

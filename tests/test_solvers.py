@@ -445,6 +445,16 @@ def test_shared_fields_reject_bad_sources(sources, message):
         grid_shortest_paths(costs, [(0, 0), (1, 2)], [(1, 2), (1, 0)], sources)
 
 
+@pytest.mark.parametrize("starts, goals, sources", [
+    ([(0, 0)], [(1, 2), (1, 0)], [0, 1]),  # one start for two fields
+    ([(0, 0), (1, 2)], [(1, 2), (1, 0)], [0]),  # one source for two goals
+    ([(0, 0), (1, 2)], [1, 2], [0, 1]),  # goals without columns
+])
+def test_batched_paths_reject_mismatched_shapes(starts, goals, sources):
+    with pytest.raises(ContractError, match="needs \\(k, 2\\) starts"):
+        grid_shortest_paths(np.ones((2, 2, 3)), starts, goals, sources)
+
+
 def assert_rows_are_heap_paths(costs, starts, goals, sources):
     """Run the batched solve and compare every row with its own heap solve."""
     _, H, W = costs.shape
