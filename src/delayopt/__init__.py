@@ -6,7 +6,7 @@ four simulated environments, a delay-queue simulator, and a statistics
 harness that writes reproducible CSV experiment tables.
 """
 
-from delayopt.core import BilevelProblem, OutcomeRecord
+from delayopt.core import OutcomeRecord
 from delayopt.solvers import (
     InnerSolverConfig,
     InnerSolveReport,

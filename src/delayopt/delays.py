@@ -108,13 +108,10 @@ class DelayQueue:
         self.sigma: int = 0
         self.envelope: int = 0
         self._arrival_buckets: dict[int, list[tuple[int, OutcomeRecord]]] = {}
-        self.total_dispatched = 0
-        self.total_arrived = 0
 
     def dispatch(self, t: int, delay: int, record: OutcomeRecord) -> None:
         self.outstanding.add(t)
         self._arrival_buckets.setdefault(t + delay, []).append((t, record))
-        self.total_dispatched += 1
 
     def advance(self, t: int) -> list[OutcomeRecord]:
         """Collect this round's arrivals (ascending round order) and update
@@ -122,7 +119,6 @@ class DelayQueue:
         arrivals = sorted(self._arrival_buckets.pop(t, []), key=lambda it: it[0])
         for s, _ in arrivals:
             self.outstanding.discard(s)
-        self.total_arrived += len(arrivals)
         self.sigma = len(self.outstanding)
         self.envelope = max(self.envelope, self.sigma)
         return [rec for _, rec in arrivals]

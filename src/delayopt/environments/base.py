@@ -1,11 +1,10 @@
-"""Runner-facing environment interface.
+"""The environment contract: :class:`Environment` is the one interface the
+runner, the gradient engines and the transport buffer use.
 
 An environment owns its exogenous randomness (drift, contexts, noise), its
 round context, and its inner-solver pipeline. Two environments with the same
 seed replay identical exogenous sequences regardless of the optimizer driving
-them, which is what makes paired algorithm comparisons valid. The smooth
-environments also implement ``delayopt.core.BilevelProblem``, the adjoint route,
-each with a closed-form adjoint; the others answer ``exact_adjoint`` with None.
+them, which is what makes paired algorithm comparisons valid.
 
 That pairing is checked, not only promised. A serial ``run_experiment`` runs
 its cells seed-major and hands every cell of one seed the same
@@ -17,6 +16,21 @@ payload at a memoized round differs raises ``ContractError`` naming the round.
 Environments whose values read endogenous state (LQR's comparator reads the
 state the played gains produced) never consult it. Cells on worker processes
 (``parallel > 1``) each price their own rounds.
+
+Transport needs one thing from an environment: a stored round's gradient
+re-evaluated at the current parameters. ``exact_adjoint`` runs once per
+arrival (closed form for ``hard_quadratic``, ``lqr`` and ``sinkhorn``, None
+for ``grid_path``) and ``hypergradients_at_many`` re-evaluates any set of
+stored rounds at one parameter point.
+
+The three smooth environments also keep their derivative products as plain
+methods (``model_loss``, ``true_loss``, ``grad_w_model``, ``grad_w_true``,
+``grad_theta_true_fixed_w``, ``cross_partial_transpose_vp``, ``exact_inner``).
+The runner and the gradient engines call none of them. They are the
+reference the closed forms are checked against: by finite differences and
+conjugate gradient in ``tests/test_environments.py``, and row by row through
+the per-entry formula ``delayopt.transport.hypergradient_at`` in
+``tests/test_transport.py``.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delayopt.core import BilevelProblem, ContractError
+from delayopt.core import ContractError
 from delayopt.environments.base import Environment
 from delayopt.solvers import InnerSolveReport
 
@@ -39,19 +39,18 @@ class HardQuadraticConfig:
             raise ContractError("mu_w must be positive")
 
 
-class HardQuadraticProblem(BilevelProblem, Environment):
+class HardQuadraticProblem(Environment):
     p = 1
     q = 1
 
     def __init__(self, cfg: HardQuadraticConfig, seed: int = 0):
         self.cfg = cfg
         self.coupling = abs(cfg.a - cfg.b)
-        self.mu_w_hint = cfg.mu_w
         self.comparator_note = "fixed comparator theta=0 (closed-form optimum)"
 
-    # -- bilevel contract -------------------------------------------------
+    # -- derivative products (z, the outcome payload, is always None) ---------
 
-    def model_loss(self, w, theta, ctx=None) -> float:
+    def model_loss(self, w, theta) -> float:
         r = w[0] - self.cfg.b * theta[0]
         return 0.5 * self.cfg.mu_w * r * r
 
@@ -59,7 +58,7 @@ class HardQuadraticProblem(BilevelProblem, Environment):
         r = w[0] - self.cfg.a * theta[0]
         return 0.5 * r * r
 
-    def grad_w_model(self, w, theta, ctx=None):
+    def grad_w_model(self, w, theta):
         return np.array([self.cfg.mu_w * (w[0] - self.cfg.b * theta[0])])
 
     def grad_w_true(self, w, theta, z=None):
@@ -71,10 +70,22 @@ class HardQuadraticProblem(BilevelProblem, Environment):
     def exact_adjoint(self, w, theta, z=None):
         return self.grad_w_true(w, theta, z) / self.cfg.mu_w
 
-    def cross_partial_transpose_vp(self, w, theta, v, ctx=None):
+    def cross_partial_transpose_vp(self, w, theta, v, z=None):
         return np.array([-self.cfg.b * self.cfg.mu_w * v[0]])
 
-    def exact_inner(self, theta, ctx=None):
+    def hypergradients_at_many(self, theta, decisions, adjoints, payloads):
+        """``grad_theta_true_fixed_w - cross_partial_transpose_vp`` for every
+        stored (decision, adjoint) pair, elementwise over all entries at once,
+        as an (m, 1) matrix. Each factor keeps the per-entry operation order,
+        so row i equals ``hypergradient_at`` on entry i bit for bit."""
+        a, b = self.cfg.a, self.cfg.b
+        W = np.array(decisions)[:, 0]
+        V = np.array(adjoints)[:, 0]
+        direct = -a * (W - a * theta[0])
+        implicit = -b * self.cfg.mu_w * V
+        return (direct - implicit)[:, None]
+
+    def exact_inner(self, theta):
         return np.array([self.cfg.b * theta[0]])
 
     def reduced_objective(self, theta_scalar: float) -> float:

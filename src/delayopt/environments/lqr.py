@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delayopt.core import BilevelProblem, ContractError
+from delayopt.core import ContractError
 from delayopt.environments.base import Environment
 from delayopt.solvers import InnerSolveReport, InnerSolverConfig, inner_gd
 
@@ -57,7 +57,7 @@ class LQRConfig:
             raise ContractError("r_weight must be positive: the model objective needs R > 0")
 
 
-class LQRProblem(BilevelProblem, Environment):
+class LQRProblem(Environment):
     has_prediction_target = True
 
     def __init__(self, cfg: LQRConfig, seed: int = 0):
@@ -106,16 +106,18 @@ class LQRProblem(BilevelProblem, Environment):
     def _exact_gain(self, theta: np.ndarray) -> np.ndarray:
         return np.linalg.solve(*self._model_terms(theta))
 
-    # -- bilevel contract ----------------------------------------------------
+    # -- derivative products ---------------------------------------------------
     # model objective: E_{x ~ N(0, I)} [ u'Ru + |A x + B u|^2 ], u = -W x
 
-    def model_loss(self, w, theta, ctx=None) -> float:
+    def model_loss(self, w, theta) -> float:
         A, B = self._unpack(theta)
         W = self._gain(w)
         closed = A - B @ W
         return float(np.trace(W.T @ self.R @ W) + np.trace(closed.T @ closed))
 
-    def model_gradient_at(self, theta, ctx=None):
+    def model_gradient_at(self, theta):
+        """``w -> grad_w_model(w, theta)`` with ``M`` and ``C`` formed once, for
+        the inner solver's many steps at one parameter point."""
         M, C = self._model_terms(theta)
         shape = (self.cfg.n_u, self.cfg.n_x)
 
@@ -126,8 +128,8 @@ class LQRProblem(BilevelProblem, Environment):
             return G.ravel()
         return grad
 
-    def grad_w_model(self, w, theta, ctx=None):
-        return self.model_gradient_at(theta, ctx)(np.asarray(w))
+    def grad_w_model(self, w, theta):
+        return self.model_gradient_at(theta)(np.asarray(w))
 
     def exact_adjoint(self, w, theta, z):
         """``2 M V = G`` for the adjoint gain ``V``, with ``G`` the realized-loss
@@ -135,7 +137,7 @@ class LQRProblem(BilevelProblem, Environment):
         M, _ = self._model_terms(theta)
         return np.linalg.solve(2.0 * M, self._gain(self.grad_w_true(w, theta, z))).ravel()
 
-    def cross_partial_transpose_vp(self, w, theta, v, ctx=None):
+    def cross_partial_transpose_vp(self, w, theta, v, z=None):
         A, B = self._unpack(theta)
         W = self._gain(w)
         V = self._gain(v)
@@ -157,7 +159,7 @@ class LQRProblem(BilevelProblem, Environment):
         implicit = np.concatenate([dA.reshape(shape[0], -1), dB.reshape(shape[0], -1)], axis=1)
         return np.zeros(self.p) - implicit
 
-    def exact_inner(self, theta, ctx=None):
+    def exact_inner(self, theta):
         return self._exact_gain(theta).ravel()
 
     # realized loss: u'Ru + x_next' x_next on the true dynamics, z = (x, xi)
@@ -189,7 +191,7 @@ class LQRProblem(BilevelProblem, Environment):
         return np.zeros(self.q)
 
     def solve_inner(self, theta, w_prev) -> InnerSolveReport:
-        return inner_gd(self, theta, w_prev, self._inner_cfg)
+        return inner_gd(self.model_gradient_at(theta), w_prev, self._inner_cfg, self.mu_w_hint)
 
     def realize_outcome(self, t, theta, w):
         cfg = self.cfg

@@ -34,11 +34,11 @@ round, whichever cell gets there first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
-from delayopt.core import BilevelProblem, ContractError
+from delayopt.core import ContractError
 from delayopt.environments.base import Environment
 from delayopt.solvers import InnerSolveReport, assignment_min_cost, sinkhorn_log
 
@@ -65,7 +65,7 @@ class SinkhornConfig:
             raise ContractError("inner iterations must be >= 1")
 
 
-class SinkhornProblem(BilevelProblem, Environment):
+class SinkhornProblem(Environment):
     has_prediction_target = True
 
     def __init__(self, cfg: SinkhornConfig, seed: int = 0):
@@ -105,22 +105,25 @@ class SinkhornProblem(BilevelProblem, Environment):
     def _weights(self, theta: np.ndarray) -> np.ndarray:
         return np.asarray(theta).reshape(self.q, self.cfg.feature_dim)
 
-    def predicted_costs(self, theta: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predicted cost vector and the derivative of cost w.r.t. the raw
-        pre-link activation (zero where the positivity clamps bind).
+    def _link(self, raw: np.ndarray, derivative: bool = False):
+        """Costs ``max(exp(min(raw, cap)), floor)`` from raw pre-link
+        activations of any shape; with ``derivative``, also the derivative of
+        cost w.r.t. the raw activation, zero where the cap or the floor binds.
 
         The log-linear link keeps costs positive and makes the predictor
         Jacobian scale with the prediction, so stored gradients genuinely
         change when re-evaluated at new parameters.
         """
-        raw = self._weights(theta) @ features
-        costs = np.exp(np.minimum(raw, self._log_cap))
-        dcost = costs.copy()
-        clamped = (costs < self.cfg.cost_floor) | (raw >= self._log_cap)
-        if np.any(clamped):
-            costs = np.clip(costs, self.cfg.cost_floor, None)
-            dcost[clamped] = 0.0
-        return costs, dcost
+        capped = np.exp(np.minimum(raw, self._log_cap))
+        costs = np.maximum(capped, self.cfg.cost_floor)
+        if not derivative:
+            return costs
+        clamped = (capped < self.cfg.cost_floor) | (raw >= self._log_cap)
+        return costs, np.where(clamped, 0.0, capped)
+
+    def predicted_costs(self, theta: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted cost vector and its derivative w.r.t. the raw activation."""
+        return self._link(self._weights(theta) @ features, derivative=True)
 
     def true_costs(self, features: np.ndarray, offset: Optional[np.ndarray] = None) -> np.ndarray:
         """Realized cost vector; ``offset`` selects a map-drift state (the
@@ -128,23 +131,20 @@ class SinkhornProblem(BilevelProblem, Environment):
         mat = self.map_true if offset is None else self.map_true + offset
         return np.maximum(mat @ features, self.cfg.cost_floor)
 
-    def _ctx_features(self, ctx: Any) -> np.ndarray:
-        if ctx is None:
-            return self.features
-        return ctx["features"] if isinstance(ctx, dict) else np.asarray(ctx)
+    def _features(self, z: Optional[dict]) -> np.ndarray:
+        """Features of outcome payload ``z``; the current round's when None."""
+        return self.features if z is None else z["features"]
 
-    # -- bilevel contract -------------------------------------------------------
+    # -- derivative products ------------------------------------------------------
 
-    def model_loss(self, w, theta, ctx=None) -> float:
-        feats = self._ctx_features(ctx)
-        costs, _ = self.predicted_costs(theta, feats)
+    def model_loss(self, w, theta, z=None) -> float:
+        costs, _ = self.predicted_costs(theta, self._features(z))
         w = np.asarray(w)
         ent = float(np.sum(w * np.log(np.maximum(w, self.cfg.coupling_floor))))
         return float(costs @ w) + self.cfg.regularization * ent
 
-    def grad_w_model(self, w, theta, ctx=None):
-        feats = self._ctx_features(ctx)
-        costs, _ = self.predicted_costs(theta, feats)
+    def grad_w_model(self, w, theta, z=None):
+        costs, _ = self.predicted_costs(theta, self._features(z))
         w = np.maximum(np.asarray(w), self.cfg.coupling_floor)
         return costs + self.cfg.regularization * (1.0 + np.log(w))
 
@@ -178,8 +178,8 @@ class SinkhornProblem(BilevelProblem, Environment):
         a, b = duals[:n], np.append(duals[n:], 0.0)
         return (K * (C + a[:, None] + b[None, :])).ravel()
 
-    def cross_partial_transpose_vp(self, w, theta, v, ctx=None):
-        feats = self._ctx_features(ctx)
+    def cross_partial_transpose_vp(self, w, theta, v, z=None):
+        feats = self._features(z)
         _, dcost = self.predicted_costs(theta, feats)
         return np.outer(np.asarray(v) * dcost, feats).ravel()
 
@@ -189,8 +189,7 @@ class SinkhornProblem(BilevelProblem, Environment):
         F = np.stack([z["features"] for z in payloads])  # (m, k)
         V = np.stack(adjoints)  # (m, q)
         raw = np.matmul(self._weights(theta), F[:, :, None])[:, :, 0]  # (m, q)
-        costs = np.exp(np.minimum(raw, self._log_cap))
-        dcost = np.where((costs < self.cfg.cost_floor) | (raw >= self._log_cap), 0.0, costs)
+        _, dcost = self._link(raw, derivative=True)
         U = -(V * dcost)  # direct term is zero; gradient = -(v * dC) outer features
         return np.einsum("ij,ik->ijk", U, F).reshape(len(payloads), self.p)
 
@@ -226,9 +225,7 @@ class SinkhornProblem(BilevelProblem, Environment):
             )
 
     def _solve_coupling(self, theta: np.ndarray, features: np.ndarray, iterations: int) -> np.ndarray:
-        # predicted_costs without the derivative it never reads
-        raw = self._weights(theta) @ features
-        costs = np.maximum(np.exp(np.minimum(raw, self._log_cap)), self.cfg.cost_floor)
+        costs = self._link(self._weights(theta) @ features)
         plan = sinkhorn_log(costs.reshape(self.cfg.n, self.cfg.n), self.mu, self.nu,
                             self.cfg.regularization, iterations)
         w = plan.ravel()

@@ -18,7 +18,7 @@ import numpy as np
 
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments.base import Environment
-from delayopt.transport import TransportBuffer, TransportDiagnostics, transport_step
+from delayopt.transport import TransportBuffer, transport_step
 # unused here, but bench/instrument.py traces these two bindings of this module
 from delayopt.transport import hypergradient_at, solve_adjoint  # noqa: F401
 
@@ -110,7 +110,8 @@ class TransportEngine:
         self.problem = problem
         self.buffer = TransportBuffer(capacity)
 
-    def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, TransportDiagnostics]:
+    def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, int]:
+        """The round's gradient and how many arrivals it skipped."""
         return transport_step(self.buffer, arrivals, self.problem, theta_t)
 
     def end_round(self) -> int:
@@ -125,14 +126,14 @@ class StaleArrivalEngine:
     def __init__(self, problem: Environment):
         self.problem = problem
 
-    def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, TransportDiagnostics]:
+    def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, int]:
         g = np.zeros_like(theta_t)
-        diag = TransportDiagnostics(arrivals=len(arrivals))
+        skipped = 0
         for rec in arrivals:
-            g_s, diag_s = transport_step(TransportBuffer(0), [rec], self.problem, rec.dispatch_params)
+            g_s, skipped_s = transport_step(TransportBuffer(0), [rec], self.problem, rec.dispatch_params)
             g += g_s
-            diag.skipped_arrivals += diag_s.skipped_arrivals
-        return g, diag
+            skipped += skipped_s
+        return g, skipped
 
     def end_round(self) -> int:
         return 0
@@ -151,11 +152,11 @@ class TwoStageEngine:
             )
         self.problem = problem
 
-    def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, TransportDiagnostics]:
+    def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, int]:
         g = np.zeros_like(theta_t)
         for rec in arrivals:
             g += self.problem.two_stage_gradient(rec.dispatch_params, rec)
-        return g, TransportDiagnostics(arrivals=len(arrivals))
+        return g, 0
 
     def end_round(self) -> int:
         return 0
@@ -182,15 +183,12 @@ _REGISTRY: dict[str, dict[str, Any]] = {
     "transport_omd": dict(gradient="transport", base="plain_gd", schedule_mode="queue_adaptive"),
     # stale arrival gradients, no correction
     "stale_omd": dict(gradient="stale", base="plain_gd", schedule_mode="queue_adaptive"),
-    # stale gradients + mandatory adaptive schedule + norm clipping
-    "robust_omd": dict(gradient="stale", base="plain_gd", schedule_mode="queue_adaptive", clip_norm=10.0),
     # predict-then-optimize baseline: regression on arrived targets
     "two_stage": dict(gradient="two_stage", base="plain_gd", schedule_mode="constant"),
     "two_stage_adam": dict(gradient="two_stage", base="adam", schedule_mode="constant", clip_norm=1.0),
     # Adam-based pairs for the controlled comparisons
     "transport_adam": dict(gradient="transport", base="adam", schedule_mode="constant", clip_norm=1.0, beta_damping=0.0),
     "stale_adam": dict(gradient="stale", base="adam", schedule_mode="constant", clip_norm=1.0, beta_damping=0.0),
-    "robust_adam": dict(gradient="stale", base="adam", schedule_mode="queue_adaptive", clip_norm=1.0),
 }
 
 

@@ -106,8 +106,8 @@ def run_online(
         sigma, envelope = queue.sigma, queue.envelope
 
         eta = adaptive_step(schedule, envelope)
-        g, diag = engine.round_gradient(theta, arrivals)
-        skipped += diag.skipped_arrivals
+        g, skipped_now = engine.round_gradient(theta, arrivals)
+        skipped += skipped_now
         # a blowing-up run overflows here; the divergence test below rejects
         # the inf and NaN that result, so the warnings carry nothing. Each
         # sqrt(x.dot(x)) is np.linalg.norm's 1-D path without its checks.

@@ -17,11 +17,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from delayopt.core import BilevelProblem, ContractError
+from delayopt.core import ContractError
 
 
 class SolverError(RuntimeError):
@@ -58,17 +58,17 @@ class InnerSolveReport:
 
 
 def inner_gd(
-    problem: BilevelProblem,
-    theta: np.ndarray,
+    grad: Callable[[np.ndarray], np.ndarray],
     w_init: np.ndarray,
     cfg: InnerSolverConfig,
-    ctx: Any = None,
+    mu_w: float,
 ) -> InnerSolveReport:
-    """Run exactly ``cfg.steps`` gradient steps on the model objective.
+    """Run exactly ``cfg.steps`` gradient steps ``w -= step_size * grad(w)``.
 
-    The gradient comes from ``problem.model_gradient_at(theta, ctx)``, taken
-    once per solve, so an environment can form its theta-only terms once
-    rather than at every step. Deterministic.
+    ``grad`` is the model-objective gradient in ``w`` at one parameter point,
+    so a caller can form its parameter-only terms once per solve rather than
+    at every step; ``mu_w`` is the objective's strong-convexity lower bound,
+    which turns the exit residual into ``epsilon_estimate``. Deterministic.
 
     Finiteness is checked once, after the last step: subtracting an infinite
     or NaN step from the iterate never gives a finite value, so a non-finite
@@ -78,7 +78,6 @@ def inner_gd(
     w = np.array(w_init, dtype=float, copy=True)
     if not np.all(np.isfinite(w)):
         raise ContractError("inner_gd requires a finite starting decision")
-    grad = problem.model_gradient_at(theta, ctx)
     step_size = cfg.step_size
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.steps):
@@ -86,7 +85,7 @@ def inner_gd(
     if not np.isfinite(w).all():
         raise SolverError(f"inner divergence within {cfg.steps} steps")
     residual = float(np.linalg.norm(grad(w)))
-    eps = residual / max(problem.mu_w_hint, 1e-12)
+    eps = residual / max(mu_w, 1e-12)
     return InnerSolveReport(solution=w, iterations_used=cfg.steps, residual_norm=residual, epsilon_estimate=eps)
 
 

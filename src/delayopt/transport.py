@@ -54,7 +54,7 @@ def hypergradient_at(
     matrix-vector products.
     """
     direct = problem.grad_theta_true_fixed_w(w_s, theta_query, z_s)
-    implicit = problem.cross_partial_transpose_vp(w_s, theta_query, v_s, ctx=z_s)
+    implicit = problem.cross_partial_transpose_vp(w_s, theta_query, v_s, z_s)
     if direct.shape != implicit.shape:
         raise ContractError("hypergradient term dimension mismatch")
     return direct - implicit
@@ -100,18 +100,12 @@ class TransportBuffer:
         return evicted
 
 
-@dataclass
-class TransportDiagnostics:
-    arrivals: int = 0
-    skipped_arrivals: int = 0
-
-
 def transport_step(
     buffer: TransportBuffer,
     arrivals: list[OutcomeRecord],
     problem: Environment,
     theta_t: np.ndarray,
-) -> tuple[np.ndarray, TransportDiagnostics]:
+) -> tuple[np.ndarray, int]:
     """One transport round: arrival gradients plus re-evaluation increments.
 
     Each arrival's adjoint is first solved at ``theta_t`` (None for an
@@ -127,10 +121,10 @@ def transport_step(
     increment, and cached as is, so its increment on its arrival round is
     exactly zero.
 
-    Returns the corrected gradient and per-round diagnostics. Eviction to
-    capacity is the caller's final step.
+    Returns the corrected gradient and the number of skipped arrivals.
+    Eviction to capacity is the caller's final step.
     """
-    diag = TransportDiagnostics(arrivals=len(arrivals))
+    skipped = 0
     g_total = np.zeros_like(np.asarray(theta_t, dtype=float))
     preexisting = list(buffer)
 
@@ -139,7 +133,7 @@ def transport_step(
         try:
             adjoint = solve_adjoint(problem, rec.dispatch_decision, theta_t, rec.payload)
         except SolverError as exc:
-            diag.skipped_arrivals += 1
+            skipped += 1
             log.warning("round %d arrival skipped: %s", rec.round, exc)
             continue
         entry = TransportBufferEntry(
@@ -157,7 +151,7 @@ def transport_step(
             g_total += g_new - entry.cached_gradient
             entry.cached_gradient = g_new
 
-    return g_total, diag
+    return g_total, skipped
 
 
 def _gradients_at(problem: Environment, theta: np.ndarray, entries: list[TransportBufferEntry]) -> np.ndarray:

@@ -432,6 +432,28 @@ def test_sinkhorn_positive_costs_always():
         assert np.all(costs >= env.cfg.cost_floor)
 
 
+def test_sinkhorn_link_derivative_is_zero_where_cap_or_floor_binds():
+    # one raw activation per regime: under the floor, inside, just under the
+    # cap, just past it and far past it
+    env = fresh("sinkhorn")
+    floor, cap = env.cfg.cost_floor, env._log_cap
+    raw = np.array([np.log(floor) - 3.0, 0.0, cap - 1e-6, cap + 1e-6, cap + 3.0])
+    theta = np.zeros(env.p)
+    theta[: raw.size * env.cfg.feature_dim] = (np.outer(raw, env.features)
+                                               / (env.features @ env.features)).ravel()
+    costs, dcost = env.predicted_costs(theta, env.features)
+    assert np.array_equal(costs, env._link(env._weights(theta) @ env.features))
+    head = env._weights(theta)[: raw.size] @ env.features
+    capped = np.exp(np.minimum(head, cap))
+    assert np.array_equal(costs[: raw.size], np.maximum(capped, floor))
+    assert np.array_equal(dcost[: raw.size] == 0.0, [True, False, False, True, True])
+    assert dcost[1] == costs[1] and dcost[2] == costs[2]
+    # the batched rows read the same derivative
+    v = np.ones(env.q)
+    rows = env.hypergradients_at_many(theta, [None], [v], [{"features": env.features}])
+    assert np.array_equal(rows[0], -env.cross_partial_transpose_vp(None, theta, v, {"features": env.features}))
+
+
 def test_sinkhorn_comparator_is_exact_min_cost_plan():
     env = fresh("sinkhorn")
     n = env.cfg.n

@@ -1,0 +1,104 @@
+"""Byte-identical output: tiny experiments on every environment write the CSVs
+recorded here, digest for digest.
+
+A refactor that keeps the numbers keeps these digests; a change that moves
+any bit of any logged value, the summary or a CSV header fails here. An
+intended numeric change re-records the digests (run this module's
+``recorded_digests`` and paste its output) and says why in CHANGES.md.
+
+Floating-point results can differ across numpy builds (BLAS kernels, SIMD
+paths), so the digests hold only for the numpy version they were recorded
+with; on any other version the test skips and says so.
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from delayopt.config import DelaySpec, ExperimentConfig
+from delayopt.harness import run_experiment
+from delayopt.optimizers import make_algorithm
+
+NUMPY_VERSION = "2.4.6"
+
+
+def constant(d):
+    return DelaySpec(kind="constant", d=d)
+
+
+# name -> (environment, environment args, eta0, algorithms, delays, rounds)
+CASES = {
+    "hard_quadratic": ("hard_quadratic", {"bias": 0.05}, 0.1,
+                       ("stale_omd", "transport_omd"), [constant(0), constant(3)], 60),
+    "sinkhorn": ("sinkhorn", {}, 0.002,
+                 ("transport_adam", "stale_adam", "two_stage_adam"), [constant(0), constant(5)], 50),
+    "grid_path": ("grid_path", {}, 0.001,
+                  ("transport_adam", "stale_adam", "two_stage_adam"),
+                  [DelaySpec(kind="uniform", d_max=6)], 40),
+    "lqr": ("lqr", {}, 0.01, ("transport_omd", "stale_omd", "two_stage"), [constant(2)], 60),
+}
+
+DIGESTS = {
+    "grid_path": {
+        "runs/stale_adam__uniform-0-6__seed0.csv": "d7ce1383752d5a4ec358b52c55f9f283fc847b3b905cf79021f56f89d44437e9",
+        "runs/transport_adam__uniform-0-6__seed0.csv": "961d66c19570183ddb69c04bbb93f70dd2499a1ccef167528c5beb2c5b83ee69",
+        "runs/two_stage_adam__uniform-0-6__seed0.csv": "912846b0f3bf462bac4f24bc3247b0fd97bf3cef657d37a2ad6540aa86a459a2",
+        "summary.csv": "5f39a4e57a982f74a662f9b99d79f56575fb0062607ab0d286737ee59870ddb0",
+    },
+    "hard_quadratic": {
+        "runs/stale_omd__constant-0__seed0.csv": "ab60eabf77cc92d3aaa15604c311f0be2aba62cc47f11d7e84ba71c29a233da9",
+        "runs/stale_omd__constant-3__seed0.csv": "b511b21559ae946f410760cffe5eb2f29db1cbc352bb8aea0283de540f8dc357",
+        "runs/transport_omd__constant-0__seed0.csv": "5d61942c72333a21e3acbd0404492215cefdae9d665c6b0d8e80904764edb927",
+        "runs/transport_omd__constant-3__seed0.csv": "f82fa66ece34b113904e1ce6ae1745d7b3e09ed7e46c19e2af589ac1e1f6b748",
+        "summary.csv": "54290ab0c0f49ad5b3709ad7ceeb0fbde377e516347665f6948dc6a4334d9e29",
+    },
+    "lqr": {
+        "runs/stale_omd__constant-2__seed0.csv": "79b55f7af30b3951e3f7886cad7d17b7d9f33c5903a4149c58b08259f9caed2c",
+        "runs/transport_omd__constant-2__seed0.csv": "163e14edebc1d1821f6e6f984b2b745fa5f469ababcc67b4db10aef88b720de6",
+        "runs/two_stage__constant-2__seed0.csv": "806a48f5a42bbc1f3eca25b330d013bc8a5269d1d247abd980bb3e0ed325d8b3",
+        "summary.csv": "9bcbe72ed462dc99ee7c60c5a29d466b62dc596cda580b4bee90de3a44e89dbd",
+    },
+    "sinkhorn": {
+        "runs/stale_adam__constant-0__seed0.csv": "2d7165246e55f2fa572857483c2979951d19c2225a68cfa759091a78d29e3480",
+        "runs/stale_adam__constant-5__seed0.csv": "5741276eb0b8abec2f33e7640826c6d4588d4caa9e64b20fe3e3c168054c2fee",
+        "runs/transport_adam__constant-0__seed0.csv": "b1d5921711973714074304843ce105116af2fa5b7b251d51a0e2a9a8a1ff809c",
+        "runs/transport_adam__constant-5__seed0.csv": "9cc82c9e251f46bb2e9df334279d927493a346ca19332a1eb0b11c2a920cc175",
+        "runs/two_stage_adam__constant-0__seed0.csv": "31ae2ab582b2a7d05cf32993acaec3c7644827b1ff5273878c2bb55c6a787a28",
+        "runs/two_stage_adam__constant-5__seed0.csv": "484491347e20836f3aec6b09cd882f77c5571bd15fb031b5fa9a050a6b549f5e",
+        "summary.csv": "2c11abc851696702ae6e7b23368232067d2e1b19305edd789a8cad8b61ec43da",
+    },
+}
+
+
+def csv_digests(name: str, out_dir: str) -> dict[str, str]:
+    """Run case ``name`` at seed 0 into ``out_dir``; sha256 of every CSV it
+    writes, keyed by the path below ``out_dir``."""
+    environment, env_args, eta0, algorithms, delays, rounds = CASES[name]
+    cfg = ExperimentConfig(
+        name=f"golden_{name}", environment=environment, env_args=env_args, rounds=rounds,
+        seeds=[0], out_dir=out_dir, delays=delays,
+        algorithms=[make_algorithm(algo, eta0=eta0) for algo in algorithms],
+    )
+    run_experiment(cfg)
+    digests = {}
+    for root, _, files in os.walk(out_dir):
+        for file in files:
+            path = os.path.join(root, file)
+            with open(path, "rb") as fh:
+                digests[os.path.relpath(path, out_dir)] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def recorded_digests(out_dir: str) -> dict[str, dict[str, str]]:
+    """Digests of every case, in the layout of ``DIGESTS``."""
+    return {name: csv_digests(name, os.path.join(out_dir, name)) for name in CASES}
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}; "
+                           f"this is numpy {np.__version__}, whose arithmetic may differ in the last bit")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_digests_match_the_recorded_ones(name, tmp_path):
+    assert csv_digests(name, str(tmp_path)) == DIGESTS[name]

@@ -420,7 +420,7 @@ def test_config_schema_lists_every_algorithm_key_and_registry_entry():
 
 
 def test_clip_norm_none_parses_to_none():
-    cfg = parse_config("[algorithm.robust_omd]\nclip_norm = none\n[algorithm.stale_omd]\nclip_norm = 2\n")
+    cfg = parse_config("[algorithm.stale_adam]\nclip_norm = none\n[algorithm.stale_omd]\nclip_norm = 2\n")
     assert [algo.clip_norm for algo in cfg.algorithms] == [None, 2]
 
 

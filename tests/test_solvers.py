@@ -36,10 +36,15 @@ def quad_env(a=1.0, b=2.0, mu_w=1.0):
     return make_environment("hard_quadratic", seed=0, a=a, b=b, mu_w=mu_w)
 
 
+def quad_gd(env, theta, w_init, cfg):
+    """``inner_gd`` on the scalar quadratic's model objective at ``theta``."""
+    return inner_gd(lambda w: env.grad_w_model(w, theta), w_init, cfg, env.cfg.mu_w)
+
+
 def test_inner_gd_single_step_hand_iterated():
     # gradient is mu_w * (w - b theta); from 0 with eta 0.5 one step lands at 1.0
     env = quad_env()
-    rep = inner_gd(env, np.array([1.0]), np.array([0.0]), InnerSolverConfig(steps=1, step_size=0.5))
+    rep = quad_gd(env, np.array([1.0]), np.array([0.0]), InnerSolverConfig(steps=1, step_size=0.5))
     assert rep.solution[0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -47,13 +52,13 @@ def test_inner_gd_fixed_point():
     env = quad_env()
     theta = np.array([0.7])
     w_star = env.exact_inner(theta)
-    rep = inner_gd(env, theta, w_star, InnerSolverConfig(steps=7, step_size=0.4))
+    rep = quad_gd(env, theta, w_star, InnerSolverConfig(steps=7, step_size=0.4))
     assert abs(rep.solution[0] - w_star[0]) <= 1e-12
 
 
 def test_inner_gd_geometric_limit():
     env = quad_env()
-    rep = inner_gd(env, np.array([1.0]), np.array([0.0]), InnerSolverConfig(steps=60, step_size=0.5))
+    rep = quad_gd(env, np.array([1.0]), np.array([0.0]), InnerSolverConfig(steps=60, step_size=0.5))
     assert abs(rep.solution[0] - 2.0) <= 1e-12
 
 
@@ -64,7 +69,7 @@ def test_inner_gd_contraction_exact():
     w0 = np.array([5.0])
     w_star = env.exact_inner(theta)[0]
     for K in (1, 3, 10):
-        rep = inner_gd(env, theta, w0, InnerSolverConfig(steps=K, step_size=0.25))
+        rep = quad_gd(env, theta, w0, InnerSolverConfig(steps=K, step_size=0.25))
         expected = (1 - 0.25) ** K * abs(w0[0] - w_star)
         assert abs(abs(rep.solution[0] - w_star) - expected) <= 1e-10
         assert rep.epsilon_estimate == pytest.approx(expected, abs=1e-10)
@@ -101,28 +106,29 @@ def reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size):
        b_scale=st.sampled_from([0.1, 0.5, 2.0]), scale=st.sampled_from([1e-3, 1.0, 30.0]),
        steps=st.integers(1, 15), step_size=st.sampled_from([1e-3, 0.01, 0.05]), seed=st.integers(0, 2**16))
 def test_lqr_inner_gd_equals_per_step_reference_bitwise(n_x, n_u, r_weight, b_scale, scale, steps, step_size, seed):
-    env = LQRProblem(LQRConfig(n_x=n_x, n_u=n_u, r_weight=r_weight, b_scale=b_scale, task_seed=seed), seed=seed)
+    # the environment's own inner solve: inner_gd on its theta-frozen gradient
+    env = LQRProblem(LQRConfig(n_x=n_x, n_u=n_u, r_weight=r_weight, b_scale=b_scale, task_seed=seed,
+                               inner_steps=steps, inner_step_size=step_size), seed=seed)
     rng = np.random.default_rng(seed)
     theta = env.theta_init() + scale * rng.standard_normal(env.p)
     w0 = scale * rng.standard_normal(env.q)
     reference = reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size)
-    cfg = InnerSolverConfig(steps=steps, step_size=step_size)
     if reference is None:
         with pytest.raises(SolverError, match=f"inner divergence within {steps} steps"):
-            inner_gd(env, theta, w0, cfg)
+            env.solve_inner(theta, w0)
         return
-    rep = inner_gd(env, theta, w0, cfg)
+    rep = env.solve_inner(theta, w0)
     assert np.array_equal(rep.solution, reference[0])
     assert rep.residual_norm == reference[1]
 
 
 def test_diverging_inner_solve_raises_without_a_warning():
-    env = make_environment("lqr", seed=0)
+    env = make_environment("lqr", seed=0, inner_steps=200, inner_step_size=1e6)
     theta, w0 = env.theta_init(), env.initial_decision()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SolverError, match="inner divergence within 200 steps"):
-            inner_gd(env, theta, w0, InnerSolverConfig(steps=200, step_size=1e6))
+            env.solve_inner(theta, w0)
     assert caught == []
 
 

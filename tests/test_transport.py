@@ -131,8 +131,8 @@ def test_buffer_capacity_and_fifo_order():
 def test_transport_step_empty_is_zero():
     env = quad_env()
     buf = TransportBuffer(capacity=5)
-    g, diag = transport_step(buf, [], env, np.array([1.0]))
-    assert g[0] == 0.0 and len(buf) == 0 and diag.arrivals == 0
+    g, skipped = transport_step(buf, [], env, np.array([1.0]))
+    assert g[0] == 0.0 and len(buf) == 0 and skipped == 0
 
 
 def test_transport_step_single_arrival_equals_arrival_gradient():
@@ -184,8 +184,8 @@ def test_transport_step_skips_failed_adjoint(caplog, monkeypatch):
     monkeypatch.setattr(env, "exact_adjoint", fail)
     buf = TransportBuffer(capacity=2)
     rec = record(env, 3, 0.0, w_val=1.0)
-    g, diag = transport_step(buf, [rec], env, np.zeros(1))
-    assert diag.skipped_arrivals == 1
+    g, skipped = transport_step(buf, [rec], env, np.zeros(1))
+    assert skipped == 1
     assert g[0] == 0.0 and len(buf) == 0
     assert "round 3 arrival skipped: singular adjoint system" in caplog.text
 
@@ -209,8 +209,9 @@ def test_singular_closed_form_adjoint_skips_the_arrival(caplog, monkeypatch, alg
 
 
 class AdjointRecorder(Environment):
-    """Not a ``BilevelProblem``, yet with an adjoint: each re-evaluation row is
-    the adjoint it is handed, and every call's adjoints are kept."""
+    """A bare ``Environment`` with an adjoint and no derivative products: each
+    re-evaluation row is the adjoint it is handed, and every call's adjoints
+    are kept."""
 
     p = q = 2
 
@@ -268,12 +269,12 @@ def test_transport_step_hands_every_arrival_its_exact_adjoint():
 def test_stale_engine_hands_each_arrival_its_dispatch_adjoint():
     env = AdjointRecorder()
     arrivals = [recorder_arrival(1, [9.0, 9.0]), recorder_arrival(2, [8.0, 8.0])]
-    g, diag = StaleArrivalEngine(env).round_gradient(np.array([0.5, -1.0]), arrivals)
+    g, skipped = StaleArrivalEngine(env).round_gradient(np.array([0.5, -1.0]), arrivals)
     want = [adjoint_of(env, rec, rec.dispatch_params) for rec in arrivals]
     assert [len(handed) for handed in env.calls] == [1, 1]
     for (got,), ref in zip(env.calls, want):
         assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
-    assert np.array_equal(g, want[0] + want[1]) and diag.arrivals == 2
+    assert np.array_equal(g, want[0] + want[1]) and skipped == 0
 
 
 # -- batched re-evaluation and telescoping ------------------------------------------
@@ -379,8 +380,8 @@ def test_batched_reevaluation_equals_per_entry_on_sinkhorn():
 
 @pytest.mark.parametrize("name", ["hard_quadratic", "lqr"])
 def test_batched_reevaluation_equals_per_entry_on_adjoint_envs_exactly(name):
-    # hard_quadratic takes the default stacked per-entry formula, lqr its own
-    # stacked products; both must match the arrival path bit for bit
+    # hard_quadratic and lqr each take their own stacked products; both must
+    # match the arrival path bit for bit
     env = make_environment(name, seed=3)
     rng = np.random.default_rng(3)
     entries = played_entries(env, rng, 9, spread=0.05)
@@ -406,20 +407,26 @@ def test_lqr_stacked_hypergradients_equal_per_entry_bitwise(m, seed, scale):
         assert np.array_equal(batch[i], hypergradient_at(env, decisions[i], adjoints[i], theta, None))
 
 
-def test_default_batched_hypergradients_equal_per_entry_and_check_shapes():
-    env = quad_env(bias=0.1)
-    rng = np.random.default_rng(5)
-    theta = np.array([0.3])
-    decisions = [rng.standard_normal(1) for _ in range(7)]
-    adjoints = [rng.standard_normal(1) for _ in range(7)]
-    batch = env.hypergradients_at_many(theta, decisions, adjoints, [None] * 7)
-    for i in range(7):
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 25), seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 30.0]),
+       a=st.floats(-3.0, 3.0), gap=st.floats(0.1, 3.0), mu_w=st.floats(0.05, 20.0))
+def test_hard_quadratic_stacked_hypergradients_equal_per_entry_bitwise(m, seed, scale, a, gap, mu_w):
+    env = quad_env(a=a, b=a + gap, mu_w=mu_w)
+    rng = np.random.default_rng(seed)
+    theta = scale * rng.standard_normal(1)
+    decisions = [scale * rng.standard_normal(1) for _ in range(m)]
+    adjoints = [scale * rng.standard_normal(1) for _ in range(m)]
+    batch = env.hypergradients_at_many(theta, decisions, adjoints, [None] * m)
+    assert batch.shape == (m, 1)
+    for i in range(m):
         assert np.array_equal(batch[i], hypergradient_at(env, decisions[i], adjoints[i], theta, None))
+
+
+def test_hypergradient_at_rejects_mismatched_terms():
+    env = quad_env()
     env.grad_theta_true_fixed_w = lambda w, th, z=None: np.zeros(2)
     with pytest.raises(ContractError, match="dimension mismatch"):
-        env.hypergradients_at_many(theta, decisions, adjoints, [None] * 7)
-    with pytest.raises(ContractError, match="dimension mismatch"):
-        hypergradient_at(env, decisions[0], adjoints[0], theta, None)
+        hypergradient_at(env, np.array([0.5]), np.array([1.0]), np.array([0.3]), None)
 
 
 @settings(max_examples=12, deadline=None)
