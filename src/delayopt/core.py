@@ -1,9 +1,10 @@
-"""The outcome record and the contract error shared by every module.
+"""The outcome record and the errors shared by every module.
 
 :class:`OutcomeRecord` is one dispatched round's feedback as the delay queue
 stores and releases it; :class:`ContractError` is raised wherever a caller
-or an environment breaks a documented contract. The environment contract
-itself is ``delayopt.environments.base.Environment``.
+or an environment breaks a documented contract, and :class:`InvariantError`
+wherever a run breaks an invariant the method guarantees. The environment
+contract itself is ``delayopt.environments.base.Environment``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ import numpy as np
 
 class ContractError(ValueError):
     """An environment or caller violated a documented contract."""
+
+
+class InvariantError(AssertionError):
+    """A run broke an invariant that holds by construction: the window
+    inequality of a constant delay, or the same delays in both arms of a
+    paired comparison. It means a bug, not bad input; it subclasses
+    ``AssertionError`` so that callers catching that still catch it."""
 
 
 @dataclass(frozen=True)

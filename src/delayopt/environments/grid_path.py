@@ -24,14 +24,21 @@ use; each round only backtracks from its goal. Re-evaluating the transport
 buffer, with the round's transport arrivals, is one batched solve per round.
 Every stored round is evaluated at the same theta, so the base paths share
 the predicted grid and one distance field per distinct start; each bumped
-path keeps a field of its own. The batched solve keeps every field in one
-flat buffer, so each min-plus sweep over all of them is a few contiguous
-array operations, and it backtracks every path at once. A batch of one (an
-arrival into an empty buffer, as every round at d = 0, or a stale arrival at
-its own dispatch snapshot) keeps two heap solves: at one grid the heap solver
-is still the faster one. The batched solve returns the heap solver's paths
-bit for bit: ties go to the neighbour smallest in (distance, row, column),
-the order in which the heap settles cells.
+path keeps a field of its own. The base and bumped grids are written into
+one preallocated array. The batched solve keeps every field in one flat
+buffer, so each min-plus sweep over all of them is a few contiguous array
+operations, and it backtracks every path at once; its buffers come from a
+workspace reused across calls (see ``solvers.grid_shortest_paths``). A
+stored round whose bumped path equals its base path, on every cell the
+cost floor leaves free, contributes an exact ``+0.0`` row without a
+matrix-vector product; in a full buffer that is about two rows in five. A
+batch of one (an arrival into an empty buffer, as every round at d = 0, or a
+stale arrival at its own dispatch snapshot) keeps two heap solves: at one
+grid the heap solver is still the faster one. The heap solver relaxes
+through a neighbour table built once per grid shape. The batched solve
+returns the heap solver's paths bit for bit: ties go to the neighbour
+smallest in (distance, row, column), the order in which the heap settles
+cells.
 """
 
 from __future__ import annotations
@@ -141,7 +148,9 @@ class GridPathProblem(Environment):
         payloads only: two heap solves for one round, else one batched solve,
         bit-identical per row. Every base path is on the same grid, so the
         batch holds one base field per distinct start, then the m bumped
-        grids."""
+        grids, written into one array. A row whose masked path difference is
+        all zero gets no matrix-vector product: it is ``+0.0``, as the
+        product of the features with a zero vector is."""
         m = len(payloads)
         if m == 1:
             return self._heap_gradient(theta, payloads[0])[None, :]
@@ -150,8 +159,14 @@ class GridPathProblem(Environment):
         for z in payloads:
             field_of.setdefault(z["start"], len(field_of))
         u = len(field_of)
-        bumped = costs + self.cfg.perturbation * np.stack([z["costs_true"] for z in payloads])
-        grids = np.concatenate([np.broadcast_to(costs, (u, self.n_cells)), bumped])
+        grids = np.empty((u + m, self.n_cells))
+        grids[:u] = costs
+        bumped = grids[u:]
+        np.concatenate([z["costs_true"] for z in payloads], out=bumped.reshape(-1))
+        # perturbation * costs_true + costs: the single evaluation's sum,
+        # as IEEE addition and multiplication commute exactly
+        bumped *= self.cfg.perturbation
+        bumped += costs
         starts = np.array([*field_of, *(z["start"] for z in payloads)], dtype=np.int64)
         goals = np.array([z["goal"] for z in payloads] * 2, dtype=np.int64)
         sources = np.array([field_of[z["start"]] for z in payloads] + list(range(u, u + m)),
@@ -159,8 +174,13 @@ class GridPathProblem(Environment):
         paths, _ = grid_shortest_paths(grids.reshape(u + m, self.cfg.height, self.cfg.width),
                                        starts, goals, sources)
         delta = (paths[m:] - paths[:m]) * mask
-        # one matrix-vector product per row, as in the single evaluation
-        return np.matmul(self.features.T, delta[:, :, None])[:, :, 0] / self.cfg.perturbation
+        rows = np.zeros((m, self.p))
+        moved = np.flatnonzero(delta.any(axis=1))
+        if moved.size:
+            # one matrix-vector product per row, as in the single evaluation
+            rows[moved] = (np.matmul(self.features.T, delta[moved, :, None])[:, :, 0]
+                           / self.cfg.perturbation)
+        return rows
 
     def _heap_gradient(self, theta: np.ndarray, z: dict) -> np.ndarray:
         costs, mask = self.predicted_costs(theta)

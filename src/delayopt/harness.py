@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from delayopt.config import ConfigError, DelaySpec, ExperimentConfig
+from delayopt.core import InvariantError
 from delayopt.environments import RoundMemo, make_environment
 from delayopt.metrics import (
     eta_max_search,
@@ -286,7 +287,7 @@ def run_controlled_comparison(cfg: ExperimentConfig, parallel: int = 1, write: b
             a = result.runs[(cfg.compare.treatment, delay, seed)]
             b = result.runs[(cfg.compare.control, delay, seed)]
             if a.delay_hash != b.delay_hash:
-                raise AssertionError(
+                raise InvariantError(
                     f"paired-delay violation at seed {seed}, delay {delay}: "
                     f"{a.delay_hash} != {b.delay_hash}"
                 )

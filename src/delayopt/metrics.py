@@ -32,14 +32,23 @@ class WelchResult:
 
 
 def welch_t(samples_a: Sequence[float], samples_b: Sequence[float]) -> WelchResult:
-    """Welch's unequal-variance t statistic with a two-sided p-value."""
+    """Welch's unequal-variance t statistic with a two-sided p-value.
+
+    A NaN or infinite sample gives NaN for t, the degrees of freedom and p.
+    Two constant samples give t = 0 and p = 1 when their means agree, else
+    t = +-inf and p = 0."""
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ContractError("Welch test needs at least 2 samples per group")
-    ma, mb = float(a.mean()), float(b.mean())
-    va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
+    # an infinite sample makes the variance inf - inf; its NaN is reported
+    with np.errstate(invalid="ignore"):
+        ma, mb = float(a.mean()), float(b.mean())
+        va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
     na, nb = a.size, b.size
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        # no test: a NaN t would otherwise read as p = 0
+        return WelchResult(ma, mb, math.sqrt(va), math.sqrt(vb), math.nan, math.nan, math.nan)
     se_sq = va / na + vb / nb
     if se_sq == 0.0:
         # degenerate: both samples constant

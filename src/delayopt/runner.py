@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from delayopt.core import ContractError, OutcomeRecord
+from delayopt.core import ContractError, InvariantError, OutcomeRecord
 from delayopt.delays import DelayQueue, DelaySchedule
 from delayopt.environments.base import Environment
 from delayopt.optimizers import AlgorithmConfig, adaptive_step, make_base_rule, make_engine
@@ -127,7 +127,7 @@ def run_online(
             if is_constant_delay and delay.d >= 1:
                 bound = delay.d * step_sq_sum
                 if drift_sq > bound * (1 + 1e-9) + 1e-15:
-                    raise AssertionError(
+                    raise InvariantError(
                         f"window inequality violated at round {t}: {drift_sq} > {bound}"
                     )
             # NaN fails the comparison, so one test rejects NaN, inf and a norm past the guard

@@ -14,6 +14,7 @@ reference those closed forms are checked against.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -242,7 +243,9 @@ def shortest_path_tree(
     Python float addition is the same IEEE double add as numpy's. The heap
     orders on ``(cost, index)`` and a neighbour is relaxed only on strict
     improvement, in up, down, left, right order, so ties break the same way
-    on every platform and :func:`grid_shortest_paths` reproduces them.
+    on every platform and :func:`grid_shortest_paths` reproduces them. The
+    neighbours come from a table built once per grid shape, in that order,
+    so a settled cell costs no ``divmod`` and no bound tests.
     """
     costs = _checked_costs(cell_costs, "grid shortest-path solve")
     H, W = costs.shape
@@ -262,6 +265,7 @@ def shortest_path_tree(
     done = [False] * n
     dist[s_idx] = 0.0
     heap: list[tuple[float, int]] = [(0.0, s_idx)]
+    neighbours = _neighbour_table(H, W)
     push, pop = heapq.heappush, heapq.heappop
     # strict improvement only: the first settle under the (cost, index) heap
     # order fixes lexicographic tie-breaking
@@ -272,36 +276,25 @@ def shortest_path_tree(
         done[u] = True
         if u == g_idx:
             break
-        r, c = divmod(u, W)
-        if r > 0:
-            v = u - W
-            nd = d + flat[v]
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-        if r + 1 < H:
-            v = u + W
-            nd = d + flat[v]
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-        if c > 0:
-            v = u - 1
-            nd = d + flat[v]
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-        if c + 1 < W:
-            v = u + 1
+        for v in neighbours[u]:
             nd = d + flat[v]
             if nd < dist[v]:
                 dist[v] = nd
                 parent[v] = u
                 push(heap, (nd, v))
     return dist, parent
+
+
+@functools.cache
+def _neighbour_table(H: int, W: int) -> tuple[tuple[int, ...], ...]:
+    """Flat indices of every cell's neighbours on an ``H`` x ``W`` grid, in
+    up, down, left, right order, the cells outside the grid left out."""
+    table = []
+    for u in range(H * W):
+        r, c = divmod(u, W)
+        steps = ((r > 0, u - W), (r + 1 < H, u + W), (c > 0, u - 1), (c + 1 < W, u + 1))
+        table.append(tuple(v for inside, v in steps if inside))
+    return tuple(table)
 
 
 def tree_path(
@@ -326,10 +319,37 @@ def tree_path(
 
 def _checked_costs(cell_costs: np.ndarray, solver: str) -> np.ndarray:
     costs = np.asarray(cell_costs, dtype=float)
-    # NaN fails every comparison, so test for the valid range, not against it
-    if not np.all(np.isfinite(costs) & (costs > 0)):
+    # NaN fails every comparison, and a NaN anywhere makes min and max NaN,
+    # so test for the valid range, not against it. An empty array has no
+    # minimum; it is left to the caller's shape checks.
+    if costs.size and not (costs.min() > 0 and costs.max() < math.inf):
         raise SolverError(f"{solver} requires finite, strictly positive cell costs")
     return costs
+
+
+# Scratch arrays of grid_shortest_paths by name, each as large as the largest
+# batch has needed. Fresh arrays of this size cost a page fault per 4 KB on
+# first touch, more than the sweeps that fill them.
+_WORKSPACE: dict[str, np.ndarray] = {}
+_CELL_INDICES = np.arange(0)
+
+
+def _workspace(name: str, size: int) -> np.ndarray:
+    """The first ``size`` cells of workspace array ``name``, contents
+    undefined: the caller writes every cell it reads."""
+    array = _WORKSPACE.get(name)
+    if array is None or array.size < size:
+        array = _WORKSPACE[name] = np.empty(size)
+    return array[:size]
+
+
+def _cell_indices(size: int) -> np.ndarray:
+    """``np.arange(size)`` from a cached, read-only range."""
+    global _CELL_INDICES
+    if _CELL_INDICES.size < size:
+        _CELL_INDICES = np.arange(size)
+        _CELL_INDICES.setflags(write=False)
+    return _CELL_INDICES[:size]
 
 
 def grid_shortest_paths(
@@ -360,6 +380,16 @@ def grid_shortest_paths(
     ``inf``, so they stay ``inf`` without a mask; nothing is ever ``-inf`` or
     NaN, so the ``inf`` arithmetic raises no warning.
 
+    The two buffers, the cost layout and one scratch array come from a
+    module workspace that grows to the largest batch seen and is then reused,
+    and the successor table's cell indices from a cached range. Each call
+    writes every workspace cell before reading it: the whole source buffer
+    and the other buffer's padding rows are filled with ``inf``, and the
+    first sweep writes the rest. So no value passes from one call to the
+    next, a call that raises leaves nothing behind, and the returned arrays
+    are fresh. The workspace is shared by the process, so calls must not run
+    concurrently in threads.
+
     Distances come from min-plus sweeps between two buffers: each sweep
     writes ``T(x)[v] = min(x over the neighbours of v) + cost[v]`` into the
     other buffer and pins every start back to 0. Starting from ``inf``
@@ -371,7 +401,10 @@ def grid_shortest_paths(
     from its start stays ``inf`` until sweep ``h``, so no sweep up to the
     largest such distance over the fields can be the last; those sweeps skip
     the test. After them the sweeps stop once the two buffers agree: a path
-    may take more hops than that bound.
+    may take more hops than that bound. No shortest path takes more than
+    ``H * W - 1`` hops, so the buffers agree by sweep ``H * W``; if they do
+    not, a cell was read before it was written, and :class:`SolverError` is
+    raised rather than sweeping on.
 
     Paths are then backtracked from every goal at once. The parent of ``v``
     is its neighbour ``u`` smallest in ``(dist[u], u)``: by the same
@@ -408,6 +441,7 @@ def grid_shortest_paths(
     if not (0 <= ends.min() and last[0] < H and last[1] < W):
         raise ContractError("start/goal outside the grid")
 
+    n = H * W
     # flat index of (row r, column c, field f), counted from the first grid
     # row: (r * row + c) * k + f; the buffers carry one padding row before it
     row = W + 1
@@ -418,15 +452,22 @@ def grid_shortest_paths(
     done = home[sources]
     if np.any(cur == done):
         raise ContractError("start and goal must differ")
-    cost = np.full((H, row, k), np.inf)
-    cost[:, :W] = costs.transpose(1, 2, 0)
-    cost = cost.reshape(span)
-    buffers = np.full((2, (H + 2) * L), np.inf)
-    buffers[:, L + home] = 0.0
-    across = np.empty(span)
+    # every workspace cell a sweep reads is written first: the padding cells
+    # of cost, all of the first source buffer, the other buffer's padding
+    # rows here, its grid rows by the first sweep
+    cost = _workspace("cost", span)
+    laid = cost.reshape(H, row, k)
+    laid[:, W] = np.inf
+    laid[:, :W] = costs.transpose(1, 2, 0)
+    src = _workspace("src", span + 2 * L)
+    dst = _workspace("dst", span + 2 * L)
+    src.fill(np.inf)
+    src[L + home] = 0.0
+    dst[:L] = np.inf
+    dst[L + span:] = np.inf
+    across = _workspace("across", span)
     far = int(np.max(np.maximum(starts[:, 0], H - 1 - starts[:, 0])
                      + np.maximum(starts[:, 1], W - 1 - starts[:, 1])))
-    src, dst = buffers
     sweep = 0
     while True:
         offer = dst[L:L + span]
@@ -438,6 +479,8 @@ def grid_shortest_paths(
         sweep += 1
         if sweep > far and np.array_equal(offer, src[L:L + span]):
             break
+        if sweep == n:
+            raise SolverError("grid_shortest_paths: the sweeps did not converge")
         src, dst = dst, src
     dist = src
 
@@ -458,9 +501,8 @@ def grid_shortest_paths(
     # the gather; take writes there directly only in a non-raising mode, and
     # every code is in range anyway
     after = np.take(np.array([-L, -k, k, L, 0]), code, out=across.view(np.int64), mode="clip")
-    after += np.arange(span)
+    after += _cell_indices(span)
 
-    n = H * W
     totals = dist[L + cur]
     trail = []
     # a path of n cells takes n - 1 hops; every fourth hop is tested, and the
@@ -475,7 +517,7 @@ def grid_shortest_paths(
     indicators = np.zeros((m, n))
     queries = np.arange(m)
     if trail:
-        cells = np.stack(trail) // k
+        cells = np.concatenate(trail).reshape(len(trail), m) // k
         cells -= cells // row
         indicators[queries, cells] = 1.0
     done //= k

@@ -37,6 +37,10 @@ CASES = {
     "grid_path": ("grid_path", {}, 0.001,
                   ("transport_adam", "stale_adam", "two_stage_adam"),
                   [DelaySpec(kind="uniform", d_max=6)], 40),
+    # a constant delay of 20 keeps the transport buffer full: batches of about
+    # 20 payloads, shared base fields and many rows whose path did not move
+    "grid_path_full_buffer": ("grid_path", {}, 0.001,
+                              ("transport_adam", "stale_adam", "two_stage_adam"), [constant(20)], 60),
     "lqr": ("lqr", {}, 0.01, ("transport_omd", "stale_omd", "two_stage"), [constant(2)], 60),
 }
 
@@ -46,6 +50,12 @@ DIGESTS = {
         "runs/transport_adam__uniform-0-6__seed0.csv": "961d66c19570183ddb69c04bbb93f70dd2499a1ccef167528c5beb2c5b83ee69",
         "runs/two_stage_adam__uniform-0-6__seed0.csv": "912846b0f3bf462bac4f24bc3247b0fd97bf3cef657d37a2ad6540aa86a459a2",
         "summary.csv": "5f39a4e57a982f74a662f9b99d79f56575fb0062607ab0d286737ee59870ddb0",
+    },
+    "grid_path_full_buffer": {
+        "runs/stale_adam__constant-20__seed0.csv": "05f52d260130c1dc991d46233aad78194b40ed188a101a01fbb784c377d806ff",
+        "runs/transport_adam__constant-20__seed0.csv": "144c8cb084f9d4c2f3c27549013ce792a0d8469f574e564ef27d44604afb1edb",
+        "runs/two_stage_adam__constant-20__seed0.csv": "a76fe36b08103f53c1658ca816e49a6aa91cd2169ea305f09c4c703ebde037aa",
+        "summary.csv": "15b0f44271cf42fc4b1b3749c5fbe6948785e5e4f54ba5e45667c4c0da64f0fb",
     },
     "hard_quadratic": {
         "runs/stale_omd__constant-0__seed0.csv": "ab60eabf77cc92d3aaa15604c311f0be2aba62cc47f11d7e84ba71c29a233da9",

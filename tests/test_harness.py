@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayopt.config import ConfigError, _int_list, parse_config
+from delayopt.core import InvariantError
 from delayopt.harness import (
     RunKey,
     read_run_csv,
@@ -153,6 +154,21 @@ control = stale_omd
     rows = run_controlled_comparison(cfg)
     assert len(rows) == 1
     assert (tmp_path / "cmp" / "compare.csv").exists()
+
+
+def test_forged_delay_hash_breaks_the_pairing_with_a_named_error(tmp_path):
+    # a control run whose realized delays differ from the treatment's
+    # breaks the pairing, and the comparison refuses it
+    cfg = parse_config(MINIMAL.format(out=tmp_path / "res").replace("seeds = 0", "seeds = 0,1")
+                       + "\n[algorithm.transport_omd]\neta0 = 0.1\n"
+                       + "\n[compare]\ntreatment = transport_omd\ncontrol = stale_omd\n")
+    result = run_experiment(cfg, write=False)
+    run_controlled_comparison(cfg, write=False, experiment=result)  # paired as run
+    key = ("stale_omd", cfg.delays[0].describe(), 1)
+    result.runs[key] = dataclasses.replace(result.runs[key], delay_hash="forged")
+    with pytest.raises(InvariantError, match="paired-delay violation at seed 1") as err:
+        run_controlled_comparison(cfg, write=False, experiment=result)
+    assert isinstance(err.value, AssertionError)
 
 
 def test_config_error_messages_name_section_and_key():

@@ -2,6 +2,7 @@
 reference implementation where available."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,28 @@ def test_welch_symmetry():
     r1, r2 = welch_t(a, b), welch_t(b, a)
     assert r1.t_stat == pytest.approx(-r2.t_stat)
     assert r1.p_value == pytest.approx(r2.p_value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_welch_non_finite_sample_gives_nan_not_p_zero(bad, side):
+    # a NaN t used to become p = 0, which compare.csv printed as <1e-12;
+    # the warnings filter turns numpy's inf - inf warning into a failure
+    a, b = [1.0, bad, 2.0], [1.0, 1.5, 2.0]
+    if side == "b":
+        a, b = b, a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = welch_t(a, b)
+    assert math.isnan(res.t_stat) and math.isnan(res.dof) and math.isnan(res.p_value)
+    assert p_value_display(res.p_value) == "nan"
+
+
+@pytest.mark.parametrize("a, b, t", [([3.0, 3.0], [2.0, 2.0, 2.0], math.inf),
+                                     ([2.0, 2.0], [3.0, 3.0, 3.0], -math.inf)])
+def test_welch_constant_samples_keep_infinite_t_and_p_zero(a, b, t):
+    res = welch_t(a, b)
+    assert res.t_stat == t and res.p_value == 0.0 and res.dof == 3.0
 
 
 def test_welch_requires_two_samples():

@@ -357,6 +357,20 @@ def test_both_grid_solvers_reject_nonfinite_or_nonpositive_cost(cell, bad):
         grid_shortest_paths(costs[None], [(0, 0)], [(2, 2)], np.arange(1))
 
 
+@pytest.mark.parametrize("costs, starts, goals, sources, message", [
+    (np.ones((2, 0, 3)), [(0, 0), (0, 1)], [(0, 1)], [0], "start/goal outside the grid"),
+    (np.ones(0), [(0, 0)], [(0, 1)], [0], "needs a \\(k, H, W\\) cost array"),
+    (np.ones((0, 3, 3)), np.zeros((0, 2), int), [(1, 1)], [0], "source index outside the fields"),
+], ids=["no-rows", "flat", "no-fields"])
+def test_empty_cost_arrays_end_in_a_contract_error(costs, starts, goals, sources, message):
+    # an empty array has no minimum, so the cost check leaves it to the shape
+    # and index checks
+    with pytest.raises(ContractError, match=message):
+        grid_shortest_paths(costs, starts, goals, sources)
+    with pytest.raises(ContractError, match="start/goal outside the grid"):
+        dijkstra_grid(np.ones((0, 3)), (0, 0), (0, 1))
+
+
 # -- batched grid shortest paths ------------------------------------------------
 
 
@@ -544,6 +558,64 @@ def test_batched_fields_stay_isolated_at_the_workload_shape():
                                               [goals[j] for j in queries], position[sources[queries]])
     assert np.array_equal(moved, indicators[queries])
     assert np.array_equal(moved_totals, totals[queries])
+
+
+def random_batch(rng, k, H, W, m):
+    """k random fields on an H x W grid and m queries over them."""
+    cells = [(r, c) for r in range(H) for c in range(W)]
+    costs = rng.uniform(0.5, 5.0, size=(k, H, W))
+    starts = [cells[i] for i in rng.integers(len(cells), size=k)]
+    sources = rng.integers(k, size=m)
+    goals = []
+    for f in sources:
+        goal = starts[f]
+        while goal == starts[f]:
+            goal = cells[rng.integers(len(cells))]
+        goals.append(goal)
+    return costs, starts, goals, sources
+
+
+# (k, H, W, m): the workspace grows, shrinks in every dimension, then grows
+# again past its largest size so far
+WORKSPACE_SHAPES = [(3, 4, 5, 4), (80, 12, 12, 90), (2, 2, 3, 3), (10, 7, 9, 12), (1, 1, 6, 2),
+                    (40, 12, 12, 50), (5, 9, 2, 6), (95, 12, 13, 100), (4, 12, 12, 4), (6, 3, 1, 5)]
+
+
+def test_workspace_calls_of_every_size_equal_fresh_heap_solves():
+    rng = np.random.default_rng(7)
+    for shape in WORKSPACE_SHAPES * 2:
+        assert_rows_are_heap_paths(*random_batch(rng, *shape))
+
+
+def test_writing_into_returned_arrays_leaves_later_calls_alone():
+    rng = np.random.default_rng(8)
+    batch = random_batch(rng, 30, 12, 12, 35)
+    indicators, totals = grid_shortest_paths(*batch)
+    expected = indicators.copy(), totals.copy()
+    indicators[:] = 7.0
+    totals[:] = -1.0
+    grid_shortest_paths(*random_batch(rng, 20, 6, 8, 20))  # reuses the workspace in between
+    again = grid_shortest_paths(*batch)
+    assert np.array_equal(again[0], expected[0]) and np.array_equal(again[1], expected[1])
+    assert not np.shares_memory(again[0], indicators) and not np.shares_memory(again[1], totals)
+
+
+@pytest.mark.parametrize("break_call", ["source", "start_is_goal", "nan_cost"])
+def test_a_call_that_raises_leaves_the_next_call_correct(break_call):
+    rng = np.random.default_rng(9)
+    costs, starts, goals, sources = random_batch(rng, 50, 12, 12, 60)
+    sources = sources.copy()
+    if break_call == "source":
+        sources[-1] = len(starts)
+    elif break_call == "start_is_goal":
+        goals[-1] = starts[sources[-1]]
+    else:
+        costs = costs.copy()
+        costs[-1, 5, 5] = np.nan
+    with pytest.raises((ContractError, SolverError)):
+        grid_shortest_paths(costs, starts, goals, sources)
+    assert_rows_are_heap_paths(*random_batch(rng, 50, 12, 12, 60))
+    assert_rows_are_heap_paths(*random_batch(rng, 3, 5, 5, 4))
 
 
 @st.composite

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayopt.core import ContractError, OutcomeRecord
+from delayopt import runner
+from delayopt.core import ContractError, InvariantError, OutcomeRecord
 from delayopt.delays import DelaySchedule
 from delayopt.environments import make_environment
 from delayopt.environments.base import Environment
@@ -367,6 +368,32 @@ def test_grid_rows_equal_single_evaluations_when_starts_repeat(pattern):
         assert np.array_equal(row, env.surrogate_gradient(theta, rec))
 
 
+def test_grid_unmoved_rows_are_positive_zero_and_every_row_is_the_heap_row_bytewise():
+    # realized costs equal to the predicted ones only double the grid, which
+    # keeps every path, ties included, so those rows move nowhere; the others
+    # carry the round's realized costs and mostly do move
+    env = make_environment("grid_path", seed=5)
+    rng = np.random.default_rng(5)
+    theta = env.theta_init() + 0.05 * rng.standard_normal(env.p)
+    predicted, _ = env.predicted_costs(theta)
+    records = []
+    for t in range(1, 25):
+        env.begin_round(t)
+        costs_true = predicted if t % 3 else env.current_true_costs()
+        z = {"costs_true": costs_true, "start": env.start, "goal": env.goal}
+        records.append(OutcomeRecord(round=t, payload=z, dispatch_params=theta,
+                                     dispatch_decision=env.initial_decision()))
+    rows = env.hypergradients_at_many(theta, [r.dispatch_decision for r in records],
+                                      [None] * len(records), [r.payload for r in records])
+    moved = [i for i, row in enumerate(rows) if np.any(row != 0)]
+    assert 0 < len(moved) <= 8
+    for i, (rec, row) in enumerate(zip(records, rows)):
+        assert row.tobytes() == env.surrogate_gradient(theta, rec).tobytes(), i
+        if rec.round % 3:
+            assert i not in moved
+            assert row.tobytes() == np.zeros(env.p).tobytes()  # +0.0, not -0.0
+
+
 def test_batched_reevaluation_equals_per_entry_on_sinkhorn():
     env = make_environment("sinkhorn", seed=3)
     rng = np.random.default_rng(3)
@@ -579,3 +606,19 @@ def test_cauchy_schwarz_window_inequality_random_paths():
         outstanding = set(range(t - d + 1, t + 1))
         drift_sq, step_sq = transport_error_surrogates(hist, step_norms(hist), outstanding, t)
         assert drift_sq <= d * step_sq * (1 + 1e-9) + 1e-15
+
+
+def test_window_inequality_violation_raises_invariant_error(monkeypatch):
+    # the runner checks drift_sq <= d * step_sq_sum every round of a constant
+    # delay; surrogates that break it must stop the run with the named error
+    real = runner.transport_error_surrogates
+
+    def inflated(*args):
+        _, step_sq_sum = real(*args)
+        return 2.0 * step_sq_sum + 1.0, step_sq_sum
+
+    monkeypatch.setattr(runner, "transport_error_surrogates", inflated)
+    with pytest.raises(InvariantError, match="window inequality violated at round 1") as err:
+        run_online(quad_env(), make_algorithm("stale_omd", eta0=0.1),
+                   DelaySchedule(kind="constant", d=2, seed=0), rounds=5)
+    assert isinstance(err.value, AssertionError)
