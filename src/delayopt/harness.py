@@ -34,7 +34,7 @@ FMT = "%.9g"
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and np.isnan(x):
+    if x != x:  # NaN
         return ""
     return FMT % x
 
@@ -99,9 +99,9 @@ def write_run_csv(path: str, cfg: ExperimentConfig, key: RunKey, res: RunResult)
             f"comparator={res.comparator_note!r}\n"
         )
         fh.write(",".join(ROW_COLUMNS) + "\n")
-        cols = res.columns
-        for i in range(res.rounds_logged):
-            fh.write(",".join(_fmt(float(cols[c][i])) for c in ROW_COLUMNS) + "\n")
+        # formatted column by column, then joined into rows and written at once
+        cells = [[_fmt(x) for x in res.columns[c].tolist()] for c in ROW_COLUMNS]
+        fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 SUMMARY_COLUMNS = (

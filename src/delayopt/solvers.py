@@ -103,6 +103,23 @@ def sinkhorn_log(
     column sums are exact on exit and row sums approach ``mu`` geometrically.
     Everything runs in the log domain; the coupling is exponentiated only at
     the end, which keeps small regularization (e.g. 0.05) from underflowing.
+
+    At the sizes used here a sweep costs its numpy calls, not its arithmetic,
+    so each half-sweep is exactly ten ufunc calls writing into buffers made
+    once per call (the shifted log-kernel, the maxima, the scaled potentials,
+    and the potentials themselves, which first take the sums); nothing is
+    shared between calls or threads. The order of the operations is fixed, because
+    the plan must be bit-for-bit the one-expression loop's (kept as the
+    reference in the tests): ``eps * x / eps`` is not ``x`` in floating
+    point, so nothing is folded, and each reduction runs along the axis it
+    always did (row sums pairwise along the contiguous axis, column sums
+    row after row).
+
+    A marginal that is not strictly positive (NaN included) raises
+    ``SolverError``. So does a plan that is not finite on exit, as a NaN
+    cost or a row or column whose costs are all infinite gives; the
+    floating-point warnings such inputs raise inside the sweeps are
+    silenced, because the exit check reports them.
     """
     if iterations < 1:
         raise ContractError("sinkhorn_log needs iterations >= 1")
@@ -111,31 +128,54 @@ def sinkhorn_log(
     C = np.asarray(cost_matrix, dtype=float)
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    if np.any(mu <= 0) or np.any(nu <= 0):
+    if not ((mu > 0).all() and (nu > 0).all()):
         raise SolverError("degenerate marginal: entries must be strictly positive")
-    if abs(mu.sum() - 1.0) > 1e-12 or abs(nu.sum() - 1.0) > 1e-12:
+    if not (abs(mu.sum() - 1.0) <= 1e-12 and abs(nu.sum() - 1.0) <= 1e-12):
         raise ContractError("marginals must sum to 1")
 
     eps = regularization
+    rows, cols = C.shape
     log_mu = np.log(mu)
     log_nu = np.log(nu)
-    f = np.zeros(C.shape[0])
-    g = np.zeros(C.shape[1])
+    f = np.zeros(rows)
+    g = np.zeros(cols)
+    f_eps, row_max = np.empty(rows), np.empty(rows)  # f / eps and the row maxima
+    g_eps, col_max = np.empty(cols), np.empty(cols)
+    f_eps_col, row_max_col = f_eps[:, None], row_max[:, None]
     M = -C / eps
     a = np.empty_like(M)  # shifted log-kernel, overwritten in place each half-sweep
-    for _ in range(iterations):
-        # log-sum-exp over columns, then rows, with the dual shifts applied
-        np.add(M, g / eps, out=a)
-        m = a.max(axis=1)
-        a -= m[:, None]
-        np.exp(a, out=a)
-        f = eps * (log_mu - (m + np.log(a.sum(axis=1))))
-        np.add(M, (f / eps)[:, None], out=a)
-        m = a.max(axis=0)
-        a -= m
-        np.exp(a, out=a)
-        g = eps * (log_nu - (m + np.log(a.sum(axis=0))))
-    return np.exp(M + f[:, None] / eps + g[None, :] / eps)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _ in range(iterations):
+            # f = eps * (log_mu - (m + log(sum(exp(M + g / eps - m))))), m the row max
+            np.divide(g, eps, g_eps)
+            np.add(M, g_eps, a)
+            np.maximum.reduce(a, 1, None, row_max)
+            np.subtract(a, row_max_col, a)
+            np.exp(a, a)
+            np.add.reduce(a, 1, None, f)
+            np.log(f, f)
+            np.add(row_max, f, f)
+            np.subtract(log_mu, f, f)
+            np.multiply(f, eps, f)
+            # the same over columns, with the new f
+            np.divide(f, eps, f_eps)
+            np.add(M, f_eps_col, a)
+            np.maximum.reduce(a, 0, None, col_max)
+            np.subtract(a, col_max, a)
+            np.exp(a, a)
+            np.add.reduce(a, 0, None, g)
+            np.log(g, g)
+            np.add(col_max, g, g)
+            np.subtract(log_nu, g, g)
+            np.multiply(g, eps, g)
+        # plan exp((M + f / eps) + g / eps); f_eps already holds the final f / eps
+        np.divide(g, eps, g_eps)
+        np.add(M, f_eps_col, a)
+        np.add(a, g_eps, a)
+        np.exp(a, a)
+    if not np.isfinite(a).all():
+        raise SolverError("sinkhorn_log: the plan is not finite (NaN cost, or a row or column of infinite costs)")
+    return a
 
 
 def assignment_min_cost(cost_matrix: np.ndarray) -> tuple[list[int], float]:
@@ -436,6 +476,8 @@ def grid_shortest_paths(
                             "and one source per goal")
     if m and not (0 <= sources.min() and sources.max() < k):
         raise ContractError("source index outside the fields")
+    if not k:  # so no queries either: nothing to solve
+        return np.zeros((0, H * W)), np.zeros(0)
     ends = np.concatenate([starts, goals])
     last = ends.max(axis=0)
     if not (0 <= ends.min() and last[0] < H and last[1] < W):

@@ -379,6 +379,70 @@ def test_sinkhorn_batched_hypergradients_match_single():
         assert np.allclose(batch[i], single, atol=1e-12)
 
 
+def sinkhorn_hypergradient_rows_reference(env, theta, adjoints, payloads):
+    """The batch as first written: stacked inputs, then the same formula."""
+    F = np.stack([z["features"] for z in payloads])
+    V = np.stack(adjoints)
+    raw = np.matmul(env._weights(theta), F[:, :, None])[:, :, 0]
+    _, dcost = env._link(raw, derivative=True)
+    return np.einsum("ij,ik->ijk", -(V * dcost), F).reshape(len(payloads), env.p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(1, 50), scale=st.sampled_from([1e-3, 0.1, 1.0]), seed=st.integers(0, 2**16))
+def test_sinkhorn_batched_hypergradient_rows_equal_single_bitwise(m, scale, seed):
+    env = make_environment("sinkhorn", seed=seed)
+    rng = np.random.default_rng(seed)
+    theta = env.theta_init() + scale * rng.standard_normal(env.p)
+    payloads, adjoints = [], []
+    for t in range(m):
+        env.begin_round(t + 1)
+        payloads.append(env.realize_outcome(t + 1, theta, env.initial_decision())[0])
+        adjoints.append(rng.standard_normal(env.q))
+    decisions = [env.initial_decision()] * m
+    batch = env.hypergradients_at_many(theta, decisions, adjoints, payloads)
+    assert batch.shape == (m, env.p)
+    assert batch.tobytes() == sinkhorn_hypergradient_rows_reference(env, theta, adjoints, payloads).tobytes()
+    from delayopt.transport import hypergradient_at
+    for i in range(m):
+        assert batch[i].tobytes() == hypergradient_at(env, decisions[i], adjoints[i], theta, payloads[i]).tobytes()
+
+
+def sinkhorn_exact_adjoint_reference(env, w, z):
+    """The closed-form adjoint as first written, with ``np.diag`` blocks and a
+    concatenated right-hand side."""
+    n = env.cfg.n
+    K = np.maximum(np.asarray(w), env.cfg.adjoint_floor).reshape(n, n) / env.cfg.regularization
+    C = z["costs_true"].copy().reshape(n, n)
+    KC = K * C
+    M = np.zeros((2 * n - 1, 2 * n - 1))
+    M[:n, :n] = np.diag(K.sum(axis=1))
+    M[:n, n:] = K[:, :-1]
+    M[n:, :n] = K[:, :-1].T
+    M[n:, n:] = np.diag(K.sum(axis=0)[:-1])
+    duals = np.linalg.solve(M, -np.concatenate([KC.sum(axis=1), KC.sum(axis=0)[:-1]]))
+    a, b = duals[:n], np.append(duals[n:], 0.0)
+    return (K * (C + a[:, None] + b[None, :])).ravel()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), cost_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       eps=st.sampled_from([0.01, 0.05, 0.5]), below=st.integers(0, 5), seed=st.integers(0, 2**16))
+def test_sinkhorn_exact_adjoint_equals_reference_bitwise(n, cost_scale, eps, below, seed):
+    # columns wider than 8 take numpy's pairwise row sums, and masses below
+    # the floor make the floored entries
+    env = SinkhornProblem(SinkhornConfig(n=n, feature_dim=2, regularization=eps))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, n * n)
+    w /= w.sum()
+    w[rng.integers(0, n * n, below)] = 1e-3 * env.cfg.adjoint_floor
+    z = {"features": np.ones(2), "costs_true": cost_scale * rng.uniform(0.01, 2.0, n * n)}
+    costs = z["costs_true"].copy()
+    v = env.exact_adjoint(w, env.theta_init(), z)
+    assert v.tobytes() == sinkhorn_exact_adjoint_reference(env, w, z).tobytes()
+    assert z["costs_true"].tobytes() == costs.tobytes()
+
+
 @st.composite
 def adjoint_cases(draw):
     n = draw(st.integers(2, 7))

@@ -34,6 +34,10 @@ CASES = {
                        ("stale_omd", "transport_omd"), [constant(0), constant(3)], 60),
     "sinkhorn": ("sinkhorn", {}, 0.002,
                  ("transport_adam", "stale_adam", "two_stage_adam"), [constant(0), constant(5)], 50),
+    # a constant delay of 20 keeps 20 payloads buffered, so every transport
+    # round re-evaluates a full batch: the scale of the bench workload
+    "sinkhorn_full_buffer": ("sinkhorn", {}, 0.002,
+                             ("transport_adam", "stale_adam"), [constant(20)], 60),
     "grid_path": ("grid_path", {}, 0.001,
                   ("transport_adam", "stale_adam", "two_stage_adam"),
                   [DelaySpec(kind="uniform", d_max=6)], 40),
@@ -78,6 +82,11 @@ DIGESTS = {
         "runs/two_stage_adam__constant-0__seed0.csv": "31ae2ab582b2a7d05cf32993acaec3c7644827b1ff5273878c2bb55c6a787a28",
         "runs/two_stage_adam__constant-5__seed0.csv": "484491347e20836f3aec6b09cd882f77c5571bd15fb031b5fa9a050a6b549f5e",
         "summary.csv": "2c11abc851696702ae6e7b23368232067d2e1b19305edd789a8cad8b61ec43da",
+    },
+    "sinkhorn_full_buffer": {
+        "runs/stale_adam__constant-20__seed0.csv": "9af4cb4aaee263dbe1a007d756c3edb1651fa2a6bc7d03dc460fdd284a1f4eb1",
+        "runs/transport_adam__constant-20__seed0.csv": "450e09fee6ef47987185047b651fb100f24639e11e46c3ce59a836859bbc5fbf",
+        "summary.csv": "749d788e8b98870289910fbb93ce2210bd7fc3b2b3d2b5babaa1741b6233eac7",
     },
 }
 

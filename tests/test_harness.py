@@ -127,6 +127,46 @@ def test_run_csv_round_trip_keeps_nine_significant_digits(tmp_path_factory, runs
     assert recomputed.as_csv() == in_memory.as_csv()
 
 
+def write_run_csv_reference(path, cfg, key, res):
+    """The run CSV as first written: one row at a time, NaN by ``np.isnan``."""
+
+    def fmt(x):
+        if isinstance(x, float) and np.isnan(x):
+            return ""
+        return "%.9g" % x
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# delayopt run v1\n")
+        fh.write(
+            f"# config_hash={cfg.hash()} seed={key.seed} algorithm={key.algorithm} "
+            f"delay={key.delay} delay_hash={res.delay_hash} cap_hits={res.poisson_cap_hits} "
+            f"comparator={res.comparator_note!r}\n"
+        )
+        fh.write(",".join(ROW_COLUMNS) + "\n")
+        for i in range(res.rounds_logged):
+            fh.write(",".join(fmt(float(res.columns[c][i])) for c in ROW_COLUMNS) + "\n")
+
+
+EDGE_VALUES = (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
+               3.0, -7.0, 2.0**53, 1e9, 123456789.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rounds=st.integers(0, 12), data=st.data())
+def test_run_csv_text_equals_the_row_formatter(tmp_path_factory, rounds, data):
+    values = st.sampled_from(EDGE_VALUES) | st.floats()
+    cols = {c: np.array(data.draw(st.lists(values, min_size=rounds, max_size=rounds)), dtype=float)
+            for c in ROW_COLUMNS}
+    out = tmp_path_factory.mktemp("text")
+    cfg = parse_config(MINIMAL.format(out=out))
+    key = RunKey(cfg.algorithms[0].name, cfg.delays[0].describe(), 0)
+    res = RunResult(columns=cols, diverged=False, diverged_round=None, delay_hash="0", poisson_cap_hits=0,
+                    skipped_arrivals=0, comparator_note="", final_theta=np.zeros(1))
+    write_run_csv(str(out / "run.csv"), cfg, key, res)
+    write_run_csv_reference(str(out / "reference.csv"), cfg, key, res)
+    assert (out / "run.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
 def test_paired_delay_hashes_verified(tmp_path):
     text = """
 [experiment]

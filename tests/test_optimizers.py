@@ -11,6 +11,7 @@ from delayopt.core import ContractError, OutcomeRecord
 from delayopt.delays import DelaySchedule
 from delayopt.environments import environment_class, environment_names, make_environment
 from delayopt.optimizers import (
+    Adam,
     AlgorithmConfig,
     StepSchedule,
     StaleArrivalEngine,
@@ -54,6 +55,51 @@ def test_schedule_validation():
         StepSchedule(eta0=0.1, beta=-1.0)
     with pytest.raises(ContractError):
         StepSchedule(eta0=0.1, mode="bogus")
+
+
+# -- base rules --------------------------------------------------------------------
+
+
+class AdamReference:
+    """Adam as first written: fresh moment arrays from whole expressions."""
+
+    def __init__(self):
+        self.m = self.v = None
+        self.t = 0
+
+    def update(self, theta, g, eta):
+        if self.m is None:
+            self.m = np.zeros_like(theta)
+            self.v = np.zeros_like(theta)
+        self.t += 1
+        self.m = Adam.beta1 * self.m + (1 - Adam.beta1) * g
+        self.v = Adam.beta2 * self.v + (1 - Adam.beta2) * g * g
+        m_hat = self.m / (1 - Adam.beta1 ** self.t)
+        v_hat = self.v / (1 - Adam.beta2 ** self.t)
+        return theta - eta * m_hat / (np.sqrt(v_hat) + Adam.floor)
+
+
+gradient_entries = st.sampled_from([0.0, -0.0, 1e150, -1e150, 1e-300]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 8), updates=st.integers(1, 60), eta=st.sampled_from([1e-3, 0.1, 7.0]), data=st.data())
+def test_adam_equals_reference_bitwise_and_keeps_returned_thetas(p, updates, eta, data):
+    # zeros and -0.0 keep a moment at zero; 1e150 squared is near the top of
+    # the float range
+    adam, reference = Adam(), AdamReference()
+    theta = ref_theta = np.linspace(-1.0, 1.0, p)
+    returned = []
+    for _ in range(updates):
+        g = np.array(data.draw(st.lists(gradient_entries, min_size=p, max_size=p)))
+        theta = adam.update(theta, g, eta)
+        ref_theta = reference.update(ref_theta, g, eta)
+        assert theta.tobytes() == ref_theta.tobytes()
+        returned.append((theta, theta.copy()))
+    assert adam.m.tobytes() == reference.m.tobytes() and adam.v.tobytes() == reference.v.tobytes()
+    # each returned theta is its own array, untouched by later updates
+    assert all(kept.tobytes() == copy.tobytes() for kept, copy in returned)
+    assert len({id(kept) for kept, _ in returned}) == updates
 
 
 # -- named algorithms --------------------------------------------------------------

@@ -197,15 +197,18 @@ def sinkhorn_log_reference(C, mu, nu, eps, iterations):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 10), m=st.integers(1, 10), eps=st.sampled_from([0.01, 0.05, 0.3, 1.0]),
+@given(n=st.integers(1, 30), m=st.integers(1, 30), eps=st.sampled_from([0.01, 0.05, 0.3, 1.0]),
        cost_scale=st.sampled_from([0.1, 1.0, 30.0]), iterations=st.integers(1, 40), seed=st.integers(0, 2**16))
 def test_sinkhorn_equals_reference_loop_bitwise(n, m, eps, cost_scale, iterations, seed):
+    # rows of more than 8 entries take numpy's pairwise summation, so sizes
+    # up to 30 check that the row sums still reduce along the same axis
     rng = np.random.default_rng(seed)
     C = cost_scale * rng.uniform(0.0, 1.0, size=(n, m))
     mu = rng.uniform(0.2, 1.0, n)
     nu = rng.uniform(0.2, 1.0, m)
     mu, nu = mu / mu.sum(), nu / nu.sum()
-    assert np.array_equal(sinkhorn_log(C, mu, nu, eps, iterations), sinkhorn_log_reference(C, mu, nu, eps, iterations))
+    plan = sinkhorn_log(C, mu, nu, eps, iterations)
+    assert plan.tobytes() == sinkhorn_log_reference(C, mu, nu, eps, iterations).tobytes()
 
 
 def test_sinkhorn_rejects_bad_inputs():
@@ -217,6 +220,48 @@ def test_sinkhorn_rejects_bad_inputs():
         sinkhorn_log(C, np.array([1.0, 0.0]), nu, 0.1, 5)
     with pytest.raises(ContractError):
         sinkhorn_log(C, np.array([0.6, 0.6]), nu, 0.1, 5)
+
+
+@pytest.mark.parametrize("target, index, value, message", [
+    ("mu", 1, np.nan, "degenerate marginal"),
+    ("nu", 2, np.nan, "degenerate marginal"),
+    ("C", (1, 2), np.nan, "not finite"),
+    ("C", 1, np.inf, "not finite"),
+    ("C", (slice(None), 0), np.inf, "not finite"),
+], ids=["nan-mu", "nan-nu", "nan-cost", "inf-row", "inf-column"])
+def test_sinkhorn_raises_instead_of_returning_a_nonfinite_plan(target, index, value, message):
+    # each used to return an all-NaN plan; the infinite row also warned
+    inputs = {"C": np.arange(9.0).reshape(3, 3), "mu": np.full(3, 1 / 3), "nu": np.full(3, 1 / 3)}
+    inputs[target][index] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=message):
+            sinkhorn_log(inputs["C"], inputs["mu"], inputs["nu"], 0.1, 5)
+
+
+def test_sinkhorn_infinite_cost_entries_get_no_mass():
+    # single infinite costs are forbidden cells, not a failure
+    C = np.arange(9.0).reshape(3, 3)
+    C[0, 0] = C[2, 1] = np.inf
+    mu = nu = np.full(3, 1 / 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = sinkhorn_log(C, mu, nu, 0.5, 20)
+    assert plan[0, 0] == 0.0 and plan[2, 1] == 0.0
+    assert np.isfinite(plan).all()
+
+
+def test_sinkhorn_environment_solve_fails_on_a_nan_parameter():
+    # a NaN cost prediction fails the inner solve, which the runner turns
+    # into a failed round that ends the run
+    env = make_environment("sinkhorn", seed=0)
+    env.begin_round(1)
+    theta = env.theta_init()
+    theta[3] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="not finite"):
+            env.solve_inner(theta, env.initial_decision())
 
 
 # -- exact assignment ------------------------------------------------------------
@@ -369,6 +414,15 @@ def test_empty_cost_arrays_end_in_a_contract_error(costs, starts, goals, sources
         grid_shortest_paths(costs, starts, goals, sources)
     with pytest.raises(ContractError, match="start/goal outside the grid"):
         dijkstra_grid(np.ones((0, 3)), (0, 0), (0, 1))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_no_queries_give_empty_results(k):
+    # zero fields used to end in numpy's bare ValueError from an empty maximum
+    paths, totals = grid_shortest_paths(np.ones((k, 3, 4)), np.zeros((k, 2), np.int64),
+                                        np.zeros((0, 2), np.int64), np.zeros(0, np.int64))
+    assert paths.shape == (0, 12) and paths.dtype == np.float64
+    assert totals.shape == (0,) and totals.dtype == np.float64
 
 
 # -- batched grid shortest paths ------------------------------------------------
