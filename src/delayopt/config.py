@@ -3,6 +3,12 @@
 The schema is documented in docs/config_schema.md and exercised by the
 shipped presets. Unknown keys fail loudly with the section and key named, so
 typos do not silently fall back to defaults.
+
+Each section is declared once, by a dataclass that checks its own ranges:
+``[delay]`` by ``delays.DelaySpec``, ``[algorithm.*]`` by
+``optimizers.AlgorithmConfig``, ``[environment.args]`` by the environment's
+config, ``[stability]`` and ``[compare]`` here. This module types the INI
+values, names the section in errors, and checks what spans sections.
 """
 
 from __future__ import annotations
@@ -11,12 +17,13 @@ import configparser
 import dataclasses
 import hashlib
 import io
+import math
 import typing
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from delayopt.core import ContractError
-from delayopt.delays import DELAY_KINDS, DELAY_PARAMETERS, DelaySchedule
+from delayopt.delays import DELAY_PARAMETERS, DelaySpec
 from delayopt.environments import (
     environment_class,
     environment_config,
@@ -31,29 +38,22 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class DelaySpec:
-    kind: str = "constant"
-    d: int = 0
-    d_max: int = 0
-    lam: float = 1.0
-    d_high: int = 40
-    block_len: int = 10
-
-    def schedule(self, seed: int) -> DelaySchedule:
-        return DelaySchedule(kind=self.kind, d=self.d, d_max=self.d_max, lam=self.lam,
-                             d_high=self.d_high, block_len=self.block_len, seed=seed)
-
-    def describe(self) -> str:
-        return self.schedule(0).describe()
-
-
-@dataclass
 class StabilitySettings:
     eta_lo: float = 1e-4
     eta_hi: float = 8.0
     resolution: float = 0.001
     horizon: int = 500
     delays: list[int] = field(default_factory=lambda: [1, 10, 20, 40])
+
+    def __post_init__(self):  # each range test is written so that NaN fails it
+        if not 0 < self.eta_lo < self.eta_hi < math.inf:
+            raise ContractError("needs 0 < eta_lo < eta_hi < inf")
+        if not self.resolution > 0:
+            raise ContractError("resolution must be positive")
+        if not self.horizon >= 1:
+            raise ContractError("horizon must be >= 1")
+        if not self.delays or min(self.delays) < 0:
+            raise ContractError("delays must be a non-empty list of delays >= 0")
 
 
 @dataclass
@@ -92,11 +92,10 @@ class ExperimentConfig:
             environment_config(self.environment, **self.env_args)
         except ContractError as exc:
             raise ConfigError(f"[environment.args] {exc} (environment {self.environment!r})") from exc
-        for spec in self.delays:
-            if spec.kind not in DELAY_KINDS:
-                raise ConfigError(f"[delay] kind {spec.kind!r} is unknown; known: {', '.join(DELAY_KINDS)}")
         if self.rounds < 1:
             raise ConfigError("[experiment] rounds must be >= 1")
+        if self.summary_window < 1:
+            raise ConfigError("[experiment] summary_window must be >= 1")
         if not self.seeds:
             raise ConfigError("[experiment] seeds must be non-empty")
         if not self.algorithms:
@@ -115,10 +114,6 @@ class ExperimentConfig:
             if algo.gradient == "two_stage" and not has_target:
                 raise ConfigError(f"{where}: environment {self.environment!r} exposes no prediction "
                                   "target; the two-stage baseline cannot run on it")
-            try:
-                algo.schedule()
-            except ContractError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
         if self.compare is not None:
             for role, nm in (("treatment", self.compare.treatment), ("control", self.compare.control)):
                 if nm not in names:
@@ -199,6 +194,14 @@ _STABILITY_KEYS = _section_keys(StabilitySettings)
 _COMPARE_KEYS = _section_keys(CompareSettings)
 
 
+def _built(where: str, make: Callable, *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, with a range error prefixed by ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ContractError as exc:
+        raise ConfigError(f"{where} {exc}") from exc
+
+
 def _read_section(parser: configparser.ConfigParser, section: str, keys: dict[str, Any]) -> dict[str, Any]:
     """A section's items as typed values: a ``str`` key takes the stripped
     text, a ``list[int]`` key an integer list, and any other key the coerced
@@ -240,34 +243,32 @@ def parse_config(text: str) -> ExperimentConfig:
     if parser.has_section("delay"):
         values = _read_section(parser, "delay", _DELAY_KEYS)
         kind = values.get("kind", DelaySpec.kind)
-        if kind in DELAY_PARAMETERS:  # an unknown kind fails in validate()
+        if kind in DELAY_PARAMETERS:  # an unknown kind fails in DelaySpec
             reads = DELAY_PARAMETERS[kind]
             for key in values:
                 if key not in ("kind", "sweep", *reads):
                     raise ConfigError(f"[delay] {key} is not read by kind {kind!r}, "
                                       f"which reads only {', '.join(reads)}")
         sweep = values.pop("sweep", None)
-        spec = DelaySpec(**values)
-        if sweep is not None:
-            if spec.kind != "constant":
-                raise ConfigError("[delay] sweep lists are only supported for constant delays")
-            cfg.delays = [dataclasses.replace(spec, d=d) for d in sweep]
-        else:
+        spec = _built("[delay]", DelaySpec, **values)
+        if sweep is None:
             cfg.delays = [spec]
+        elif spec.kind != "constant":
+            raise ConfigError("[delay] sweep lists are only supported for constant delays")
+        else:
+            cfg.delays = [_built("[delay] sweep:", dataclasses.replace, spec, d=d) for d in sweep]
 
     for section in parser.sections():
         if not section.startswith("algorithm."):
             continue
         label = section.split(".", 1)[1]
         overrides = _read_section(parser, section, _ALGORITHM_KEYS)
-        try:
-            algo = make_algorithm(overrides.pop("kind", label), **overrides)
-        except ContractError as exc:
-            raise ConfigError(f"[{section}]: {exc}") from exc
+        algo = _built(f"[{section}]:", make_algorithm, overrides.pop("kind", label), **overrides)
         cfg.algorithms.append(dataclasses.replace(algo, name=label))
 
     if parser.has_section("stability"):
-        cfg.stability = StabilitySettings(**_read_section(parser, "stability", _STABILITY_KEYS))
+        cfg.stability = _built("[stability]", StabilitySettings,
+                               **_read_section(parser, "stability", _STABILITY_KEYS))
 
     if parser.has_section("compare"):
         cfg.compare = CompareSettings(**_read_section(parser, "compare", _COMPARE_KEYS))

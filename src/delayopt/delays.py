@@ -1,12 +1,16 @@
-"""Feedback-channel simulation: delay schedules and the outstanding-round queue.
+"""Feedback-channel simulation: delay processes and the outstanding-round queue.
 
+``DelaySpec``, the ``[delay]`` section's dataclass, declares the delay
+parameters and checks their ranges; ``DelaySchedule`` adds a seed and samples.
 Delay sampling uses its own seed stream, decoupled from everything else, so a
 comparison between two algorithms can replay identical delay realizations.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +26,14 @@ DELAY_PARAMETERS = {
     "bursty": ("d_high", "block_len"),
 }
 DELAY_KINDS = tuple(DELAY_PARAMETERS)
+# each kind's label in output file names and headers
+DELAY_LABELS = {"constant": "constant:{d}", "uniform": "uniform:0-{d_max}",
+                "poisson": "poisson:{lam:g}", "bursty": "bursty:{block_len}x{d_high}"}
 
 
 @dataclass
-class DelaySchedule:
-    """Per-round feedback delay generator.
+class DelaySpec:
+    """A per-round feedback delay process.
 
     kinds:
       constant  -- d_t = d
@@ -35,20 +42,55 @@ class DelaySchedule:
       bursty    -- alternating blocks: block_len rounds of 0, block_len of d_high
     """
 
-    kind: str
+    kind: str = "constant"
     d: int = 0
     d_max: int = 0
     lam: float = 1.0
     d_high: int = 40
     block_len: int = 10
+
+    def __post_init__(self):  # each range test is written so that NaN fails it
+        if self.kind not in DELAY_KINDS:
+            raise ContractError(f"kind {self.kind!r} is unknown; known: {', '.join(DELAY_KINDS)}")
+        for name in ("d", "d_max", "d_high"):
+            if not getattr(self, name) >= 0:
+                raise ContractError(f"{name} must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ContractError("lam must be finite and >= 0")
+        if not self.block_len >= 1:
+            raise ContractError("block_len must be >= 1")
+
+    def schedule(self, seed: int) -> DelaySchedule:
+        """This process's sampler on the delay stream of ``seed``."""
+        spec = {f.name: getattr(self, f.name) for f in dataclasses.fields(DelaySpec)}
+        return DelaySchedule(**spec, seed=seed)
+
+    @property
+    def sigma_bound(self) -> int:
+        """Worst-case queue length; sizes the transport buffer."""
+        if self.kind == "constant":
+            return self.d
+        if self.kind == "uniform":
+            return self.d_max
+        if self.kind == "poisson":
+            return int(POISSON_CAP_FACTOR * self.lam)
+        return self.d_high
+
+    def describe(self) -> str:
+        return DELAY_LABELS[self.kind].format_map(vars(self))
+
+
+@dataclass
+class DelaySchedule(DelaySpec):
+    """A delay process with the seed of its sample stream."""
+
     seed: int = 0
     cap_hits: int = field(default=0, init=False)
     _rng: np.random.Generator = field(default=None, init=False, repr=False)
     _sampled: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in DELAY_KINDS:
-            raise ContractError(f"unknown delay kind {self.kind!r}")
+        super().__post_init__()
         self._rng = np.random.default_rng([int(self.seed), 7919])
 
     def sample(self, t: int) -> int:
@@ -64,30 +106,8 @@ class DelaySchedule:
                 self.cap_hits += 1
         else:  # bursty
             d = 0 if ((t - 1) // self.block_len) % 2 == 0 else self.d_high
-        if d < 0:
-            raise ContractError("delays must be nonnegative")
         self._sampled.append(d)
         return d
-
-    @property
-    def sigma_bound(self) -> int:
-        """Worst-case queue length; sizes the transport buffer."""
-        if self.kind == "constant":
-            return self.d
-        if self.kind == "uniform":
-            return self.d_max
-        if self.kind == "poisson":
-            return int(POISSON_CAP_FACTOR * self.lam)
-        return self.d_high
-
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant:{self.d}"
-        if self.kind == "uniform":
-            return f"uniform:0-{self.d_max}"
-        if self.kind == "poisson":
-            return f"poisson:{self.lam:g}"
-        return f"bursty:{self.block_len}x{self.d_high}"
 
     def realized_hash(self) -> str:
         """Hash of the delay sequence sampled so far; lets paired runs prove

@@ -164,18 +164,22 @@ class LQRProblem(Environment):
 
     # realized loss: u'Ru + x_next' x_next on the true dynamics, z = (x, xi)
 
-    def true_loss(self, w, theta, z) -> float:
-        x, xi = z["x"], z["xi"]
-        W = self._gain(w)
+    def _step(self, W: np.ndarray, x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Control ``u = -W x`` and next state ``A x + B u + xi`` on the true
+        dynamics."""
         u = -W @ x
-        x_next = self.A_true @ x + self.B_true @ u + xi
+        return u, self.A_true @ x + self.B_true @ u + xi
+
+    def _realized_loss(self, W: np.ndarray, z) -> float:
+        u, x_next = self._step(W, z["x"], z["xi"])
         return float(u @ (self.r * u) + x_next @ x_next)
 
+    def true_loss(self, w, theta, z) -> float:
+        return self._realized_loss(self._gain(w), z)
+
     def grad_w_true(self, w, theta, z):
-        x, xi = z["x"], z["xi"]
-        W = self._gain(w)
-        u = -W @ x
-        x_next = self.A_true @ x + self.B_true @ u + xi
+        x = z["x"]
+        u, x_next = self._step(self._gain(w), x, z["xi"])
         dLdu = 2.0 * (self.r * u) + 2.0 * (self.B_true.T @ x_next)
         return (-np.outer(dLdu, x)).ravel()
 
@@ -197,9 +201,7 @@ class LQRProblem(Environment):
         cfg = self.cfg
         xi = cfg.noise_std * self._noise_rng.standard_normal(cfg.n_x)
         x = self.x.copy()
-        W = self._gain(w)
-        u = -W @ x
-        x_next = self.A_true @ x + self.B_true @ u + xi
+        u, x_next = self._step(self._gain(w), x, xi)
         z = {"x": x, "xi": xi, "u": u, "x_next": x_next}
         xx = x_next @ x_next
         loss = float(u @ (self.r * u) + xx)
@@ -215,10 +217,7 @@ class LQRProblem(Environment):
         return z, loss, None
 
     def comparator_round_loss(self, z) -> float:
-        x, xi = z["x"], z["xi"]
-        u = -self.W_cmp @ x
-        x_next = self.A_true @ x + self.B_true @ u + xi
-        return float(u @ (self.r * u) + x_next @ x_next)
+        return self._realized_loss(self.W_cmp, z)
 
     def two_stage_gradient(self, theta, record):
         z = record.payload

@@ -60,8 +60,7 @@ def run_one(
 ) -> RunResult:
     """One cell; ``memo`` is the round memo its seed's cells share, if any."""
     env = make_environment(cfg.environment, seed=seed, memo=memo, **cfg.env_args)
-    schedule = delay_spec.schedule(seed)
-    return run_online(env, algo, schedule, rounds or cfg.rounds)
+    return run_online(env, algo, delay_spec.schedule(seed), cfg.rounds if rounds is None else rounds)
 
 
 def _run_cell(args) -> tuple[tuple[str, str, int], RunResult]:

@@ -11,6 +11,7 @@ what makes the transport correction optimizer-agnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -23,29 +24,12 @@ from delayopt.transport import TransportBuffer, transport_step
 from delayopt.transport import hypergradient_at, solve_adjoint  # noqa: F401
 
 
-@dataclass
-class StepSchedule:
-    """Queue-envelope-adaptive step size eta_0 / sqrt(1 + beta * envelope)."""
-
-    eta0: float
-    beta: float = 1.0
-    mode: str = "queue_adaptive"  # or "constant"
-
-    def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ContractError("eta0 must be positive")
-        if self.beta < 0:
-            raise ContractError("beta must be nonnegative")
-        if self.mode not in ("queue_adaptive", "constant"):
-            raise ContractError(f"unknown schedule mode {self.mode!r}")
-
-
-def adaptive_step(schedule: StepSchedule, envelope: int) -> float:
-    if envelope < 0:
-        raise ContractError("envelope must be nonnegative")
-    if schedule.mode == "constant":
-        return schedule.eta0
-    return schedule.eta0 / np.sqrt(1.0 + schedule.beta * envelope)
+def adaptive_step(algo: AlgorithmConfig, envelope: int) -> float:
+    """The round's step at queue envelope ``envelope``:
+    eta_0 / sqrt(1 + beta * envelope), or eta_0 in ``constant`` mode."""
+    if algo.schedule_mode == "constant":
+        return algo.eta0
+    return algo.eta0 / math.sqrt(1.0 + algo.beta_damping * envelope)
 
 
 class PlainGD:
@@ -120,6 +104,8 @@ class LazyFTRL:
 
 
 BASE_RULES = {"plain_gd": PlainGD, "adam": Adam, "dftrl": LazyFTRL}
+GRADIENT_SOURCES = ("transport", "stale", "two_stage")
+SCHEDULE_MODES = ("queue_adaptive", "constant")
 
 
 def make_base_rule(cfg: "AlgorithmConfig"):
@@ -199,8 +185,15 @@ class AlgorithmConfig:
     schedule_mode: str = "queue_adaptive"
     clip_norm: Optional[float] = None  # gradient norm clip before the base rule
 
-    def schedule(self) -> StepSchedule:
-        return StepSchedule(eta0=self.eta0, beta=self.beta_damping, mode=self.schedule_mode)
+    def __post_init__(self):  # each range test is written so that NaN fails it
+        if not 0 < self.eta0 < math.inf:
+            raise ContractError("eta0 must be positive and finite")
+        if not 0 <= self.beta_damping < math.inf:
+            raise ContractError("beta_damping must be finite and >= 0")
+        if self.schedule_mode not in SCHEDULE_MODES:
+            raise ContractError(f"unknown schedule mode {self.schedule_mode!r}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ContractError("clip_norm must be positive or none")
 
 
 _REGISTRY: dict[str, dict[str, Any]] = {
@@ -227,9 +220,6 @@ def make_algorithm(name: str, **overrides) -> AlgorithmConfig:
     kwargs: dict[str, Any] = dict(_REGISTRY[name])
     kwargs.update(overrides)
     return AlgorithmConfig(name=name, **kwargs)
-
-
-GRADIENT_SOURCES = ("transport", "stale", "two_stage")
 
 
 def make_engine(cfg: AlgorithmConfig, problem: Environment, buffer_capacity: int):

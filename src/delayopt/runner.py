@@ -73,10 +73,8 @@ def run_online(
 ) -> RunResult:
     if rounds < 1:
         raise ContractError("rounds must be >= 1")
-    schedule = algo.schedule()
     base = make_base_rule(algo)
-    capacity = max(0, delay.sigma_bound)
-    engine = make_engine(algo, env, capacity)
+    engine = make_engine(algo, env, delay.sigma_bound)
     queue = DelayQueue()
 
     theta = np.array(env.theta_init(), dtype=float)
@@ -84,7 +82,7 @@ def run_online(
     history: list[Optional[np.ndarray]] = [None, theta.copy()]  # history[t] = theta_t, 1-indexed
     step_sqs: list[float] = [0.0]  # step_sqs[t] = ||theta_{t+1} - theta_t||^2, 1-indexed
 
-    cols: dict[str, list] = {name: [] for name in ROW_COLUMNS}
+    rows: list[tuple] = []  # one value per ROW_COLUMNS entry
     diverged = False
     diverged_round: Optional[int] = None
     skipped = 0
@@ -105,7 +103,7 @@ def run_online(
         arrivals = queue.advance(t)
         sigma, envelope = queue.sigma, queue.envelope
 
-        eta = adaptive_step(schedule, envelope)
+        eta = adaptive_step(algo, envelope)
         g, skipped_now = engine.round_gradient(theta, arrivals)
         skipped += skipped_now
         # a blowing-up run overflows here; the divergence test below rejects
@@ -135,15 +133,15 @@ def run_online(
 
         regret_inc = true_loss - env.comparator_round_loss(z_t)
         row_diverged = bad_theta or env.unstable or solve_failed
-        _append(cols, t, sigma, envelope, eta, true_loss, regret_inc, step_sq,
-                drift_sq, step_sq_sum, opt_gap, row_diverged)
+        rows.append((t, sigma, envelope, eta, true_loss, regret_inc, step_sq, drift_sq, step_sq_sum,
+                     np.nan if opt_gap is None else opt_gap, 1.0 if row_diverged else 0.0))
         if row_diverged:
             diverged = True
             diverged_round = t
             break
         theta = theta_next
 
-    columns = {k: np.asarray(v, dtype=float) for k, v in cols.items()}
+    columns = {k: np.asarray(v, dtype=float) for k, v in zip(ROW_COLUMNS, zip(*rows))}
     return RunResult(
         columns=columns,
         diverged=diverged,
@@ -154,18 +152,3 @@ def run_online(
         comparator_note=env.comparator_note,
         final_theta=theta if not diverged else history[-1],
     )
-
-
-def _append(cols, t, sigma, envelope, eta, true_loss, regret_inc, step_sq,
-            drift_sq, step_sq_sum, opt_gap, diverged) -> None:
-    cols["t"].append(t)
-    cols["sigma"].append(sigma)
-    cols["envelope"].append(envelope)
-    cols["eta"].append(eta)
-    cols["true_loss"].append(true_loss)
-    cols["regret_inc"].append(regret_inc)
-    cols["step_sq"].append(step_sq)
-    cols["drift_sq"].append(drift_sq)
-    cols["step_sq_sum"].append(step_sq_sum)
-    cols["opt_gap"].append(np.nan if opt_gap is None else opt_gap)
-    cols["diverged"].append(1.0 if diverged else 0.0)

@@ -1,5 +1,6 @@
 """Byte-identical output: tiny experiments on every environment write the CSVs
-recorded here, digest for digest.
+recorded here, digest for digest, and every shipped preset keeps its config
+hash.
 
 A refactor that keeps the numbers keeps these digests; a change that moves
 any bit of any logged value, the summary or a CSV header fails here. An
@@ -20,6 +21,7 @@ import pytest
 from delayopt.config import DelaySpec, ExperimentConfig
 from delayopt.harness import run_experiment
 from delayopt.optimizers import make_algorithm
+from delayopt.presets import load_preset, preset_names
 
 NUMPY_VERSION = "2.4.6"
 
@@ -121,3 +123,27 @@ def recorded_digests(out_dir: str) -> dict[str, dict[str, str]]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_digests_match_the_recorded_ones(name, tmp_path):
     assert csv_digests(name, str(tmp_path)) == DIGESTS[name]
+
+
+# The config hash is the repr of every setting, so it moves with a renamed,
+# reordered or re-defaulted field of any settings dataclass, and every CSV
+# header of the preset with it. It does not depend on numpy.
+PRESET_HASHES = {
+    "controlled_comparison": "252ea76becb1",
+    "delay_patterns": "b30891aff209",
+    "grid_delay_sweep": "15b7897ad2a6",
+    "hard_instance_floor": "629b7bd8d410",
+    "k_sweep": "1522c19ec7cc",
+    "lqr_stability": "fe280c93d0cb",
+    "transport_scaling": "61b30dc5d14a",
+    "uniform_delay_validation": "43c6d73e0b8b",
+}
+
+
+def test_every_preset_hash_is_pinned():
+    assert sorted(PRESET_HASHES) == preset_names()
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_HASHES))
+def test_preset_config_hash_matches_the_pinned_one(name):
+    assert load_preset(name).hash() == PRESET_HASHES[name]

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayopt.config import ConfigError, _int_list, parse_config
-from delayopt.core import InvariantError
+from delayopt.core import ContractError, InvariantError
 from delayopt.harness import (
     RunKey,
     read_run_csv,
     recompute_summary,
     run_controlled_comparison,
     run_experiment,
+    run_one,
     run_stability_sweep,
     summarize_cell,
     write_run_csv,
@@ -394,21 +395,44 @@ def test_every_key_a_kind_reads_parses(tmp_path, delay, described):
     assert [spec.describe() for spec in cfg.delays] == described
 
 
+# (environment, text after the [experiment] keys, [algorithm.transport_omd] keys, message)
 VALUE_RANGES = [
-    ("lqr", "r_weight = 0.0", "", r"\[environment.args\] r_weight must be positive"),
-    ("hard_quadratic", "mu_w = 0", "", r"\[environment.args\] mu_w must be positive"),
+    ("lqr", "[environment.args]\nr_weight = 0.0\n", "", r"\[environment.args\] r_weight must be positive"),
+    ("hard_quadratic", "[environment.args]\nmu_w = 0\n", "", r"\[environment.args\] mu_w must be positive"),
     ("hard_quadratic", "", "eta0 = 0", r"\[algorithm.transport_omd\]: eta0 must be positive"),
     ("hard_quadratic", "", "schedule_mode = bogus",
      r"\[algorithm.transport_omd\]: unknown schedule mode 'bogus'"),
+    # each of these used to pass parsing and fail mid-run, or run wrongly
+    ("hard_quadratic", "[delay]\nd = -1\n", "", r"\[delay\] d must be >= 0$"),
+    ("hard_quadratic", "[delay]\nkind = uniform\nd_max = -1\n", "", r"\[delay\] d_max must be >= 0$"),
+    ("hard_quadratic", "[delay]\nkind = poisson\nlam = nan\n", "", r"\[delay\] lam must be finite and >= 0$"),
+    ("hard_quadratic", "[delay]\nkind = poisson\nlam = inf\n", "", r"\[delay\] lam must be finite and >= 0$"),
+    ("hard_quadratic", "[delay]\nkind = bursty\nblock_len = 0\n", "", r"\[delay\] block_len must be >= 1$"),
+    ("hard_quadratic", "[delay]\nsweep = 2,-1\n", "", r"\[delay\] sweep: d must be >= 0$"),
+    ("hard_quadratic", "", "clip_norm = -1", r"\[algorithm.transport_omd\]: clip_norm must be positive or none$"),
+    ("hard_quadratic", "", "clip_norm = 0", r"\[algorithm.transport_omd\]: clip_norm must be positive or none$"),
+    ("hard_quadratic", "", "eta0 = nan", r"\[algorithm.transport_omd\]: eta0 must be positive and finite$"),
+    ("hard_quadratic", "", "beta_damping = inf",
+     r"\[algorithm.transport_omd\]: beta_damping must be finite and >= 0$"),
+    ("hard_quadratic", "[stability]\nhorizon = 0\n", "", r"\[stability\] horizon must be >= 1$"),
+    ("hard_quadratic", "[stability]\nresolution = 0\n", "", r"\[stability\] resolution must be positive$"),
+    ("hard_quadratic", "[stability]\neta_lo = 0\n", "", r"\[stability\] needs 0 < eta_lo < eta_hi < inf$"),
+    ("hard_quadratic", "[stability]\ndelays = 1,-1\n", "",
+     r"\[stability\] delays must be a non-empty list of delays >= 0$"),
+    ("hard_quadratic", "summary_window = 0\n", "", r"\[experiment\] summary_window must be >= 1$"),
 ]
 
 
-@pytest.mark.parametrize("environment, env_arg, algo_arg, message", VALUE_RANGES,
-                         ids=["r_weight", "mu_w", "eta0", "schedule_mode"])
-def test_value_range_errors_exit_2_before_running(tmp_path, capsys, environment, env_arg, algo_arg, message):
+@pytest.mark.parametrize("environment, extra, algo_arg, message", VALUE_RANGES,
+                         ids=["r_weight", "mu_w", "eta0", "schedule_mode", "delay_d", "delay_d_max",
+                              "delay_lam_nan", "delay_lam_inf", "delay_block_len", "delay_sweep",
+                              "clip_norm_negative", "clip_norm_zero", "eta0_nan", "beta_damping_inf",
+                              "stability_horizon", "stability_resolution", "stability_eta_lo",
+                              "stability_delays", "summary_window"])
+def test_value_range_errors_exit_2_before_running(tmp_path, capsys, environment, extra, algo_arg, message):
     from delayopt.cli import main
     text = (f"[experiment]\nenvironment = {environment}\nrounds = 3\nout = {tmp_path / 'out'}\n"
-            f"[environment.args]\n{env_arg}\n[algorithm.transport_omd]\n{algo_arg}\n")
+            f"{extra}[algorithm.transport_omd]\n{algo_arg}\n")
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
     cfg_path = tmp_path / "range.ini"
@@ -416,6 +440,12 @@ def test_value_range_errors_exit_2_before_running(tmp_path, capsys, environment,
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert re.match("error: " + message, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def test_explicit_zero_rounds_is_not_the_default():
+    cfg = parse_config(MINIMAL.format(out="unused"))
+    with pytest.raises(ContractError, match="rounds must be >= 1"):
+        run_one(cfg, cfg.algorithms[0], cfg.delays[0], 0, rounds=0)
 
 
 ALGORITHM_ERRORS = [

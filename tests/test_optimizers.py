@@ -13,7 +13,6 @@ from delayopt.environments import environment_class, environment_names, make_env
 from delayopt.optimizers import (
     Adam,
     AlgorithmConfig,
-    StepSchedule,
     StaleArrivalEngine,
     adaptive_step,
     algorithm_names,
@@ -35,26 +34,39 @@ def const_delay(d, seed=0):
 # -- step schedule ---------------------------------------------------------------
 
 
+def step_config(eta0, beta=1.0, mode="queue_adaptive", clip_norm=None):
+    return AlgorithmConfig(name="a", gradient="transport", base="plain_gd", eta0=eta0,
+                           beta_damping=beta, schedule_mode=mode, clip_norm=clip_norm)
+
+
 def test_adaptive_step_values():
-    sched = StepSchedule(eta0=0.2, beta=1.0)
-    assert adaptive_step(sched, 0) == pytest.approx(0.2)
-    assert adaptive_step(sched, 3) == pytest.approx(0.1)
-    assert adaptive_step(StepSchedule(eta0=0.5, beta=2.0, mode="constant"), 99) == 0.5
+    algo = step_config(eta0=0.2, beta=1.0)
+    assert adaptive_step(algo, 0) == pytest.approx(0.2)
+    assert adaptive_step(algo, 3) == pytest.approx(0.1)
+    assert adaptive_step(step_config(eta0=0.5, beta=2.0, mode="constant"), 99) == 0.5
 
 
 def test_adaptive_step_monotone_in_envelope():
-    sched = StepSchedule(eta0=1.0, beta=1.0)
-    vals = [adaptive_step(sched, s) for s in range(0, 50)]
+    algo = step_config(eta0=1.0, beta=1.0)
+    vals = [adaptive_step(algo, s) for s in range(0, 50)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_schedule_validation():
-    with pytest.raises(ContractError):
-        StepSchedule(eta0=0.0)
-    with pytest.raises(ContractError):
-        StepSchedule(eta0=0.1, beta=-1.0)
-    with pytest.raises(ContractError):
-        StepSchedule(eta0=0.1, mode="bogus")
+    # each range test rejects NaN as well as values out of range
+    for kwargs, message in [
+        (dict(eta0=0.0), "eta0 must be positive"),
+        (dict(eta0=np.nan), "eta0 must be positive"),
+        (dict(eta0=np.inf), "eta0 must be positive and finite"),
+        (dict(eta0=0.1, beta=-1.0), "beta_damping must be finite and >= 0"),
+        (dict(eta0=0.1, beta=np.nan), "beta_damping must be finite"),
+        (dict(eta0=0.1, mode="bogus"), "unknown schedule mode 'bogus'"),
+        (dict(eta0=0.1, clip_norm=0.0), "clip_norm must be positive"),
+        (dict(eta0=0.1, clip_norm=-1.0), "clip_norm must be positive"),
+        (dict(eta0=0.1, clip_norm=np.nan), "clip_norm must be positive"),
+    ]:
+        with pytest.raises(ContractError, match=message):
+            step_config(**kwargs)
 
 
 # -- base rules --------------------------------------------------------------------
