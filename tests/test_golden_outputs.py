@@ -18,8 +18,8 @@ import os
 import numpy as np
 import pytest
 
-from delayopt.config import DelaySpec, ExperimentConfig
-from delayopt.harness import run_experiment
+from delayopt.config import DelaySpec, ExperimentConfig, parse_config
+from delayopt.harness import run_experiment, run_stability_sweep
 from delayopt.optimizers import make_algorithm
 from delayopt.presets import load_preset, preset_names
 
@@ -48,6 +48,9 @@ CASES = {
     "grid_path_full_buffer": ("grid_path", {}, 0.001,
                               ("transport_adam", "stale_adam", "two_stage_adam"), [constant(20)], 60),
     "lqr": ("lqr", {}, 0.01, ("transport_omd", "stale_omd", "two_stage"), [constant(2)], 60),
+    # constant d = 20, the bench workload's buffer: every transport round
+    # re-evaluates a full batch of 20 (gain, adjoint) pairs
+    "lqr_full_buffer": ("lqr", {}, 0.01, ("transport_omd", "stale_omd", "two_stage"), [constant(20)], 60),
 }
 
 DIGESTS = {
@@ -75,6 +78,12 @@ DIGESTS = {
         "runs/transport_omd__constant-2__seed0.csv": "163e14edebc1d1821f6e6f984b2b745fa5f469ababcc67b4db10aef88b720de6",
         "runs/two_stage__constant-2__seed0.csv": "806a48f5a42bbc1f3eca25b330d013bc8a5269d1d247abd980bb3e0ed325d8b3",
         "summary.csv": "9bcbe72ed462dc99ee7c60c5a29d466b62dc596cda580b4bee90de3a44e89dbd",
+    },
+    "lqr_full_buffer": {
+        "runs/stale_omd__constant-20__seed0.csv": "e02344c2ebb86b3ada42c448bbacbdc8823252315dd3cd20e15bc6cab2255dc2",
+        "runs/transport_omd__constant-20__seed0.csv": "ddfcbf4f14ceaf67431f561cec507f134a6c78f92650b16207ff681f8b7b2a51",
+        "runs/two_stage__constant-20__seed0.csv": "7b90fae005fbaea82ae17be8073094a776f926140d588e3448c55311ac7eb689",
+        "summary.csv": "16fe70d8b12fa8f4023751b7ff2e1b2bebc372d26a89975bb3f557c32b2c0770",
     },
     "sinkhorn": {
         "runs/stale_adam__constant-0__seed0.csv": "2d7165246e55f2fa572857483c2979951d19c2225a68cfa759091a78d29e3480",
@@ -123,6 +132,49 @@ def recorded_digests(out_dir: str) -> dict[str, dict[str, str]]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_digests_match_the_recorded_ones(name, tmp_path):
     assert csv_digests(name, str(tmp_path)) == DIGESTS[name]
+
+
+# A tiny LQR stability sweep at the bench workload's delays and bracket. 21
+# of its 46 bisection probes diverge, each stopped by the outcome's loss and
+# state caps, so this pins the order of operations on the overflowing rounds
+# as well as on stable ones. No probe here reaches the inner solver's
+# divergence check; tests/test_solvers.py pins that path.
+LQR_STABILITY_TEXT = """
+[experiment]
+name = golden_lqr_stability
+environment = lqr
+rounds = 100
+seeds = 0
+out = {out}
+
+[algorithm.transport_omd]
+eta0 = 0.01
+schedule_mode = constant
+
+[algorithm.two_stage]
+eta0 = 0.01
+schedule_mode = constant
+
+[stability]
+eta_lo = 0.0001
+eta_hi = 16.0
+resolution = 0.05
+horizon = 100
+delays = 1,20
+"""
+
+LQR_STABILITY_DIGEST = "8bc8d6bf90203bfcd9c01297badc3e66fb5097a4e114a0913bc5b204c1bd1372"
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}; "
+                           f"this is numpy {np.__version__}, whose arithmetic may differ in the last bit")
+def test_lqr_stability_csv_digest_matches_the_recorded_one(tmp_path, capsys):
+    cfg = parse_config(LQR_STABILITY_TEXT.format(out=tmp_path))
+    run_stability_sweep(cfg)
+    capsys.readouterr()
+    with open(tmp_path / "stability.csv", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == LQR_STABILITY_DIGEST
 
 
 # The config hash is the repr of every setting, so it moves with a renamed,
