@@ -18,6 +18,9 @@ import numpy as np
 from delayopt.core import ContractError, OutcomeRecord
 
 POISSON_CAP_FACTOR = 10  # sampled Poisson delays are truncated at cap = 10 * mean
+# the largest mean numpy's Poisson sampler takes (about 9.2e18); above it
+# Generator.poisson raises a bare ValueError
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 # the parameters each kind reads; a schedule ignores the others
 DELAY_PARAMETERS = {
     "constant": ("d",),
@@ -57,6 +60,8 @@ class DelaySpec:
                 raise ContractError(f"{name} must be >= 0")
         if not 0 <= self.lam < math.inf:
             raise ContractError("lam must be finite and >= 0")
+        if self.lam > POISSON_LAM_MAX:
+            raise ContractError(f"lam must be <= {POISSON_LAM_MAX!r}, the largest mean numpy's Poisson sampler takes")
         if not self.block_len >= 1:
             raise ContractError("block_len must be >= 1")
 

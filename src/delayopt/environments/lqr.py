@@ -7,8 +7,8 @@ realized loss plays the gain on the true dynamics with persistent state and
 process noise, so bad gains feed back into the data the learner sees.
 
 The state cost is ``Q = I`` and the control cost ``R = r_weight * I``, so
-neither enters a round as a matrix product: ``x'Qx`` is ``x @ x`` and
-``u'Ru`` is ``u @ (r_weight * u)``. A product with exact ones and zeros adds
+neither enters a round as a matrix product: ``x'Qx`` is ``x . x`` and
+``u'Ru`` is ``u . (r_weight * u)``. A product with exact ones and zeros adds
 only exact zeros, so dropping it changes no bit of any result.
 
 Everything is polynomial in (gain, parameters), so all derivative products
@@ -23,6 +23,17 @@ checks finiteness once per solve, not per step. Re-evaluating a transport
 buffer is one stacked product over all buffered (gain, adjoint) pairs; each
 factor keeps the per-entry association order, so every row is bit-identical
 to the per-entry hypergradient.
+
+At n_u x n_x = 3 x 10 a round costs its numpy calls, not its arithmetic, so
+the round path calls the cheapest entry point that gives the same bits:
+``ndarray.dot`` for 2-D and 1-D products, ``np.multiply.outer`` for outer
+products and in-place operators for sums, each keeping the operations and
+their order of the readable forms. The reference methods (``model_loss``,
+``grad_w_model``, ``cross_partial_transpose_vp``) keep those forms, and the
+tests pin the round path to them bit for bit. One sign differs, at n_x = 1
+only: there a 1 x 1 matrix times a 1-vector is a single product, which
+``ndarray.dot`` returns as is and ``@`` adds to +0.0, so an exactly -0.0
+product stays -0.0. No logged value can see the sign of that zero.
 """
 
 from __future__ import annotations
@@ -96,12 +107,17 @@ class LQRProblem(Environment):
     def _gain(self, w: np.ndarray) -> np.ndarray:
         return np.asarray(w).reshape(self.cfg.n_u, self.cfg.n_x)
 
+    def _hessian_half(self, B: np.ndarray) -> np.ndarray:
+        """``M = R + B'B``: half the model objective's Hessian in the gain."""
+        M = B.T.dot(B)
+        M += self.R
+        return M
+
     def _model_terms(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``M = R + B'B`` and ``C = B'A`` (``Q = I``): the model gradient is
         ``2 (M W - C)`` and the exact gain solves ``M W = C``."""
         A, B = self._unpack(theta)
-        Bt = B.T
-        return self.R + Bt @ B, Bt @ A
+        return self._hessian_half(B), B.T.dot(A)
 
     def _exact_gain(self, theta: np.ndarray) -> np.ndarray:
         return np.linalg.solve(*self._model_terms(theta))
@@ -119,22 +135,24 @@ class LQRProblem(Environment):
         """``w -> grad_w_model(w, theta)`` with ``M`` and ``C`` formed once, for
         the inner solver's many steps at one parameter point."""
         M, C = self._model_terms(theta)
+        M_dot = M.dot
         shape = (self.cfg.n_u, self.cfg.n_x)
 
         def grad(w):
-            G = M @ w.reshape(shape)
+            G = M_dot(w.reshape(shape))
             G -= C
             G *= 2.0
             return G.ravel()
         return grad
 
     def grad_w_model(self, w, theta):
-        return self.model_gradient_at(theta)(np.asarray(w))
+        A, B = self._unpack(theta)
+        return (2.0 * ((self.R + B.T @ B) @ self._gain(w) - B.T @ A)).ravel()
 
     def exact_adjoint(self, w, theta, z):
         """``2 M V = G`` for the adjoint gain ``V``, with ``G`` the realized-loss
         gradient as an (n_u, n_x) gain."""
-        M, _ = self._model_terms(theta)
+        M = self._hessian_half(self._unpack(theta)[1])
         return np.linalg.solve(2.0 * M, self._gain(self.grad_w_true(w, theta, z))).ravel()
 
     def cross_partial_transpose_vp(self, w, theta, v, z=None):
@@ -150,14 +168,22 @@ class LQRProblem(Environment):
         over (m, n_u, n_x) gains and adjoints, negated (the direct term is
         zero). Rows are bit-identical to the per-entry formula."""
         A, B = self._unpack(theta)
-        shape = (len(decisions), self.cfg.n_u, self.cfg.n_x)
-        W = np.array(decisions).reshape(shape)
-        V = np.array(adjoints).reshape(shape)
+        m, n_u, n_x = len(decisions), self.cfg.n_u, self.cfg.n_x
+        shape = (m, n_u, n_x)
+        W = np.concatenate(decisions).reshape(shape)
+        V = np.concatenate(adjoints).reshape(shape)
         Wt, Vt = W.transpose(0, 2, 1), V.transpose(0, 2, 1)
-        dA = -2.0 * B @ V
-        dB = 2.0 * (B @ (W @ Vt) + B @ (V @ Wt) - A @ Vt)
-        implicit = np.concatenate([dA.reshape(shape[0], -1), dB.reshape(shape[0], -1)], axis=1)
-        return np.zeros(self.p) - implicit
+        rows = np.empty((m, self.p))
+        k = n_x * n_x
+        rows[:, :k] = ((-2.0 * B) @ V).reshape(m, k)
+        dB = B @ (W @ Vt)
+        dB += B @ (V @ Wt)
+        dB -= A @ Vt
+        dB *= 2.0
+        rows[:, k:] = dB.reshape(m, -1)
+        # 0.0 - x, not -x: it maps a -0.0 entry to +0.0, as the per-entry
+        # hypergradient's direct term (zero) minus the implicit one does
+        return np.subtract(0.0, rows, out=rows)
 
     def exact_inner(self, theta):
         return self._exact_gain(theta).ravel()
@@ -167,12 +193,15 @@ class LQRProblem(Environment):
     def _step(self, W: np.ndarray, x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Control ``u = -W x`` and next state ``A x + B u + xi`` on the true
         dynamics."""
-        u = -W @ x
-        return u, self.A_true @ x + self.B_true @ u + xi
+        u = (-W).dot(x)
+        x_next = self.A_true.dot(x)
+        x_next += self.B_true.dot(u)
+        x_next += xi
+        return u, x_next
 
     def _realized_loss(self, W: np.ndarray, z) -> float:
         u, x_next = self._step(W, z["x"], z["xi"])
-        return float(u @ (self.r * u) + x_next @ x_next)
+        return float(u.dot(self.r * u) + x_next.dot(x_next))
 
     def true_loss(self, w, theta, z) -> float:
         return self._realized_loss(self._gain(w), z)
@@ -180,8 +209,9 @@ class LQRProblem(Environment):
     def grad_w_true(self, w, theta, z):
         x = z["x"]
         u, x_next = self._step(self._gain(w), x, z["xi"])
-        dLdu = 2.0 * (self.r * u) + 2.0 * (self.B_true.T @ x_next)
-        return (-np.outer(dLdu, x)).ravel()
+        dLdu = 2.0 * (self.r * u)
+        dLdu += 2.0 * self.B_true.T.dot(x_next)
+        return (-np.multiply.outer(dLdu, x)).ravel()
 
     def grad_theta_true_fixed_w(self, w, theta, z):
         return np.zeros(self.p)  # realized loss has no explicit parameter term
@@ -203,10 +233,10 @@ class LQRProblem(Environment):
         x = self.x.copy()
         u, x_next = self._step(self._gain(w), x, xi)
         z = {"x": x, "xi": xi, "u": u, "x_next": x_next}
-        xx = x_next @ x_next
-        loss = float(u @ (self.r * u) + xx)
+        xx = x_next.dot(x_next)
+        loss = float(u.dot(self.r * u) + xx)
         # NaN fails every comparison, so each test rejects NaN and inf too;
-        # sqrt(x @ x) is np.linalg.norm of a vector
+        # sqrt(x . x) is np.linalg.norm of a vector
         if not (loss <= cfg.loss_cap):
             loss = cfg.loss_cap
             self.unstable = True
@@ -222,5 +252,8 @@ class LQRProblem(Environment):
     def two_stage_gradient(self, theta, record):
         z = record.payload
         A, B = self._unpack(theta)
-        r = A @ z["x"] + B @ z["u"] - z["x_next"]
-        return self._pack(np.outer(r, z["x"]), np.outer(r, z["u"]))
+        x, u = z["x"], z["u"]
+        r = A.dot(x)
+        r += B.dot(u)
+        r -= z["x_next"]
+        return self._pack(np.multiply.outer(r, x), np.multiply.outer(r, u))

@@ -138,7 +138,7 @@ class StaleArrivalEngine:
         self.problem = problem
 
     def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, int]:
-        g = np.zeros_like(theta_t)
+        g = np.zeros(theta_t.shape)
         skipped = 0
         for rec in arrivals:
             g_s, skipped_s = transport_step(TransportBuffer(0), [rec], self.problem, rec.dispatch_params)
@@ -164,7 +164,7 @@ class TwoStageEngine:
         self.problem = problem
 
     def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, int]:
-        g = np.zeros_like(theta_t)
+        g = np.zeros(theta_t.shape)
         for rec in arrivals:
             g += self.problem.two_stage_gradient(rec.dispatch_params, rec)
         return g, 0

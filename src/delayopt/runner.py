@@ -58,12 +58,6 @@ class RunResult:
     def cumulative_loss(self) -> float:
         return float(np.sum(self.columns["true_loss"]))
 
-    def window_mean(self, column: str, window: int) -> float:
-        vals = self.columns[column]
-        if len(vals) == 0:
-            return float("nan")
-        return float(np.mean(vals[-window:]))
-
 
 def run_online(
     env: Environment,
@@ -119,7 +113,7 @@ def run_online(
 
             history.append(theta_next)
             step = theta_next - theta
-            step_sq = float(step @ step)
+            step_sq = float(step.dot(step))
             step_sqs.append(step_sq)
             drift_sq, step_sq_sum = transport_error_surrogates(history, step_sqs, queue.outstanding, t)
             if is_constant_delay and delay.d >= 1:

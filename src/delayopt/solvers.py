@@ -71,21 +71,29 @@ def inner_gd(
     at every step; ``mu_w`` is the objective's strong-convexity lower bound,
     which turns the exit residual into ``epsilon_estimate``. Deterministic.
 
+    ``grad`` must return a fresh array on every call: a step scales the
+    array it returns in place (``g *= step_size; w -= g``), which gives the
+    bits of ``w - step_size * g`` without allocating. The exit residual
+    ``sqrt(g . g)`` is ``np.linalg.norm`` of the vector without its checks.
+
     Finiteness is checked once, after the last step: subtracting an infinite
     or NaN step from the iterate never gives a finite value, so a non-finite
     gradient at any step leaves the solution non-finite and raises
     ``SolverError``; floating-point warnings inside the loop are silenced.
     """
     w = np.array(w_init, dtype=float, copy=True)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ContractError("inner_gd requires a finite starting decision")
     step_size = cfg.step_size
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.steps):
-            w -= step_size * grad(w)
+            g = grad(w)
+            g *= step_size
+            w -= g
     if not np.isfinite(w).all():
         raise SolverError(f"inner divergence within {cfg.steps} steps")
-    residual = float(np.linalg.norm(grad(w)))
+    g = grad(w)
+    residual = math.sqrt(g.dot(g))
     eps = residual / max(mu_w, 1e-12)
     return InnerSolveReport(solution=w, iterations_used=cfg.steps, residual_norm=residual, epsilon_estimate=eps)
 

@@ -125,7 +125,7 @@ def transport_step(
     Eviction to capacity is the caller's final step.
     """
     skipped = 0
-    g_total = np.zeros_like(np.asarray(theta_t, dtype=float))
+    g_total = np.zeros(theta_t.shape)
     preexisting = list(buffer)
 
     fresh: list[TransportBufferEntry] = []
@@ -187,7 +187,7 @@ def transport_error_surrogates(
     oldest = min(outstanding)
     theta_next = param_history[t + 1]
     drift = theta_next - param_history[oldest]
-    drift_sq = float(drift @ drift)
+    drift_sq = float(drift.dot(drift))
     step_sq = 0.0
     for s in outstanding:
         step_sq += step_sqs[s]

@@ -2,11 +2,12 @@
 and closed-form queue statistics."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayopt.core import OutcomeRecord
-from delayopt.delays import DelayQueue, DelaySchedule
+from delayopt.core import ContractError, OutcomeRecord
+from delayopt.delays import POISSON_LAM_MAX, DelayQueue, DelaySchedule
 
 
 def rec(t):
@@ -142,6 +143,17 @@ def test_poisson_delays_capped_and_counted():
     assert sched.cap_hits == sum(1 for d in raw if d > cap)
     assert sched.cap_hits > 0
     assert samples == [min(d, cap) for d in raw]
+
+
+def test_poisson_mean_is_bounded_by_what_numpy_samples():
+    # the largest accepted mean samples; the next float up is numpy's bare
+    # ValueError, so the schedule rejects it before any round
+    DelaySchedule(kind="poisson", lam=POISSON_LAM_MAX, seed=0).sample(1)
+    above = float(np.nextafter(POISSON_LAM_MAX, np.inf))
+    with pytest.raises(ValueError, match="lam value too large"):
+        np.random.default_rng(0).poisson(above)
+    with pytest.raises(ContractError, match="lam must be <= 9.223372006484771e[+]18"):
+        DelaySchedule(kind="poisson", lam=above, seed=0)
 
 
 def test_delay_hash_pairing():

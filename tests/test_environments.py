@@ -1,14 +1,16 @@
 """Environment contracts: analytic derivatives vs central finite differences,
 closed-form adjoints vs conjugate gradient, and structural behaviors."""
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from delayopt.core import ContractError
+from delayopt.core import ContractError, OutcomeRecord
 from delayopt.delays import DelaySchedule
 from delayopt.environments import make_environment
 from delayopt.environments.grid_path import GridPathConfig, GridPathProblem
@@ -18,6 +20,7 @@ from delayopt.environments.sinkhorn_flow import SinkhornConfig, SinkhornProblem
 from delayopt.optimizers import make_algorithm
 from delayopt.runner import run_online
 from delayopt.solvers import conjugate_gradient, dijkstra_grid, sinkhorn_log
+from delayopt.transport import hypergradient_at
 
 FD_STEP = 1e-5
 FD_REL = 1e-4
@@ -319,6 +322,125 @@ def test_lqr_round_formulas_equal_explicit_cost_products_bitwise(n_x, n_u, r_wei
         cross = np.concatenate([dA.ravel(), dB.ravel()])
         assert np.array_equal(env.cross_partial_transpose_vp(w, theta, v), cross)
         assert np.array_equal(env.hypergradients_at_many(theta, [w], [v], [z])[0], np.zeros(env.p) - cross)
+
+
+# The LQR round path in its readable forms: ``@`` products, ``np.outer``, one
+# expression per quantity. The environment computes each with cheaper numpy
+# entry points (``ndarray.dot``, ``np.multiply.outer``, in-place operators)
+# and must reproduce these bits, NaN and infinity included.
+
+
+def lqr_model_terms_reference(env, theta):
+    A, B = env._unpack(theta)
+    Bt = B.T
+    return env.R + Bt @ B, Bt @ A
+
+
+def lqr_step_reference(env, W, x, xi):
+    u = -W @ x
+    return u, env.A_true @ x + env.B_true @ u + xi
+
+
+def lqr_realized_loss_reference(env, W, z):
+    u, x_next = lqr_step_reference(env, W, z["x"], z["xi"])
+    return float(u @ (env.r * u) + x_next @ x_next)
+
+
+def lqr_grad_w_true_reference(env, w, z):
+    x = z["x"]
+    u, x_next = lqr_step_reference(env, env._gain(w), x, z["xi"])
+    dLdu = 2.0 * (env.r * u) + 2.0 * (env.B_true.T @ x_next)
+    return (-np.outer(dLdu, x)).ravel()
+
+
+def lqr_exact_adjoint_reference(env, w, theta, z):
+    M, _ = lqr_model_terms_reference(env, theta)
+    return np.linalg.solve(2.0 * M, env._gain(lqr_grad_w_true_reference(env, w, z))).ravel()
+
+
+def lqr_realize_outcome_reference(env, theta, w):
+    cfg = env.cfg
+    xi = cfg.noise_std * env._noise_rng.standard_normal(cfg.n_x)
+    x = env.x.copy()
+    u, x_next = lqr_step_reference(env, env._gain(w), x, xi)
+    z = {"x": x, "xi": xi, "u": u, "x_next": x_next}
+    xx = x_next @ x_next
+    loss = float(u @ (env.r * u) + xx)
+    if not (loss <= cfg.loss_cap):
+        loss = cfg.loss_cap
+        env.unstable = True
+    if not (np.linalg.norm(x_next) <= cfg.state_cap):
+        env.unstable = True
+        x_next = np.clip(np.nan_to_num(x_next), -cfg.state_cap, cfg.state_cap)
+    env.x = x_next
+    return z, loss, None
+
+
+def lqr_two_stage_reference(env, theta, z):
+    A, B = env._unpack(theta)
+    r = A @ z["x"] + B @ z["u"] - z["x_next"]
+    return np.concatenate([np.outer(r, z["x"]).ravel(), np.outer(r, z["u"]).ravel()])
+
+
+def bits(f, *args, signed_zeros=True):
+    """The bytes of ``f(*args)`` (an array, a float or a tuple of them), or the
+    type of the exception it raised; with ``signed_zeros=False``, after
+    mapping -0.0 to +0.0."""
+    try:
+        out = f(*args)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+    parts = [np.asarray(part, dtype=float) for part in (out if isinstance(out, tuple) else (out,))]
+    return tuple((part if signed_zeros else part + 0.0).tobytes() for part in parts)
+
+
+# parameter and gain scales: zero, which gives signed zeros; ordinary ones;
+# 1e154, whose squares lie just below the largest float, so a doubled one may
+# overflow where a doubled difference does not; and ones whose products
+# overflow to infinity and whose differences give NaN
+LQR_SCALES = (0.0, 1e-3, 1.0, 30.0, 1e80, 1e154, 1e160, 1e300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_x=st.integers(1, 10), n_u=st.integers(1, 4), r_weight=st.sampled_from([0.01, 0.1, 3.7]),
+       theta_scale=st.sampled_from(LQR_SCALES), w_scale=st.sampled_from(LQR_SCALES),
+       m=st.integers(1, 25), seed=st.integers(0, 2**16))
+# the shipped shape, with model terms just below overflow
+@example(n_x=10, n_u=3, r_weight=0.1, theta_scale=1e154, w_scale=1.0, m=20, seed=0)
+def test_lqr_round_path_equals_readable_forms_bitwise(n_x, n_u, r_weight, theta_scale, w_scale, m, seed):
+    # With n_x = 1, a 1 x 1 matrix times a 1-vector is a single product:
+    # ndarray.dot returns it as is, while @ adds it to +0.0. So a product that
+    # is exactly -0.0 comes back as -0.0 from one and +0.0 from the other.
+    # Only the sign of such a zero differs, so at n_x = 1 zeros compare
+    # unsigned; no logged value can see that sign.
+    kw = dict(seed=seed, n_x=n_x, n_u=n_u, r_weight=r_weight, task_seed=seed)
+    env, twin = make_environment("lqr", **kw), make_environment("lqr", **kw)
+    rng = np.random.default_rng(seed)
+    theta = env.theta_init() + theta_scale * rng.standard_normal(env.p)
+    as_bits = functools.partial(bits, signed_zeros=n_x > 1)
+    with np.errstate(all="ignore"):
+        assert as_bits(env._model_terms, theta) == as_bits(lqr_model_terms_reference, env, theta)
+        grad = env.model_gradient_at(theta)
+        for t in range(1, 4):
+            w, v = w_scale * rng.standard_normal(env.q), w_scale * rng.standard_normal(env.q)
+            assert as_bits(grad, w) == as_bits(env.grad_w_model, w, theta)
+            z, loss, _ = env.realize_outcome(t, theta, w)
+            z_ref, loss_ref, _ = lqr_realize_outcome_reference(twin, theta, w)
+            assert as_bits(lambda: tuple(z.values()) + (loss, env.x)) == \
+                as_bits(lambda: tuple(z_ref.values()) + (loss_ref, twin.x))
+            assert env.unstable == twin.unstable
+            W = env._gain(w)
+            assert as_bits(env.true_loss, w, theta, z) == as_bits(lqr_realized_loss_reference, env, W, z)
+            assert as_bits(env.comparator_round_loss, z) == as_bits(lqr_realized_loss_reference, env, env.W_cmp, z)
+            assert as_bits(env.grad_w_true, w, theta, z) == as_bits(lqr_grad_w_true_reference, env, w, z)
+            assert as_bits(env.exact_adjoint, w, theta, z) == as_bits(lqr_exact_adjoint_reference, env, w, theta, z)
+            record = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w)
+            assert as_bits(env.two_stage_gradient, theta, record) == as_bits(lqr_two_stage_reference, env, theta, z)
+        decisions = [w_scale * rng.standard_normal(env.q) for _ in range(m)]
+        adjoints = [w_scale * rng.standard_normal(env.q) for _ in range(m)]
+        rows = [hypergradient_at(env, w, v, theta, None) for w, v in zip(decisions, adjoints)]
+        assert as_bits(env.hypergradients_at_many, theta, decisions, adjoints, [None] * m) == \
+            as_bits(np.array, rows)
 
 
 def test_lqr_nan_outcome_caps_loss_and_resets_state():

@@ -407,6 +407,8 @@ VALUE_RANGES = [
     ("hard_quadratic", "[delay]\nkind = uniform\nd_max = -1\n", "", r"\[delay\] d_max must be >= 0$"),
     ("hard_quadratic", "[delay]\nkind = poisson\nlam = nan\n", "", r"\[delay\] lam must be finite and >= 0$"),
     ("hard_quadratic", "[delay]\nkind = poisson\nlam = inf\n", "", r"\[delay\] lam must be finite and >= 0$"),
+    ("hard_quadratic", "[delay]\nkind = poisson\nlam = 1e19\n", "",
+     r"\[delay\] lam must be <= 9\.223372006484771e\+18, the largest mean numpy's Poisson sampler takes$"),
     ("hard_quadratic", "[delay]\nkind = bursty\nblock_len = 0\n", "", r"\[delay\] block_len must be >= 1$"),
     ("hard_quadratic", "[delay]\nsweep = 2,-1\n", "", r"\[delay\] sweep: d must be >= 0$"),
     ("hard_quadratic", "", "clip_norm = -1", r"\[algorithm.transport_omd\]: clip_norm must be positive or none$"),
@@ -425,7 +427,7 @@ VALUE_RANGES = [
 
 @pytest.mark.parametrize("environment, extra, algo_arg, message", VALUE_RANGES,
                          ids=["r_weight", "mu_w", "eta0", "schedule_mode", "delay_d", "delay_d_max",
-                              "delay_lam_nan", "delay_lam_inf", "delay_block_len", "delay_sweep",
+                              "delay_lam_nan", "delay_lam_inf", "delay_lam_too_large", "delay_block_len", "delay_sweep",
                               "clip_norm_negative", "clip_norm_zero", "eta0_nan", "beta_damping_inf",
                               "stability_horizon", "stability_resolution", "stability_eta_lo",
                               "stability_delays", "summary_window"])

@@ -84,7 +84,9 @@ def test_inner_gd_rejects_bad_config():
 
 def reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size):
     """Per-step gradient descent on the LQR model objective with explicit
-    ``Q = I`` and ``R = r_weight I`` products, checking every gradient."""
+    ``Q = I`` and ``R = r_weight I`` products, checking every gradient and
+    the final iterate (a finite step can still overflow it); None if either
+    is not finite."""
     A = theta[: n_x * n_x].reshape(n_x, n_x)
     B = theta[n_x * n_x:].reshape(n_x, n_u)
     Q, R = np.eye(n_x), r_weight * np.eye(n_u)
@@ -98,28 +100,56 @@ def reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size):
         if not np.isfinite(g).all():
             return None
         w -= step_size * g
+    if not np.isfinite(w).all():
+        return None
     return w, float(np.linalg.norm(grad(w)))
+
+
+# parameter and decision scales: zero, which gives signed zeros; ordinary ones;
+# 1e154, whose squares lie just below the largest float; and scales that
+# overflow the model terms, the exit residual or the iterate within a few steps
+INNER_SCALES = (0.0, 1e-3, 1.0, 30.0, 1e80, 1e154, 1e155, 1e300)
 
 
 @settings(max_examples=150, deadline=None)
 @given(n_x=st.integers(1, 12), n_u=st.integers(1, 5), r_weight=st.sampled_from([0.01, 0.1, 1.0, 3.7]),
-       b_scale=st.sampled_from([0.1, 0.5, 2.0]), scale=st.sampled_from([1e-3, 1.0, 30.0]),
-       steps=st.integers(1, 15), step_size=st.sampled_from([1e-3, 0.01, 0.05]), seed=st.integers(0, 2**16))
-def test_lqr_inner_gd_equals_per_step_reference_bitwise(n_x, n_u, r_weight, b_scale, scale, steps, step_size, seed):
-    # the environment's own inner solve: inner_gd on its theta-frozen gradient
+       b_scale=st.sampled_from([0.1, 0.5, 2.0]), theta_scale=st.sampled_from(INNER_SCALES),
+       w_scale=st.sampled_from(INNER_SCALES), steps=st.integers(1, 15),
+       step_size=st.sampled_from([1e-3, 0.01, 0.05, 10.0]), seed=st.integers(0, 2**16))
+def test_lqr_inner_gd_equals_per_step_reference_bitwise(n_x, n_u, r_weight, b_scale, theta_scale, w_scale,
+                                                         steps, step_size, seed):
+    # the environment's own inner solve: inner_gd on its theta-frozen gradient,
+    # with the same iterate and residual bits, or the same divergence error
     env = LQRProblem(LQRConfig(n_x=n_x, n_u=n_u, r_weight=r_weight, b_scale=b_scale, task_seed=seed,
                                inner_steps=steps, inner_step_size=step_size), seed=seed)
     rng = np.random.default_rng(seed)
-    theta = env.theta_init() + scale * rng.standard_normal(env.p)
-    w0 = scale * rng.standard_normal(env.q)
-    reference = reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size)
-    if reference is None:
-        with pytest.raises(SolverError, match=f"inner divergence within {steps} steps"):
-            env.solve_inner(theta, w0)
-        return
-    rep = env.solve_inner(theta, w0)
-    assert np.array_equal(rep.solution, reference[0])
-    assert rep.residual_norm == reference[1]
+    theta = env.theta_init() + theta_scale * rng.standard_normal(env.p)
+    w0 = w_scale * rng.standard_normal(env.q)
+    with np.errstate(all="ignore"):  # the model terms and the exit residual may overflow
+        reference = reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size)
+        if reference is None:
+            with pytest.raises(SolverError, match=f"inner divergence within {steps} steps"):
+                env.solve_inner(theta, w0)
+            return
+        rep = env.solve_inner(theta, w0)
+    assert rep.solution.tobytes() == reference[0].tobytes()
+    assert np.float64(rep.residual_norm).tobytes() == np.float64(reference[1]).tobytes()
+
+
+def test_inner_gd_reaches_an_overflowing_residual_and_divergence():
+    # both ends of the property above: a finite iterate whose exit gradient
+    # overflows, and a diverging solve
+    env = LQRProblem(LQRConfig(n_x=2, n_u=1, task_seed=0, inner_steps=1, inner_step_size=1e-3), seed=0)
+    theta = env.theta_init()
+    theta[env.cfg.n_x * env.cfg.n_x:] = 1e150  # B'B = 2e300, finite
+    # one step from 0 lands near 1e147, where M w overflows
+    with np.errstate(all="ignore"):
+        w, residual = reference_lqr_inner_gd(theta, np.zeros(env.q), env.cfg.r_weight, 2, 1, 1, 1e-3)
+        rep = env.solve_inner(theta, np.zeros(env.q))
+    assert np.isfinite(w).all() and residual == np.inf
+    assert rep.residual_norm == np.inf and rep.solution.tobytes() == w.tobytes()
+    with pytest.raises(SolverError, match="inner divergence within 1 steps"):
+        env.solve_inner(theta, np.full(env.q, 1e300))
 
 
 def test_diverging_inner_solve_raises_without_a_warning():
