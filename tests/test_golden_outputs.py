@@ -34,7 +34,11 @@ def constant(d):
 CASES = {
     "hard_quadratic": ("hard_quadratic", {"bias": 0.05}, 0.1,
                        ("stale_omd", "transport_omd"), [constant(0), constant(3)], 60),
-    "sinkhorn": ("sinkhorn", {}, 0.002,
+    # a constant delay of 10 keeps 10 one-element rows buffered, so every
+    # transport round folds at least 8 increments of the scalar instance
+    "hard_quadratic_full_buffer": ("hard_quadratic", {"bias": 0.05}, 0.1,
+                                   ("stale_omd", "transport_omd"), [constant(10)], 60),
+    "sinkhorn":("sinkhorn", {}, 0.002,
                  ("transport_adam", "stale_adam", "two_stage_adam"), [constant(0), constant(5)], 50),
     # a constant delay of 20 keeps 20 payloads buffered, so every transport
     # round re-evaluates a full batch: the scale of the bench workload
@@ -72,6 +76,11 @@ DIGESTS = {
         "runs/transport_omd__constant-0__seed0.csv": "5d61942c72333a21e3acbd0404492215cefdae9d665c6b0d8e80904764edb927",
         "runs/transport_omd__constant-3__seed0.csv": "f82fa66ece34b113904e1ce6ae1745d7b3e09ed7e46c19e2af589ac1e1f6b748",
         "summary.csv": "54290ab0c0f49ad5b3709ad7ceeb0fbde377e516347665f6948dc6a4334d9e29",
+    },
+    "hard_quadratic_full_buffer": {
+        "runs/stale_omd__constant-10__seed0.csv": "4ef3fbb098c020a1de892e69f79db60b7a917a41ad1469ef9e65052a9ab635b7",
+        "runs/transport_omd__constant-10__seed0.csv": "1a46eb1a2742f0f8e192ea85b54561829b9dc29ef462a567962c03a7678151be",
+        "summary.csv": "2ad1ce4275796834e57cd6dc809ff9527e667e9dcd7525b42c05d56e24d5881a",
     },
     "lqr": {
         "runs/stale_omd__constant-2__seed0.csv": "79b55f7af30b3951e3f7886cad7d17b7d9f33c5903a4149c58b08259f9caed2c",
