@@ -18,7 +18,6 @@ from delayopt.solvers import (
 )
 from delayopt.transport import (
     TransportBuffer,
-    TransportBufferEntry,
     hypergradient_at,
     solve_adjoint,
 )

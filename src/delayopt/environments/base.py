@@ -125,7 +125,9 @@ class Environment(ABC):
         """Outer gradient of every stored round (decision, adjoint or None,
         outcome payload) at one ``theta``, as rows of an (m, p) matrix. Row i
         is bit-identical to evaluating round i alone, so any set of rounds at
-        one parameter point can be batched without changing a result."""
+        one parameter point can be batched without changing a result. The
+        matrix is a fresh array that the caller owns: the transport buffer
+        keeps it and later overwrites its rows in place."""
 
     def exact_adjoint(self, w: np.ndarray, theta: np.ndarray, z: Any) -> Optional[np.ndarray]:
         """The adjoint stored with an arrived round; None here, for an

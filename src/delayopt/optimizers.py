@@ -19,7 +19,7 @@ import numpy as np
 
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments.base import Environment
-from delayopt.transport import TransportBuffer, transport_step
+from delayopt.transport import TransportBuffer, solved_arrivals, transport_step
 # unused here, but bench/instrument.py traces these two bindings of this module
 from delayopt.transport import hypergradient_at, solve_adjoint  # noqa: F401
 
@@ -131,20 +131,19 @@ class TransportEngine:
 
 class StaleArrivalEngine:
     """Summed arrival gradients, each solved and evaluated at its dispatch
-    snapshot (theta_s, w_s): one unbuffered transport round per arrival, so
-    nothing is kept for re-evaluation."""
+    snapshot (theta_s, w_s), in arrival order; nothing is kept for
+    re-evaluation."""
 
     def __init__(self, problem: Environment):
         self.problem = problem
 
     def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, int]:
         g = np.zeros(theta_t.shape)
-        skipped = 0
-        for rec in arrivals:
-            g_s, skipped_s = transport_step(TransportBuffer(0), [rec], self.problem, rec.dispatch_params)
-            g += g_s
-            skipped += skipped_s
-        return g, skipped
+        solved = solved_arrivals(self.problem, arrivals)
+        for rec, adjoint in solved:
+            g += self.problem.hypergradients_at_many(
+                rec.dispatch_params, [rec.dispatch_decision], [adjoint], [rec.payload])[0]
+        return g, len(arrivals) - len(solved)
 
     def end_round(self) -> int:
         return 0

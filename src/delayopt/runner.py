@@ -73,8 +73,11 @@ def run_online(
 
     theta = np.array(env.theta_init(), dtype=float)
     w_prev = np.array(env.initial_decision(), dtype=float)
-    history: list[Optional[np.ndarray]] = [None, theta.copy()]  # history[t] = theta_t, 1-indexed
-    step_sqs: list[float] = [0.0]  # step_sqs[t] = ||theta_{t+1} - theta_t||^2, 1-indexed
+    # history[s] = theta_s and step_sqs[s] = ||theta_{s+1} - theta_s||^2, kept
+    # only from the oldest outstanding round on: no later window reaches back further
+    history: dict[int, np.ndarray] = {1: theta.copy()}
+    step_sqs: dict[int, float] = {}
+    kept_from = 1  # the oldest round still in history
 
     rows: list[tuple] = []  # one value per ROW_COLUMNS entry
     diverged = False
@@ -111,11 +114,16 @@ def run_online(
             theta_next = base.update(theta, g, eta)
             engine.end_round()
 
-            history.append(theta_next)
+            history[t + 1] = theta_next
             step = theta_next - theta
             step_sq = float(step.dot(step))
-            step_sqs.append(step_sq)
+            step_sqs[t] = step_sq
             drift_sq, step_sq_sum = transport_error_surrogates(history, step_sqs, queue.outstanding, t)
+            # rounds leave the queue but never rejoin it, so the oldest
+            # outstanding round only moves forward
+            while kept_from <= t and kept_from not in queue.outstanding:
+                del history[kept_from], step_sqs[kept_from]
+                kept_from += 1
             if is_constant_delay and delay.d >= 1:
                 bound = delay.d * step_sq_sum
                 if drift_sq > bound * (1 + 1e-9) + 1e-15:
@@ -129,11 +137,11 @@ def run_online(
         row_diverged = bad_theta or env.unstable or solve_failed
         rows.append((t, sigma, envelope, eta, true_loss, regret_inc, step_sq, drift_sq, step_sq_sum,
                      np.nan if opt_gap is None else opt_gap, 1.0 if row_diverged else 0.0))
+        theta = theta_next
         if row_diverged:
             diverged = True
             diverged_round = t
             break
-        theta = theta_next
 
     columns = {k: np.asarray(v, dtype=float) for k, v in zip(ROW_COLUMNS, zip(*rows))}
     return RunResult(
@@ -144,5 +152,5 @@ def run_online(
         poisson_cap_hits=delay.cap_hits,
         skipped_arrivals=skipped,
         comparator_note=env.comparator_note,
-        final_theta=theta if not diverged else history[-1],
+        final_theta=theta,
     )

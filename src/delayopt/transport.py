@@ -3,19 +3,24 @@
 A round's hypergradient is assembled from two terms: the explicit derivative
 of the realized loss in the outer parameters, and an implicit term routed
 through the adjoint of the inner Hessian, which every smooth environment
-solves in closed form. Once a round's feedback
-has arrived, its stored ``(w_s, v_s)`` pair lets the gradient be re-evaluated
-at any later parameter point without re-solving the inner problem; the
-transport step accumulates those one-step re-evaluation increments, which
-telescope exactly for the frozen per-round gradient surrogate.
+solves in closed form. Once a round's feedback has arrived, its stored
+``(w_s, v_s)`` pair lets the gradient be re-evaluated at any later parameter
+point without re-solving the inner problem; the transport step accumulates
+those one-step re-evaluation increments, which telescope exactly for the
+frozen per-round gradient surrogate.
+
+A transport step sums ``0.0 + f_1 + f_2 + ... + i_1 + i_2 + ...`` left to
+right: the arrivals' rows, then each buffered round's increment, oldest
+first. The increments overwrite the buffer's old gradient rows in place, and
+one reduction over axis 0 adds them row after row. One-element-wide rows,
+which numpy sums pairwise from 8 rows on, take the sequential (and, for wide
+rows, far slower) ``np.add.accumulate``.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -60,44 +65,59 @@ def hypergradient_at(
     return direct - implicit
 
 
-@dataclass
-class TransportBufferEntry:
-    round: int
-    adjoint: Optional[np.ndarray]  # adjoint values; None off the adjoint route
-    record: OutcomeRecord
-    cached_gradient: np.ndarray
-
-
 class TransportBuffer:
-    """FIFO store of arrived rounds still being transported.
-
-    Capacity is the worst-case queue length; eviction drops the oldest
-    arrival. At most one entry per round.
-    """
+    """FIFO store of arrived rounds still being transported, in columns:
+    ``rounds``, ``decisions``, ``adjoints`` (None off the adjoint route) and
+    ``payloads``, oldest first, and after each step ``gradients``, their
+    (len, p) rows at its parameters: a view of the environment's batch, never
+    a copy. Capacity is the worst-case queue length; eviction drops the
+    oldest rounds. At most one entry per round."""
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ContractError("buffer capacity must be >= 0")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, TransportBufferEntry]" = OrderedDict()
+        self.rounds: list[int] = []
+        self.decisions: list[np.ndarray] = []
+        self.adjoints: list[Optional[np.ndarray]] = []
+        self.payloads: list[Any] = []
+        self.gradients: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.rounds)
 
-    def __iter__(self):
-        return iter(self._entries.values())
-
-    def insert(self, entry: TransportBufferEntry) -> None:
-        if entry.round in self._entries:
-            raise ContractError(f"round {entry.round} already buffered")
-        self._entries[entry.round] = entry
+    def append(self, rec: OutcomeRecord, adjoint: Optional[np.ndarray]) -> None:
+        """Store an arrived round; its row comes with the next batch."""
+        if rec.round in self.rounds:
+            raise ContractError(f"round {rec.round} already buffered")
+        self.rounds.append(rec.round)
+        self.decisions.append(rec.dispatch_decision)
+        self.adjoints.append(adjoint)
+        self.payloads.append(rec.payload)
 
     def evict_to_capacity(self) -> int:
-        evicted = 0
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            evicted += 1
+        evicted = len(self.rounds) - self.capacity
+        if evicted <= 0:
+            return 0
+        for column in (self.rounds, self.decisions, self.adjoints, self.payloads):
+            del column[:evicted]
+        self.gradients = self.gradients[evicted:]  # a view, never a copy
         return evicted
+
+
+def solved_arrivals(problem: Environment, arrivals: list[OutcomeRecord],
+                    theta: Optional[np.ndarray] = None) -> list[tuple[OutcomeRecord, Optional[np.ndarray]]]:
+    """Each arrival with its adjoint, solved at ``theta`` or, when that is
+    None, at the arrival's dispatch parameters. An arrival whose solve fails
+    is left out, with a warning."""
+    solved = []
+    for rec in arrivals:
+        at = rec.dispatch_params if theta is None else theta
+        try:
+            solved.append((rec, solve_adjoint(problem, rec.dispatch_decision, at, rec.payload)))
+        except SolverError as exc:
+            log.warning("round %d arrival skipped: %s", rec.round, exc)
+    return solved
 
 
 def transport_step(
@@ -108,64 +128,39 @@ def transport_step(
 ) -> tuple[np.ndarray, int]:
     """One transport round: arrival gradients plus re-evaluation increments.
 
-    Each arrival's adjoint is first solved at ``theta_t`` (None for an
-    environment off the adjoint route); a failed solve skips the round with a
-    warning. One ``problem.hypergradients_at_many`` call at ``theta_t`` then
-    evaluates the arrivals, in arrival order, and the pre-existing entries,
-    oldest first. Rows are bit-identical to single evaluations, so batching
-    changes no output.
-
-    Every pre-existing entry's cache holds its gradient at the previous call's
-    parameter point, so the increment ``g_s(theta_t) - cache`` is the one-step
-    re-evaluation change. An arrival's gradient is summed, before every
-    increment, and cached as is, so its increment on its arrival round is
-    exactly zero.
+    The arrivals' adjoints are solved at ``theta_t`` and appended to the
+    buffer; one ``problem.hypergradients_at_many`` call at ``theta_t`` then
+    evaluates the whole buffer in its order. Rows are bit-identical to single
+    evaluations, so batching changes no output. A buffered round's increment
+    is its new row minus its old one; an arrival's row is kept as is, so its
+    increment on its arrival round is exactly zero. The module docstring
+    gives the order of the sum.
 
     Returns the corrected gradient and the number of skipped arrivals.
     Eviction to capacity is the caller's final step.
     """
-    skipped = 0
-    g_total = np.zeros(theta_t.shape)
-    preexisting = list(buffer)
-
-    fresh: list[TransportBufferEntry] = []
-    for rec in arrivals:
-        try:
-            adjoint = solve_adjoint(problem, rec.dispatch_decision, theta_t, rec.payload)
-        except SolverError as exc:
-            skipped += 1
-            log.warning("round %d arrival skipped: %s", rec.round, exc)
-            continue
-        entry = TransportBufferEntry(
-            round=rec.round, adjoint=adjoint, record=rec, cached_gradient=np.zeros(0),
-        )
-        fresh.append(entry)
-        buffer.insert(entry)
-
-    if fresh or preexisting:
-        rows = _gradients_at(problem, theta_t, fresh + preexisting)
-        for entry, g_s in zip(fresh, rows):
-            entry.cached_gradient = g_s
-            g_total += g_s
-        for entry, g_new in zip(preexisting, rows[len(fresh):]):
-            g_total += g_new - entry.cached_gradient
-            entry.cached_gradient = g_new
-
-    return g_total, skipped
-
-
-def _gradients_at(problem: Environment, theta: np.ndarray, entries: list[TransportBufferEntry]) -> np.ndarray:
-    return problem.hypergradients_at_many(
-        theta,
-        [e.record.dispatch_decision for e in entries],
-        [e.adjoint for e in entries],
-        [e.record.payload for e in entries],
-    )
+    buffered = len(buffer)
+    solved = solved_arrivals(problem, arrivals, theta_t)
+    for rec, adjoint in solved:
+        buffer.append(rec, adjoint)
+    g = np.zeros(theta_t.shape)
+    if len(buffer):
+        rows = problem.hypergradients_at_many(theta_t, buffer.decisions, buffer.adjoints, buffer.payloads)
+        for row in rows[buffered:]:
+            g += row
+        if buffered == 1:  # a fold of one increment is one add
+            g += rows[0] - buffer.gradients[0]
+        elif buffered:
+            increments = np.subtract(rows[:buffered], buffer.gradients, out=buffer.gradients)
+            np.add(g, increments[0], out=increments[0])
+            g = np.add.accumulate(increments)[-1] if increments.shape[1] == 1 else np.add.reduce(increments)
+        buffer.gradients = rows
+    return g, len(arrivals) - len(solved)
 
 
 def transport_error_surrogates(
-    param_history: list[np.ndarray],
-    step_sqs: list[float],
+    param_history: Mapping[int, np.ndarray],
+    step_sqs: Mapping[int, float],
     outstanding: set[int],
     t: int,
 ) -> tuple[float, float]:
@@ -174,6 +169,7 @@ def transport_error_surrogates(
     ``param_history[s]`` must hold theta_{s} for every s in the window through
     theta_{t+1} (the parameters after round t's update), and ``step_sqs[s]``
     the squared step ||theta_{s+1} - theta_s||^2 for every outstanding s.
+    Both are read by round, so they may hold the window alone.
     Returns
 
       drift_sq  -- squared total parameter drift across the window,

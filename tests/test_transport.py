@@ -3,7 +3,7 @@ error surrogates, against closed forms and the exact telescoping identity."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayopt import runner
@@ -17,7 +17,6 @@ from delayopt.runner import run_online
 from delayopt.solvers import SolverError
 from delayopt.transport import (
     TransportBuffer,
-    TransportBufferEntry,
     hypergradient_at,
     solve_adjoint,
     transport_error_surrogates,
@@ -116,17 +115,23 @@ def test_hypergradient_zero_terms():
 
 
 def test_buffer_capacity_and_fifo_order():
+    env = quad_env()
     buf = TransportBuffer(capacity=3)
-    for t in (4, 7, 9, 12):
-        buf.insert(TransportBufferEntry(round=t, adjoint=None,
-                                        record=record(quad_env(), t, 0.0),
-                                        cached_gradient=np.zeros(1)))
+    transport_step(buf, [record(env, t, 0.1 * t) for t in (4, 7, 9, 12)], env, np.array([0.5]))
+    rows = buf.gradients
     assert buf.evict_to_capacity() == 1
-    assert [e.round for e in buf] == [7, 9, 12]
-    with pytest.raises(ContractError):
-        buf.insert(TransportBufferEntry(round=9, adjoint=None,
-                                        record=record(quad_env(), 9, 0.0),
-                                        cached_gradient=np.zeros(1)))
+    assert buf.rounds == [7, 9, 12] and len(buf) == 3
+    assert [w[0] for w in buf.decisions] == [env.exact_inner(np.array([0.1 * t]))[0] for t in (7, 9, 12)]
+    # the kept rows are the batch's own trailing rows, not a copy
+    assert buf.gradients.shape == (3, 1) and np.shares_memory(buf.gradients, rows)
+    assert buf.evict_to_capacity() == 0
+    with pytest.raises(ContractError, match="round 9 already buffered"):
+        transport_step(buf, [record(env, 9, 0.0)], env, np.array([0.5]))
+
+
+def test_negative_capacity_is_rejected():
+    with pytest.raises(ContractError, match="capacity"):
+        TransportBuffer(capacity=-1)
 
 
 def test_transport_step_empty_is_zero():
@@ -153,9 +158,8 @@ def test_new_arrival_contributes_zero_increment_on_its_round():
     buf = TransportBuffer(capacity=5)
     theta = np.array([0.4])
     transport_step(buf, [record(env, 1, 0.4)], env, theta)
-    entry = next(iter(buf))
-    g_direct = hypergradient_at(env, entry.record.dispatch_decision, entry.adjoint, theta, None)
-    assert entry.cached_gradient[0] == pytest.approx(g_direct[0], abs=1e-15)
+    g_direct = hypergradient_at(env, buf.decisions[0], buf.adjoints[0], theta, None)
+    assert buf.gradients[0, 0] == pytest.approx(g_direct[0], abs=1e-15)
 
 
 def test_telescope_exactness_over_path():
@@ -171,8 +175,7 @@ def test_telescope_exactness_over_path():
         theta = theta + rng.normal(scale=0.8, size=1)
         g, _ = transport_step(buf, [], env, theta)
         total = total + g
-    entry = next(iter(buf))
-    direct = hypergradient_at(env, entry.record.dispatch_decision, entry.adjoint, theta, None)
+    direct = hypergradient_at(env, buf.decisions[0], buf.adjoints[0], theta, None)
     assert abs(total[0] - direct[0]) <= 1e-12
 
 
@@ -255,10 +258,11 @@ def test_transport_step_hands_every_arrival_its_exact_adjoint():
     transport_step(buf, [first, second], env, theta1)
     third = recorder_arrival(3, [7.0, 7.0])
     transport_step(buf, [third], env, theta2)
-    # arrivals are solved at the current point; buffered rounds keep their adjoints
+    # arrivals are solved at the current point; buffered rounds keep their
+    # adjoints and come first, oldest first
     expected = [
         [adjoint_of(env, first, theta1), adjoint_of(env, second, theta1)],
-        [adjoint_of(env, third, theta2), adjoint_of(env, first, theta1), adjoint_of(env, second, theta1)],
+        [adjoint_of(env, first, theta1), adjoint_of(env, second, theta1), adjoint_of(env, third, theta2)],
     ]
     assert len(env.calls) == 2
     for handed, want in zip(env.calls, expected):
@@ -278,6 +282,33 @@ def test_stale_engine_hands_each_arrival_its_dispatch_adjoint():
     assert np.array_equal(g, want[0] + want[1]) and skipped == 0
 
 
+class ThetaScaled(AdjointRecorder):
+    """Each re-evaluation row is the stored adjoint's leading entries times
+    theta, as wide as theta, so a row of +0.0 turns into -0.0 when theta
+    does."""
+
+    def hypergradients_at_many(self, theta, decisions, adjoints, payloads):
+        return np.stack(adjoints)[:, :theta.size] * theta
+
+
+@pytest.mark.parametrize("buffered", [1, 3])
+@pytest.mark.parametrize("width", [1, 2])
+def test_fold_of_lone_negative_zero_increments_is_positive_zero(width, buffered):
+    # the sum starts from +0.0, as a one-vector-at-a-time fold from np.zeros
+    # does, so a round with no arrivals and increments of -0.0 returns +0.0;
+    # one row takes the single add, more rows the reduction, or at width 1
+    # the sequential fold
+    env = ThetaScaled()
+    buf = TransportBuffer(capacity=4)
+    arrivals = [recorder_arrival(t, [0.0, 0.0]) for t in range(1, buffered + 1)]
+    transport_step(buf, arrivals, env, np.array([0.0, -0.0][:width]))
+    assert buf.gradients.tobytes() == np.zeros((buffered, width)).tobytes()
+    g, _ = transport_step(buf, [], env, np.array([-0.0, 0.0][:width]))
+    # every row went from +0.0 to -0.0, so every increment is -0.0
+    assert buf.gradients.tobytes() == np.full((buffered, width), -0.0).tobytes()
+    assert g.tobytes() == np.zeros(width).tobytes()
+
+
 # -- batched re-evaluation and telescoping ------------------------------------------
 
 
@@ -291,7 +322,7 @@ def adjoint_of(env, rec, theta):
 
 
 def played_entries(env, rng, count, spread):
-    """Buffer entries of ``count`` rounds, each dispatched at its own parameters."""
+    """(record, adjoint) of ``count`` rounds, each dispatched at its own parameters."""
     w_prev = env.initial_decision()
     entries = []
     for t in range(1, count + 1):
@@ -300,15 +331,14 @@ def played_entries(env, rng, count, spread):
         w_prev = env.solve_inner(theta, w_prev).solution
         z, _, _ = env.realize_outcome(t, theta, w_prev)
         rec = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w_prev)
-        entries.append(TransportBufferEntry(round=t, adjoint=adjoint_of(env, rec, theta),
-                                            record=rec, cached_gradient=np.zeros(env.p)))
+        entries.append((rec, adjoint_of(env, rec, theta)))
     return entries
 
 
 def reevaluate(env, entries, theta):
     """One batched re-evaluation of ``entries`` at ``theta``."""
-    return env.hypergradients_at_many(theta, [e.record.dispatch_decision for e in entries],
-                                      [e.adjoint for e in entries], [e.record.payload for e in entries])
+    return env.hypergradients_at_many(theta, [rec.dispatch_decision for rec, _ in entries],
+                                      [adjoint for _, adjoint in entries], [rec.payload for rec, _ in entries])
 
 
 def single_gradient(env, rec, adjoint, theta):
@@ -331,8 +361,25 @@ def test_every_batched_row_equals_its_single_evaluation_bitwise(name, m, seed):
     theta = env.theta_init() + spread * rng.standard_normal(env.p)
     rows = reevaluate(env, entries, theta)
     assert rows.shape == (m, env.p)
-    for entry, row in zip(entries, rows):
-        assert np.array_equal(row, single_gradient(env, entry.record, entry.adjoint, theta))
+    for (rec, adjoint), row in zip(entries, rows):
+        assert np.array_equal(row, single_gradient(env, rec, adjoint, theta))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("name", sorted(ENV_SPREADS))
+def test_batched_rows_are_a_fresh_array_the_caller_owns(name, m):
+    # the transport buffer overwrites a batch's rows in place a round later
+    env = make_environment(name, seed=1)
+    rng = np.random.default_rng(1)
+    entries = played_entries(env, rng, m, ENV_SPREADS[name])
+    theta = env.theta_init() + ENV_SPREADS[name] * rng.standard_normal(env.p)
+    rows = reevaluate(env, entries, theta)
+    kept = rows.copy()
+    inputs = [theta] + [a for rec, adjoint in entries for a in (rec.dispatch_decision, adjoint)
+                        if a is not None]
+    assert rows.flags.writeable and not any(np.shares_memory(rows, a) for a in inputs)
+    rows[...] = np.nan
+    assert reevaluate(env, entries, theta).tobytes() == kept.tobytes()
 
 
 def test_batched_reevaluation_equals_per_entry_on_grid_exactly():
@@ -342,8 +389,8 @@ def test_batched_reevaluation_equals_per_entry_on_grid_exactly():
     theta = env.theta_init() + 0.05 * rng.standard_normal(env.p)
     rows = reevaluate(env, entries, theta)
     assert any(np.any(row != 0) for row in rows)  # some bumped paths differ
-    for entry, row in zip(entries, rows):
-        assert np.array_equal(row, env.surrogate_gradient(theta, entry.record))
+    for (rec, _), row in zip(entries, rows):
+        assert np.array_equal(row, env.surrogate_gradient(theta, rec))
 
 
 @pytest.mark.parametrize("pattern", [[(0, 3)], [(0, 3), (11, 5)]], ids=["one-start", "two-starts"])
@@ -400,9 +447,8 @@ def test_batched_reevaluation_equals_per_entry_on_sinkhorn():
     entries = played_entries(env, rng, 6, spread=0.01)
     theta = env.theta_init() + 0.01 * rng.standard_normal(env.p)
     rows = reevaluate(env, entries, theta)
-    for entry, row in zip(entries, rows):
-        assert np.array_equal(row, hypergradient_at(env, entry.record.dispatch_decision, entry.adjoint, theta,
-                                                    entry.record.payload))
+    for (rec, adjoint), row in zip(entries, rows):
+        assert np.array_equal(row, hypergradient_at(env, rec.dispatch_decision, adjoint, theta, rec.payload))
 
 
 @pytest.mark.parametrize("name", ["hard_quadratic", "lqr"])
@@ -415,9 +461,8 @@ def test_batched_reevaluation_equals_per_entry_on_adjoint_envs_exactly(name):
     theta = env.theta_init() + 0.05 * rng.standard_normal(env.p)
     rows = reevaluate(env, entries, theta)
     assert any(np.any(row != 0) for row in rows)
-    for entry, row in zip(entries, rows):
-        assert np.array_equal(row, hypergradient_at(env, entry.record.dispatch_decision, entry.adjoint, theta,
-                                                    entry.record.payload))
+    for (rec, adjoint), row in zip(entries, rows):
+        assert np.array_equal(row, hypergradient_at(env, rec.dispatch_decision, adjoint, theta, rec.payload))
 
 
 @settings(max_examples=40, deadline=None)
@@ -468,13 +513,14 @@ def test_transport_gradients_telescope_on_grid(seed, delays):
     theta = env.theta_init()
     w = env.initial_decision()
     pending: dict[int, list[OutcomeRecord]] = {}
+    played: dict[int, OutcomeRecord] = {}
     applied = np.zeros(env.p)
     scale = 1.0
     for t, delay in enumerate(delays, start=1):
         env.begin_round(t)
         w = env.solve_inner(theta, w).solution
         z, _, _ = env.realize_outcome(t, theta, w)
-        rec = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w)
+        rec = played[t] = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w)
         pending.setdefault(t + delay, []).append(rec)
         g, _ = engine.round_gradient(theta, pending.pop(t, []))
         assert engine.end_round() == 0
@@ -483,17 +529,19 @@ def test_transport_gradients_telescope_on_grid(seed, delays):
         theta_last = theta
         theta = theta + 0.5 * rng.standard_normal(env.p)
     expected = np.zeros(env.p)
-    for entry in engine.buffer:
-        expected += env.surrogate_gradient(theta_last, entry.record)
+    for t in engine.buffer.rounds:
+        expected += env.surrogate_gradient(theta_last, played[t])
     assert len(engine.buffer) == sum(1 for t, d in enumerate(delays, start=1) if t + d <= rounds)
     np.testing.assert_allclose(applied, expected, rtol=0, atol=1e-12 * rounds * scale)
 
 
 def check_folded_arrivals(env, spread, seed, delays, capacity):
-    """Every round, ``transport_step``'s gradient equals, bit for bit, single
-    evaluations of the arrivals plus per-entry re-evaluation of the buffer,
-    summed in the same order (arrivals first, then increments), and the
-    buffer holds the same rounds."""
+    """Every round, ``transport_step``'s gradient equals, byte for byte,
+    single evaluations of the arrivals plus per-entry re-evaluation of the
+    buffer, summed one vector at a time in the same order (arrivals first,
+    then increments, oldest first), and the buffer holds the same rounds.
+    Bytes, not ``==``: a fold that turned a +0.0 into -0.0 would pass
+    ``np.array_equal``."""
     rng = np.random.default_rng(seed)
     buf = TransportBuffer(capacity)
     ref: list[list] = []  # [record, adjoint, cached gradient], oldest first
@@ -522,19 +570,28 @@ def check_folded_arrivals(env, spread, seed, delays, capacity):
             g_new = single_gradient(env, entry[0], entry[1], theta)
             expected += g_new - entry[2]
             entry[2] = g_new
-        ref = (ref + fresh)[-capacity:]
+        ref = (ref + fresh)[max(0, len(ref) + len(fresh) - capacity):]
 
-        assert np.array_equal(g, expected)
-        assert [e.round for e in buf] == [e[0].round for e in ref]
+        assert g.tobytes() == expected.tobytes(), t
+        assert buf.rounds == [e[0].round for e in ref]
         theta = theta + spread * rng.standard_normal(env.p)
 
 
-FOLD_CASES = dict(seed=st.integers(0, 2**16), delays=st.lists(st.integers(0, 4), min_size=2, max_size=12),
-                  capacity=st.integers(1, 12))
+FOLD_CASES = dict(seed=st.integers(0, 2**16), delays=st.lists(st.integers(0, 4), min_size=2, max_size=24),
+                  capacity=st.integers(0, 16))
+# numpy sums a column of 8 or more one-element rows pairwise. FULL_BUFFER
+# folds 8 to 12 increments a round from round 9 on; MIXED_FULL_BUFFER folds
+# 8 to 10 from round 10 on, with rounds of 0 to 2 arrivals and evictions of
+# up to 2; EVICT_EVERY_ROUND evicts a round on every round after the first.
+FULL_BUFFER = dict(seed=2, delays=[0] * 20, capacity=12)
+MIXED_FULL_BUFFER = dict(seed=1, delays=[0, 3, 1, 0, 2, 0, 4, 1, 0, 0, 3, 2, 0, 1, 0, 0, 2, 0], capacity=10)
+EVICT_EVERY_ROUND = dict(seed=0, delays=[0] * 12, capacity=1)
 
 
 @settings(max_examples=25, deadline=None)
 @given(**FOLD_CASES)
+@example(**FULL_BUFFER)
+@example(**EVICT_EVERY_ROUND)
 def test_folded_arrivals_equal_single_evaluations_on_grid(seed, delays, capacity):
     env = GridPathProblem(GridPathConfig(height=6, width=7, feature_dim=12), seed=seed)
     check_folded_arrivals(env, 0.5, seed, delays, capacity)
@@ -543,6 +600,9 @@ def test_folded_arrivals_equal_single_evaluations_on_grid(seed, delays, capacity
 @pytest.mark.parametrize("name", ["hard_quadratic", "lqr", "sinkhorn"])
 @settings(max_examples=10, deadline=None)
 @given(**FOLD_CASES)
+@example(**FULL_BUFFER)
+@example(**MIXED_FULL_BUFFER)
+@example(**EVICT_EVERY_ROUND)
 def test_folded_arrivals_equal_single_evaluations_on_adjoint_envs(name, seed, delays, capacity):
     check_folded_arrivals(make_environment(name, seed=seed), ENV_SPREADS[name], seed, delays, capacity)
 
@@ -622,3 +682,24 @@ def test_window_inequality_violation_raises_invariant_error(monkeypatch):
         run_online(quad_env(), make_algorithm("stale_omd", eta0=0.1),
                    DelaySchedule(kind="constant", d=2, seed=0), rounds=5)
     assert isinstance(err.value, AssertionError)
+
+
+@pytest.mark.parametrize("delay", [DelaySchedule(kind="constant", d=6, seed=0),
+                                   DelaySchedule(kind="uniform", d_max=5, seed=3)], ids=["constant", "uniform"])
+def test_runner_keeps_parameters_only_from_the_oldest_outstanding_round(monkeypatch, delay):
+    real = runner.transport_error_surrogates
+    seen = []
+
+    def recording(param_history, step_sqs, outstanding, t):
+        oldest = min(outstanding, default=t + 1)
+        seen.append((t, sorted(param_history), sorted(step_sqs), oldest))
+        return real(param_history, step_sqs, outstanding, t)
+
+    monkeypatch.setattr(runner, "transport_error_surrogates", recording)
+    run_online(quad_env(), make_algorithm("transport_omd", eta0=0.1), delay, rounds=40)
+    assert len(seen) == 40
+    for t, rounds_kept, steps_kept, oldest in seen:
+        # the previous round's window, plus this round's new entries
+        assert rounds_kept[-1] == t + 1 and steps_kept[-1] == t
+        assert rounds_kept[0] <= oldest and len(rounds_kept) <= delay.sigma_bound + 2
+        assert steps_kept == rounds_kept[:-1]
