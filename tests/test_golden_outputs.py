@@ -1,11 +1,13 @@
 """Byte-identical output: tiny experiments on every environment write the CSVs
-recorded here, digest for digest, and every shipped preset keeps its config
-hash.
+recorded here, digest for digest, log the same full-precision columns, and
+every shipped preset keeps its config hash.
 
 A refactor that keeps the numbers keeps these digests; a change that moves
-any bit of any logged value, the summary or a CSV header fails here. An
-intended numeric change re-records the digests (run this module's
-``recorded_digests`` and paste its output) and says why in CHANGES.md.
+any bit of any logged value, the summary or a CSV header fails here. The CSVs
+carry 9 significant digits, so a last-bit change shows only in the
+full-precision digests. An intended numeric change re-records the digests
+(run this module's ``recorded_digests`` and paste its output) and says why in
+CHANGES.md.
 
 Floating-point results can differ across numpy builds (BLAS kernels, SIMD
 paths), so the digests hold only for the numpy version they were recorded
@@ -19,9 +21,10 @@ import numpy as np
 import pytest
 
 from delayopt.config import DelaySpec, ExperimentConfig, parse_config
-from delayopt.harness import run_experiment, run_stability_sweep
+from delayopt.harness import ExperimentResult, RunKey, run_experiment, run_stability_sweep
 from delayopt.optimizers import make_algorithm
 from delayopt.presets import load_preset, preset_names
+from delayopt.runner import ROW_COLUMNS
 
 NUMPY_VERSION = "2.4.6"
 
@@ -38,6 +41,10 @@ CASES = {
     # transport round folds at least 8 increments of the scalar instance
     "hard_quadratic_full_buffer": ("hard_quadratic", {"bias": 0.05}, 0.1,
                                    ("stale_omd", "transport_omd"), [constant(10)], 60),
+    # Poisson delays buffer unequal increments of the scalar instance, whose
+    # sum is not the same when added pairwise instead of row after row
+    "hard_quadratic_poisson": ("hard_quadratic", {"bias": 0.05}, 0.1,
+                               ("stale_omd", "transport_omd"), [DelaySpec(kind="poisson", lam=3.0)], 60),
     "sinkhorn":("sinkhorn", {}, 0.002,
                  ("transport_adam", "stale_adam", "two_stage_adam"), [constant(0), constant(5)], 50),
     # a constant delay of 20 keeps 20 payloads buffered, so every transport
@@ -82,6 +89,11 @@ DIGESTS = {
         "runs/transport_omd__constant-10__seed0.csv": "1a46eb1a2742f0f8e192ea85b54561829b9dc29ef462a567962c03a7678151be",
         "summary.csv": "2ad1ce4275796834e57cd6dc809ff9527e667e9dcd7525b42c05d56e24d5881a",
     },
+    "hard_quadratic_poisson": {
+        "runs/stale_omd__poisson-3__seed0.csv": "fa3d8de1c313f55ce1b87bdb24eadb2567e8aa424def9308afd2e322d9c02eac",
+        "runs/transport_omd__poisson-3__seed0.csv": "68fb00e5b0ba338a01c8531b115ff23f8b9a70cec3ad12e9764eb99601b7dc87",
+        "summary.csv": "e599984a8ad81fb13ac160eccec1759fe03be7616d8ab0fddb4236e2f65b9bf1",
+    },
     "lqr": {
         "runs/stale_omd__constant-2__seed0.csv": "79b55f7af30b3951e3f7886cad7d17b7d9f33c5903a4149c58b08259f9caed2c",
         "runs/transport_omd__constant-2__seed0.csv": "163e14edebc1d1821f6e6f984b2b745fa5f469ababcc67b4db10aef88b720de6",
@@ -110,17 +122,72 @@ DIGESTS = {
     },
 }
 
+# the full-precision digests, keyed by each run's CSV file name
+COLUMN_DIGESTS = {
+    "grid_path": {
+        "stale_adam__uniform-0-6__seed0.csv": "2d624e72ee9080e8a2c1e09f65b582ca33f8b65acd277b2987134c88d789e262",
+        "transport_adam__uniform-0-6__seed0.csv": "fd9cfcf1b8293dc9090c7a0328d93003e23c175f428f3830dfcabeaf59fb179c",
+        "two_stage_adam__uniform-0-6__seed0.csv": "0bf0ba7fae8422a049839aace73effa712eb74dd5e355cfed4fefe52a58c6df2",
+    },
+    "grid_path_full_buffer": {
+        "stale_adam__constant-20__seed0.csv": "3b00316ce2f790751a614fdfd44f44b439fb97ecb1df62ef71cb35384bfb4a10",
+        "transport_adam__constant-20__seed0.csv": "edd3e30b4bdd31f1bc3f80e0b6a286bd346f022afdda50035e83e1717774cfe7",
+        "two_stage_adam__constant-20__seed0.csv": "74eab332c639d30b2c6454ba2c8bfc7346dff360d11a080506fd2c6ae015bbd2",
+    },
+    "hard_quadratic": {
+        "stale_omd__constant-0__seed0.csv": "9acea325cf384c9554be38d49610f4945de17d39461e957239890249e926d273",
+        "stale_omd__constant-3__seed0.csv": "020e92226ac83ffab865d7bbcfea8a59d54fa3761c202348844f4de2ace975e2",
+        "transport_omd__constant-0__seed0.csv": "9acea325cf384c9554be38d49610f4945de17d39461e957239890249e926d273",
+        "transport_omd__constant-3__seed0.csv": "2bbbfd7f509e24e9950b1643381d6748502aa3a252485b25c95f8e898bacdf7d",
+    },
+    "hard_quadratic_full_buffer": {
+        "stale_omd__constant-10__seed0.csv": "048e9b3bec7031d2dfef4601cfe9cd993e3f715510ac72b91d3a3a043842b230",
+        "transport_omd__constant-10__seed0.csv": "8219c69a403a104b800bac1c9a3b6df1d28e6516f8878559bcf13ab2db778943",
+    },
+    "hard_quadratic_poisson": {
+        "stale_omd__poisson-3__seed0.csv": "78aff436839870e4d724e7c88ab1254c0efdf99c8ca7d68e4d404b97daf89c51",
+        "transport_omd__poisson-3__seed0.csv": "5c68f1cbda05cec29d9c306c27d6e60b6e47624c589c5c7438e286ab700bf861",
+    },
+    "lqr": {
+        "stale_omd__constant-2__seed0.csv": "ed217a2603ab48dc54efa4015210a2e517b3965051d0aed58541d1eddf9f0b07",
+        "transport_omd__constant-2__seed0.csv": "d8b86d946351b58429c0c8b7f95f6ce0b14a5962915168c3fa94e96cc154433c",
+        "two_stage__constant-2__seed0.csv": "dde4336367296bc819f00210254fea194e19dcd97d6e135580e1e3cdb004d911",
+    },
+    "lqr_full_buffer": {
+        "stale_omd__constant-20__seed0.csv": "5a63909b83b31635973e65ce69e911b1991af75d2c45adee81d4f1fa82be7440",
+        "transport_omd__constant-20__seed0.csv": "88f7d9f4f01259a143500b3af22528af392184a5ca9de7db60c1d42616baeb97",
+        "two_stage__constant-20__seed0.csv": "64ae1720bce8d10895c89ecb53770baefdbb4e78d7851597e0e4bcf9bab116e5",
+    },
+    "sinkhorn": {
+        "stale_adam__constant-0__seed0.csv": "84bcc22e4248bc610e7e4f05c0f929ff840ea3c96f582212edf28539771d82cf",
+        "stale_adam__constant-5__seed0.csv": "ae96ac2a62c0cd6dac524f3b3c76f1f0472424bc286de207adda4645776286e3",
+        "transport_adam__constant-0__seed0.csv": "84bcc22e4248bc610e7e4f05c0f929ff840ea3c96f582212edf28539771d82cf",
+        "transport_adam__constant-5__seed0.csv": "457eae2cde82b36816c766f79c9b14c1af435aca4a23f4510c49640d0677fd48",
+        "two_stage_adam__constant-0__seed0.csv": "dd615673e66ab2e77428b2b25527698286a87029cec57ebe4245d7332769773d",
+        "two_stage_adam__constant-5__seed0.csv": "3ff00dcee881060200b86439a8d797031e25ddc04868a21968402132ac318f72",
+    },
+    "sinkhorn_full_buffer": {
+        "stale_adam__constant-20__seed0.csv": "2b0b9af3c2be0b97d9a4c983e33909019ad07cb648d718c1c6862649acf60df0",
+        "transport_adam__constant-20__seed0.csv": "82afc9c09d0292d4cee54bcfac8754297342718c0a670161be34c3de09ab13de",
+    },
+}
 
-def csv_digests(name: str, out_dir: str) -> dict[str, str]:
-    """Run case ``name`` at seed 0 into ``out_dir``; sha256 of every CSV it
-    writes, keyed by the path below ``out_dir``."""
+
+def run_case(name: str, out_dir: str) -> ExperimentResult:
+    """Run case ``name`` at seed 0, writing its CSVs into ``out_dir``."""
     environment, env_args, eta0, algorithms, delays, rounds = CASES[name]
     cfg = ExperimentConfig(
         name=f"golden_{name}", environment=environment, env_args=env_args, rounds=rounds,
         seeds=[0], out_dir=out_dir, delays=delays,
         algorithms=[make_algorithm(algo, eta0=eta0) for algo in algorithms],
     )
-    run_experiment(cfg)
+    return run_experiment(cfg)
+
+
+def csv_digests(name: str, out_dir: str) -> dict[str, str]:
+    """Run case ``name`` into ``out_dir``; sha256 of every CSV it writes,
+    keyed by the path below ``out_dir``."""
+    run_case(name, out_dir)
     digests = {}
     for root, _, files in os.walk(out_dir):
         for file in files:
@@ -130,9 +197,25 @@ def csv_digests(name: str, out_dir: str) -> dict[str, str]:
     return dict(sorted(digests.items()))
 
 
-def recorded_digests(out_dir: str) -> dict[str, dict[str, str]]:
-    """Digests of every case, in the layout of ``DIGESTS``."""
-    return {name: csv_digests(name, os.path.join(out_dir, name)) for name in CASES}
+def column_digests(name: str, out_dir: str) -> dict[str, str]:
+    """Run case ``name`` into ``out_dir``; sha256 of each run's raw column
+    bytes, in ``ROW_COLUMNS`` order, then its final parameters, keyed by the
+    run's CSV file name."""
+    digests = {}
+    for (algorithm, delay, seed), res in run_case(name, out_dir).runs.items():
+        h = hashlib.sha256()
+        for column in ROW_COLUMNS:
+            h.update(res.columns[column].tobytes())
+        h.update(res.final_theta.tobytes())
+        digests[RunKey(algorithm, delay, seed).filename()] = h.hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def recorded_digests(out_dir: str) -> tuple[dict[str, dict[str, str]], dict[str, dict[str, str]]]:
+    """Digests of every case, in the layouts of ``DIGESTS`` and
+    ``COLUMN_DIGESTS``."""
+    return ({name: csv_digests(name, os.path.join(out_dir, "csv", name)) for name in CASES},
+            {name: column_digests(name, os.path.join(out_dir, "columns", name)) for name in CASES})
 
 
 @pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
@@ -141,6 +224,14 @@ def recorded_digests(out_dir: str) -> dict[str, dict[str, str]]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_digests_match_the_recorded_ones(name, tmp_path):
     assert csv_digests(name, str(tmp_path)) == DIGESTS[name]
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}; "
+                           f"this is numpy {np.__version__}, whose arithmetic may differ in the last bit")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_full_precision_column_digests_match_the_recorded_ones(name, tmp_path):
+    assert column_digests(name, str(tmp_path)) == COLUMN_DIGESTS[name]
 
 
 # A tiny LQR stability sweep at the bench workload's delays and bracket. 21
