@@ -6,7 +6,7 @@ typos do not silently fall back to defaults.
 
 Each section is declared once, by a dataclass that checks its own ranges:
 ``[delay]`` by ``delays.DelaySpec``, ``[algorithm.*]`` by
-``optimizers.AlgorithmConfig``, ``[environment.args]`` by the environment's
+``optimizers.AlgorithmConfig``, ``[environment.*]`` by the environment's
 config, ``[stability]`` and ``[compare]`` here. This module types the INI
 values, names the section in errors, and checks what spans sections.
 """
@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -67,6 +68,7 @@ class ExperimentConfig:
     name: str = "experiment"
     environment: str = "hard_quadratic"
     env_args: dict[str, Any] = field(default_factory=dict)
+    env_sweep: dict[str, list[Any]] = field(default_factory=dict)  # key -> values, zipped
     rounds: int = 100
     seeds: list[int] = field(default_factory=lambda: [0])
     summary_window: int = 200
@@ -81,17 +83,25 @@ class ExperimentConfig:
             raise ConfigError(f"[experiment] environment {self.environment!r} is unknown; "
                               f"known: {', '.join(environment_names())}")
         fields = environment_config_fields(self.environment)
-        for key, value in self.env_args.items():
+        swept = [("sweep", key, value) for key, values in self.env_sweep.items() for value in values]
+        for section, key, value in [("args", *item) for item in self.env_args.items()] + swept:
             if key not in fields:
-                raise ConfigError(f"[environment.args] unknown key {key!r} "
+                raise ConfigError(f"[environment.{section}] unknown key {key!r} "
                                   f"for environment {self.environment!r}")
             if not _fits(value, fields[key]):
-                raise ConfigError(f"[environment.args] {key} = {value!r}: expected "
+                raise ConfigError(f"[environment.{section}] {key} = {value!r}: expected "
                                   f"{_type_name(fields[key])} for environment {self.environment!r}")
-        try:
-            environment_config(self.environment, **self.env_args)
-        except ContractError as exc:
-            raise ConfigError(f"[environment.args] {exc} (environment {self.environment!r})") from exc
+        lengths = {key: len(values) for key, values in self.env_sweep.items()}
+        if 0 in lengths.values() or len(set(lengths.values())) > 1:
+            raise ConfigError(f"[environment.sweep] needs non-empty lists of one length, got {lengths}")
+        if both := sorted(self.env_sweep.keys() & self.env_args.keys()):
+            raise ConfigError(f"[environment.sweep] {', '.join(both)} also set in [environment.args]")
+        for label, variant in self.variants():
+            try:
+                environment_config(self.environment, **variant.env_args)
+            except ContractError as exc:
+                where = f"[environment.sweep] {label}:" if label else "[environment.args]"
+                raise ConfigError(f"{where} {exc} (environment {self.environment!r})") from exc
         if self.rounds < 1:
             raise ConfigError("[experiment] rounds must be >= 1")
         if self.summary_window < 1:
@@ -119,15 +129,26 @@ class ExperimentConfig:
                 if nm not in names:
                     raise ConfigError(f"[compare] {role} {nm!r} does not match any [algorithm.*] section")
 
+    def variants(self) -> list[tuple[str, "ExperimentConfig"]]:
+        """``(label, config)`` per position of ``env_sweep``: its values merged
+        into ``env_args``, no sweep, and ``out_dir`` ``<out>/<label>``. A config
+        that sweeps nothing is its own only variant, labelled ``""``."""
+        positions = [dict(zip(self.env_sweep, values)) for values in zip(*self.env_sweep.values())]
+        labels = ["__".join(f"{key}-{value}" for key, value in position.items()) for position in positions]
+        return [(label, dataclasses.replace(self, env_args={**self.env_args, **position}, env_sweep={},
+                                            out_dir=os.path.join(self.out_dir, label)))
+                for label, position in zip(labels, positions)] or [("", self)]
+
     def hash(self) -> str:
         """Stable digest of the configuration for CSV headers.
 
         ``out_dir`` is left out: it says where outputs go, not what produced
         them, so identical runs written to two directories stay byte-identical.
+        An empty ``env_sweep`` is left out too, so unswept hashes stay put.
         """
         blob = io.StringIO()
         for f in dataclasses.fields(self):
-            if f.name != "out_dir":
+            if f.name != "out_dir" and (f.name != "env_sweep" or self.env_sweep):
                 blob.write(f"{f.name}={getattr(self, f.name)!r}\n")
         return hashlib.sha256(blob.getvalue().encode()).hexdigest()[:12]
 
@@ -239,6 +260,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if parser.has_section("environment.args"):
         cfg.env_args = {k: _coerce(v) for k, v in parser.items("environment.args")}
+    if parser.has_section("environment.sweep"):
+        cfg.env_sweep = {k: [_coerce(tok) for tok in v.replace(",", " ").split()]
+                         for k, v in parser.items("environment.sweep")}
 
     if parser.has_section("delay"):
         values = _read_section(parser, "delay", _DELAY_KEYS)

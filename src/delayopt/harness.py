@@ -59,6 +59,8 @@ def run_one(
     memo: Optional[RoundMemo] = None,
 ) -> RunResult:
     """One cell; ``memo`` is the round memo its seed's cells share, if any."""
+    if cfg.env_sweep:
+        raise ConfigError("[environment.sweep] is set: run each of the config's variants(), not the config")
     env = make_environment(cfg.environment, seed=seed, memo=memo, **cfg.env_args)
     return run_online(env, algo, delay_spec.schedule(seed), cfg.rounds if rounds is None else rounds)
 
@@ -277,6 +279,9 @@ def run_controlled_comparison(cfg: ExperimentConfig, parallel: int = 1, write: b
     """
     if cfg.compare is None:
         raise ConfigError("controlled comparison needs a [compare] section")
+    if len(cfg.seeds) < 2:
+        raise ConfigError("[experiment] controlled comparison needs 2 or more seeds for a Welch test, "
+                          f"got {len(cfg.seeds)}")
     result = experiment or run_experiment(cfg, parallel=parallel, write=write)
     rows: list[CompareRow] = []
     for spec in cfg.delays:
@@ -324,24 +329,7 @@ def run_controlled_comparison(cfg: ExperimentConfig, parallel: int = 1, write: b
     return rows
 
 
-# -- auxiliary sweeps ----------------------------------------------------------
-
-
-def run_k_sweep(cfg: ExperimentConfig, k_values: list[int], parallel: int = 1,
-                write: bool = True) -> list[tuple[int, list[CompareRow]]]:
-    """Inner-iteration sweep: repeat the controlled comparison while varying
-    the environment's inner solver budget."""
-    out: list[tuple[int, list[CompareRow]]] = []
-    for k in k_values:
-        sub = dataclasses.replace(
-            cfg,
-            env_args={**cfg.env_args, "inner_iterations": k},
-            out_dir=os.path.join(cfg.out_dir, f"k{k}"),
-        )
-        sub.validate()
-        print(f"-- inner iterations K={k}")
-        out.append((k, run_controlled_comparison(sub, parallel=parallel, write=write)))
-    return out
+# -- delay patterns -------------------------------------------------------------
 
 
 def run_delay_patterns(cfg: ExperimentConfig, parallel: int = 1, write: bool = True) -> ExperimentResult:

@@ -285,7 +285,7 @@ PRESET_HASHES = {
     "delay_patterns": "b30891aff209",
     "grid_delay_sweep": "15b7897ad2a6",
     "hard_instance_floor": "629b7bd8d410",
-    "k_sweep": "1522c19ec7cc",
+    "k_sweep": "d5467fb12d45",
     "lqr_stability": "fe280c93d0cb",
     "transport_scaling": "61b30dc5d14a",
     "uniform_delay_validation": "43c6d73e0b8b",

@@ -24,7 +24,7 @@ from delayopt.harness import (
 )
 from delayopt.optimizers import AlgorithmConfig, algorithm_names, make_algorithm
 from delayopt.runner import ROW_COLUMNS, RunResult
-from delayopt.presets import load_preset, preset_names
+from delayopt.presets import PRESETS, load_preset, preset_names
 
 MINIMAL = """
 [experiment]
@@ -358,6 +358,16 @@ TYPOS = [
      r"\[delay\] lam is not read by kind 'bursty', which reads only d_high, block_len$"),
     ("grid_path", "[delay]\nkind = uniform\nd_max = 6\nsweep = 1,2\n",
      r"\[delay\] sweep lists are only supported for constant delays$"),
+    ("grid_path", "[environment.sweep]\nheigth = 5,6\n",
+     r"\[environment.sweep\] unknown key 'heigth' for environment 'grid_path'$"),
+    ("grid_path", "[environment.sweep]\nheight = 5,abc\n",
+     r"\[environment.sweep\] height = 'abc': expected int for environment 'grid_path'$"),
+    ("grid_path", "[environment.sweep]\nheight = 5,6\nwidth = 7\n",
+     r"\[environment.sweep\] needs non-empty lists of one length, got \{'height': 2, 'width': 1\}$"),
+    ("grid_path", "[environment.sweep]\nheight =\n",
+     r"\[environment.sweep\] needs non-empty lists of one length, got \{'height': 0\}$"),
+    ("grid_path", "[environment.args]\nheight = 5\n[environment.sweep]\nwidth = 5,6\nheight = 6,7\n",
+     r"\[environment.sweep\] height also set in \[environment.args\]$"),
 ]
 
 
@@ -422,6 +432,8 @@ VALUE_RANGES = [
     ("hard_quadratic", "[stability]\ndelays = 1,-1\n", "",
      r"\[stability\] delays must be a non-empty list of delays >= 0$"),
     ("hard_quadratic", "summary_window = 0\n", "", r"\[experiment\] summary_window must be >= 1$"),
+    ("hard_quadratic", "[environment.sweep]\nmu_w = 1,0\n", "",
+     r"\[environment.sweep\] mu_w-0: mu_w must be positive \(environment 'hard_quadratic'\)$"),
 ]
 
 
@@ -430,7 +442,7 @@ VALUE_RANGES = [
                               "delay_lam_nan", "delay_lam_inf", "delay_lam_too_large", "delay_block_len", "delay_sweep",
                               "clip_norm_negative", "clip_norm_zero", "eta0_nan", "beta_damping_inf",
                               "stability_horizon", "stability_resolution", "stability_eta_lo",
-                              "stability_delays", "summary_window"])
+                              "stability_delays", "summary_window", "environment_sweep"])
 def test_value_range_errors_exit_2_before_running(tmp_path, capsys, environment, extra, algo_arg, message):
     from delayopt.cli import main
     text = (f"[experiment]\nenvironment = {environment}\nrounds = 3\nout = {tmp_path / 'out'}\n"
@@ -480,11 +492,13 @@ def test_algorithm_errors_exit_2_before_running(tmp_path, capsys, environment, a
     assert not (tmp_path / "out").exists()
 
 
+SCHEMA_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "config_schema.md")
+
+
 def schema_table(after: str) -> list[list[str]]:
     """Body rows of the first table after the line ``after`` in
     docs/config_schema.md, cells stripped of spaces and backticks."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "config_schema.md")
-    with open(path, encoding="utf-8") as f:
+    with open(SCHEMA_PATH, encoding="utf-8") as f:
         lines = f.read().splitlines()
     rows = []
     for line in lines[lines.index(after) + 1:]:
@@ -507,6 +521,27 @@ def test_config_schema_lists_every_algorithm_key_and_registry_entry():
         assert algo.beta_damping == float(damping), kind
 
 
+def test_every_command_and_flag_the_docs_name_exists(capsys):
+    from delayopt.cli import build_parser
+    with open(SCHEMA_PATH, encoding="utf-8") as f:
+        text = f.read()
+    text += "\n".join(line for preset in PRESETS.values() for line in preset.splitlines() if line.startswith("#"))
+
+    def subcommand(word):
+        try:
+            return build_parser().parse_args([word, "--preset", "k_sweep"]).command
+        except SystemExit:  # argparse rejects an unknown subcommand
+            return None
+
+    named = set(re.findall(r"\bdelayopt ([a-z][a-z-]*)", text))
+    assert {"run", "stability", "compare", "delay-patterns"} <= named
+    assert {word: subcommand(word) for word in named} == {word: word for word in named}
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--help"])
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert set(re.findall(r"`(--[a-z][a-z-]*)", text)) <= options
+
+
 def test_clip_norm_none_parses_to_none():
     cfg = parse_config("[algorithm.stale_adam]\nclip_norm = none\n[algorithm.stale_omd]\nclip_norm = 2\n")
     assert [algo.clip_norm for algo in cfg.algorithms] == [None, 2]
@@ -523,26 +558,87 @@ def test_malformed_integer_lists_are_config_errors(tmp_path, capsys):
     from delayopt.cli import main
     with pytest.raises(ConfigError, match=r"--seeds: expected a list of integers, got '0x'"):
         _int_list("0x", "--seeds")
-    assert _int_list("1, 3 5", "--k-values") == [1, 3, 5]
+    assert _int_list("1, 3 5", "--seeds") == [1, 3, 5]
     out = tmp_path / "out"
     assert main(["run", "--preset", "grid_delay_sweep", "--seeds", "0x", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --seeds: expected a list of integers, got '0x'\n"
-    assert main(["sweep-k", "--preset", "k_sweep", "--k-values", "1,a", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: --k-values: expected a list of integers, got '1,a'\n"
+    cfg_path = tmp_path / "k.ini"
+    cfg_path.write_text(PRESETS["k_sweep"].replace("inner_iterations = 1,3,5,10,20,50", "inner_iterations = 1,a"))
+    assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: [environment.sweep] inner_iterations = 'a': expected int "
+                                       "for environment 'sinkhorn'\n")
     assert not out.exists()
 
 
-def test_sweep_k_rejects_environment_without_inner_iterations(tmp_path, capsys):
+def test_environment_sweep_rejects_a_key_the_environment_lacks(tmp_path, capsys):
     from delayopt.cli import main
-    from delayopt.harness import run_k_sweep
-    text = MINIMAL.format(out=tmp_path / "k")
-    with pytest.raises(ConfigError, match=r"\[environment.args\] unknown key 'inner_iterations'"):
-        run_k_sweep(parse_config(text), [1, 3], write=False)
+    text = MINIMAL.format(out=tmp_path / "k") + "[environment.sweep]\ninner_iterations = 1,3\n"
+    message = "[environment.sweep] unknown key 'inner_iterations' for environment 'hard_quadratic'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
     cfg_path = tmp_path / "k.ini"
     cfg_path.write_text(text)
-    assert main(["sweep-k", "--config", str(cfg_path), "--k-values", "1"]) == 1
-    assert "error: [environment.args] unknown key 'inner_iterations'" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "k").exists()
+
+
+SWEPT = MINIMAL.replace("bias = 0.05\n", "").replace("d = 0", "d = 3").replace("seeds = 0", "seeds = 0,1")
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_environment_sweep_runs_each_value_as_its_own_fixed_config(tmp_path, capsys, parallel):
+    from delayopt.cli import main
+    swept = tmp_path / "swept.ini"
+    swept.write_text(SWEPT.format(out=tmp_path / "swept") + "[environment.sweep]\nbias = 0.05,0.2\n")
+    assert main(["run", "--config", str(swept), "--parallel", str(parallel)]) == 0
+    labels = [line for line in capsys.readouterr().out.splitlines() if line.startswith("-- ")]
+    assert labels == ["-- bias-0.05", "-- bias-0.2"]
+    for bias in ("0.05", "0.2"):
+        fixed = tmp_path / f"fixed{bias}.ini"
+        fixed.write_text(SWEPT.format(out=tmp_path / f"fixed{bias}")
+                         .replace("[environment.args]\n", f"[environment.args]\nbias = {bias}\n"))
+        assert main(["run", "--config", str(fixed)]) == 0
+        expected = {p.relative_to(tmp_path / f"fixed{bias}"): p.read_bytes()
+                    for p in sorted((tmp_path / f"fixed{bias}").rglob("*.csv"))}
+        written = {p.relative_to(tmp_path / "swept" / f"bias-{bias}"): p.read_bytes()
+                   for p in sorted((tmp_path / "swept" / f"bias-{bias}").rglob("*.csv"))}
+        assert len(expected) == 1 + 2 and written == expected  # summary.csv and one run per seed
+    assert sorted(os.listdir(tmp_path / "swept")) == ["bias-0.05", "bias-0.2"]
+
+
+def test_environment_sweep_zips_its_keys_and_hashes_only_when_set():
+    base = parse_config(SWEPT.format(out="res"))
+    cfg = parse_config(SWEPT.format(out="res") + "[environment.sweep]\nbias = 0.05,0.2\nmu_w = 2,3\n")
+    assert cfg.env_sweep == {"bias": [0.05, 0.2], "mu_w": [2, 3]}
+    assert cfg.hash() != base.hash()
+    (label_a, a), (label_b, b) = cfg.variants()
+    assert (label_a, label_b) == ("bias-0.05__mu_w-2", "bias-0.2__mu_w-3")
+    assert (a.env_args, a.env_sweep, a.out_dir) == ({"bias": 0.05, "mu_w": 2}, {}, os.path.join("res", label_a))
+    assert b.hash() == dataclasses.replace(base, env_args={"bias": 0.2, "mu_w": 3}).hash()
+    assert base.variants() == [("", base)]
+
+
+def test_an_unexpanded_environment_sweep_refuses_to_run(tmp_path):
+    cfg = load_preset("k_sweep")
+    cfg.out_dir = str(tmp_path / "k")
+    with pytest.raises(ConfigError, match=r"\[environment.sweep\] is set"):
+        run_experiment(cfg)
+    assert not (tmp_path / "k").exists()
+
+
+def test_compare_needs_two_seeds_before_any_run(tmp_path, capsys):
+    from delayopt.cli import main
+    out = tmp_path / "cmp"
+    assert main(["compare", "--preset", "controlled_comparison", "--seeds", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: [experiment] controlled comparison needs 2 or more seeds "
+                                       "for a Welch test, got 1\n")
+    assert not out.exists()
+    cfg_path = tmp_path / "one_seed.ini"
+    cfg_path.write_text(MINIMAL.format(out=out) + "[algorithm.transport_omd]\neta0 = 0.1\n"
+                        "[compare]\ntreatment = transport_omd\ncontrol = stale_omd\n")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert (out / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("delay", [
