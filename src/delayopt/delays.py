@@ -126,24 +126,35 @@ class DelayQueue:
 
     Maintains the set identity Q_t = Q_{t-1} + {t} - A_t, the queue length
     sigma_t, and the monotone envelope max_{r<=t} sigma_r.
+
+    Rounds are dispatched in increasing order, each with its own record, and
+    a dispatch that breaks this raises ``ContractError``. Each round's
+    arrivals are kept in dispatch order, so they come out ascending without
+    a sort.
     """
 
     def __init__(self):
         self.outstanding: set[int] = set()
         self.sigma: int = 0
         self.envelope: int = 0
-        self._arrival_buckets: dict[int, list[tuple[int, OutcomeRecord]]] = {}
+        self._last_dispatched: int = 0
+        self._arrival_buckets: dict[int, list[OutcomeRecord]] = {}
 
     def dispatch(self, t: int, delay: int, record: OutcomeRecord) -> None:
+        if t <= self._last_dispatched or record.round != t:
+            raise ContractError(f"round {t} (record of round {record.round}) dispatched after round "
+                                f"{self._last_dispatched}: rounds go out in increasing order, each "
+                                f"with its own record")
+        self._last_dispatched = t
         self.outstanding.add(t)
-        self._arrival_buckets.setdefault(t + delay, []).append((t, record))
+        self._arrival_buckets.setdefault(t + delay, []).append(record)
 
     def advance(self, t: int) -> list[OutcomeRecord]:
         """Collect this round's arrivals (ascending round order) and update
         sigma and the envelope. Call after dispatching round t."""
-        arrivals = sorted(self._arrival_buckets.pop(t, []), key=lambda it: it[0])
-        for s, _ in arrivals:
-            self.outstanding.discard(s)
+        arrivals = self._arrival_buckets.pop(t, [])
+        for rec in arrivals:
+            self.outstanding.discard(rec.round)
         self.sigma = len(self.outstanding)
         self.envelope = max(self.envelope, self.sigma)
-        return [rec for _, rec in arrivals]
+        return arrivals

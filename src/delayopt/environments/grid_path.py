@@ -211,8 +211,7 @@ class GridPathProblem(Environment):
     def solve_inner(self, theta, w_prev) -> InnerSolveReport:
         costs, _ = self.predicted_costs(theta)
         indicator, _ = self._shortest(costs, self.start, self.goal)
-        return InnerSolveReport(solution=indicator, iterations_used=1,
-                                residual_norm=0.0, epsilon_estimate=0.0)
+        return InnerSolveReport(indicator, 1, lambda: (0.0, 0.0))  # exact solver
 
     def realize_outcome(self, t, theta, w):
         costs_true = self.current_true_costs()

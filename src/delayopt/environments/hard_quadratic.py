@@ -102,12 +102,9 @@ class HardQuadraticProblem(Environment):
 
     def solve_inner(self, theta, w_prev) -> InnerSolveReport:
         # closed-form inner solution plus the adversarial constant bias
-        w = np.array([self.cfg.b * theta[0] + self.cfg.bias])
-        return InnerSolveReport(
-            solution=w, iterations_used=0,
-            residual_norm=abs(self.cfg.mu_w * self.cfg.bias),
-            epsilon_estimate=abs(self.cfg.bias),
-        )
+        cfg = self.cfg
+        w = np.array([cfg.b * theta[0] + cfg.bias])
+        return InnerSolveReport(w, 0, lambda: (abs(cfg.mu_w * cfg.bias), abs(cfg.bias)))
 
     def realize_outcome(self, t, theta, w):
         return None, self.reduced_objective(theta[0]), None

@@ -18,11 +18,13 @@ so both the exact inner gain and the adjoint are one small linear solve.
 
 Two hot paths are shaped by that structure. The model gradient
 ``2 (M W - C)`` has theta-only terms ``M = R + B'B`` and ``C = B'A``, formed
-once per inner solve rather than at every gradient step; the inner solver
-checks finiteness once per solve, not per step. Re-evaluating a transport
-buffer is one stacked product over all buffered (gain, adjoint) pairs; each
-factor keeps the per-entry association order, so every row is bit-identical
-to the per-entry hypergradient.
+once per inner solve rather than at every gradient step. The inner solver
+descends on the (n_u, n_x) gain itself, so no step reshapes or ravels; it
+checks finiteness once per solve, not per step, and evaluates the exit
+residual only when it is read, which the round path never does.
+Re-evaluating a transport buffer is one stacked product over all buffered
+(gain, adjoint) pairs; each factor keeps the per-entry association order, so
+every row is bit-identical to the per-entry hypergradient.
 
 At n_u x n_x = 3 x 10 a round costs its numpy calls, not its arithmetic, so
 the round path calls the cheapest entry point that gives the same bits:
@@ -132,17 +134,18 @@ class LQRProblem(Environment):
         return float(np.trace(W.T @ self.R @ W) + np.trace(closed.T @ closed))
 
     def model_gradient_at(self, theta):
-        """``w -> grad_w_model(w, theta)`` with ``M`` and ``C`` formed once, for
-        the inner solver's many steps at one parameter point."""
+        """``W -> 2 (M W - C)`` on the (n_u, n_x) gain, a fresh (n_u, n_x)
+        array: ``grad_w_model(w, theta)`` unflattened, with ``M`` and ``C``
+        formed once for the inner solver's many steps at one parameter point,
+        and no reshape or ravel per step."""
         M, C = self._model_terms(theta)
         M_dot = M.dot
-        shape = (self.cfg.n_u, self.cfg.n_x)
 
-        def grad(w):
-            G = M_dot(w.reshape(shape))
+        def grad(W):
+            G = M_dot(W)
             G -= C
             G *= 2.0
-            return G.ravel()
+            return G
         return grad
 
     def grad_w_model(self, w, theta):
@@ -225,7 +228,7 @@ class LQRProblem(Environment):
         return np.zeros(self.q)
 
     def solve_inner(self, theta, w_prev) -> InnerSolveReport:
-        return inner_gd(self.model_gradient_at(theta), w_prev, self._inner_cfg, self.mu_w_hint)
+        return inner_gd(self.model_gradient_at(theta), self._gain(w_prev), self._inner_cfg, self.mu_w_hint)
 
     def realize_outcome(self, t, theta, w):
         cfg = self.cfg

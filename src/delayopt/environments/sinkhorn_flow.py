@@ -266,11 +266,11 @@ class SinkhornProblem(Environment):
 
     def solve_inner(self, theta, w_prev) -> InnerSolveReport:
         w = self._solve_coupling(theta, self.features, self.cfg.inner_iterations)
-        res = self.marginal_residual(w)
-        return InnerSolveReport(
-            solution=w, iterations_used=self.cfg.inner_iterations,
-            residual_norm=res, epsilon_estimate=res / self.mu_w_hint,
-        )
+
+        def diagnostics():
+            res = self.marginal_residual(w)
+            return res, res / self.mu_w_hint
+        return InnerSolveReport(w, self.cfg.inner_iterations, diagnostics)
 
     def realize_outcome(self, t, theta, w):
         z = {

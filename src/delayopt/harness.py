@@ -9,9 +9,7 @@ byte-identical files and any run can be traced back to its settings.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -86,6 +84,11 @@ def _map_cells(fn: Callable, cells: Iterable, parallel: int) -> Iterable:
     that many spawned worker processes and the results come as a list;
     otherwise they run lazily in this process, each as it is consumed."""
     if parallel > 1:
+        # imported here: the pool modules take tens of ms to load, and a
+        # serial run needs none of them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel, mp_context=multiprocessing.get_context("spawn")) as pool:
             return list(pool.map(fn, cells))
     return map(fn, cells)

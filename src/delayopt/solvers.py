@@ -41,7 +41,6 @@ class InnerSolverConfig:
             raise ContractError("inner step size must be positive")
 
 
-@dataclass
 class InnerSolveReport:
     """Approximate inner solution plus how far from optimal it plausibly is.
 
@@ -50,12 +49,37 @@ class InnerSolveReport:
     objective that distance is at most the residual divided by mu, the
     strong-convexity hint. On a quadratic whose curvature is mu the bound is
     the distance itself.
+
+    The round path reads only ``solution``, so both diagnostics come from
+    ``diagnostics``, a zero-argument callable returning ``(residual_norm,
+    epsilon_estimate)``. It is evaluated once, on the first read of either,
+    from the solution as the solver returned it; any floating-point warning
+    it raises appears at that read. So a caller that edits ``solution`` in
+    place must read the diagnostics first.
     """
 
-    solution: np.ndarray
-    iterations_used: int
-    residual_norm: float
-    epsilon_estimate: float
+    __slots__ = ("solution", "iterations_used", "_diagnostics", "_values")
+
+    def __init__(self, solution: np.ndarray, iterations_used: int,
+                 diagnostics: Callable[[], tuple[float, float]]):
+        self.solution = solution
+        self.iterations_used = iterations_used
+        self._diagnostics = diagnostics
+        self._values: Optional[tuple[float, float]] = None
+
+    def _read(self) -> tuple[float, float]:
+        if self._values is None:
+            self._values = self._diagnostics()
+            self._diagnostics = None
+        return self._values
+
+    @property
+    def residual_norm(self) -> float:
+        return self._read()[0]
+
+    @property
+    def epsilon_estimate(self) -> float:
+        return self._read()[1]
 
 
 def inner_gd(
@@ -71,10 +95,15 @@ def inner_gd(
     at every step; ``mu_w`` is the objective's strong-convexity lower bound,
     which turns the exit residual into ``epsilon_estimate``. Deterministic.
 
-    ``grad`` must return a fresh array on every call: a step scales the
-    array it returns in place (``g *= step_size; w -= g``), which gives the
-    bits of ``w - step_size * g`` without allocating. The exit residual
-    ``sqrt(g . g)`` is ``np.linalg.norm`` of the vector without its checks.
+    The iterate keeps ``w_init``'s shape (LQR descends on its 2-D gain), and
+    ``grad`` maps an array of that shape to a fresh array of that shape: a
+    step scales the array it returns in place (``g *= step_size; w -= g``),
+    which gives the bits of ``w - step_size * g`` without allocating. The
+    solution is the iterate flattened (a view of it).
+
+    The exit gradient is evaluated only when a diagnostic is read (see
+    :class:`InnerSolveReport`); its residual ``sqrt(g . g)`` is
+    ``np.linalg.norm`` of the flattened vector without its checks.
 
     Finiteness is checked once, after the last step: subtracting an infinite
     or NaN step from the iterate never gives a finite value, so a non-finite
@@ -92,10 +121,12 @@ def inner_gd(
             w -= g
     if not np.isfinite(w).all():
         raise SolverError(f"inner divergence within {cfg.steps} steps")
-    g = grad(w)
-    residual = math.sqrt(g.dot(g))
-    eps = residual / max(mu_w, 1e-12)
-    return InnerSolveReport(solution=w, iterations_used=cfg.steps, residual_norm=residual, epsilon_estimate=eps)
+
+    def diagnostics() -> tuple[float, float]:
+        g = grad(w)
+        residual = math.sqrt(np.vdot(g, g))
+        return residual, residual / max(mu_w, 1e-12)
+    return InnerSolveReport(w.reshape(-1), cfg.steps, diagnostics)
 
 
 def sinkhorn_log(

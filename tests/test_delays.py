@@ -118,6 +118,19 @@ def test_queue_set_identity_property(delays):
         prev = set(q.outstanding)
 
 
+def test_dispatch_out_of_order_or_with_another_rounds_record_is_a_contract_error():
+    # arrivals come out in dispatch order, so the order is checked where it
+    # goes in: rounds strictly increase, and each carries its own record
+    q = DelayQueue()
+    q.dispatch(2, 3, rec(2))
+    for t, record in ((2, rec(2)), (1, rec(1)), (3, rec(4))):
+        with pytest.raises(ContractError, match="increasing order"):
+            q.dispatch(t, 0, record)
+    assert q.outstanding == {2}
+    q.dispatch(3, 2, rec(3))
+    assert [r.round for r in q.advance(5)] == [2, 3]
+
+
 def test_conservation_every_round_arrives_once():
     _, q, hist = replay("uniform", 5000, d_max=40, seed=3)
     arrived = [r for _, _, a in hist for r in a]

@@ -274,8 +274,8 @@ def test_lqr_unstable_gain_flags_run():
 
 
 def test_lqr_model_gradient_at_equals_inline_formula():
-    # the theta-frozen closure, grad_w_model and the exact gain reproduce the
-    # per-call formulas bit for bit
+    # the theta-frozen closure (on the (n_u, n_x) gain), grad_w_model and the
+    # exact gain reproduce the per-call formulas bit for bit
     env = fresh("lqr")
     n_u, n_x = env.cfg.n_u, env.cfg.n_x
     rng = np.random.default_rng(12)
@@ -286,7 +286,7 @@ def test_lqr_model_gradient_at_equals_inline_formula():
         for _ in range(3):
             w = scale * rng.standard_normal(env.q)
             inline = (2.0 * ((env.R + B.T @ B) @ w.reshape(n_u, n_x) - B.T @ A)).ravel()
-            assert np.array_equal(grad(w), inline)
+            assert np.array_equal(grad(w.reshape(n_u, n_x)).ravel(), inline)
             assert np.array_equal(env.grad_w_model(w, theta), inline)
         gain = np.linalg.solve(env.R + B.T @ B, B.T @ A)
         assert np.array_equal(env.exact_inner(theta), gain.ravel())
@@ -423,7 +423,7 @@ def test_lqr_round_path_equals_readable_forms_bitwise(n_x, n_u, r_weight, theta_
         grad = env.model_gradient_at(theta)
         for t in range(1, 4):
             w, v = w_scale * rng.standard_normal(env.q), w_scale * rng.standard_normal(env.q)
-            assert as_bits(grad, w) == as_bits(env.grad_w_model, w, theta)
+            assert as_bits(grad, env._gain(w)) == as_bits(env.grad_w_model, w, theta)
             z, loss, _ = env.realize_outcome(t, theta, w)
             z_ref, loss_ref, _ = lqr_realize_outcome_reference(twin, theta, w)
             assert as_bits(lambda: tuple(z.values()) + (loss, env.x)) == \
@@ -677,6 +677,57 @@ def test_sinkhorn_regret_bounded_below_by_marginal_residual(algorithm, d, seed):
                      DelaySchedule(kind="constant", d=d, seed=seed), rounds=80)
     assert res.rounds_logged == 80
     assert np.all(res.columns["regret_inc"] >= -np.asarray(slack))
+
+
+def test_sinkhorn_inner_diagnostics_are_the_marginal_residual_bitwise():
+    # read on demand, the diagnostics are the solution's marginal residual
+    # and that residual over the strong-convexity hint, to the bit
+    env = fresh("sinkhorn", drift_noise=0.1)
+    rng = np.random.default_rng(3)
+    theta, w = env.theta_init(), env.initial_decision()
+    for t in range(2, 7):
+        env.begin_round(t)
+        rep = env.solve_inner(theta, w)
+        residual = env.marginal_residual(rep.solution)
+        assert np.float64(rep.residual_norm).tobytes() == np.float64(residual).tobytes()
+        assert np.float64(rep.epsilon_estimate).tobytes() == np.float64(residual / env.mu_w_hint).tobytes()
+        theta, w = theta + 0.05 * rng.standard_normal(env.p), rep.solution
+
+
+def test_the_round_path_never_computes_inner_diagnostics():
+    # run_online reads only a solve's solution: a Sinkhorn run never prices
+    # the marginal residual, and an LQR solve evaluates its gradient once per
+    # step, with the exit gradient left to the first diagnostic read
+    for algorithm in ("transport_adam", "stale_adam"):
+        env = make_environment("sinkhorn", seed=0)
+        priced = []
+        marginal_residual = env.marginal_residual
+
+        def counted_residual(w):
+            priced.append(w)
+            return marginal_residual(w)
+
+        env.marginal_residual = counted_residual
+        res = run_online(env, make_algorithm(algorithm, eta0=0.002),
+                         DelaySchedule(kind="constant", d=3, seed=0), rounds=12)
+        assert res.rounds_logged == 12 and priced == []
+    env = fresh("lqr")
+    evaluations = []
+    gradient_at = env.model_gradient_at
+
+    def counted_gradient_at(theta):
+        grad = gradient_at(theta)
+
+        def counted(W):
+            evaluations.append(W)
+            return grad(W)
+        return counted
+
+    env.model_gradient_at = counted_gradient_at
+    rep = env.solve_inner(env.theta_init(), env.initial_decision())
+    assert len(evaluations) == env.cfg.inner_steps
+    assert np.isfinite(rep.residual_norm) and np.isfinite(rep.epsilon_estimate)
+    assert len(evaluations) == env.cfg.inner_steps + 1  # one exit gradient for both reads
 
 
 # -- grid environment ------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every name a module of ``src/delayopt`` imports is used in that module.
+"""Every name a module of ``src/delayopt`` imports is used in that module,
+and the harness loads no process-pool module until a run asks for one.
 
 Two kinds of binding are exempt: a package ``__init__`` imports names to
 re-export them, and the benchmark's tracer (``bench/instrument.py``
@@ -8,6 +9,8 @@ even where the module itself does not call them.
 
 import ast
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "delayopt")
@@ -79,3 +82,12 @@ def test_no_unused_imports_in_src():
 def test_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Any, Optional\nx: 'Optional[int]' = os.sep\n")
     assert set(imported_names(tree)) - used_names(tree) == {"Any"}
+
+
+def test_importing_the_harness_loads_no_process_pool():
+    # only a parallel run needs the pool; its modules take tens of ms to load
+    code = ("import sys, delayopt.harness; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -16,6 +16,7 @@ from delayopt.core import ContractError
 from delayopt.environments import make_environment
 from delayopt.environments.lqr import LQRConfig, LQRProblem
 from delayopt.solvers import (
+    InnerSolveReport,
     InnerSolverConfig,
     SolverError,
     assignment_min_cost,
@@ -75,6 +76,19 @@ def test_inner_gd_contraction_exact():
         assert rep.epsilon_estimate == pytest.approx(expected, abs=1e-10)
 
 
+def test_inner_solve_diagnostics_are_evaluated_once_on_first_read():
+    calls = []
+
+    def diagnostics():
+        calls.append(1)
+        return 2.0, 0.5
+
+    rep = InnerSolveReport(np.zeros(3), 4, diagnostics)
+    assert calls == [] and rep.iterations_used == 4
+    assert rep.epsilon_estimate == 0.5 and calls == [1]
+    assert (rep.residual_norm, rep.epsilon_estimate) == (2.0, 0.5) and calls == [1]
+
+
 def test_inner_gd_rejects_bad_config():
     with pytest.raises(ContractError):
         InnerSolverConfig(steps=0, step_size=0.1)
@@ -86,7 +100,8 @@ def reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size):
     """Per-step gradient descent on the LQR model objective with explicit
     ``Q = I`` and ``R = r_weight I`` products, checking every gradient and
     the final iterate (a finite step can still overflow it); None if either
-    is not finite."""
+    is not finite. Returns the iterate, the exit residual and the residual
+    over the strong-convexity hint ``2 r_weight``."""
     A = theta[: n_x * n_x].reshape(n_x, n_x)
     B = theta[n_x * n_x:].reshape(n_x, n_u)
     Q, R = np.eye(n_x), r_weight * np.eye(n_u)
@@ -102,7 +117,8 @@ def reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size):
         w -= step_size * g
     if not np.isfinite(w).all():
         return None
-    return w, float(np.linalg.norm(grad(w)))
+    residual = float(np.linalg.norm(grad(w)))
+    return w, residual, residual / (2.0 * r_weight)
 
 
 # parameter and decision scales: zero, which gives signed zeros; ordinary ones;
@@ -119,21 +135,26 @@ INNER_SCALES = (0.0, 1e-3, 1.0, 30.0, 1e80, 1e154, 1e155, 1e300)
 def test_lqr_inner_gd_equals_per_step_reference_bitwise(n_x, n_u, r_weight, b_scale, theta_scale, w_scale,
                                                          steps, step_size, seed):
     # the environment's own inner solve: inner_gd on its theta-frozen gradient,
-    # with the same iterate and residual bits, or the same divergence error
+    # with the same iterate, residual and epsilon bits, or the same divergence
+    # error
     env = LQRProblem(LQRConfig(n_x=n_x, n_u=n_u, r_weight=r_weight, b_scale=b_scale, task_seed=seed,
                                inner_steps=steps, inner_step_size=step_size), seed=seed)
     rng = np.random.default_rng(seed)
     theta = env.theta_init() + theta_scale * rng.standard_normal(env.p)
     w0 = w_scale * rng.standard_normal(env.q)
-    with np.errstate(all="ignore"):  # the model terms and the exit residual may overflow
+    # the model terms and the exit residual may overflow; the residual is
+    # computed, and may warn, when it is first read
+    with np.errstate(all="ignore"):
         reference = reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size)
         if reference is None:
             with pytest.raises(SolverError, match=f"inner divergence within {steps} steps"):
                 env.solve_inner(theta, w0)
             return
         rep = env.solve_inner(theta, w0)
+        residual, epsilon = rep.residual_norm, rep.epsilon_estimate
     assert rep.solution.tobytes() == reference[0].tobytes()
-    assert np.float64(rep.residual_norm).tobytes() == np.float64(reference[1]).tobytes()
+    assert np.float64(residual).tobytes() == np.float64(reference[1]).tobytes()
+    assert np.float64(epsilon).tobytes() == np.float64(reference[2]).tobytes()
 
 
 def test_inner_gd_reaches_an_overflowing_residual_and_divergence():
@@ -144,10 +165,11 @@ def test_inner_gd_reaches_an_overflowing_residual_and_divergence():
     theta[env.cfg.n_x * env.cfg.n_x:] = 1e150  # B'B = 2e300, finite
     # one step from 0 lands near 1e147, where M w overflows
     with np.errstate(all="ignore"):
-        w, residual = reference_lqr_inner_gd(theta, np.zeros(env.q), env.cfg.r_weight, 2, 1, 1, 1e-3)
+        w, residual, _ = reference_lqr_inner_gd(theta, np.zeros(env.q), env.cfg.r_weight, 2, 1, 1, 1e-3)
         rep = env.solve_inner(theta, np.zeros(env.q))
+        rep_residual = rep.residual_norm  # the exit gradient overflows at this read
     assert np.isfinite(w).all() and residual == np.inf
-    assert rep.residual_norm == np.inf and rep.solution.tobytes() == w.tobytes()
+    assert rep_residual == np.inf and rep.solution.tobytes() == w.tobytes()
     with pytest.raises(SolverError, match="inner divergence within 1 steps"):
         env.solve_inner(theta, np.full(env.q, 1e300))
 
