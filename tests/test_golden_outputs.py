@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from delayopt.config import DelaySpec, ExperimentConfig, parse_config
+from delayopt.environments import make_environment
 from delayopt.harness import ExperimentResult, RunKey, run_experiment, run_stability_sweep
 from delayopt.optimizers import make_algorithm
 from delayopt.presets import load_preset, preset_names
@@ -275,6 +276,42 @@ def test_lqr_stability_csv_digest_matches_the_recorded_one(tmp_path, capsys):
     capsys.readouterr()
     with open(tmp_path / "stability.csv", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == LQR_STABILITY_DIGEST
+
+
+# Each environment's inner-solve diagnostics over 20 rounds at seed 0: the
+# (residual_norm, epsilon_estimate) bytes of every round's solve, with theta
+# moved by a seeded step between rounds and each solve warm-started from the
+# last. hard_quadratic runs with a bias, so its constants are not zero.
+INNER_DIAGNOSTICS_ARGS = {"hard_quadratic": {"bias": 0.05}, "lqr": {}, "sinkhorn": {}, "grid_path": {}}
+
+INNER_DIAGNOSTICS_DIGESTS = {
+    "grid_path": "7b6436b0c98f62380866d9432c2af0ee08ce16a171bda6951aecd95ee1307d61",
+    "hard_quadratic": "26f2a06f999c74227c4eee6ed5b2bb782ce37b48a2cc337e59ba553205e51b8e",
+    "lqr": "03ef1170c370082a54e875ba007dc6eaba75977ac18bad469669448749f9b355",
+    "sinkhorn": "8f96f8e1616551ef936923ee30bcdc5e934553047919c99c919a1840009dec7a",
+}
+
+
+def inner_diagnostics_digest(name: str) -> str:
+    env = make_environment(name, seed=0, **INNER_DIAGNOSTICS_ARGS[name])
+    rng = np.random.default_rng(0)
+    theta, w = env.theta_init(), env.initial_decision()
+    h = hashlib.sha256()
+    for t in range(1, 21):
+        env.begin_round(t)
+        rep = env.solve_inner(theta, w)
+        h.update(np.float64(rep.residual_norm).tobytes())
+        h.update(np.float64(rep.epsilon_estimate).tobytes())
+        theta, w = theta + 0.01 * rng.standard_normal(env.p), rep.solution
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}; "
+                           f"this is numpy {np.__version__}, whose arithmetic may differ in the last bit")
+@pytest.mark.parametrize("name", sorted(INNER_DIAGNOSTICS_ARGS))
+def test_inner_diagnostics_digest_matches_the_recorded_one(name):
+    assert inner_diagnostics_digest(name) == INNER_DIAGNOSTICS_DIGESTS[name]
 
 
 # The config hash is the repr of every setting, so it moves with a renamed,
