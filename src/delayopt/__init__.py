@@ -8,8 +8,6 @@ harness that writes reproducible CSV experiment tables.
 
 from delayopt.core import OutcomeRecord
 from delayopt.solvers import (
-    InnerSolverConfig,
-    InnerSolveReport,
     conjugate_gradient,
     dijkstra_grid,
     grid_shortest_paths,

@@ -2,9 +2,11 @@
 runner, the gradient engines and the transport buffer use.
 
 An environment owns its exogenous randomness (drift, contexts, noise), its
-round context, and its inner-solver pipeline. Two environments with the same
-seed replay identical exogenous sequences regardless of the optimizer driving
-them, which is what makes paired algorithm comparisons valid.
+round context, and its inner-solver pipeline: ``solve_inner`` returns the
+round's decision, and ``inner_diagnostics`` says, on request, how far a
+decision is from optimal. Two environments with the same seed replay
+identical exogenous sequences regardless of the optimizer driving them, which
+is what makes paired algorithm comparisons valid.
 
 That pairing is checked, not only promised. A serial ``run_experiment`` runs
 its cells seed-major and hands every cell of one seed the same
@@ -41,7 +43,6 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from delayopt.core import ContractError, OutcomeRecord
-from delayopt.solvers import InnerSolveReport
 
 
 def _same_payload(a: dict, b: dict) -> bool:
@@ -109,7 +110,21 @@ class Environment(ABC):
         return self.memo.value(self.round, name, z, compute)
 
     @abstractmethod
-    def solve_inner(self, theta: np.ndarray, w_prev: np.ndarray) -> InnerSolveReport: ...
+    def solve_inner(self, theta: np.ndarray, w_prev: np.ndarray) -> np.ndarray:
+        """The round's decision at ``theta``, warm-started from ``w_prev``, as
+        a flat array; ``SolverError`` when the inner solve diverges."""
+
+    @abstractmethod
+    def inner_diagnostics(self, theta: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+        """``(residual_norm, epsilon_estimate)`` of decision ``w`` at ``theta``,
+        computed from those two inputs alone.
+
+        ``residual_norm`` is how far ``w`` is from solving the inner problem,
+        in the solver's own measure. ``epsilon_estimate`` bounds the distance
+        to the exact minimizer: for a mu-strongly convex objective that
+        distance is at most the residual divided by mu, the strong-convexity
+        hint. On a quadratic whose curvature is mu the bound is the distance
+        itself. No round calls this, so a run pays nothing for it."""
 
     @abstractmethod
     def realize_outcome(self, t: int, theta: np.ndarray, w: np.ndarray) -> tuple[Any, float, Optional[float]]:

@@ -43,6 +43,7 @@ cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,6 @@ import numpy as np
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments.base import Environment
 from delayopt.solvers import (
-    InnerSolveReport,
     dijkstra_grid,
     grid_shortest_paths,
     shortest_path_tree,
@@ -72,9 +72,22 @@ class GridPathConfig:
     cost_floor: float = 1e-3
     task_seed: int = 0  # terrain and features; run seed drives drift and endpoints
 
-    def __post_init__(self):
-        if self.perturbation <= 0:
+    def __post_init__(self):  # each range test is written so that NaN fails it
+        for name in ("height", "width", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1")
+        if self.height * self.width < 2:
+            # begin_round draws a goal distinct from the start on the border
+            raise ContractError("the grid needs height * width >= 2 cells for distinct endpoints")
+        if not self.perturbation > 0:
             raise ContractError("perturbation scale must be positive")
+        if not 0 < self.cost_floor < math.inf:
+            raise ContractError("cost_floor must be positive and finite")
+        if not 0 <= self.drift_rate <= 1:
+            raise ContractError("drift_rate must be in [0, 1]")
+        for name in ("feature_noise", "drift_noise"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ContractError(f"{name} must be finite and >= 0")
 
 
 class GridPathProblem(Environment):
@@ -208,10 +221,12 @@ class GridPathProblem(Environment):
             goal = self._border[self._endpoint_rng.integers(len(self._border))]
         self.start, self.goal = start, goal
 
-    def solve_inner(self, theta, w_prev) -> InnerSolveReport:
+    def solve_inner(self, theta, w_prev):
         costs, _ = self.predicted_costs(theta)
-        indicator, _ = self._shortest(costs, self.start, self.goal)
-        return InnerSolveReport(indicator, 1, lambda: (0.0, 0.0))  # exact solver
+        return self._shortest(costs, self.start, self.goal)[0]
+
+    def inner_diagnostics(self, theta, w):
+        return 0.0, 0.0  # exact solver
 
     def realize_outcome(self, t, theta, w):
         costs_true = self.current_true_costs()

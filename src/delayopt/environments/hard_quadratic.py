@@ -15,13 +15,13 @@ biased gradients settles at ``theta = -bias / coupling``, paying
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from delayopt.core import ContractError
 from delayopt.environments.base import Environment
-from delayopt.solvers import InnerSolveReport
 
 
 @dataclass
@@ -32,10 +32,13 @@ class HardQuadraticConfig:
     bias: float = 0.0  # constant inner-solver error injected into feedback
     theta_bound: float = 1.0  # theta_1 starts at the bound
 
-    def __post_init__(self):
+    def __post_init__(self):  # each range test is written so that NaN fails it
+        for name in ("a", "b", "bias", "theta_bound"):
+            if not abs(getattr(self, name)) < math.inf:
+                raise ContractError(f"{name} must be finite")
         if self.a == self.b:
             raise ContractError("a == b degenerates the instance: the coupling constant is 0")
-        if self.mu_w <= 0:
+        if not self.mu_w > 0:
             raise ContractError("mu_w must be positive")
 
 
@@ -100,11 +103,14 @@ class HardQuadraticProblem(Environment):
     def initial_decision(self):
         return np.zeros(1)
 
-    def solve_inner(self, theta, w_prev) -> InnerSolveReport:
+    def solve_inner(self, theta, w_prev):
         # closed-form inner solution plus the adversarial constant bias
-        cfg = self.cfg
-        w = np.array([cfg.b * theta[0] + cfg.bias])
-        return InnerSolveReport(w, 0, lambda: (abs(cfg.mu_w * cfg.bias), abs(cfg.bias)))
+        return np.array([self.cfg.b * theta[0] + self.cfg.bias])
+
+    def inner_diagnostics(self, theta, w):
+        """The injected bias as the model-gradient norm ``mu_w |bias|``, and
+        as the distance to the exact solution, ``|bias|``."""
+        return abs(self.cfg.mu_w * self.cfg.bias), abs(self.cfg.bias)
 
     def realize_outcome(self, t, theta, w):
         return None, self.reduced_objective(theta[0]), None

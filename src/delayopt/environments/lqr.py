@@ -20,8 +20,9 @@ Two hot paths are shaped by that structure. The model gradient
 ``2 (M W - C)`` has theta-only terms ``M = R + B'B`` and ``C = B'A``, formed
 once per inner solve rather than at every gradient step. The inner solver
 descends on the (n_u, n_x) gain itself, so no step reshapes or ravels; it
-checks finiteness once per solve, not per step, and evaluates the exit
-residual only when it is read, which the round path never does.
+checks finiteness once per solve, not per step, and computes no exit
+residual: ``inner_diagnostics`` evaluates the gradient at a returned gain
+when asked, and no round asks.
 Re-evaluating a transport buffer is one stacked product over all buffered
 (gain, adjoint) pairs; each factor keeps the per-entry association order, so
 every row is bit-identical to the per-entry hypergradient.
@@ -47,7 +48,7 @@ import numpy as np
 
 from delayopt.core import ContractError
 from delayopt.environments.base import Environment
-from delayopt.solvers import InnerSolveReport, InnerSolverConfig, inner_gd
+from delayopt.solvers import inner_gd
 
 
 @dataclass
@@ -65,9 +66,17 @@ class LQRConfig:
     state_cap: float = 1e8
     task_seed: int = 0  # dynamics matrices and initial parameters; run seed drives noise
 
-    def __post_init__(self):
-        if self.r_weight <= 0:
+    def __post_init__(self):  # each range test is written so that NaN fails it
+        for name in ("n_x", "n_u", "inner_steps"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1")
+        if not self.r_weight > 0:
             raise ContractError("r_weight must be positive: the model objective needs R > 0")
+        if not 0 < self.inner_step_size < math.inf:
+            raise ContractError("inner_step_size must be positive and finite")
+        for name in ("noise_std", "spectral_radius", "b_scale", "init_spread"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ContractError(f"{name} must be finite and >= 0")
 
 
 class LQRProblem(Environment):
@@ -93,7 +102,6 @@ class LQRProblem(Environment):
         theta_cmp = self._pack(self.A_true, self.B_true)
         self.W_cmp = self._exact_gain(theta_cmp)
         self.comparator_note = "fixed comparator: true dynamics parameters"
-        self._inner_cfg = InnerSolverConfig(steps=cfg.inner_steps, step_size=cfg.inner_step_size)
 
     # -- packing helpers ----------------------------------------------------
 
@@ -227,8 +235,17 @@ class LQRProblem(Environment):
     def initial_decision(self):
         return np.zeros(self.q)
 
-    def solve_inner(self, theta, w_prev) -> InnerSolveReport:
-        return inner_gd(self.model_gradient_at(theta), self._gain(w_prev), self._inner_cfg, self.mu_w_hint)
+    def solve_inner(self, theta, w_prev):
+        cfg = self.cfg
+        return inner_gd(self.model_gradient_at(theta), self._gain(w_prev), cfg.inner_steps, cfg.inner_step_size)
+
+    def inner_diagnostics(self, theta, w):
+        """The model-gradient norm at gain ``w`` (``np.linalg.norm`` of the
+        flattened gradient without its checks), and that norm over the
+        strong-convexity hint ``2 r_weight``."""
+        g = self.model_gradient_at(theta)(self._gain(w))
+        residual = math.sqrt(np.vdot(g, g))
+        return residual, residual / max(self.mu_w_hint, 1e-12)
 
     def realize_outcome(self, t, theta, w):
         cfg = self.cfg

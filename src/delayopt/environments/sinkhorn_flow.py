@@ -39,6 +39,7 @@ round, whichever cell gets there first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from delayopt.core import ContractError
 from delayopt.environments.base import Environment
-from delayopt.solvers import InnerSolveReport, assignment_min_cost, sinkhorn_log
+from delayopt.solvers import assignment_min_cost, sinkhorn_log
 
 
 @dataclass
@@ -57,18 +58,27 @@ class SinkhornConfig:
     inner_iterations: int = 10
     drift_rate: float = 0.05
     drift_noise: float = 0.1  # context-feature noise scale
-    map_drift_noise: float = 0.0  # generating-map noise scale (moving target)
     cost_scale: float = 1.0
     cost_floor: float = 1e-3
     coupling_floor: float = 1e-30
     adjoint_floor: float = 1e-6  # mass floor inside the adjoint system only
     task_seed: int = 0  # structure (true map, anchor features); run seed drives drift
 
-    def __post_init__(self):
-        if self.regularization <= 0:
+    def __post_init__(self):  # each range test is written so that NaN fails it
+        for name in ("n", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1")
+        if not self.regularization > 0:
             raise ContractError("entropic regularization must be positive")
         if self.inner_iterations < 1:
             raise ContractError("inner iterations must be >= 1")
+        if not 0 <= self.drift_rate <= 1:
+            raise ContractError("drift_rate must be in [0, 1]")
+        if not 0 <= self.drift_noise < math.inf:
+            raise ContractError("drift_noise must be finite and >= 0")
+        for name in ("cost_scale", "cost_floor", "coupling_floor", "adjoint_floor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ContractError(f"{name} must be positive and finite")
 
 
 class SinkhornProblem(Environment):
@@ -90,10 +100,6 @@ class SinkhornProblem(Environment):
         self.map_true *= cfg.cost_scale / float(np.mean(self.map_true @ self.feat_mean))
         self._drift_rng = np.random.default_rng([int(seed), 5231])
         self.features = self.feat_mean.copy()
-        # the generating map itself mean-reverts: the best fixed predictor is
-        # the anchor map, while the per-round optimum keeps moving
-        self.map_offset = np.zeros_like(self.map_true)
-        self._map_noise_unit = cfg.cost_scale / np.sqrt(k)
         self.mu = np.full(n, 1.0 / n)
         self.nu = np.full(n, 1.0 / n)
         self.floored_couplings = 0
@@ -131,11 +137,9 @@ class SinkhornProblem(Environment):
         """Predicted cost vector and its derivative w.r.t. the raw activation."""
         return self._link(self._weights(theta) @ features, derivative=True)
 
-    def true_costs(self, features: np.ndarray, offset: Optional[np.ndarray] = None) -> np.ndarray:
-        """Realized cost vector; ``offset`` selects a map-drift state (the
-        current one by default, zero for the anchor map)."""
-        mat = self.map_true if offset is None else self.map_true + offset
-        return np.maximum(mat @ features, self.cfg.cost_floor)
+    def true_costs(self, features: np.ndarray) -> np.ndarray:
+        """Realized cost vector of the ground-truth map at ``features``."""
+        return np.maximum(self.map_true @ features, self.cfg.cost_floor)
 
     def _features(self, z: Optional[dict]) -> np.ndarray:
         """Features of outcome payload ``z``; the current round's when None."""
@@ -240,12 +244,6 @@ class SinkhornProblem(Environment):
         self.features = (
             (1.0 - rate) * self.features + rate * self.feat_mean + self.cfg.drift_noise * noise
         )
-        if self.cfg.map_drift_noise:
-            jump = self._drift_rng.standard_normal(self.map_true.shape)
-            self.map_offset = (
-                (1.0 - rate) * self.map_offset
-                + self.cfg.map_drift_noise * self._map_noise_unit * jump
-            )
 
     def _solve_coupling(self, theta: np.ndarray, features: np.ndarray, iterations: int) -> np.ndarray:
         costs = self._link(self._weights(theta) @ features)
@@ -264,18 +262,19 @@ class SinkhornProblem(Environment):
         col = np.max(np.abs(np.add.reduce(plan, 0) - self.nu))
         return float(max(row, col))
 
-    def solve_inner(self, theta, w_prev) -> InnerSolveReport:
-        w = self._solve_coupling(theta, self.features, self.cfg.inner_iterations)
+    def solve_inner(self, theta, w_prev):
+        return self._solve_coupling(theta, self.features, self.cfg.inner_iterations)
 
-        def diagnostics():
-            res = self.marginal_residual(w)
-            return res, res / self.mu_w_hint
-        return InnerSolveReport(w, self.cfg.inner_iterations, diagnostics)
+    def inner_diagnostics(self, theta, w):
+        """The coupling's marginal residual, and that over the entropic
+        strong-convexity hint ``regularization``."""
+        residual = self.marginal_residual(w)
+        return residual, residual / self.mu_w_hint
 
     def realize_outcome(self, t, theta, w):
         z = {
             "features": self.features.copy(),
-            "costs_true": self.true_costs(self.features, self.map_offset),
+            "costs_true": self.true_costs(self.features),
         }
         return z, self.true_loss(w, theta, z), None
 

@@ -88,7 +88,7 @@ def run_online(
     for t in range(1, rounds + 1):
         env.begin_round(t)
         try:
-            w_t, solve_failed = env.solve_inner(theta, w_prev).solution, False
+            w_t, solve_failed = env.solve_inner(theta, w_prev), False
         except SolverError:  # play the last decision; the run stops after this round
             w_t, solve_failed = w_prev, True
         w_prev = w_t

@@ -2,7 +2,9 @@
 
 Three inner solvers cover the environments: warm-started gradient descent for
 smooth strongly convex objectives, log-domain Sinkhorn iterations for entropic
-couplings, and an exact grid shortest-path solver. A batched grid solver
+couplings, and an exact grid shortest-path solver. Each returns its decision
+as a plain array; how far a decision is from optimal is the environment's
+``inner_diagnostics``, computed only when asked for. A batched grid solver
 returns the same paths for many grids at once from one vectorized min-plus
 relaxation, for re-evaluating a whole transport buffer. An exact linear
 assignment solver prices the minimum-cost transport plan between uniform
@@ -17,7 +19,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,81 +30,26 @@ class SolverError(RuntimeError):
     """An inner or linear solver failed (divergence, bad operator, bad input)."""
 
 
-@dataclass
-class InnerSolverConfig:
-    steps: int
-    step_size: float
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ContractError("inner solver needs steps >= 1")
-        if self.step_size <= 0:
-            raise ContractError("inner step size must be positive")
-
-
-class InnerSolveReport:
-    """Approximate inner solution plus how far from optimal it plausibly is.
-
-    ``residual_norm`` is the model-gradient norm at exit. ``epsilon_estimate``
-    bounds the distance to the exact minimizer: for a mu-strongly convex
-    objective that distance is at most the residual divided by mu, the
-    strong-convexity hint. On a quadratic whose curvature is mu the bound is
-    the distance itself.
-
-    The round path reads only ``solution``, so both diagnostics come from
-    ``diagnostics``, a zero-argument callable returning ``(residual_norm,
-    epsilon_estimate)``. It is evaluated once, on the first read of either,
-    from the solution as the solver returned it; any floating-point warning
-    it raises appears at that read. So a caller that edits ``solution`` in
-    place must read the diagnostics first.
-    """
-
-    __slots__ = ("solution", "iterations_used", "_diagnostics", "_values")
-
-    def __init__(self, solution: np.ndarray, iterations_used: int,
-                 diagnostics: Callable[[], tuple[float, float]]):
-        self.solution = solution
-        self.iterations_used = iterations_used
-        self._diagnostics = diagnostics
-        self._values: Optional[tuple[float, float]] = None
-
-    def _read(self) -> tuple[float, float]:
-        if self._values is None:
-            self._values = self._diagnostics()
-            self._diagnostics = None
-        return self._values
-
-    @property
-    def residual_norm(self) -> float:
-        return self._read()[0]
-
-    @property
-    def epsilon_estimate(self) -> float:
-        return self._read()[1]
-
-
 def inner_gd(
     grad: Callable[[np.ndarray], np.ndarray],
     w_init: np.ndarray,
-    cfg: InnerSolverConfig,
-    mu_w: float,
-) -> InnerSolveReport:
-    """Run exactly ``cfg.steps`` gradient steps ``w -= step_size * grad(w)``.
+    steps: int,
+    step_size: float,
+) -> np.ndarray:
+    """Run exactly ``steps`` gradient steps ``w -= step_size * grad(w)`` and
+    return the last iterate, flattened.
 
     ``grad`` is the model-objective gradient in ``w`` at one parameter point,
     so a caller can form its parameter-only terms once per solve rather than
-    at every step; ``mu_w`` is the objective's strong-convexity lower bound,
-    which turns the exit residual into ``epsilon_estimate``. Deterministic.
+    at every step. Deterministic. The solve computes no exit gradient: how
+    far the iterate is from optimal is the environment's
+    ``inner_diagnostics``, which no round calls.
 
     The iterate keeps ``w_init``'s shape (LQR descends on its 2-D gain), and
     ``grad`` maps an array of that shape to a fresh array of that shape: a
     step scales the array it returns in place (``g *= step_size; w -= g``),
     which gives the bits of ``w - step_size * g`` without allocating. The
     solution is the iterate flattened (a view of it).
-
-    The exit gradient is evaluated only when a diagnostic is read (see
-    :class:`InnerSolveReport`); its residual ``sqrt(g . g)`` is
-    ``np.linalg.norm`` of the flattened vector without its checks.
 
     Finiteness is checked once, after the last step: subtracting an infinite
     or NaN step from the iterate never gives a finite value, so a non-finite
@@ -113,20 +59,14 @@ def inner_gd(
     w = np.array(w_init, dtype=float, copy=True)
     if not np.isfinite(w).all():
         raise ContractError("inner_gd requires a finite starting decision")
-    step_size = cfg.step_size
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.steps):
+        for _ in range(steps):
             g = grad(w)
             g *= step_size
             w -= g
     if not np.isfinite(w).all():
-        raise SolverError(f"inner divergence within {cfg.steps} steps")
-
-    def diagnostics() -> tuple[float, float]:
-        g = grad(w)
-        residual = math.sqrt(np.vdot(g, g))
-        return residual, residual / max(mu_w, 1e-12)
-    return InnerSolveReport(w.reshape(-1), cfg.steps, diagnostics)
+        raise SolverError(f"inner divergence within {steps} steps")
+    return w.reshape(-1)
 
 
 def sinkhorn_log(

@@ -48,7 +48,7 @@ def fresh(name, **kw):
 
 def sample_outcome(env, theta=None, w=None):
     theta = env.theta_init() if theta is None else theta
-    w = env.solve_inner(theta, env.initial_decision()).solution if w is None else w
+    w = env.solve_inner(theta, env.initial_decision()) if w is None else w
     z, loss, gap = env.realize_outcome(1, theta, w)
     return theta, w, z
 
@@ -455,7 +455,7 @@ def test_sinkhorn_true_loss_is_model_loss_minus_entropy_at_true_costs():
     env = fresh("sinkhorn")
     feats = env.features.copy()
     z = {"features": feats, "costs_true": env.true_costs(feats)}
-    w = env.solve_inner(env.theta_init(), env.initial_decision()).solution
+    w = env.solve_inner(env.theta_init(), env.initial_decision())
 
     class Oracle:
         pass
@@ -680,37 +680,46 @@ def test_sinkhorn_regret_bounded_below_by_marginal_residual(algorithm, d, seed):
 
 
 def test_sinkhorn_inner_diagnostics_are_the_marginal_residual_bitwise():
-    # read on demand, the diagnostics are the solution's marginal residual
-    # and that residual over the strong-convexity hint, to the bit
+    # the diagnostics are the decision's marginal residual and that residual
+    # over the strong-convexity hint, to the bit
     env = fresh("sinkhorn", drift_noise=0.1)
     rng = np.random.default_rng(3)
     theta, w = env.theta_init(), env.initial_decision()
     for t in range(2, 7):
         env.begin_round(t)
-        rep = env.solve_inner(theta, w)
-        residual = env.marginal_residual(rep.solution)
-        assert np.float64(rep.residual_norm).tobytes() == np.float64(residual).tobytes()
-        assert np.float64(rep.epsilon_estimate).tobytes() == np.float64(residual / env.mu_w_hint).tobytes()
-        theta, w = theta + 0.05 * rng.standard_normal(env.p), rep.solution
+        w = env.solve_inner(theta, w)
+        residual_norm, epsilon_estimate = env.inner_diagnostics(theta, w)
+        residual = env.marginal_residual(w)
+        assert np.float64(residual_norm).tobytes() == np.float64(residual).tobytes()
+        assert np.float64(epsilon_estimate).tobytes() == np.float64(residual / env.mu_w_hint).tobytes()
+        theta = theta + 0.05 * rng.standard_normal(env.p)
+
+
+ROUND_PATH_RUNS = [("hard_quadratic", "transport_omd", 0.1), ("lqr", "transport_omd", 0.01),
+                   ("sinkhorn", "transport_adam", 0.002), ("sinkhorn", "stale_adam", 0.002),
+                   ("grid_path", "transport_adam", 0.001)]
 
 
 def test_the_round_path_never_computes_inner_diagnostics():
-    # run_online reads only a solve's solution: a Sinkhorn run never prices
-    # the marginal residual, and an LQR solve evaluates its gradient once per
-    # step, with the exit gradient left to the first diagnostic read
-    for algorithm in ("transport_adam", "stale_adam"):
-        env = make_environment("sinkhorn", seed=0)
+    # run_online takes a solve's decision and nothing else: it never calls
+    # inner_diagnostics, a Sinkhorn run never prices the marginal residual,
+    # and an LQR solve evaluates its gradient once per step, with no exit
+    # gradient
+    for environment, algorithm, eta0 in ROUND_PATH_RUNS:
+        env = make_environment(environment, seed=0)
         priced = []
-        marginal_residual = env.marginal_residual
+
+        def counted_diagnostics(theta, w):
+            priced.append(w)
 
         def counted_residual(w):
             priced.append(w)
-            return marginal_residual(w)
 
+        env.inner_diagnostics = counted_diagnostics
         env.marginal_residual = counted_residual
-        res = run_online(env, make_algorithm(algorithm, eta0=0.002),
+        res = run_online(env, make_algorithm(algorithm, eta0=eta0),
                          DelaySchedule(kind="constant", d=3, seed=0), rounds=12)
-        assert res.rounds_logged == 12 and priced == []
+        assert res.rounds_logged == 12 and priced == [], environment
     env = fresh("lqr")
     evaluations = []
     gradient_at = env.model_gradient_at
@@ -724,10 +733,11 @@ def test_the_round_path_never_computes_inner_diagnostics():
         return counted
 
     env.model_gradient_at = counted_gradient_at
-    rep = env.solve_inner(env.theta_init(), env.initial_decision())
+    theta = env.theta_init()
+    w = env.solve_inner(theta, env.initial_decision())
     assert len(evaluations) == env.cfg.inner_steps
-    assert np.isfinite(rep.residual_norm) and np.isfinite(rep.epsilon_estimate)
-    assert len(evaluations) == env.cfg.inner_steps + 1  # one exit gradient for both reads
+    assert np.isfinite(env.inner_diagnostics(theta, w)).all()
+    assert len(evaluations) == env.cfg.inner_steps + 1  # one exit gradient for both values
 
 
 # -- grid environment ------------------------------------------------------------------
@@ -753,7 +763,7 @@ def test_grid_surrogate_sign_matches_decision_loss_on_corridor():
     env.begin_round(1)
     env.start, env.goal = (0, 0), (0, 2)
     theta = env.theta_init()
-    w = env.solve_inner(theta, env.initial_decision()).solution
+    w = env.solve_inner(theta, env.initial_decision())
     z, loss, gap = env.realize_outcome(1, theta, w)
     from delayopt.core import OutcomeRecord
     rec = OutcomeRecord(round=1, payload=z, dispatch_params=theta, dispatch_decision=w)
@@ -774,7 +784,7 @@ def test_grid_oracle_predictor_gap_zero_before_drift():
     # with noise-free features the least-squares fit reproduces terrain costs
     theta = env.theta_cmp
     env.begin_round(2)
-    w = env.solve_inner(theta, env.initial_decision()).solution
+    w = env.solve_inner(theta, env.initial_decision())
     z, loss, gap = env.realize_outcome(2, theta, w)
     assert gap == pytest.approx(0.0, abs=1e-9)
 

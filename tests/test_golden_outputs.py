@@ -278,10 +278,11 @@ def test_lqr_stability_csv_digest_matches_the_recorded_one(tmp_path, capsys):
         assert hashlib.sha256(fh.read()).hexdigest() == LQR_STABILITY_DIGEST
 
 
-# Each environment's inner-solve diagnostics over 20 rounds at seed 0: the
-# (residual_norm, epsilon_estimate) bytes of every round's solve, with theta
-# moved by a seeded step between rounds and each solve warm-started from the
-# last. hard_quadratic runs with a bias, so its constants are not zero.
+# Each environment's inner diagnostics over 20 rounds at seed 0: the
+# (residual_norm, epsilon_estimate) bytes of every round's decision, with
+# theta moved by a seeded step between rounds and each solve warm-started
+# from the last. hard_quadratic runs with a bias, so its constants are not
+# zero.
 INNER_DIAGNOSTICS_ARGS = {"hard_quadratic": {"bias": 0.05}, "lqr": {}, "sinkhorn": {}, "grid_path": {}}
 
 INNER_DIAGNOSTICS_DIGESTS = {
@@ -299,10 +300,10 @@ def inner_diagnostics_digest(name: str) -> str:
     h = hashlib.sha256()
     for t in range(1, 21):
         env.begin_round(t)
-        rep = env.solve_inner(theta, w)
-        h.update(np.float64(rep.residual_norm).tobytes())
-        h.update(np.float64(rep.epsilon_estimate).tobytes())
-        theta, w = theta + 0.01 * rng.standard_normal(env.p), rep.solution
+        w = env.solve_inner(theta, w)
+        for value in env.inner_diagnostics(theta, w):
+            h.update(np.float64(value).tobytes())
+        theta = theta + 0.01 * rng.standard_normal(env.p)
     return h.hexdigest()
 
 

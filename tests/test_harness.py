@@ -434,6 +434,68 @@ VALUE_RANGES = [
     ("hard_quadratic", "summary_window = 0\n", "", r"\[experiment\] summary_window must be >= 1$"),
     ("hard_quadratic", "[environment.sweep]\nmu_w = 1,0\n", "",
      r"\[environment.sweep\] mu_w-0: mu_w must be positive \(environment 'hard_quadratic'\)$"),
+    # environment sizes and scales; each of these used to fail mid-run, hang
+    # or run silently on a meaningless instance
+    ("lqr", "[environment.args]\nn_x = 0\n", "",
+     r"\[environment.args\] n_x must be >= 1 \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\nn_u = 0\n", "",
+     r"\[environment.args\] n_u must be >= 1 \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\nr_weight = nan\n", "",
+     r"\[environment.args\] r_weight must be positive: the model objective needs R > 0 \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\ninner_steps = 0\n", "",
+     r"\[environment.args\] inner_steps must be >= 1 \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\ninner_step_size = 0\n", "",
+     r"\[environment.args\] inner_step_size must be positive and finite \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\ninner_step_size = nan\n", "",
+     r"\[environment.args\] inner_step_size must be positive and finite \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\ninner_step_size = inf\n", "",
+     r"\[environment.args\] inner_step_size must be positive and finite \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\nnoise_std = -1\n", "",
+     r"\[environment.args\] noise_std must be finite and >= 0 \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\nnoise_std = nan\n", "",
+     r"\[environment.args\] noise_std must be finite and >= 0 \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\nspectral_radius = inf\n", "",
+     r"\[environment.args\] spectral_radius must be finite and >= 0 \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\nb_scale = nan\n", "",
+     r"\[environment.args\] b_scale must be finite and >= 0 \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\ninit_spread = -0.1\n", "",
+     r"\[environment.args\] init_spread must be finite and >= 0 \(environment 'lqr'\)$"),
+    ("hard_quadratic", "[environment.args]\nmu_w = nan\n", "",
+     r"\[environment.args\] mu_w must be positive \(environment 'hard_quadratic'\)$"),
+    ("hard_quadratic", "[environment.args]\na = nan\n", "",
+     r"\[environment.args\] a must be finite \(environment 'hard_quadratic'\)$"),
+    ("hard_quadratic", "[environment.args]\nbias = inf\n", "",
+     r"\[environment.args\] bias must be finite \(environment 'hard_quadratic'\)$"),
+    ("sinkhorn", "[environment.args]\nn = 0\n", "",
+     r"\[environment.args\] n must be >= 1 \(environment 'sinkhorn'\)$"),
+    ("sinkhorn", "[environment.args]\nfeature_dim = 0\n", "",
+     r"\[environment.args\] feature_dim must be >= 1 \(environment 'sinkhorn'\)$"),
+    ("sinkhorn", "[environment.args]\nregularization = nan\n", "",
+     r"\[environment.args\] entropic regularization must be positive \(environment 'sinkhorn'\)$"),
+    ("sinkhorn", "[environment.args]\ndrift_rate = 1.5\n", "",
+     r"\[environment.args\] drift_rate must be in \[0, 1\] \(environment 'sinkhorn'\)$"),
+    ("sinkhorn", "[environment.args]\ndrift_noise = nan\n", "",
+     r"\[environment.args\] drift_noise must be finite and >= 0 \(environment 'sinkhorn'\)$"),
+    ("sinkhorn", "[environment.args]\ncost_floor = 0\n", "",
+     r"\[environment.args\] cost_floor must be positive and finite \(environment 'sinkhorn'\)$"),
+    ("sinkhorn", "[environment.args]\nadjoint_floor = nan\n", "",
+     r"\[environment.args\] adjoint_floor must be positive and finite \(environment 'sinkhorn'\)$"),
+    ("grid_path", "[environment.args]\nheight = 0\n", "",
+     r"\[environment.args\] height must be >= 1 \(environment 'grid_path'\)$"),
+    ("grid_path", "[environment.args]\nwidth = 0\n", "",
+     r"\[environment.args\] width must be >= 1 \(environment 'grid_path'\)$"),
+    ("grid_path", "[environment.args]\nfeature_dim = 0\n", "",
+     r"\[environment.args\] feature_dim must be >= 1 \(environment 'grid_path'\)$"),
+    ("grid_path", "[environment.args]\nperturbation = nan\n", "",
+     r"\[environment.args\] perturbation scale must be positive \(environment 'grid_path'\)$"),
+    ("grid_path", "[environment.args]\ncost_floor = nan\n", "",
+     r"\[environment.args\] cost_floor must be positive and finite \(environment 'grid_path'\)$"),
+    ("grid_path", "[environment.args]\ndrift_rate = nan\n", "",
+     r"\[environment.args\] drift_rate must be in \[0, 1\] \(environment 'grid_path'\)$"),
+    ("grid_path", "[environment.args]\ndrift_noise = -1\n", "",
+     r"\[environment.args\] drift_noise must be finite and >= 0 \(environment 'grid_path'\)$"),
+    ("grid_path", "[environment.args]\nfeature_noise = inf\n", "",
+     r"\[environment.args\] feature_noise must be finite and >= 0 \(environment 'grid_path'\)$"),
 ]
 
 
@@ -442,7 +504,17 @@ VALUE_RANGES = [
                               "delay_lam_nan", "delay_lam_inf", "delay_lam_too_large", "delay_block_len", "delay_sweep",
                               "clip_norm_negative", "clip_norm_zero", "eta0_nan", "beta_damping_inf",
                               "stability_horizon", "stability_resolution", "stability_eta_lo",
-                              "stability_delays", "summary_window", "environment_sweep"])
+                              "stability_delays", "summary_window", "environment_sweep",
+                              "lqr_n_x", "lqr_n_u", "lqr_r_weight_nan", "lqr_inner_steps", "lqr_inner_step_size_zero",
+                              "lqr_inner_step_size_nan", "lqr_inner_step_size_inf", "lqr_noise_std_negative",
+                              "lqr_noise_std_nan", "lqr_spectral_radius_inf", "lqr_b_scale_nan",
+                              "lqr_init_spread_negative", "hard_quadratic_mu_w_nan", "hard_quadratic_a_nan",
+                              "hard_quadratic_bias_inf", "sinkhorn_n", "sinkhorn_feature_dim",
+                              "sinkhorn_regularization_nan", "sinkhorn_drift_rate", "sinkhorn_drift_noise_nan",
+                              "sinkhorn_cost_floor_zero", "sinkhorn_adjoint_floor_nan", "grid_path_height",
+                              "grid_path_width", "grid_path_feature_dim", "grid_path_perturbation_nan",
+                              "grid_path_cost_floor_nan", "grid_path_drift_rate_nan",
+                              "grid_path_drift_noise_negative", "grid_path_feature_noise_inf"])
 def test_value_range_errors_exit_2_before_running(tmp_path, capsys, environment, extra, algo_arg, message):
     from delayopt.cli import main
     text = (f"[experiment]\nenvironment = {environment}\nrounds = 3\nout = {tmp_path / 'out'}\n"
@@ -454,6 +526,16 @@ def test_value_range_errors_exit_2_before_running(tmp_path, capsys, environment,
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert re.match("error: " + message, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_one_cell_grid_is_a_parse_time_error():
+    # a 1 x 1 grid has one border cell, so a round could never draw a goal
+    # distinct from its start; this test only parses, so it cannot hang
+    text = ("[experiment]\nenvironment = grid_path\nrounds = 3\nout = unused\n"
+            "[environment.args]\nheight = 1\nwidth = 1\n[algorithm.transport_omd]\n")
+    with pytest.raises(ConfigError, match=r"^\[environment.args\] the grid needs height \* width >= 2 cells "
+                                          r"for distinct endpoints \(environment 'grid_path'\)$"):
+        parse_config(text)
 
 
 def test_explicit_zero_rounds_is_not_the_default():

@@ -139,7 +139,7 @@ def played_records(env, rng, count, spread):
     for t in range(1, count + 1):
         env.begin_round(t)
         theta = env.theta_init() + spread * rng.standard_normal(env.p)
-        w_prev = env.solve_inner(theta, w_prev).solution
+        w_prev = env.solve_inner(theta, w_prev)
         z, _, _ = env.realize_outcome(t, theta, w_prev)
         records.append(OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w_prev))
     return records

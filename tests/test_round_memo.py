@@ -105,7 +105,7 @@ def first_round(environment, memo, seed=0):
     env = make_environment(environment, seed=seed, memo=memo, **ENV_ARGS[environment])
     env.begin_round(1)
     theta = env.theta_init()
-    w = env.solve_inner(theta, env.initial_decision()).solution
+    w = env.solve_inner(theta, env.initial_decision())
     z, _, _ = env.realize_outcome(1, theta, w)
     return env, z
 

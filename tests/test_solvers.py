@@ -16,8 +16,6 @@ from delayopt.core import ContractError
 from delayopt.environments import make_environment
 from delayopt.environments.lqr import LQRConfig, LQRProblem
 from delayopt.solvers import (
-    InnerSolveReport,
-    InnerSolverConfig,
     SolverError,
     assignment_min_cost,
     conjugate_gradient,
@@ -37,30 +35,30 @@ def quad_env(a=1.0, b=2.0, mu_w=1.0):
     return make_environment("hard_quadratic", seed=0, a=a, b=b, mu_w=mu_w)
 
 
-def quad_gd(env, theta, w_init, cfg):
+def quad_gd(env, theta, w_init, steps, step_size):
     """``inner_gd`` on the scalar quadratic's model objective at ``theta``."""
-    return inner_gd(lambda w: env.grad_w_model(w, theta), w_init, cfg, env.cfg.mu_w)
+    return inner_gd(lambda w: env.grad_w_model(w, theta), w_init, steps, step_size)
 
 
 def test_inner_gd_single_step_hand_iterated():
     # gradient is mu_w * (w - b theta); from 0 with eta 0.5 one step lands at 1.0
     env = quad_env()
-    rep = quad_gd(env, np.array([1.0]), np.array([0.0]), InnerSolverConfig(steps=1, step_size=0.5))
-    assert rep.solution[0] == pytest.approx(1.0, abs=1e-15)
+    w = quad_gd(env, np.array([1.0]), np.array([0.0]), 1, 0.5)
+    assert w[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_inner_gd_fixed_point():
     env = quad_env()
     theta = np.array([0.7])
     w_star = env.exact_inner(theta)
-    rep = quad_gd(env, theta, w_star, InnerSolverConfig(steps=7, step_size=0.4))
-    assert abs(rep.solution[0] - w_star[0]) <= 1e-12
+    w = quad_gd(env, theta, w_star, 7, 0.4)
+    assert abs(w[0] - w_star[0]) <= 1e-12
 
 
 def test_inner_gd_geometric_limit():
     env = quad_env()
-    rep = quad_gd(env, np.array([1.0]), np.array([0.0]), InnerSolverConfig(steps=60, step_size=0.5))
-    assert abs(rep.solution[0] - 2.0) <= 1e-12
+    w = quad_gd(env, np.array([1.0]), np.array([0.0]), 60, 0.5)
+    assert abs(w[0] - 2.0) <= 1e-12
 
 
 def test_inner_gd_contraction_exact():
@@ -70,30 +68,17 @@ def test_inner_gd_contraction_exact():
     w0 = np.array([5.0])
     w_star = env.exact_inner(theta)[0]
     for K in (1, 3, 10):
-        rep = quad_gd(env, theta, w0, InnerSolverConfig(steps=K, step_size=0.25))
+        w = quad_gd(env, theta, w0, K, 0.25)
         expected = (1 - 0.25) ** K * abs(w0[0] - w_star)
-        assert abs(abs(rep.solution[0] - w_star) - expected) <= 1e-10
-        assert rep.epsilon_estimate == pytest.approx(expected, abs=1e-10)
-
-
-def test_inner_solve_diagnostics_are_evaluated_once_on_first_read():
-    calls = []
-
-    def diagnostics():
-        calls.append(1)
-        return 2.0, 0.5
-
-    rep = InnerSolveReport(np.zeros(3), 4, diagnostics)
-    assert calls == [] and rep.iterations_used == 4
-    assert rep.epsilon_estimate == 0.5 and calls == [1]
-    assert (rep.residual_norm, rep.epsilon_estimate) == (2.0, 0.5) and calls == [1]
-
-
-def test_inner_gd_rejects_bad_config():
-    with pytest.raises(ContractError):
-        InnerSolverConfig(steps=0, step_size=0.1)
-    with pytest.raises(ContractError):
-        InnerSolverConfig(steps=1, step_size=0.0)
+        assert abs(abs(w[0] - w_star) - expected) <= 1e-10
+        # LQR's 1 x 1 model with B = 0 has gradient 2 r W: the same
+        # contraction towards the exact gain 0, with curvature 2 r equal to
+        # the strong-convexity hint, so epsilon_estimate is the distance
+        lqr = make_environment("lqr", seed=0, n_x=1, n_u=1, r_weight=0.5, inner_steps=K, inner_step_size=0.25)
+        theta_lqr = np.array([0.3, 0.0])
+        gain = lqr.solve_inner(theta_lqr, w0)
+        assert abs(abs(gain[0]) - 0.75**K * w0[0]) <= 1e-10
+        assert lqr.inner_diagnostics(theta_lqr, gain)[1] == pytest.approx(abs(gain[0]), abs=1e-12)
 
 
 def reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size):
@@ -142,17 +127,16 @@ def test_lqr_inner_gd_equals_per_step_reference_bitwise(n_x, n_u, r_weight, b_sc
     rng = np.random.default_rng(seed)
     theta = env.theta_init() + theta_scale * rng.standard_normal(env.p)
     w0 = w_scale * rng.standard_normal(env.q)
-    # the model terms and the exit residual may overflow; the residual is
-    # computed, and may warn, when it is first read
+    # the model terms and the exit residual may overflow and warn
     with np.errstate(all="ignore"):
         reference = reference_lqr_inner_gd(theta, w0, r_weight, n_x, n_u, steps, step_size)
         if reference is None:
             with pytest.raises(SolverError, match=f"inner divergence within {steps} steps"):
                 env.solve_inner(theta, w0)
             return
-        rep = env.solve_inner(theta, w0)
-        residual, epsilon = rep.residual_norm, rep.epsilon_estimate
-    assert rep.solution.tobytes() == reference[0].tobytes()
+        w = env.solve_inner(theta, w0)
+        residual, epsilon = env.inner_diagnostics(theta, w)
+    assert w.tobytes() == reference[0].tobytes()
     assert np.float64(residual).tobytes() == np.float64(reference[1]).tobytes()
     assert np.float64(epsilon).tobytes() == np.float64(reference[2]).tobytes()
 
@@ -166,10 +150,10 @@ def test_inner_gd_reaches_an_overflowing_residual_and_divergence():
     # one step from 0 lands near 1e147, where M w overflows
     with np.errstate(all="ignore"):
         w, residual, _ = reference_lqr_inner_gd(theta, np.zeros(env.q), env.cfg.r_weight, 2, 1, 1, 1e-3)
-        rep = env.solve_inner(theta, np.zeros(env.q))
-        rep_residual = rep.residual_norm  # the exit gradient overflows at this read
+        gain = env.solve_inner(theta, np.zeros(env.q))
+        gain_residual, _ = env.inner_diagnostics(theta, gain)  # the exit gradient overflows
     assert np.isfinite(w).all() and residual == np.inf
-    assert rep_residual == np.inf and rep.solution.tobytes() == w.tobytes()
+    assert gain_residual == np.inf and gain.tobytes() == w.tobytes()
     with pytest.raises(SolverError, match="inner divergence within 1 steps"):
         env.solve_inner(theta, np.full(env.q, 1e300))
 

@@ -231,6 +231,9 @@ class AdjointRecorder(Environment):
     def solve_inner(self, theta, w_prev):
         raise NotImplementedError
 
+    def inner_diagnostics(self, theta, w):
+        raise NotImplementedError
+
     def realize_outcome(self, t, theta, w):
         raise NotImplementedError
 
@@ -328,7 +331,7 @@ def played_entries(env, rng, count, spread):
     for t in range(1, count + 1):
         env.begin_round(t)
         theta = env.theta_init() + spread * rng.standard_normal(env.p)
-        w_prev = env.solve_inner(theta, w_prev).solution
+        w_prev = env.solve_inner(theta, w_prev)
         z, _, _ = env.realize_outcome(t, theta, w_prev)
         rec = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w_prev)
         entries.append((rec, adjoint_of(env, rec, theta)))
@@ -518,7 +521,7 @@ def test_transport_gradients_telescope_on_grid(seed, delays):
     scale = 1.0
     for t, delay in enumerate(delays, start=1):
         env.begin_round(t)
-        w = env.solve_inner(theta, w).solution
+        w = env.solve_inner(theta, w)
         z, _, _ = env.realize_outcome(t, theta, w)
         rec = played[t] = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w)
         pending.setdefault(t + delay, []).append(rec)
@@ -550,7 +553,7 @@ def check_folded_arrivals(env, spread, seed, delays, capacity):
     pending: dict[int, list[OutcomeRecord]] = {}
     for t, delay in enumerate(delays, start=1):
         env.begin_round(t)
-        w = env.solve_inner(theta, w).solution
+        w = env.solve_inner(theta, w)
         z, _, _ = env.realize_outcome(t, theta, w)
         rec = OutcomeRecord(round=t, payload=z, dispatch_params=theta, dispatch_decision=w)
         pending.setdefault(t + delay, []).append(rec)
