@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands map to experiment families: plain runs, the stability-boundary
-sweep, treatment/control comparisons, and the delay-pattern comparison.
+sweep, and treatment/control comparisons. ``run`` and ``compare`` run a cell
+for every delay process the config lists.
 Configurations come from a preset name or an INI file; a few flags override
 the basics. A config with an ``[environment.sweep]`` runs the subcommand once
 per swept position, each under its own label and output subdirectory.
@@ -16,7 +17,6 @@ from delayopt.config import ConfigError, _int_list, load_config
 from delayopt.harness import (
     print_summary,
     run_controlled_comparison,
-    run_delay_patterns,
     run_experiment,
     run_stability_sweep,
 )
@@ -30,7 +30,6 @@ COMMANDS = {
             lambda cfg, parallel: print_summary(run_experiment(cfg, parallel=parallel).summary)),
     "stability": ("binary-search the maximum stable learning rate", run_stability_sweep),
     "compare": ("treatment vs control regret with Welch p-values", run_controlled_comparison),
-    "delay-patterns": ("constant vs uniform vs bursty delays", run_delay_patterns),
 }
 
 

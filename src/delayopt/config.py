@@ -106,13 +106,18 @@ class ExperimentConfig:
             raise ConfigError("[experiment] rounds must be >= 1")
         if self.summary_window < 1:
             raise ConfigError("[experiment] summary_window must be >= 1")
-        if not self.seeds:
-            raise ConfigError("[experiment] seeds must be non-empty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"[experiment] seeds must be a non-empty list of seeds >= 0, got {self.seeds}")
         if not self.algorithms:
             raise ConfigError("at least one [algorithm.*] section is required")
         names = [a.name for a in self.algorithms]
-        if len(set(names)) != len(names):
-            raise ConfigError("algorithm names must be unique")
+        # cells are keyed by seed, delay label and algorithm name, so a repeat
+        # would overwrite a cell or be counted twice
+        for what, labels in (("[experiment] seeds", self.seeds),
+                             ("[delay] delay labels", [spec.describe() for spec in self.delays]),
+                             ("algorithm names", names)):
+            if repeated := [label for i, label in enumerate(labels) if label in labels[:i]]:
+                raise ConfigError(f"{what} must be unique; {repeated[0]} is repeated")
         has_target = environment_class(self.environment).has_prediction_target
         for algo in self.algorithms:
             where = f"[algorithm.{algo.name}]"
@@ -213,6 +218,9 @@ _DELAY_KEYS = _section_keys(DelaySpec, sweep=list[int])
 _ALGORITHM_KEYS = {key: t for key, t in _section_keys(AlgorithmConfig, kind=str).items() if key != "name"}
 _STABILITY_KEYS = _section_keys(StabilitySettings)
 _COMPARE_KEYS = _section_keys(CompareSettings)
+# every section a config may hold; ``<label>`` stands for any non-empty name
+_SECTIONS = ("experiment", "environment.args", "environment.sweep", "delay", "delay.<label>",
+             "algorithm.<label>", "stability", "compare")
 
 
 def _built(where: str, make: Callable, *args: Any, **kwargs: Any) -> Any:
@@ -244,12 +252,37 @@ def _read_section(parser: configparser.ConfigParser, section: str, keys: dict[st
     return values
 
 
+def _delay_specs(parser: configparser.ConfigParser, section: str) -> list[DelaySpec]:
+    """The delay processes of one ``[delay]`` or ``[delay.<label>]`` section:
+    one, or one per ``sweep`` value of a constant delay."""
+    values = _read_section(parser, section, _DELAY_KEYS)
+    kind = values.get("kind", DelaySpec.kind)
+    if kind in DELAY_PARAMETERS:  # an unknown kind fails in DelaySpec
+        reads = DELAY_PARAMETERS[kind]
+        for key in values:
+            if key not in ("kind", "sweep", *reads):
+                raise ConfigError(f"[{section}] {key} is not read by kind {kind!r}, "
+                                  f"which reads only {', '.join(reads)}")
+    sweep = values.pop("sweep", None)
+    spec = _built(f"[{section}]", DelaySpec, **values)
+    if sweep is None:
+        return [spec]
+    if spec.kind != "constant":
+        raise ConfigError(f"[{section}] sweep lists are only supported for constant delays")
+    return [_built(f"[{section}] sweep:", dataclasses.replace, spec, d=d) for d in sweep]
+
+
 def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
+
+    for section in parser.sections():
+        prefix, _, label = section.partition(".")
+        if section not in _SECTIONS and not (label and f"{prefix}.<label>" in _SECTIONS):
+            raise ConfigError(f"[{section}] unknown section; known: {', '.join(_SECTIONS)}")
 
     cfg = ExperimentConfig(algorithms=[])
     if parser.has_section("experiment"):
@@ -264,23 +297,8 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.env_sweep = {k: [_coerce(tok) for tok in v.replace(",", " ").split()]
                          for k, v in parser.items("environment.sweep")}
 
-    if parser.has_section("delay"):
-        values = _read_section(parser, "delay", _DELAY_KEYS)
-        kind = values.get("kind", DelaySpec.kind)
-        if kind in DELAY_PARAMETERS:  # an unknown kind fails in DelaySpec
-            reads = DELAY_PARAMETERS[kind]
-            for key in values:
-                if key not in ("kind", "sweep", *reads):
-                    raise ConfigError(f"[delay] {key} is not read by kind {kind!r}, "
-                                      f"which reads only {', '.join(reads)}")
-        sweep = values.pop("sweep", None)
-        spec = _built("[delay]", DelaySpec, **values)
-        if sweep is None:
-            cfg.delays = [spec]
-        elif spec.kind != "constant":
-            raise ConfigError("[delay] sweep lists are only supported for constant delays")
-        else:
-            cfg.delays = [_built("[delay] sweep:", dataclasses.replace, spec, d=d) for d in sweep]
+    if delay_sections := [s for s in parser.sections() if s.partition(".")[0] == "delay"]:
+        cfg.delays = [spec for section in delay_sections for spec in _delay_specs(parser, section)]
 
     for section in parser.sections():
         if not section.startswith("algorithm."):

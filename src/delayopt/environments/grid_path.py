@@ -88,6 +88,8 @@ class GridPathConfig:
         for name in ("feature_noise", "drift_noise"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ContractError(f"{name} must be finite and >= 0")
+        if self.task_seed < 0:
+            raise ContractError("task_seed must be >= 0")
 
 
 class GridPathProblem(Environment):

@@ -77,6 +77,11 @@ class LQRConfig:
         for name in ("noise_std", "spectral_radius", "b_scale", "init_spread"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ContractError(f"{name} must be finite and >= 0")
+        for name in ("loss_cap", "state_cap"):
+            if not getattr(self, name) > 0:
+                raise ContractError(f"{name} must be positive")
+        if self.task_seed < 0:
+            raise ContractError("task_seed must be >= 0")
 
 
 class LQRProblem(Environment):

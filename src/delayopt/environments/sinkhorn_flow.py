@@ -79,6 +79,8 @@ class SinkhornConfig:
         for name in ("cost_scale", "cost_floor", "coupling_floor", "adjoint_floor"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ContractError(f"{name} must be positive and finite")
+        if self.task_seed < 0:
+            raise ContractError("task_seed must be >= 0")
 
 
 class SinkhornProblem(Environment):

@@ -332,28 +332,6 @@ def run_controlled_comparison(cfg: ExperimentConfig, parallel: int = 1, write: b
     return rows
 
 
-# -- delay patterns -------------------------------------------------------------
-
-
-def run_delay_patterns(cfg: ExperimentConfig, parallel: int = 1, write: bool = True) -> ExperimentResult:
-    """Compare delay patterns with matched mean queue length (constant,
-    uniform, bursty). The base config's single constant delay d >= 1 sets
-    the mean queue length."""
-    if len(cfg.delays) != 1 or cfg.delays[0].kind != "constant" or cfg.delays[0].d < 1:
-        raise ConfigError("[delay] delay-patterns needs a single constant delay with d >= 1, "
-                          f"got {', '.join(spec.describe() for spec in cfg.delays)}")
-    mean_queue = cfg.delays[0].d
-    patterns = [
-        DelaySpec(kind="constant", d=mean_queue),
-        DelaySpec(kind="uniform", d_max=2 * mean_queue),
-        DelaySpec(kind="bursty", d_high=2 * mean_queue, block_len=10),
-    ]
-    sub = dataclasses.replace(cfg, delays=patterns)
-    result = run_experiment(sub, parallel=parallel, write=write)
-    print_summary(result.summary)
-    return result
-
-
 # -- csv round-trip -------------------------------------------------------------
 
 

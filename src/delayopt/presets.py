@@ -27,8 +27,10 @@ def load_preset(name: str) -> ExperimentConfig:
 
 
 register("hard_instance_floor", """
-# Biased-solver steady state on the scalar quadratic instance: parameters
-# settle at -bias/coupling and per-round loss at bias^2/2.
+# Biased-solver steady state on the scalar quadratic instance: with bias 0.1
+# and coupling |a - b| = 1, stale OMD at d = 10 pays 0.005 = bias^2/2 per round
+# over the last 500 rounds, the loss at theta = -bias/coupling. Cumulative
+# regret reads 33.91.
 [experiment]
 name = hard_instance_floor
 environment = hard_quadratic
@@ -54,8 +56,10 @@ schedule_mode = constant
 
 
 register("transport_scaling", """
-# Transport-error surrogate scaling: squared window drift vs per-step sum,
-# ratio tracking the queue length across a constant-delay sweep.
+# Transport-error surrogates on one stale Adam arm: the ratio of the squared
+# window drift to the per-step sum, which the window inequality bounds by the
+# queue length d, reads 1 / 1.97 / 4.78 / 9.16 / 16.95 / 35.92 at
+# d = 1 / 2 / 5 / 10 / 20 / 50.
 [experiment]
 name = transport_scaling
 environment = sinkhorn
@@ -107,8 +111,9 @@ control = stale_adam
 
 
 register("uniform_delay_validation", """
-# Uniform random delays carry roughly half the queue load of constant delays
-# with the same maximum; the transport benefit scales accordingly.
+# Transport vs stale gradients under an identical Adam base at uniform delays
+# 0..50, a mean queue length of 24-25 per seed. Transport reads -26.58%
+# (p = 0.21): worse on average, and the arms do not separate over 5 seeds.
 [experiment]
 name = uniform_delay_validation
 environment = sinkhorn
@@ -233,7 +238,10 @@ control = stale_adam
 
 
 register("delay_patterns", """
-# Delay-pattern variations with matched mean queue length.
+# One transported OMD arm under three delay processes whose mean queue length
+# is 19-20: constant:20, uniform:0-40 and bursty:10x40. Regret reads 14.02 /
+# 11.64 / 9.44 (sd 0.15 / 0.49 / 0.51 over 3 seeds). With a single arm the
+# preset compares delay processes, not gradient sources.
 [experiment]
 name = delay_patterns
 environment = sinkhorn
@@ -247,6 +255,15 @@ drift_noise = 0.1
 [delay]
 kind = constant
 d = 20
+
+[delay.uniform]
+kind = uniform
+d_max = 40
+
+[delay.bursty]
+kind = bursty
+d_high = 40
+block_len = 10
 
 [algorithm.transport_omd]
 eta0 = 0.05

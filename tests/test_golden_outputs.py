@@ -320,7 +320,7 @@ def test_inner_diagnostics_digest_matches_the_recorded_one(name):
 # header of the preset with it. It does not depend on numpy.
 PRESET_HASHES = {
     "controlled_comparison": "252ea76becb1",
-    "delay_patterns": "b30891aff209",
+    "delay_patterns": "e4576a9299e7",
     "grid_delay_sweep": "15b7897ad2a6",
     "hard_instance_floor": "629b7bd8d410",
     "k_sweep": "d5467fb12d45",

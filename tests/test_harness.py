@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from delayopt.config import ConfigError, _int_list, parse_config
 from delayopt.core import ContractError, InvariantError
+from delayopt.delays import DelaySpec
 from delayopt.harness import (
     RunKey,
     read_run_csv,
@@ -368,6 +369,28 @@ TYPOS = [
      r"\[environment.sweep\] needs non-empty lists of one length, got \{'height': 0\}$"),
     ("grid_path", "[environment.args]\nheight = 5\n[environment.sweep]\nwidth = 5,6\nheight = 6,7\n",
      r"\[environment.sweep\] height also set in \[environment.args\]$"),
+    # a misspelt section used to be dropped with all its keys
+    ("grid_path", "[stabilty]\nhorizon = 5\n",
+     r"\[stabilty\] unknown section; known: experiment, environment.args, environment.sweep, delay, "
+     r"delay.<label>, algorithm.<label>, stability, compare$"),
+    ("grid_path", "[compar]\ntreatment = x\n", r"\[compar\] unknown section; known: "),
+    ("grid_path", "[environment]\nheight = 5\n", r"\[environment\] unknown section; known: "),
+    ("grid_path", "[delay.]\nd = 5\n", r"\[delay\.\] unknown section; known: "),
+    ("grid_path", "[algorithm]\neta0 = 0.1\n", r"\[algorithm\] unknown section; known: "),
+    # a labelled delay section is read by the [delay] rules under its own name
+    ("grid_path", "[delay.wide]\nkind = uniform\nd = 20\n",
+     r"\[delay.wide\] d is not read by kind 'uniform', which reads only d_max$"),
+    ("grid_path", "[delay.wide]\nhorizon = 3\n", r"\[delay.wide\] unknown key 'horizon'$"),
+    ("grid_path", "[delay.wide]\nkind = uniform\nd_max = 6\nsweep = 1,2\n",
+     r"\[delay.wide\] sweep lists are only supported for constant delays$"),
+    # a repeated seed used to run once and count twice; a repeated delay ran
+    # every cell twice
+    ("grid_path", "seeds = 0,1,0\n", r"\[experiment\] seeds must be unique; 0 is repeated$"),
+    ("grid_path", "[delay]\nsweep = 5,5\n", r"\[delay\] delay labels must be unique; constant:5 is repeated$"),
+    ("grid_path", "[delay]\nd = 5\n[delay.again]\nd = 5\n",
+     r"\[delay\] delay labels must be unique; constant:5 is repeated$"),
+    ("grid_path", "[delay]\nkind = uniform\nd_max = 4\n[delay.same]\nkind = uniform\nd_max = 4\n",
+     r"\[delay\] delay labels must be unique; uniform:0-4 is repeated$"),
 ]
 
 
@@ -496,6 +519,27 @@ VALUE_RANGES = [
      r"\[environment.args\] drift_noise must be finite and >= 0 \(environment 'grid_path'\)$"),
     ("grid_path", "[environment.args]\nfeature_noise = inf\n", "",
      r"\[environment.args\] feature_noise must be finite and >= 0 \(environment 'grid_path'\)$"),
+    # seeds: a negative one used to end the run in numpy's ValueError
+    ("hard_quadratic", "seeds = 0,-1\n", "",
+     r"\[experiment\] seeds must be a non-empty list of seeds >= 0, got \[0, -1\]$"),
+    ("hard_quadratic", "seeds =\n", "", r"\[experiment\] seeds must be a non-empty list of seeds >= 0, got \[\]$"),
+    ("lqr", "[environment.args]\ntask_seed = -1\n", "",
+     r"\[environment.args\] task_seed must be >= 0 \(environment 'lqr'\)$"),
+    ("sinkhorn", "[environment.args]\ntask_seed = -1\n", "",
+     r"\[environment.args\] task_seed must be >= 0 \(environment 'sinkhorn'\)$"),
+    ("grid_path", "[environment.args]\ntask_seed = -1\n", "",
+     r"\[environment.args\] task_seed must be >= 0 \(environment 'grid_path'\)$"),
+    # a NaN loss cap used to log a NaN loss and stop as diverged, exit 0
+    ("lqr", "[environment.args]\nloss_cap = nan\n", "",
+     r"\[environment.args\] loss_cap must be positive \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\nloss_cap = 0\n", "",
+     r"\[environment.args\] loss_cap must be positive \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\nstate_cap = nan\n", "",
+     r"\[environment.args\] state_cap must be positive \(environment 'lqr'\)$"),
+    ("lqr", "[environment.args]\nstate_cap = -1\n", "",
+     r"\[environment.args\] state_cap must be positive \(environment 'lqr'\)$"),
+    ("hard_quadratic", "[delay.late]\nd = -1\n", "", r"\[delay.late\] d must be >= 0$"),
+    ("hard_quadratic", "[delay.late]\nsweep = 2,-1\n", "", r"\[delay.late\] sweep: d must be >= 0$"),
 ]
 
 
@@ -514,7 +558,10 @@ VALUE_RANGES = [
                               "sinkhorn_cost_floor_zero", "sinkhorn_adjoint_floor_nan", "grid_path_height",
                               "grid_path_width", "grid_path_feature_dim", "grid_path_perturbation_nan",
                               "grid_path_cost_floor_nan", "grid_path_drift_rate_nan",
-                              "grid_path_drift_noise_negative", "grid_path_feature_noise_inf"])
+                              "grid_path_drift_noise_negative", "grid_path_feature_noise_inf", "seeds_negative",
+                              "seeds_empty", "lqr_task_seed", "sinkhorn_task_seed", "grid_path_task_seed",
+                              "lqr_loss_cap_nan", "lqr_loss_cap_zero", "lqr_state_cap_nan", "lqr_state_cap_negative",
+                              "labelled_delay_d", "labelled_delay_sweep"])
 def test_value_range_errors_exit_2_before_running(tmp_path, capsys, environment, extra, algo_arg, message):
     from delayopt.cli import main
     text = (f"[experiment]\nenvironment = {environment}\nrounds = 3\nout = {tmp_path / 'out'}\n"
@@ -616,7 +663,7 @@ def test_every_command_and_flag_the_docs_name_exists(capsys):
             return None
 
     named = set(re.findall(r"\bdelayopt ([a-z][a-z-]*)", text))
-    assert {"run", "stability", "compare", "delay-patterns"} <= named
+    assert {"run", "stability", "compare"} <= named
     assert {word: subcommand(word) for word in named} == {word: word for word in named}
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--help"])
@@ -723,27 +770,45 @@ def test_compare_needs_two_seeds_before_any_run(tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
 
-@pytest.mark.parametrize("delay", [
-    "kind = uniform\nd_max = 20\n",
-    "kind = poisson\nlam = 3\n",
-    "kind = constant\nd = 0\n",
-    "kind = constant\nsweep = 5,20\n",
-])
-def test_delay_patterns_needs_one_constant_delay_of_at_least_one(tmp_path, capsys, delay):
+def test_delay_patterns_preset_lists_the_three_matched_queue_processes():
+    # the processes the retired delay-pattern command built from its base d = 20
+    assert load_preset("delay_patterns").delays == [
+        DelaySpec(kind="constant", d=20),
+        DelaySpec(kind="uniform", d_max=2 * 20),
+        DelaySpec(kind="bursty", d_high=2 * 20, block_len=10),
+    ]
+
+
+def test_delay_sections_run_in_file_order_under_their_describe_labels(tmp_path):
+    text = (MINIMAL.format(out=tmp_path / "pat")
+            .replace("[delay]\nkind = constant\nd = 0\n",
+                     "[delay.wide]\nkind = uniform\nd_max = 6\n"
+                     "[delay]\nkind = constant\nsweep = 3,1\n"
+                     "[delay.bursts]\nkind = bursty\nd_high = 4\nblock_len = 2\n")
+            .replace("seeds = 0", "seeds = 0,1"))
+    labels = ["uniform:0-6", "constant:3", "constant:1", "bursty:2x4"]
+    cfg = parse_config(text)
+    assert [spec.describe() for spec in cfg.delays] == labels
+    result = run_experiment(cfg)
+    assert [row.delay for row in result.summary] == labels
+    assert sorted(os.listdir(tmp_path / "pat" / "runs")) == sorted(
+        RunKey("stale_omd", label, seed).filename() for label in labels for seed in (0, 1))
+    # each cell is the cell of a config that lists its process alone
+    for spec in cfg.delays:
+        alone = run_experiment(dataclasses.replace(cfg, delays=[spec]), write=False)
+        for seed in (0, 1):
+            key = ("stale_omd", spec.describe(), seed)
+            assert alone.runs[key].delay_hash == result.runs[key].delay_hash
+            np.testing.assert_array_equal(alone.runs[key].columns["true_loss"],
+                                          result.runs[key].columns["true_loss"])
+
+
+def test_cli_seed_override_is_range_checked_and_unique(tmp_path, capsys):
     from delayopt.cli import main
-    from delayopt.harness import run_delay_patterns
-    text = MINIMAL.format(out=tmp_path / "pat").replace("kind = constant\nd = 0\n", delay)
-    with pytest.raises(ConfigError, match=r"\[delay\] delay-patterns needs a single constant delay"):
-        run_delay_patterns(parse_config(text), write=False)
-    cfg_path = tmp_path / "pat.ini"
-    cfg_path.write_text(text)
-    assert main(["delay-patterns", "--config", str(cfg_path)]) == 1
-    assert "error: [delay] delay-patterns" in capsys.readouterr().err
-    assert not (tmp_path / "pat").exists()
-
-
-def test_delay_patterns_scales_the_constant_base_delay(tmp_path):
-    from delayopt.harness import run_delay_patterns
-    cfg = parse_config(MINIMAL.format(out=tmp_path / "pat").replace("d = 0", "d = 3"))
-    result = run_delay_patterns(cfg, write=False)
-    assert [row.delay for row in result.summary] == ["constant:3", "uniform:0-6", "bursty:10x6"]
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "out"))
+    for seeds, message in (("0,0", "[experiment] seeds must be unique; 0 is repeated"),
+                           ("3,-1", "[experiment] seeds must be a non-empty list of seeds >= 0, got [3, -1]")):
+        assert main(["run", "--config", str(cfg_path), "--seeds", seeds]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
