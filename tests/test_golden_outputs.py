@@ -22,7 +22,13 @@ import pytest
 
 from delayopt.config import DelaySpec, ExperimentConfig, parse_config
 from delayopt.environments import make_environment
-from delayopt.harness import ExperimentResult, RunKey, run_experiment, run_stability_sweep
+from delayopt.harness import (
+    ExperimentResult,
+    RunKey,
+    run_controlled_comparison,
+    run_experiment,
+    run_stability_sweep,
+)
 from delayopt.optimizers import make_algorithm
 from delayopt.presets import load_preset, preset_names
 from delayopt.runner import ROW_COLUMNS
@@ -276,6 +282,88 @@ def test_lqr_stability_csv_digest_matches_the_recorded_one(tmp_path, capsys):
     capsys.readouterr()
     with open(tmp_path / "stability.csv", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == LQR_STABILITY_DIGEST
+
+
+# Two tiny controlled comparisons that between them reach every formatting
+# path of compare.csv and of the printed lines. hard_quadratic draws nothing
+# per seed, so both seeds are identical: zero standard deviations, t = 0 and
+# p = 1 at d = 0 (the arms are bit-identical there), t = -inf and p below the
+# display floor at d = 3. The Sinkhorn cell has an ordinary t and p.
+COMPARE_TEXTS = {
+    "hard_quadratic": """
+[experiment]
+name = golden_compare_hard_quadratic
+environment = hard_quadratic
+rounds = 40
+seeds = 0,1
+out = {out}
+
+[environment.args]
+bias = 0.05
+
+[delay]
+kind = constant
+sweep = 0,3
+
+[algorithm.transport_omd]
+eta0 = 0.1
+
+[algorithm.stale_omd]
+eta0 = 0.1
+
+[compare]
+treatment = transport_omd
+control = stale_omd
+""",
+    "sinkhorn": """
+[experiment]
+name = golden_compare_sinkhorn
+environment = sinkhorn
+rounds = 40
+seeds = 0,1
+out = {out}
+
+[environment.args]
+drift_noise = 0.1
+
+[delay]
+kind = constant
+d = 5
+
+[algorithm.transport_adam]
+eta0 = 0.002
+
+[algorithm.stale_adam]
+eta0 = 0.002
+
+[compare]
+treatment = transport_adam
+control = stale_adam
+""",
+}
+
+# name -> (sha256 of compare.csv, sha256 of the printed lines)
+COMPARE_DIGESTS = {
+    "hard_quadratic": ("e4a6c6a684c484faff388e84621f86c0795961e766bccb50330612d96c8d58d3",
+                       "9747b008ca9e80e36b9d15f4df3f0996329a9f39461f572a0949d73faf18aee8"),
+    "sinkhorn": ("3acae617d7a6aeec91b5c6958281c9ddec3f87b0c6a149c4f7a2976050e5f8b9",
+                 "62b7e9167586cdd2662362bb11bc1b5ee7615901a9bc59c9d2a53b1782499dc7"),
+}
+
+
+def compare_digests(name: str, out_dir: str, capsys) -> tuple[str, str]:
+    run_controlled_comparison(parse_config(COMPARE_TEXTS[name].format(out=out_dir)))
+    printed = capsys.readouterr().out
+    with open(os.path.join(out_dir, "compare.csv"), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest(), hashlib.sha256(printed.encode()).hexdigest()
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}; "
+                           f"this is numpy {np.__version__}, whose arithmetic may differ in the last bit")
+@pytest.mark.parametrize("name", sorted(COMPARE_TEXTS))
+def test_compare_csv_and_printed_digests_match_the_recorded_ones(name, tmp_path, capsys):
+    assert compare_digests(name, str(tmp_path), capsys) == COMPARE_DIGESTS[name]
 
 
 # Each environment's inner diagnostics over 20 rounds at seed 0: the
