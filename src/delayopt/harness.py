@@ -37,6 +37,20 @@ def _fmt(x: float) -> str:
     return FMT % x
 
 
+def _cells(values: Iterable) -> list[str]:
+    """CSV cells: text as is, an int by ``str``, a float by ``_fmt``."""
+    return [v if isinstance(v, str) else str(v) if isinstance(v, int) else _fmt(v) for v in values]
+
+
+def _write_table(path: str, kind: str, meta: str, columns: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write a table in one go: the ``kind`` and ``meta`` header lines, the
+    column names and every row of cells, creating its directory if needed."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    lines = [f"# delayopt {kind} v1", f"# {meta}", ",".join(columns), *map(",".join, rows)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 @dataclass
 class RunKey:
     algorithm: str
@@ -95,23 +109,11 @@ def _map_cells(fn: Callable, cells: Iterable, parallel: int) -> Iterable:
 
 
 def write_run_csv(path: str, cfg: ExperimentConfig, key: RunKey, res: RunResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# delayopt run v1\n")
-        fh.write(
-            f"# config_hash={cfg.hash()} seed={key.seed} algorithm={key.algorithm} "
-            f"delay={key.delay} delay_hash={res.delay_hash} cap_hits={res.poisson_cap_hits} "
-            f"comparator={res.comparator_note!r}\n"
-        )
-        fh.write(",".join(ROW_COLUMNS) + "\n")
-        # formatted column by column, then joined into rows and written at once
-        cells = [[_fmt(x) for x in res.columns[c].tolist()] for c in ROW_COLUMNS]
-        fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
-
-
-SUMMARY_COLUMNS = (
-    "algorithm", "delay", "seeds", "regret_mean", "regret_sd", "gap_window_mean",
-    "drift_sq_total", "step_sq_total", "ratio", "diverged",
-)
+    meta = (f"config_hash={cfg.hash()} seed={key.seed} algorithm={key.algorithm} delay={key.delay} "
+            f"delay_hash={res.delay_hash} cap_hits={res.poisson_cap_hits} comparator={res.comparator_note!r}")
+    # formatted column by column, then zipped into rows
+    cells = [[_fmt(x) for x in res.columns[c].tolist()] for c in ROW_COLUMNS]
+    _write_table(path, "run", meta, ROW_COLUMNS, zip(*cells))
 
 
 @dataclass
@@ -128,12 +130,10 @@ class SummaryRow:
     diverged: int
 
     def as_csv(self) -> str:
-        return ",".join([
-            self.algorithm, self.delay, str(self.seeds),
-            _fmt(self.regret_mean), _fmt(self.regret_sd), _fmt(self.gap_window_mean),
-            _fmt(self.drift_sq_total), _fmt(self.step_sq_total), _fmt(self.ratio),
-            str(self.diverged),
-        ])
+        return ",".join(_cells(dataclasses.astuple(self)))
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))
 
 
 def summarize_cell(algorithm: str, delay: str, runs: list[dict[str, np.ndarray]], window: int) -> SummaryRow:
@@ -161,7 +161,6 @@ def summarize_cell(algorithm: str, delay: str, runs: list[dict[str, np.ndarray]]
 class ExperimentResult:
     summary: list[SummaryRow]
     runs: dict[tuple[str, str, int], RunResult]
-    out_dir: str
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1, write: bool = True) -> ExperimentResult:
@@ -180,18 +179,13 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1, write: bool = True)
             summary.append(summarize_cell(algo.name, delay, runs, cfg.summary_window))
 
     if write:
-        runs_dir = os.path.join(cfg.out_dir, "runs")
-        os.makedirs(runs_dir, exist_ok=True)
         for (alg, delay, seed), res in sorted(results.items()):
             key = RunKey(alg, delay, seed)
-            write_run_csv(os.path.join(runs_dir, key.filename()), cfg, key, res)
-        with open(os.path.join(cfg.out_dir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# delayopt summary v1\n")
-            fh.write(f"# config_hash={cfg.hash()} seeds={','.join(map(str, cfg.seeds))}\n")
-            fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-            for row in summary:
-                fh.write(row.as_csv() + "\n")
-    return ExperimentResult(summary=summary, runs=results, out_dir=cfg.out_dir)
+            write_run_csv(os.path.join(cfg.out_dir, "runs", key.filename()), cfg, key, res)
+        _write_table(os.path.join(cfg.out_dir, "summary.csv"), "summary",
+                     f"config_hash={cfg.hash()} seeds={','.join(map(str, cfg.seeds))}",
+                     SUMMARY_COLUMNS, (_cells(dataclasses.astuple(row)) for row in summary))
+    return ExperimentResult(summary=summary, runs=results)
 
 
 def print_summary(rows: Iterable[SummaryRow]) -> str:
@@ -247,13 +241,9 @@ def run_stability_sweep(cfg: ExperimentConfig, parallel: int = 1, write: bool = 
         rows.append((algo.name, d, eta))
         print(f"eta_max[{algo.name}, d={d}] = {eta:.6g}")
     if write:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        with open(os.path.join(cfg.out_dir, "stability.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# delayopt stability v1\n")
-            fh.write(f"# config_hash={cfg.hash()} horizon={st.horizon} resolution={_fmt(st.resolution)}\n")
-            fh.write("algorithm,delay,eta_max\n")
-            for name, d, eta in rows:
-                fh.write(f"{name},{d},{_fmt(eta)}\n")
+        _write_table(os.path.join(cfg.out_dir, "stability.csv"), "stability",
+                     f"config_hash={cfg.hash()} horizon={st.horizon} resolution={_fmt(st.resolution)}",
+                     ("algorithm", "delay", "eta_max"), map(_cells, rows))
     return rows
 
 
@@ -267,7 +257,7 @@ class CompareRow:
     treatment_sd: float
     control_mean: float
     control_sd: float
-    improvement: float
+    improvement_pct: float
     t_stat: float
     p_value: float
 
@@ -305,29 +295,20 @@ def run_controlled_comparison(cfg: ExperimentConfig, parallel: int = 1, write: b
             delay=delay,
             treatment_mean=w.mean_a, treatment_sd=w.sd_a,
             control_mean=w.mean_b, control_sd=w.sd_b,
-            improvement=improvement_pct(w.mean_a, w.mean_b),
+            improvement_pct=improvement_pct(w.mean_a, w.mean_b),
             t_stat=w.t_stat, p_value=w.p_value,
         ))
     if write:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        with open(os.path.join(cfg.out_dir, "compare.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# delayopt compare v1\n")
-            fh.write(
-                f"# config_hash={cfg.hash()} treatment={cfg.compare.treatment} "
-                f"control={cfg.compare.control}\n"
-            )
-            fh.write("delay,treatment_mean,treatment_sd,control_mean,control_sd,improvement_pct,t_stat,p_value\n")
-            for r in rows:
-                fh.write(
-                    f"{r.delay},{_fmt(r.treatment_mean)},{_fmt(r.treatment_sd)},"
-                    f"{_fmt(r.control_mean)},{_fmt(r.control_sd)},{_fmt(r.improvement)},"
-                    f"{_fmt(r.t_stat)},{p_value_display(r.p_value)}\n"
-                )
+        _write_table(os.path.join(cfg.out_dir, "compare.csv"), "compare",
+                     f"config_hash={cfg.hash()} treatment={cfg.compare.treatment} control={cfg.compare.control}",
+                     (f.name for f in dataclasses.fields(CompareRow)),
+                     (_cells({**dataclasses.asdict(r), "p_value": p_value_display(r.p_value)}.values())
+                      for r in rows))
     for r in rows:
         print(
             f"{r.delay:<14} treatment {r.treatment_mean:9.3f}+-{r.treatment_sd:7.3f}  "
             f"control {r.control_mean:9.3f}+-{r.control_sd:7.3f}  "
-            f"improvement {r.improvement:+6.2f}%  p={p_value_display(r.p_value)}"
+            f"improvement {r.improvement_pct:+6.2f}%  p={p_value_display(r.p_value)}"
         )
     return rows
 
