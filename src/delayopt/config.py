@@ -55,6 +55,8 @@ class StabilitySettings:
             raise ContractError("horizon must be >= 1")
         if not self.delays or min(self.delays) < 0:
             raise ContractError("delays must be a non-empty list of delays >= 0")
+        if repeated := [d for i, d in enumerate(self.delays) if d in self.delays[:i]]:
+            raise ContractError(f"delays must be unique; {repeated[0]} is repeated")
 
 
 @dataclass
@@ -133,6 +135,9 @@ class ExperimentConfig:
             for role, nm in (("treatment", self.compare.treatment), ("control", self.compare.control)):
                 if nm not in names:
                     raise ConfigError(f"[compare] {role} {nm!r} does not match any [algorithm.*] section")
+            if self.compare.treatment == self.compare.control:
+                raise ConfigError(f"[compare] treatment and control are both {self.compare.control!r}; "
+                                  "name two different arms")
 
     def variants(self) -> list[tuple[str, "ExperimentConfig"]]:
         """``(label, config)`` per position of ``env_sweep``: its values merged

@@ -226,6 +226,20 @@ def test_config_error_messages_name_section_and_key():
         parse_config("[experiment]\nrounds = 5\n")
 
 
+def test_compare_of_an_arm_against_itself_exits_2_before_running(tmp_path, capsys):
+    # it used to run both arms as one and print "improvement +0.00% p=1"
+    from delayopt.cli import main
+    text = MINIMAL.format(out=tmp_path / "out") + "\n[compare]\ntreatment = stale_omd\ncontrol = stale_omd\n"
+    message = r"\[compare\] treatment and control are both 'stale_omd'; name two different arms$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+    cfg_path = tmp_path / "self.ini"
+    cfg_path.write_text(text)
+    assert main(["compare", "--config", str(cfg_path), "--seeds", "0,1"]) == 2
+    assert re.match("error: " + message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_presets_parse_and_validate():
     for name in preset_names():
         cfg = load_preset(name)
@@ -454,6 +468,8 @@ VALUE_RANGES = [
     ("hard_quadratic", "[stability]\neta_lo = 0\n", "", r"\[stability\] needs 0 < eta_lo < eta_hi < inf$"),
     ("hard_quadratic", "[stability]\ndelays = 1,-1\n", "",
      r"\[stability\] delays must be a non-empty list of delays >= 0$"),
+    # a repeat used to bisect its delay twice and write two identical rows
+    ("hard_quadratic", "[stability]\ndelays = 3,3\n", "", r"\[stability\] delays must be unique; 3 is repeated$"),
     ("hard_quadratic", "summary_window = 0\n", "", r"\[experiment\] summary_window must be >= 1$"),
     ("hard_quadratic", "[environment.sweep]\nmu_w = 1,0\n", "",
      r"\[environment.sweep\] mu_w-0: mu_w must be positive \(environment 'hard_quadratic'\)$"),
@@ -548,7 +564,7 @@ VALUE_RANGES = [
                               "delay_lam_nan", "delay_lam_inf", "delay_lam_too_large", "delay_block_len", "delay_sweep",
                               "clip_norm_negative", "clip_norm_zero", "eta0_nan", "beta_damping_inf",
                               "stability_horizon", "stability_resolution", "stability_eta_lo",
-                              "stability_delays", "summary_window", "environment_sweep",
+                              "stability_delays", "stability_delays_repeated", "summary_window", "environment_sweep",
                               "lqr_n_x", "lqr_n_u", "lqr_r_weight_nan", "lqr_inner_steps", "lqr_inner_step_size_zero",
                               "lqr_inner_step_size_nan", "lqr_inner_step_size_inf", "lqr_noise_std_negative",
                               "lqr_noise_std_nan", "lqr_spectral_radius_inf", "lqr_b_scale_nan",
