@@ -222,22 +222,12 @@ def test_config_error_messages_name_section_and_key():
         parse_config("[algorithm.stale_omd]\ncg_tolerance = 1e-8\n")
     with pytest.raises(ConfigError, match="treatment"):
         parse_config("[algorithm.stale_omd]\neta0 = 0.1\n[compare]\ntreatment = missing\ncontrol = stale_omd\n")
+    # an arm compared with itself used to run and print "improvement +0.00% p=1"
+    with pytest.raises(ConfigError, match=r"^\[compare\] treatment and control are both 'stale_omd'; "
+                                          r"name two different arms$"):
+        parse_config("[algorithm.stale_omd]\neta0 = 0.1\n[compare]\ntreatment = stale_omd\ncontrol = stale_omd\n")
     with pytest.raises(ConfigError, match="at least one"):
         parse_config("[experiment]\nrounds = 5\n")
-
-
-def test_compare_of_an_arm_against_itself_exits_2_before_running(tmp_path, capsys):
-    # it used to run both arms as one and print "improvement +0.00% p=1"
-    from delayopt.cli import main
-    text = MINIMAL.format(out=tmp_path / "out") + "\n[compare]\ntreatment = stale_omd\ncontrol = stale_omd\n"
-    message = r"\[compare\] treatment and control are both 'stale_omd'; name two different arms$"
-    with pytest.raises(ConfigError, match=message):
-        parse_config(text)
-    cfg_path = tmp_path / "self.ini"
-    cfg_path.write_text(text)
-    assert main(["compare", "--config", str(cfg_path), "--seeds", "0,1"]) == 2
-    assert re.match("error: " + message, capsys.readouterr().err)
-    assert not (tmp_path / "out").exists()
 
 
 def test_presets_parse_and_validate():
