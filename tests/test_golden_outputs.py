@@ -65,7 +65,16 @@ CASES = {
     # 20 payloads, shared base fields and many rows whose path did not move
     "grid_path_full_buffer": ("grid_path", {}, 0.001,
                               ("transport_adam", "stale_adam", "two_stage_adam"), [constant(20)], 60),
+    # the bursty delay of lqr_bursty on the grid, whose stored rounds carry
+    # integer endpoints as well as costs
+    "grid_path_bursty": ("grid_path", {}, 0.001, ("transport_adam", "stale_adam"),
+                         [DelaySpec(kind="bursty", d_high=4, block_len=3)], 60),
     "lqr": ("lqr", {}, 0.01, ("transport_omd", "stale_omd", "two_stage"), [constant(2)], 60),
+    # bursts of three rounds at d = 0 and three at d = 4: a delayed round
+    # arrives with an undelayed one in 18 of 60 rounds, and the buffer of 4
+    # evicts in most rounds, so its stored window wraps many times
+    "lqr_bursty": ("lqr", {}, 0.01, ("transport_omd", "stale_omd"),
+                   [DelaySpec(kind="bursty", d_high=4, block_len=3)], 60),
     # constant d = 20, the bench workload's buffer: every transport round
     # re-evaluates a full batch of 20 (gain, adjoint) pairs
     "lqr_full_buffer": ("lqr", {}, 0.01, ("transport_omd", "stale_omd", "two_stage"), [constant(20)], 60),
@@ -83,6 +92,11 @@ DIGESTS = {
         "runs/transport_adam__constant-20__seed0.csv": "144c8cb084f9d4c2f3c27549013ce792a0d8469f574e564ef27d44604afb1edb",
         "runs/two_stage_adam__constant-20__seed0.csv": "a76fe36b08103f53c1658ca816e49a6aa91cd2169ea305f09c4c703ebde037aa",
         "summary.csv": "15b0f44271cf42fc4b1b3749c5fbe6948785e5e4f54ba5e45667c4c0da64f0fb",
+    },
+    "grid_path_bursty": {
+        "runs/stale_adam__bursty-3x4__seed0.csv": "563ec03d2fc344ac52742c62e1212476790a2d2507dbcf45eeea00c398332efc",
+        "runs/transport_adam__bursty-3x4__seed0.csv": "27598cb2e98dc688f7f8584694055b43c6c7fa3530171871c60126131df9c50c",
+        "summary.csv": "86177c564f61fe1b89ee9e38ba17fbb98d3afd50ea668e2ddc1aad97878fdc24",
     },
     "hard_quadratic": {
         "runs/stale_omd__constant-0__seed0.csv": "ab60eabf77cc92d3aaa15604c311f0be2aba62cc47f11d7e84ba71c29a233da9",
@@ -106,6 +120,11 @@ DIGESTS = {
         "runs/transport_omd__constant-2__seed0.csv": "163e14edebc1d1821f6e6f984b2b745fa5f469ababcc67b4db10aef88b720de6",
         "runs/two_stage__constant-2__seed0.csv": "806a48f5a42bbc1f3eca25b330d013bc8a5269d1d247abd980bb3e0ed325d8b3",
         "summary.csv": "9bcbe72ed462dc99ee7c60c5a29d466b62dc596cda580b4bee90de3a44e89dbd",
+    },
+    "lqr_bursty": {
+        "runs/stale_omd__bursty-3x4__seed0.csv": "fca74bcff1620048d02900a2e8fa614bf7fb184cf6251162d1051a74cd93dbe1",
+        "runs/transport_omd__bursty-3x4__seed0.csv": "23b6c519f8c423b45da420986dd9c0e450c0afc539f493181535aa8f69d7fc1f",
+        "summary.csv": "f1cee2c4ab95e3f7000a30de327e019ebb5721ff4a19fbab2a62add660d2454b",
     },
     "lqr_full_buffer": {
         "runs/stale_omd__constant-20__seed0.csv": "e02344c2ebb86b3ada42c448bbacbdc8823252315dd3cd20e15bc6cab2255dc2",
@@ -141,6 +160,10 @@ COLUMN_DIGESTS = {
         "transport_adam__constant-20__seed0.csv": "edd3e30b4bdd31f1bc3f80e0b6a286bd346f022afdda50035e83e1717774cfe7",
         "two_stage_adam__constant-20__seed0.csv": "74eab332c639d30b2c6454ba2c8bfc7346dff360d11a080506fd2c6ae015bbd2",
     },
+    "grid_path_bursty": {
+        "stale_adam__bursty-3x4__seed0.csv": "d2e3cc8218e3926cedaf5b6a5f500c8aee6f87758f8972e002a9af701cf77d4e",
+        "transport_adam__bursty-3x4__seed0.csv": "4ab3e268591240e58f4773bf8da96de3b6d641cbeccf79a6533deaad408e9139",
+    },
     "hard_quadratic": {
         "stale_omd__constant-0__seed0.csv": "9acea325cf384c9554be38d49610f4945de17d39461e957239890249e926d273",
         "stale_omd__constant-3__seed0.csv": "020e92226ac83ffab865d7bbcfea8a59d54fa3761c202348844f4de2ace975e2",
@@ -159,6 +182,10 @@ COLUMN_DIGESTS = {
         "stale_omd__constant-2__seed0.csv": "ed217a2603ab48dc54efa4015210a2e517b3965051d0aed58541d1eddf9f0b07",
         "transport_omd__constant-2__seed0.csv": "d8b86d946351b58429c0c8b7f95f6ce0b14a5962915168c3fa94e96cc154433c",
         "two_stage__constant-2__seed0.csv": "dde4336367296bc819f00210254fea194e19dcd97d6e135580e1e3cdb004d911",
+    },
+    "lqr_bursty": {
+        "stale_omd__bursty-3x4__seed0.csv": "0f7aefc12b1ad960946c31ac2d96dd0cb2b73e0f484384b81dbf1552ee68e23f",
+        "transport_omd__bursty-3x4__seed0.csv": "b262fb68cdba650509bcc3dda6abef0bfb8dddf0159e2834920238b498934211",
     },
     "lqr_full_buffer": {
         "stale_omd__constant-20__seed0.csv": "5a63909b83b31635973e65ce69e911b1991af75d2c45adee81d4f1fa82be7440",
