@@ -52,6 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> "ExperimentConfig":
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     cfg = load_config(args.config) if args.config else load_preset(args.preset)
     if args.out:
         cfg.out_dir = args.out

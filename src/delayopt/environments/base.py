@@ -22,8 +22,15 @@ state the played gains produced) never consult it. Cells on worker processes
 Transport needs one thing from an environment: a stored round's gradient
 re-evaluated at the current parameters. ``exact_adjoint`` runs once per
 arrival (closed form for ``hard_quadratic``, ``lqr`` and ``sinkhorn``, None
-for ``grid_path``) and ``hypergradients_at_many`` re-evaluates any set of
-stored rounds at one parameter point.
+for ``grid_path``). ``stored_factors`` then runs once per stored round: from
+the round's decision, adjoint and outcome payload it forms the fixed-shape
+arrays its re-evaluation reads, everything that does not depend on the
+parameters. ``hypergradients_at_many(theta, *factors)`` re-evaluates any set
+of stored rounds at one parameter point from those factors stacked along a
+leading row axis, one row per round. The transport buffer keeps the stacks
+as they arrive, and the stale engine stacks one round at its dispatch
+snapshot, so no round's factors are formed twice and no batch gathers them
+from lists.
 
 The three smooth environments also keep their derivative products as plain
 methods (``model_loss``, ``true_loss``, ``grad_w_model``, ``grad_w_true``,
@@ -38,7 +45,7 @@ the per-entry formula ``delayopt.transport.hypergradient_at`` in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -135,19 +142,30 @@ class Environment(ABC):
         """Per-round loss of the fixed hindsight comparator on outcome ``z``."""
 
     @abstractmethod
-    def hypergradients_at_many(self, theta: np.ndarray, decisions: Sequence[np.ndarray],
-                               adjoints: Sequence[Optional[np.ndarray]], payloads: Sequence[Any]) -> np.ndarray:
-        """Outer gradient of every stored round (decision, adjoint or None,
-        outcome payload) at one ``theta``, as rows of an (m, p) matrix. Row i
-        is bit-identical to evaluating round i alone, so any set of rounds at
-        one parameter point can be batched without changing a result. The
-        matrix is a fresh array that the caller owns: the transport buffer
-        keeps it and later overwrites its rows in place."""
+    def stored_factors(self, w: np.ndarray, v: Optional[np.ndarray], z: Any) -> tuple[np.ndarray, ...]:
+        """The parameter-free arrays a stored round's re-evaluation reads,
+        from its decision ``w``, its adjoint ``v`` (None off the adjoint
+        route) and its outcome payload ``z``. Every round of one environment
+        gives arrays of the same shapes and dtypes, so rounds stack along a
+        new leading axis. The arrays may share memory with the inputs, so a
+        caller that keeps them copies them, as the transport buffer does into
+        its stacks."""
+
+    @abstractmethod
+    def hypergradients_at_many(self, theta: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+        """Outer gradient of every stored round at one ``theta``, as rows of
+        an (m, p) matrix, from ``stored_factors`` of the m rounds stacked
+        along a leading axis, one array per factor, in the order
+        ``stored_factors`` returns them. Row i is bit-identical to evaluating
+        round i alone, so any set of rounds at one parameter point can be
+        batched without changing a result. The matrix is a fresh array that
+        the caller owns: the transport buffer keeps it and later overwrites
+        its rows in place."""
 
     def exact_adjoint(self, w: np.ndarray, theta: np.ndarray, z: Any) -> Optional[np.ndarray]:
         """The adjoint stored with an arrived round; None here, for an
-        environment off the adjoint route, whose ``hypergradients_at_many``
-        rows read only the decision and the outcome payload."""
+        environment off the adjoint route, whose ``stored_factors`` read only
+        the decision and the outcome payload."""
         return None
 
     def two_stage_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:

@@ -12,8 +12,10 @@ predicted costs in the direction of the realized true costs, re-solve, and
 read the gradient off the change in the path indicator, scaled back by the
 perturbation size.
 
-There is no adjoint, so the environment has no derivative products and
-``hypergradients_at_many`` reads only the stored payloads. The decision is
+There is no adjoint, so the environment has no derivative products. A
+stored round's re-evaluation reads only its payload: its ``stored_factors``
+are its bump ``perturbation * costs_true``, formed once when it arrives, and
+its start and goal as int64 (row, column) pairs. The decision is
 one heap solve per round. The oracle path on the realized costs and the
 comparator's path read only the round's payload, so with a seed memo (see
 ``environments/base.py``) each is priced once per seed and round, whichever
@@ -156,38 +158,40 @@ class GridPathProblem(Environment):
     def surrogate_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:
         """Finite difference of path indicators along the realized-cost
         direction, from two heap solves; the per-round reference."""
-        return self._heap_gradient(theta, record.payload)
+        z = record.payload
+        return self._heap_gradient(theta, self.cfg.perturbation * z["costs_true"], z["start"], z["goal"])
 
-    def hypergradients_at_many(self, theta, decisions, adjoints, payloads) -> np.ndarray:
-        """``surrogate_gradient`` of every stored round at one theta, from the
-        payloads only: two heap solves for one round, else one batched solve,
-        bit-identical per row. Every base path is on the same grid, so the
-        batch holds one base field per distinct start, then the m bumped
-        grids, written into one array. A row whose masked path difference is
-        all zero gets no matrix-vector product: it is ``+0.0``, as the
-        product of the features with a zero vector is."""
-        m = len(payloads)
+    def stored_factors(self, w, v, z):
+        """The bump ``perturbation * costs_true`` and the int64 start and
+        goal."""
+        return (self.cfg.perturbation * z["costs_true"], np.array(z["start"], dtype=np.int64),
+                np.array(z["goal"], dtype=np.int64))
+
+    def hypergradients_at_many(self, theta, bumps, starts, goals) -> np.ndarray:
+        """``surrogate_gradient`` of every stored round at one theta, from
+        the (m, cells) bumps and the (m, 2) starts and goals: two heap solves
+        for one round, else one batched solve, bit-identical per row. Every
+        base path is on the same grid, so the batch holds one base field per
+        distinct start, then the m bumped grids, written into one array. A
+        row whose masked path difference is all zero gets no matrix-vector
+        product: it is ``+0.0``, as the product of the features with a zero
+        vector is."""
+        m = len(bumps)
         if m == 1:
-            return self._heap_gradient(theta, payloads[0])[None, :]
+            start, goal = starts[0].tolist(), goals[0].tolist()
+            return self._heap_gradient(theta, bumps[0], tuple(start), tuple(goal))[None, :]
         costs, mask = self.predicted_costs(theta)
         field_of: dict[tuple[int, int], int] = {}
-        for z in payloads:
-            field_of.setdefault(z["start"], len(field_of))
+        base_sources = [field_of.setdefault(start, len(field_of)) for start in map(tuple, starts.tolist())]
         u = len(field_of)
         grids = np.empty((u + m, self.n_cells))
         grids[:u] = costs
-        bumped = grids[u:]
-        np.concatenate([z["costs_true"] for z in payloads], out=bumped.reshape(-1))
-        # perturbation * costs_true + costs: the single evaluation's sum,
-        # as IEEE addition and multiplication commute exactly
-        bumped *= self.cfg.perturbation
-        bumped += costs
-        starts = np.array([*field_of, *(z["start"] for z in payloads)], dtype=np.int64)
-        goals = np.array([z["goal"] for z in payloads] * 2, dtype=np.int64)
-        sources = np.array([field_of[z["start"]] for z in payloads] + list(range(u, u + m)),
-                           dtype=np.int64)
+        # costs + bump: the single evaluation's sum
+        np.add(costs, bumps, out=grids[u:])
+        sources = np.array(base_sources + list(range(u, u + m)), dtype=np.int64)
         paths, _ = grid_shortest_paths(grids.reshape(u + m, self.cfg.height, self.cfg.width),
-                                       starts, goals, sources)
+                                       np.concatenate((np.array(list(field_of), dtype=np.int64), starts)),
+                                       np.concatenate((goals, goals)), sources)
         delta = (paths[m:] - paths[:m]) * mask
         rows = np.zeros((m, self.p))
         moved = np.flatnonzero(delta.any(axis=1))
@@ -197,11 +201,10 @@ class GridPathProblem(Environment):
                            / self.cfg.perturbation)
         return rows
 
-    def _heap_gradient(self, theta: np.ndarray, z: dict) -> np.ndarray:
+    def _heap_gradient(self, theta: np.ndarray, bump: np.ndarray, start, goal) -> np.ndarray:
         costs, mask = self.predicted_costs(theta)
-        base_path, _ = self._shortest(costs, z["start"], z["goal"])
-        bumped = costs + self.cfg.perturbation * z["costs_true"]
-        bump_path, _ = self._shortest(bumped, z["start"], z["goal"])
+        base_path, _ = self._shortest(costs, start, goal)
+        bump_path, _ = self._shortest(costs + bump, start, goal)
         delta = (bump_path - base_path) * mask
         return self.features.T @ delta / self.cfg.perturbation
 

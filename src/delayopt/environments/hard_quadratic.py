@@ -76,17 +76,21 @@ class HardQuadraticProblem(Environment):
     def cross_partial_transpose_vp(self, w, theta, v, z=None):
         return np.array([-self.cfg.b * self.cfg.mu_w * v[0]])
 
-    def hypergradients_at_many(self, theta, decisions, adjoints, payloads):
+    def stored_factors(self, w, v, z=None):
+        """The stored decision and adjoint themselves: every other factor of
+        a row reads theta."""
+        return w, v
+
+    def hypergradients_at_many(self, theta, W, V):
         """``grad_theta_true_fixed_w - cross_partial_transpose_vp`` for every
-        stored (decision, adjoint) pair, elementwise over all entries at once,
-        as an (m, 1) matrix. Each factor keeps the per-entry operation order,
-        so row i equals ``hypergradient_at`` on entry i bit for bit."""
-        a, b = self.cfg.a, self.cfg.b
-        W = np.array(decisions)[:, 0]
-        V = np.array(adjoints)[:, 0]
+        stored (decision, adjoint) pair, elementwise over the (m, 1) stacks
+        at once, as an (m, 1) matrix. Each factor keeps the per-entry
+        operation order, so row i equals ``hypergradient_at`` on entry i bit
+        for bit."""
+        a = self.cfg.a
         direct = -a * (W - a * theta[0])
-        implicit = -b * self.cfg.mu_w * V
-        return (direct - implicit)[:, None]
+        implicit = -self.cfg.b * self.cfg.mu_w * V
+        return direct - implicit
 
     def exact_inner(self, theta):
         return np.array([self.cfg.b * theta[0]])

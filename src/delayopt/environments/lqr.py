@@ -18,14 +18,18 @@ so both the exact inner gain and the adjoint are one small linear solve.
 
 Two hot paths are shaped by that structure. The model gradient
 ``2 (M W - C)`` has theta-only terms ``M = R + B'B`` and ``C = B'A``, formed
-once per inner solve rather than at every gradient step. The inner solver
-descends on the (n_u, n_x) gain itself, so no step reshapes or ravels; it
-checks finiteness once per solve, not per step, and computes no exit
-residual: ``inner_diagnostics`` evaluates the gradient at a returned gain
-when asked, and no round asks.
-Re-evaluating a transport buffer is one stacked product over all buffered
-(gain, adjoint) pairs; each factor keeps the per-entry association order, so
-every row is bit-identical to the per-entry hypergradient.
+once per inner solve and handed to ``solvers.inner_gd``, which descends on
+the (n_u, n_x) gain itself in place: no step reshapes, ravels, allocates or
+calls back. It checks finiteness once per solve, not per step, and computes
+no exit residual: ``inner_diagnostics`` evaluates the gradient at a returned
+gain when asked, and no round asks.
+Re-evaluating a stored round reads its adjoint gain ``V`` and the products
+``W V'`` and ``V W'`` of its gain and adjoint, none of which depends on the
+parameters: those are its ``stored_factors``, formed once when the round
+arrives with the reference formula's own products. Re-evaluating a transport
+buffer is then one stacked product per term over all buffered rounds; each
+keeps the per-entry association order, so every row is bit-identical to the
+per-entry hypergradient.
 
 At n_u x n_x = 3 x 10 a round costs its numpy calls, not its arithmetic, so
 the round path calls the cheapest entry point that gives the same bits:
@@ -146,20 +150,15 @@ class LQRProblem(Environment):
         closed = A - B @ W
         return float(np.trace(W.T @ self.R @ W) + np.trace(closed.T @ closed))
 
-    def model_gradient_at(self, theta):
-        """``W -> 2 (M W - C)`` on the (n_u, n_x) gain, a fresh (n_u, n_x)
-        array: ``grad_w_model(w, theta)`` unflattened, with ``M`` and ``C``
-        formed once for the inner solver's many steps at one parameter point,
-        and no reshape or ravel per step."""
+    def model_gradient(self, theta, W):
+        """``2 (M W - C)`` on the (n_u, n_x) gain ``W``, a fresh (n_u, n_x)
+        array: ``grad_w_model(w, theta)`` unflattened, in the operations and
+        order of one ``inner_gd`` step."""
         M, C = self._model_terms(theta)
-        M_dot = M.dot
-
-        def grad(W):
-            G = M_dot(W)
-            G -= C
-            G *= 2.0
-            return G
-        return grad
+        G = M.dot(W)
+        G -= C
+        G *= 2.0
+        return G
 
     def grad_w_model(self, w, theta):
         A, B = self._unpack(theta)
@@ -179,22 +178,24 @@ class LQRProblem(Environment):
         dB = 2.0 * (B @ (W @ V.T) + B @ (V @ W.T) - A @ V.T)
         return self._pack(dA, dB)
 
-    def hypergradients_at_many(self, theta, decisions, adjoints, payloads):
+    def stored_factors(self, w, v, z):
+        """The adjoint gain ``V`` and the (n_u, n_u) products ``W V'`` and
+        ``V W'``, as ``cross_partial_transpose_vp`` forms them."""
+        W, V = self._gain(w), self._gain(v)
+        return V, W @ V.T, V @ W.T
+
+    def hypergradients_at_many(self, theta, V, WVt, VWt):
         """``cross_partial_transpose_vp`` for all entries as stacked products
-        over (m, n_u, n_x) gains and adjoints, negated (the direct term is
-        zero). Rows are bit-identical to the per-entry formula."""
+        over the (m, n_u, n_x) adjoints and the (m, n_u, n_u) products,
+        negated (the direct term is zero). Rows are bit-identical to the
+        per-entry formula."""
         A, B = self._unpack(theta)
-        m, n_u, n_x = len(decisions), self.cfg.n_u, self.cfg.n_x
-        shape = (m, n_u, n_x)
-        W = np.concatenate(decisions).reshape(shape)
-        V = np.concatenate(adjoints).reshape(shape)
-        Wt, Vt = W.transpose(0, 2, 1), V.transpose(0, 2, 1)
+        m, k = len(V), self.cfg.n_x * self.cfg.n_x
         rows = np.empty((m, self.p))
-        k = n_x * n_x
         rows[:, :k] = ((-2.0 * B) @ V).reshape(m, k)
-        dB = B @ (W @ Vt)
-        dB += B @ (V @ Wt)
-        dB -= A @ Vt
+        dB = B @ WVt
+        dB += B @ VWt
+        dB -= A @ V.transpose(0, 2, 1)
         dB *= 2.0
         rows[:, k:] = dB.reshape(m, -1)
         # 0.0 - x, not -x: it maps a -0.0 entry to +0.0, as the per-entry
@@ -242,13 +243,13 @@ class LQRProblem(Environment):
 
     def solve_inner(self, theta, w_prev):
         cfg = self.cfg
-        return inner_gd(self.model_gradient_at(theta), self._gain(w_prev), cfg.inner_steps, cfg.inner_step_size)
+        return inner_gd(*self._model_terms(theta), self._gain(w_prev), cfg.inner_steps, cfg.inner_step_size)
 
     def inner_diagnostics(self, theta, w):
         """The model-gradient norm at gain ``w`` (``np.linalg.norm`` of the
         flattened gradient without its checks), and that norm over the
         strong-convexity hint ``2 r_weight``."""
-        g = self.model_gradient_at(theta)(self._gain(w))
+        g = self.model_gradient(theta, self._gain(w))
         residual = math.sqrt(np.vdot(g, g))
         return residual, residual / max(self.mu_w_hint, 1e-12)
 

@@ -21,16 +21,16 @@ The entropic term makes the inner objective strongly convex with curvature
 the adjoint system therefore has a closed form through a 2n dual system (see
 ``exact_adjoint``), so no iterative solve is needed.
 
-Re-evaluating stored rounds forms each round's raw activations with its own
-matrix-vector product, stacked in one ``matmul`` call: one matrix-matrix
-product over all rounds runs another BLAS kernel, whose rows differ from a
-single round's at rounding level. The batch's features and adjoints are
-joined with ``np.concatenate`` and a reshape rather than ``np.stack``, which
-checks and expands every array first and costs three to four times more for
-the same bytes. The outer products stay one ``einsum``: a broadcasting
-multiply takes about 1.5 times as long at 8 to 50 rows, and where an entry
-is zero it gives ``-0.0`` where the per-round formula (zero minus the
-product) and ``einsum`` (which sums into zeros) give ``+0.0``.
+A stored round's re-evaluation reads its context features and its adjoint,
+which are its ``stored_factors``; the transport buffer keeps both stacked,
+so a batch joins nothing. Re-evaluating stored rounds forms each round's raw
+activations with its own matrix-vector product, stacked in one ``matmul``
+call: one matrix-matrix product over all rounds runs another BLAS kernel,
+whose rows differ from a single round's at rounding level. The outer
+products stay one ``einsum``: a broadcasting multiply takes about 1.5 times
+as long at 8 to 50 rows, and where an entry is zero it gives ``-0.0`` where
+the per-round formula (zero minus the product) and ``einsum`` (which sums
+into zeros) give ``+0.0``.
 
 The comparator reads only the round's realized costs, so with a seed memo
 (see ``environments/base.py``) its assignment solve runs once per seed and
@@ -211,16 +211,18 @@ class SinkhornProblem(Environment):
         _, dcost = self.predicted_costs(theta, feats)
         return np.outer(np.asarray(v) * dcost, feats).ravel()
 
-    def hypergradients_at_many(self, theta, decisions, adjoints, payloads):
+    def stored_factors(self, w, v, z):
+        """The round's (k,) context features and its (q,) adjoint."""
+        return z["features"], v
+
+    def hypergradients_at_many(self, theta, F, V):
         """Batched re-evaluation of stored-round hypergradients at one
-        parameter point; rows are bit-identical to the per-round formula."""
-        m = len(payloads)
-        F = np.concatenate([z["features"] for z in payloads]).reshape(m, -1)  # (m, k)
-        V = np.concatenate(adjoints).reshape(m, -1)  # (m, q)
+        parameter point from the (m, k) features and (m, q) adjoints; rows
+        are bit-identical to the per-round formula."""
         raw = np.matmul(self._weights(theta), F[:, :, None])[:, :, 0]  # (m, q)
         _, dcost = self._link(raw, derivative=True)
         U = -(V * dcost)  # direct term is zero; gradient = -(v * dC) outer features
-        return np.einsum("ij,ik->ijk", U, F).reshape(m, self.p)
+        return np.einsum("ij,ik->ijk", U, F).reshape(len(F), self.p)
 
     def true_loss(self, w, theta, z) -> float:
         return float(z["costs_true"] @ np.asarray(w))

@@ -131,8 +131,8 @@ class TransportEngine:
 
 class StaleArrivalEngine:
     """Summed arrival gradients, each solved and evaluated at its dispatch
-    snapshot (theta_s, w_s), in arrival order; nothing is kept for
-    re-evaluation."""
+    snapshot (theta_s, w_s), in arrival order, as a batch of one round's
+    stored factors; nothing is kept for re-evaluation."""
 
     def __init__(self, problem: Environment):
         self.problem = problem
@@ -141,8 +141,8 @@ class StaleArrivalEngine:
         g = np.zeros(theta_t.shape)
         solved = solved_arrivals(self.problem, arrivals)
         for rec, adjoint in solved:
-            g += self.problem.hypergradients_at_many(
-                rec.dispatch_params, [rec.dispatch_decision], [adjoint], [rec.payload])[0]
+            factors = self.problem.stored_factors(rec.dispatch_decision, adjoint, rec.payload)
+            g += self.problem.hypergradients_at_many(rec.dispatch_params, *[f[None] for f in factors])[0]
         return g, len(arrivals) - len(solved)
 
     def end_round(self) -> int:

@@ -1,8 +1,9 @@
 """Inner solvers and the matrix-free linear solver used for adjoints.
 
-Three inner solvers cover the environments: warm-started gradient descent for
-smooth strongly convex objectives, log-domain Sinkhorn iterations for entropic
-couplings, and an exact grid shortest-path solver. Each returns its decision
+Three inner solvers cover the environments: warm-started gradient descent on
+the affine gradient of a quadratic objective (LQR's model objective),
+log-domain Sinkhorn iterations for entropic couplings, and an exact grid
+shortest-path solver. Each returns its decision
 as a plain array; how far a decision is from optimal is the environment's
 ``inner_diagnostics``, computed only when asked for. A batched grid solver
 returns the same paths for many grids at once from one vectorized min-plus
@@ -31,25 +32,29 @@ class SolverError(RuntimeError):
 
 
 def inner_gd(
-    grad: Callable[[np.ndarray], np.ndarray],
+    M: np.ndarray,
+    C: np.ndarray,
     w_init: np.ndarray,
     steps: int,
     step_size: float,
 ) -> np.ndarray:
-    """Run exactly ``steps`` gradient steps ``w -= step_size * grad(w)`` and
-    return the last iterate, flattened.
+    """Run exactly ``steps`` gradient steps ``W -= step_size * (2 * (M W - C))``
+    on the affine gradient of a quadratic objective and return the last
+    iterate, flattened.
 
-    ``grad`` is the model-objective gradient in ``w`` at one parameter point,
-    so a caller can form its parameter-only terms once per solve rather than
-    at every step. Deterministic. The solve computes no exit gradient: how
-    far the iterate is from optimal is the environment's
+    ``M`` and ``C`` are the gradient's parameter-only terms, formed once per
+    solve by the caller (LQR's ``M = R + B'B`` and ``C = B'A``); ``w_init``
+    and every iterate have ``C``'s shape. Deterministic. The solve computes no exit
+    gradient: how far the iterate is from optimal is the environment's
     ``inner_diagnostics``, which no round calls.
 
-    The iterate keeps ``w_init``'s shape (LQR descends on its 2-D gain), and
-    ``grad`` maps an array of that shape to a fresh array of that shape: a
-    step scales the array it returns in place (``g *= step_size; w -= g``),
-    which gives the bits of ``w - step_size * g`` without allocating. The
-    solution is the iterate flattened (a view of it).
+    A step is five operations on one scratch array made once per solve, in
+    place and in the order of the expression: the product ``M W`` into the
+    scratch, minus ``C``, times 2, times ``step_size`` (the two scalings stay
+    separate multiplies), subtracted from the iterate. So each step gives the
+    bits of ``W - step_size * (2 * (M W - C))`` with no allocation and no
+    call back into the environment. The solution is the iterate flattened (a
+    view of it).
 
     Finiteness is checked once, after the last step: subtracting an infinite
     or NaN step from the iterate never gives a finite value, so a non-finite
@@ -59,9 +64,13 @@ def inner_gd(
     w = np.array(w_init, dtype=float, copy=True)
     if not np.isfinite(w).all():
         raise ContractError("inner_gd requires a finite starting decision")
+    g = np.empty_like(w)
+    M_dot = M.dot
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            g = grad(w)
+            M_dot(w, g)
+            g -= C
+            g *= 2.0
             g *= step_size
             w -= g
     if not np.isfinite(w).all():

@@ -9,6 +9,16 @@ point without re-solving the inner problem; the transport step accumulates
 those one-step re-evaluation increments, which telescope exactly for the
 frozen per-round gradient surrogate.
 
+The buffer keeps no decisions, adjoints or payloads. When a round arrives it
+stores the round's factors: the arrays ``Environment.stored_factors`` forms
+from them, everything the re-evaluation reads that does not depend on the
+parameters, one row of one stacked array per factor. Every later round hands
+those stacks to ``hypergradients_at_many`` as they are. Each stack is a
+window in arrival order: an arrival writes one row past its end and an
+eviction moves its start. A window that reaches the end of its storage moves
+back to the front, or into storage twice the size when it fills more than
+half of it, so a row is copied a bounded number of times on average.
+
 A transport step sums ``0.0 + f_1 + f_2 + ... + i_1 + i_2 + ...`` left to
 right: the arrivals' rows, then each buffered round's increment, oldest
 first. The increments overwrite the buffer's old gradient rows in place, and
@@ -66,41 +76,61 @@ def hypergradient_at(
 
 
 class TransportBuffer:
-    """FIFO store of arrived rounds still being transported, in columns:
-    ``rounds``, ``decisions``, ``adjoints`` (None off the adjoint route) and
-    ``payloads``, oldest first, and after each step ``gradients``, their
-    (len, p) rows at its parameters: a view of the environment's batch, never
-    a copy. Capacity is the worst-case queue length; eviction drops the
-    oldest rounds. At most one entry per round."""
+    """FIFO store of arrived rounds still being transported: ``rounds``,
+    oldest first, their ``factors`` (one stacked array per factor, rows in
+    the same order) and after each step ``gradients``, their (len, p) rows at
+    its parameters: a view of the environment's batch, never a copy.
+    Capacity is the worst-case queue length; eviction drops the oldest
+    rounds. At most one entry per round."""
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ContractError("buffer capacity must be >= 0")
         self.capacity = capacity
         self.rounds: list[int] = []
-        self.decisions: list[np.ndarray] = []
-        self.adjoints: list[Optional[np.ndarray]] = []
-        self.payloads: list[Any] = []
+        self._stores: list[np.ndarray] = []  # one per factor; rows _start to _start + len are live
+        self._start = 0
         self.gradients: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.rounds)
 
-    def append(self, rec: OutcomeRecord, adjoint: Optional[np.ndarray]) -> None:
-        """Store an arrived round; its row comes with the next batch."""
-        if rec.round in self.rounds:
-            raise ContractError(f"round {rec.round} already buffered")
-        self.rounds.append(rec.round)
-        self.decisions.append(rec.dispatch_decision)
-        self.adjoints.append(adjoint)
-        self.payloads.append(rec.payload)
+    @property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """The buffered rounds' stacked factors: views of the window."""
+        start, stop = self._start, self._start + len(self.rounds)
+        return tuple(store[start:stop] for store in self._stores)
+
+    def append(self, t: int, factors: tuple[np.ndarray, ...]) -> None:
+        """Store arrived round ``t`` by its factors; its row comes with the
+        next batch."""
+        if t in self.rounds:
+            raise ContractError(f"round {t} already buffered")
+        live = len(self.rounds)
+        if not self._stores:  # room for a full window and as many rows again
+            self._stores = [np.empty((2 * self.capacity + 2, *f.shape), f.dtype) for f in factors]
+        elif self._start + live == len(self._stores[0]):
+            window = slice(self._start, self._start + live)
+            if 2 * live > len(self._stores[0]):
+                grown = [np.empty((2 * len(store), *store.shape[1:]), store.dtype) for store in self._stores]
+                for new, store in zip(grown, self._stores):
+                    new[:live] = store[window]
+                self._stores = grown
+            else:
+                for store in self._stores:
+                    store[:live] = store[window]
+            self._start = 0
+        row = self._start + live
+        for store, f in zip(self._stores, factors):
+            store[row] = f
+        self.rounds.append(t)
 
     def evict_to_capacity(self) -> int:
         evicted = len(self.rounds) - self.capacity
         if evicted <= 0:
             return 0
-        for column in (self.rounds, self.decisions, self.adjoints, self.payloads):
-            del column[:evicted]
+        del self.rounds[:evicted]
+        self._start += evicted
         self.gradients = self.gradients[evicted:]  # a view, never a copy
         return evicted
 
@@ -128,10 +158,11 @@ def transport_step(
 ) -> tuple[np.ndarray, int]:
     """One transport round: arrival gradients plus re-evaluation increments.
 
-    The arrivals' adjoints are solved at ``theta_t`` and appended to the
-    buffer; one ``problem.hypergradients_at_many`` call at ``theta_t`` then
-    evaluates the whole buffer in its order. Rows are bit-identical to single
-    evaluations, so batching changes no output. A buffered round's increment
+    The arrivals' adjoints are solved at ``theta_t``, and each arrival is
+    appended to the buffer by its ``problem.stored_factors``; one
+    ``problem.hypergradients_at_many`` call at ``theta_t`` on the buffer's
+    stacked factors then evaluates the whole buffer in its order. Rows are
+    bit-identical to single evaluations, so batching changes no output. A buffered round's increment
     is its new row minus its old one; an arrival's row is kept as is, so its
     increment on its arrival round is exactly zero. The module docstring
     gives the order of the sum.
@@ -142,10 +173,10 @@ def transport_step(
     buffered = len(buffer)
     solved = solved_arrivals(problem, arrivals, theta_t)
     for rec, adjoint in solved:
-        buffer.append(rec, adjoint)
+        buffer.append(rec.round, problem.stored_factors(rec.dispatch_decision, adjoint, rec.payload))
     g = np.zeros(theta_t.shape)
     if len(buffer):
-        rows = problem.hypergradients_at_many(theta_t, buffer.decisions, buffer.adjoints, buffer.payloads)
+        rows = problem.hypergradients_at_many(theta_t, *buffer.factors)
         for row in rows[buffered:]:
             g += row
         if buffered == 1:  # a fold of one increment is one add

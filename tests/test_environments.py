@@ -15,11 +15,12 @@ from delayopt.delays import DelaySchedule
 from delayopt.environments import make_environment
 from delayopt.environments.grid_path import GridPathConfig, GridPathProblem
 from delayopt.environments.hard_quadratic import HardQuadraticConfig
+from delayopt.environments import lqr as lqr_module
 from delayopt.environments.lqr import LQRConfig, LQRProblem
 from delayopt.environments.sinkhorn_flow import SinkhornConfig, SinkhornProblem
 from delayopt.optimizers import make_algorithm
 from delayopt.runner import run_online
-from delayopt.solvers import conjugate_gradient, dijkstra_grid, sinkhorn_log
+from delayopt.solvers import conjugate_gradient, dijkstra_grid, inner_gd, sinkhorn_log
 from delayopt.transport import hypergradient_at
 
 FD_STEP = 1e-5
@@ -38,6 +39,12 @@ def check_gradient(f, grad, x, rng, n_coords=8, rel=FD_REL, abs_floor=1e-7):
     for i in coords:
         fd = central_diff(f, x, int(i))
         assert g[i] == pytest.approx(fd, rel=rel, abs=abs_floor), f"coordinate {i}"
+
+
+def stacked(env, decisions, adjoints, payloads):
+    """The rounds' ``stored_factors``, stacked along a leading row axis."""
+    per_round = [env.stored_factors(w, v, z) for w, v, z in zip(decisions, adjoints, payloads)]
+    return tuple(np.stack(column) for column in zip(*per_round))
 
 
 def fresh(name, **kw):
@@ -273,20 +280,19 @@ def test_lqr_unstable_gain_flags_run():
 # -- coupling environment -------------------------------------------------------------
 
 
-def test_lqr_model_gradient_at_equals_inline_formula():
-    # the theta-frozen closure (on the (n_u, n_x) gain), grad_w_model and the
-    # exact gain reproduce the per-call formulas bit for bit
+def test_lqr_model_gradient_equals_inline_formula():
+    # the model gradient on the (n_u, n_x) gain, grad_w_model and the exact
+    # gain reproduce the per-call formulas bit for bit
     env = fresh("lqr")
     n_u, n_x = env.cfg.n_u, env.cfg.n_x
     rng = np.random.default_rng(12)
     for scale in (1e-3, 1.0, 30.0):
         theta = env.theta_init() + scale * rng.standard_normal(env.p)
         A, B = env._unpack(theta)
-        grad = env.model_gradient_at(theta)
         for _ in range(3):
             w = scale * rng.standard_normal(env.q)
             inline = (2.0 * ((env.R + B.T @ B) @ w.reshape(n_u, n_x) - B.T @ A)).ravel()
-            assert np.array_equal(grad(w.reshape(n_u, n_x)).ravel(), inline)
+            assert np.array_equal(env.model_gradient(theta, w.reshape(n_u, n_x)).ravel(), inline)
             assert np.array_equal(env.grad_w_model(w, theta), inline)
         gain = np.linalg.solve(env.R + B.T @ B, B.T @ A)
         assert np.array_equal(env.exact_inner(theta), gain.ravel())
@@ -321,7 +327,8 @@ def test_lqr_round_formulas_equal_explicit_cost_products_bitwise(n_x, n_u, r_wei
         dB = 2.0 * (QB @ (W @ V.T) + QB @ (V @ W.T) - Q @ A @ V.T)
         cross = np.concatenate([dA.ravel(), dB.ravel()])
         assert np.array_equal(env.cross_partial_transpose_vp(w, theta, v), cross)
-        assert np.array_equal(env.hypergradients_at_many(theta, [w], [v], [z])[0], np.zeros(env.p) - cross)
+        assert np.array_equal(env.hypergradients_at_many(theta, *stacked(env, [w], [v], [z]))[0],
+                              np.zeros(env.p) - cross)
 
 
 # The LQR round path in its readable forms: ``@`` products, ``np.outer``, one
@@ -420,10 +427,9 @@ def test_lqr_round_path_equals_readable_forms_bitwise(n_x, n_u, r_weight, theta_
     as_bits = functools.partial(bits, signed_zeros=n_x > 1)
     with np.errstate(all="ignore"):
         assert as_bits(env._model_terms, theta) == as_bits(lqr_model_terms_reference, env, theta)
-        grad = env.model_gradient_at(theta)
         for t in range(1, 4):
             w, v = w_scale * rng.standard_normal(env.q), w_scale * rng.standard_normal(env.q)
-            assert as_bits(grad, env._gain(w)) == as_bits(env.grad_w_model, w, theta)
+            assert as_bits(env.model_gradient, theta, env._gain(w)) == as_bits(env.grad_w_model, w, theta)
             z, loss, _ = env.realize_outcome(t, theta, w)
             z_ref, loss_ref, _ = lqr_realize_outcome_reference(twin, theta, w)
             assert as_bits(lambda: tuple(z.values()) + (loss, env.x)) == \
@@ -439,7 +445,7 @@ def test_lqr_round_path_equals_readable_forms_bitwise(n_x, n_u, r_weight, theta_
         decisions = [w_scale * rng.standard_normal(env.q) for _ in range(m)]
         adjoints = [w_scale * rng.standard_normal(env.q) for _ in range(m)]
         rows = [hypergradient_at(env, w, v, theta, None) for w, v in zip(decisions, adjoints)]
-        assert as_bits(env.hypergradients_at_many, theta, decisions, adjoints, [None] * m) == \
+        assert as_bits(env.hypergradients_at_many, theta, *stacked(env, decisions, adjoints, [None] * m)) == \
             as_bits(np.array, rows)
 
 
@@ -495,7 +501,7 @@ def test_sinkhorn_batched_hypergradients_match_single():
         decisions.append(w)
         adjoints.append(rng.standard_normal(env.q))
     from delayopt.transport import hypergradient_at
-    batch = env.hypergradients_at_many(theta, decisions, adjoints, payloads)
+    batch = env.hypergradients_at_many(theta, *stacked(env, decisions, adjoints, payloads))
     for i in range(3):
         single = hypergradient_at(env, decisions[i], np.asarray(adjoints[i]), theta, payloads[i])
         assert np.allclose(batch[i], single, atol=1e-12)
@@ -522,7 +528,7 @@ def test_sinkhorn_batched_hypergradient_rows_equal_single_bitwise(m, scale, seed
         payloads.append(env.realize_outcome(t + 1, theta, env.initial_decision())[0])
         adjoints.append(rng.standard_normal(env.q))
     decisions = [env.initial_decision()] * m
-    batch = env.hypergradients_at_many(theta, decisions, adjoints, payloads)
+    batch = env.hypergradients_at_many(theta, *stacked(env, decisions, adjoints, payloads))
     assert batch.shape == (m, env.p)
     assert batch.tobytes() == sinkhorn_hypergradient_rows_reference(env, theta, adjoints, payloads).tobytes()
     from delayopt.transport import hypergradient_at
@@ -636,7 +642,7 @@ def test_sinkhorn_link_derivative_is_zero_where_cap_or_floor_binds():
     assert dcost[1] == costs[1] and dcost[2] == costs[2]
     # the batched rows read the same derivative
     v = np.ones(env.q)
-    rows = env.hypergradients_at_many(theta, [None], [v], [{"features": env.features}])
+    rows = env.hypergradients_at_many(theta, *stacked(env, [None], [v], [{"features": env.features}]))
     assert np.array_equal(rows[0], -env.cross_partial_transpose_vp(None, theta, v, {"features": env.features}))
 
 
@@ -700,11 +706,11 @@ ROUND_PATH_RUNS = [("hard_quadratic", "transport_omd", 0.1), ("lqr", "transport_
                    ("grid_path", "transport_adam", 0.001)]
 
 
-def test_the_round_path_never_computes_inner_diagnostics():
+def test_the_round_path_never_computes_inner_diagnostics(monkeypatch):
     # run_online takes a solve's decision and nothing else: it never calls
     # inner_diagnostics, a Sinkhorn run never prices the marginal residual,
-    # and an LQR solve evaluates its gradient once per step, with no exit
-    # gradient
+    # and an LQR solve is one in-place descent of inner_steps steps, with no
+    # exit gradient
     for environment, algorithm, eta0 in ROUND_PATH_RUNS:
         env = make_environment(environment, seed=0)
         priced = []
@@ -721,23 +727,24 @@ def test_the_round_path_never_computes_inner_diagnostics():
                          DelaySchedule(kind="constant", d=3, seed=0), rounds=12)
         assert res.rounds_logged == 12 and priced == [], environment
     env = fresh("lqr")
-    evaluations = []
-    gradient_at = env.model_gradient_at
+    evaluations, descents = [], []
+    gradient = env.model_gradient
 
-    def counted_gradient_at(theta):
-        grad = gradient_at(theta)
+    def counted_gradient(theta, W):
+        evaluations.append(W)
+        return gradient(theta, W)
 
-        def counted(W):
-            evaluations.append(W)
-            return grad(W)
-        return counted
+    def counted_descent(M, C, w_init, steps, step_size):
+        descents.append(steps)
+        return inner_gd(M, C, w_init, steps, step_size)
 
-    env.model_gradient_at = counted_gradient_at
+    env.model_gradient = counted_gradient
+    monkeypatch.setattr(lqr_module, "inner_gd", counted_descent)
     theta = env.theta_init()
     w = env.solve_inner(theta, env.initial_decision())
-    assert len(evaluations) == env.cfg.inner_steps
+    assert descents == [env.cfg.inner_steps] and evaluations == []
     assert np.isfinite(env.inner_diagnostics(theta, w)).all()
-    assert len(evaluations) == env.cfg.inner_steps + 1  # one exit gradient for both values
+    assert len(evaluations) == 1  # one exit gradient for both values
 
 
 # -- grid environment ------------------------------------------------------------------

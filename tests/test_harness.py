@@ -818,3 +818,15 @@ def test_cli_seed_override_is_range_checked_and_unique(tmp_path, capsys):
         assert main(["run", "--config", str(cfg_path), "--seeds", seeds]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--preset", "hard_instance_floor", "--parallel", "-3"],
+                                  ["stability", "--preset", "lqr_stability", "--parallel", "0"]],
+                         ids=["run-negative", "stability-zero"])
+def test_cli_parallel_below_one_exits_2_before_running(tmp_path, capsys, argv):
+    # a worker count below one used to run serially and exit 0
+    from delayopt.cli import main
+    out = tmp_path / "out"
+    assert main([*argv, "--seeds", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --parallel must be >= 1, got {argv[-1]}\n")
+    assert not out.exists()

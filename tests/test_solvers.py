@@ -36,8 +36,12 @@ def quad_env(a=1.0, b=2.0, mu_w=1.0):
 
 
 def quad_gd(env, theta, w_init, steps, step_size):
-    """``inner_gd`` on the scalar quadratic's model objective at ``theta``."""
-    return inner_gd(lambda w: env.grad_w_model(w, theta), w_init, steps, step_size)
+    """``inner_gd`` on the scalar quadratic's model objective at ``theta``:
+    its gradient ``mu_w (w - b theta)`` is ``2 (M w - C)`` with
+    ``M = mu_w / 2`` and ``C = mu_w b theta / 2``."""
+    M = np.array([[env.cfg.mu_w / 2]])
+    C = np.array([[env.cfg.mu_w * env.cfg.b * theta[0] / 2]])
+    return inner_gd(M, C, np.reshape(w_init, (1, 1)), steps, step_size)
 
 
 def test_inner_gd_single_step_hand_iterated():
@@ -119,7 +123,7 @@ INNER_SCALES = (0.0, 1e-3, 1.0, 30.0, 1e80, 1e154, 1e155, 1e300)
        step_size=st.sampled_from([1e-3, 0.01, 0.05, 10.0]), seed=st.integers(0, 2**16))
 def test_lqr_inner_gd_equals_per_step_reference_bitwise(n_x, n_u, r_weight, b_scale, theta_scale, w_scale,
                                                          steps, step_size, seed):
-    # the environment's own inner solve: inner_gd on its theta-frozen gradient,
+    # the environment's own inner solve: inner_gd on its theta-only terms,
     # with the same iterate, residual and epsilon bits, or the same divergence
     # error
     env = LQRProblem(LQRConfig(n_x=n_x, n_u=n_u, r_weight=r_weight, b_scale=b_scale, task_seed=seed,

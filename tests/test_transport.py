@@ -121,7 +121,7 @@ def test_buffer_capacity_and_fifo_order():
     rows = buf.gradients
     assert buf.evict_to_capacity() == 1
     assert buf.rounds == [7, 9, 12] and len(buf) == 3
-    assert [w[0] for w in buf.decisions] == [env.exact_inner(np.array([0.1 * t]))[0] for t in (7, 9, 12)]
+    assert [w[0] for w in buf.factors[0]] == [env.exact_inner(np.array([0.1 * t]))[0] for t in (7, 9, 12)]
     # the kept rows are the batch's own trailing rows, not a copy
     assert buf.gradients.shape == (3, 1) and np.shares_memory(buf.gradients, rows)
     assert buf.evict_to_capacity() == 0
@@ -158,7 +158,7 @@ def test_new_arrival_contributes_zero_increment_on_its_round():
     buf = TransportBuffer(capacity=5)
     theta = np.array([0.4])
     transport_step(buf, [record(env, 1, 0.4)], env, theta)
-    g_direct = hypergradient_at(env, buf.decisions[0], buf.adjoints[0], theta, None)
+    g_direct = hypergradient_at(env, buf.factors[0][0], buf.factors[1][0], theta, None)
     assert buf.gradients[0, 0] == pytest.approx(g_direct[0], abs=1e-15)
 
 
@@ -175,7 +175,7 @@ def test_telescope_exactness_over_path():
         theta = theta + rng.normal(scale=0.8, size=1)
         g, _ = transport_step(buf, [], env, theta)
         total = total + g
-    direct = hypergradient_at(env, buf.decisions[0], buf.adjoints[0], theta, None)
+    direct = hypergradient_at(env, buf.factors[0][0], buf.factors[1][0], theta, None)
     assert abs(total[0] - direct[0]) <= 1e-12
 
 
@@ -243,9 +243,12 @@ class AdjointRecorder(Environment):
     def exact_adjoint(self, w, theta, z):
         return w + z * theta
 
-    def hypergradients_at_many(self, theta, decisions, adjoints, payloads):
-        self.calls.append(list(adjoints))
-        return np.stack(adjoints)
+    def stored_factors(self, w, v, z):
+        return (v,)
+
+    def hypergradients_at_many(self, theta, adjoints):
+        self.calls.append([a.copy() for a in adjoints])
+        return adjoints.copy()
 
 
 def recorder_arrival(t, theta):
@@ -290,8 +293,8 @@ class ThetaScaled(AdjointRecorder):
     theta, as wide as theta, so a row of +0.0 turns into -0.0 when theta
     does."""
 
-    def hypergradients_at_many(self, theta, decisions, adjoints, payloads):
-        return np.stack(adjoints)[:, :theta.size] * theta
+    def hypergradients_at_many(self, theta, adjoints):
+        return adjoints[:, :theta.size] * theta
 
 
 @pytest.mark.parametrize("buffered", [1, 3])
@@ -338,10 +341,17 @@ def played_entries(env, rng, count, spread):
     return entries
 
 
+def stacked(env, decisions, adjoints, payloads):
+    """The rounds' ``stored_factors``, stacked along a leading row axis."""
+    per_round = [env.stored_factors(w, v, z) for w, v, z in zip(decisions, adjoints, payloads)]
+    return tuple(np.stack(column) for column in zip(*per_round))
+
+
 def reevaluate(env, entries, theta):
     """One batched re-evaluation of ``entries`` at ``theta``."""
-    return env.hypergradients_at_many(theta, [rec.dispatch_decision for rec, _ in entries],
-                                      [adjoint for _, adjoint in entries], [rec.payload for rec, _ in entries])
+    return env.hypergradients_at_many(theta, *stacked(env, [rec.dispatch_decision for rec, _ in entries],
+                                                      [adjoint for _, adjoint in entries],
+                                                      [rec.payload for rec, _ in entries]))
 
 
 def single_gradient(env, rec, adjoint, theta):
@@ -411,8 +421,8 @@ def test_grid_rows_equal_single_evaluations_when_starts_repeat(pattern):
         z = {"costs_true": env.current_true_costs(), "start": start, "goal": goal}
         records.append(OutcomeRecord(round=t, payload=z, dispatch_params=theta,
                                      dispatch_decision=env.initial_decision()))
-    rows = env.hypergradients_at_many(theta, [r.dispatch_decision for r in records],
-                                      [None] * len(records), [r.payload for r in records])
+    rows = env.hypergradients_at_many(theta, *stacked(env, [r.dispatch_decision for r in records],
+                                                      [None] * len(records), [r.payload for r in records]))
     assert any(np.any(row != 0) for row in rows)
     for rec, row in zip(records, rows):
         assert np.array_equal(row, env.surrogate_gradient(theta, rec))
@@ -433,8 +443,8 @@ def test_grid_unmoved_rows_are_positive_zero_and_every_row_is_the_heap_row_bytew
         z = {"costs_true": costs_true, "start": env.start, "goal": env.goal}
         records.append(OutcomeRecord(round=t, payload=z, dispatch_params=theta,
                                      dispatch_decision=env.initial_decision()))
-    rows = env.hypergradients_at_many(theta, [r.dispatch_decision for r in records],
-                                      [None] * len(records), [r.payload for r in records])
+    rows = env.hypergradients_at_many(theta, *stacked(env, [r.dispatch_decision for r in records],
+                                                      [None] * len(records), [r.payload for r in records]))
     moved = [i for i, row in enumerate(rows) if np.any(row != 0)]
     assert 0 < len(moved) <= 8
     for i, (rec, row) in enumerate(zip(records, rows)):
@@ -476,7 +486,7 @@ def test_lqr_stacked_hypergradients_equal_per_entry_bitwise(m, seed, scale):
     theta = env.theta_init() + scale * rng.standard_normal(env.p)
     decisions = [scale * rng.standard_normal(env.q) for _ in range(m)]
     adjoints = [scale * rng.standard_normal(env.q) for _ in range(m)]
-    batch = env.hypergradients_at_many(theta, decisions, adjoints, [None] * m)
+    batch = env.hypergradients_at_many(theta, *stacked(env, decisions, adjoints, [None] * m))
     assert batch.shape == (m, env.p)
     for i in range(m):
         assert np.array_equal(batch[i], hypergradient_at(env, decisions[i], adjoints[i], theta, None))
@@ -491,7 +501,7 @@ def test_hard_quadratic_stacked_hypergradients_equal_per_entry_bitwise(m, seed, 
     theta = scale * rng.standard_normal(1)
     decisions = [scale * rng.standard_normal(1) for _ in range(m)]
     adjoints = [scale * rng.standard_normal(1) for _ in range(m)]
-    batch = env.hypergradients_at_many(theta, decisions, adjoints, [None] * m)
+    batch = env.hypergradients_at_many(theta, *stacked(env, decisions, adjoints, [None] * m))
     assert batch.shape == (m, 1)
     for i in range(m):
         assert np.array_equal(batch[i], hypergradient_at(env, decisions[i], adjoints[i], theta, None))
@@ -608,6 +618,54 @@ def test_folded_arrivals_equal_single_evaluations_on_grid(seed, delays, capacity
 @example(**EVICT_EVERY_ROUND)
 def test_folded_arrivals_equal_single_evaluations_on_adjoint_envs(name, seed, delays, capacity):
     check_folded_arrivals(make_environment(name, seed=seed), ENV_SPREADS[name], seed, delays, capacity)
+
+
+def check_window(env, buf, live, theta):
+    """The buffer holds ``live``'s rounds, its factor window is their
+    ``stored_factors`` stacked in order, byte for byte, and the batch on that
+    window gives each round's single evaluation at ``theta``, byte for byte."""
+    assert buf.rounds == [rec.round for rec, _ in live]
+    window = buf.factors
+    assert all(len(factor) == len(live) for factor in window)
+    if not live:
+        return
+    want = stacked(env, [rec.dispatch_decision for rec, _ in live], [adjoint for _, adjoint in live],
+                   [rec.payload for rec, _ in live])
+    assert len(window) == len(want)
+    for got, ref in zip(window, want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    rows = env.hypergradients_at_many(theta, *window)
+    assert rows.shape == (len(live), env.p)
+    for (rec, adjoint), row in zip(live, rows):
+        assert row.tobytes() == single_gradient(env, rec, adjoint, theta).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ENV_SPREADS))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**16), arrivals=st.lists(st.integers(0, 4), min_size=1, max_size=14),
+       capacity=st.integers(0, 5))
+# four arrivals outgrow the first storage of two rows, and the next two
+# rounds' windows each move back to the front of the four
+@example(seed=0, arrivals=[4, 4, 4], capacity=0)
+def test_buffer_window_is_the_live_rounds_stored_factors(name, seed, arrivals, capacity):
+    # random appends and evictions, 0 to 4 arrivals a round: after each
+    # step and after each eviction the window is the live rounds' factors,
+    # through every move to the front and every growth of its storage
+    env = make_environment(name, seed=seed)
+    rng = np.random.default_rng(seed)
+    spread = ENV_SPREADS[name]
+    played = iter(rec for rec, _ in played_entries(env, rng, sum(arrivals), spread))
+    buf = TransportBuffer(capacity)
+    live: list = []  # (record, adjoint solved on arrival), oldest first
+    for count in arrivals:
+        theta = env.theta_init() + spread * rng.standard_normal(env.p)
+        batch = [next(played) for _ in range(count)]
+        transport_step(buf, batch, env, theta)
+        live += [(rec, adjoint_of(env, rec, theta)) for rec in batch]
+        check_window(env, buf, live, theta)
+        buf.evict_to_capacity()
+        live = live[max(0, len(live) - capacity):]
+        check_window(env, buf, live, theta)
 
 
 # -- error surrogates --------------------------------------------------------------
