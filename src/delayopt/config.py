@@ -25,13 +25,8 @@ from typing import Any, Callable, Optional
 
 from delayopt.core import ContractError
 from delayopt.delays import DELAY_PARAMETERS, DelaySpec
-from delayopt.environments import (
-    environment_class,
-    environment_config,
-    environment_config_fields,
-    environment_names,
-)
-from delayopt.optimizers import BASE_RULES, GRADIENT_SOURCES, AlgorithmConfig, make_algorithm
+from delayopt.environments import ENVIRONMENTS, environment_names
+from delayopt.optimizers import AlgorithmConfig, make_algorithm
 
 
 class ConfigError(ValueError):
@@ -81,18 +76,18 @@ class ExperimentConfig:
     compare: Optional[CompareSettings] = None
 
     def validate(self) -> None:
-        if self.environment not in environment_names():
+        if self.environment not in ENVIRONMENTS:
             raise ConfigError(f"[experiment] environment {self.environment!r} is unknown; "
                               f"known: {', '.join(environment_names())}")
-        fields = environment_config_fields(self.environment)
+        entry = ENVIRONMENTS[self.environment]
         swept = [("sweep", key, value) for key, values in self.env_sweep.items() for value in values]
         for section, key, value in [("args", *item) for item in self.env_args.items()] + swept:
-            if key not in fields:
+            if key not in entry.fields:
                 raise ConfigError(f"[environment.{section}] unknown key {key!r} "
                                   f"for environment {self.environment!r}")
-            if not _fits(value, fields[key]):
+            if not _fits(value, entry.fields[key]):
                 raise ConfigError(f"[environment.{section}] {key} = {value!r}: expected "
-                                  f"{_type_name(fields[key])} for environment {self.environment!r}")
+                                  f"{_type_name(entry.fields[key])} for environment {self.environment!r}")
         lengths = {key: len(values) for key, values in self.env_sweep.items()}
         if 0 in lengths.values() or len(set(lengths.values())) > 1:
             raise ConfigError(f"[environment.sweep] needs non-empty lists of one length, got {lengths}")
@@ -100,7 +95,7 @@ class ExperimentConfig:
             raise ConfigError(f"[environment.sweep] {', '.join(both)} also set in [environment.args]")
         for label, variant in self.variants():
             try:
-                environment_config(self.environment, **variant.env_args)
+                entry.config(**variant.env_args)
             except ContractError as exc:
                 where = f"[environment.sweep] {label}:" if label else "[environment.args]"
                 raise ConfigError(f"{where} {exc} (environment {self.environment!r})") from exc
@@ -120,17 +115,10 @@ class ExperimentConfig:
                              ("algorithm names", names)):
             if repeated := [label for i, label in enumerate(labels) if label in labels[:i]]:
                 raise ConfigError(f"{what} must be unique; {repeated[0]} is repeated")
-        has_target = environment_class(self.environment).has_prediction_target
         for algo in self.algorithms:
-            where = f"[algorithm.{algo.name}]"
-            if algo.gradient not in GRADIENT_SOURCES:
-                raise ConfigError(f"{where} gradient {algo.gradient!r} is unknown; "
-                                  f"known: {', '.join(GRADIENT_SOURCES)}")
-            if algo.base not in BASE_RULES:
-                raise ConfigError(f"{where} base {algo.base!r} is unknown; known: {', '.join(BASE_RULES)}")
-            if algo.gradient == "two_stage" and not has_target:
-                raise ConfigError(f"{where}: environment {self.environment!r} exposes no prediction "
-                                  "target; the two-stage baseline cannot run on it")
+            if algo.gradient == "two_stage" and not entry.problem.has_prediction_target:
+                raise ConfigError(f"[algorithm.{algo.name}]: environment {self.environment!r} exposes no "
+                                  "prediction target; the two-stage baseline cannot run on it")
         if self.compare is not None:
             for role, nm in (("treatment", self.compare.treatment), ("control", self.compare.control)):
                 if nm not in names:

@@ -2,9 +2,10 @@
 
 A seeded synthetic terrain assigns each cell one of four base cost levels;
 per-cell costs drift around those levels. A linear model over fixed per-cell
-features predicts traversal costs; the inner problem is an exact shortest-path
-solve between per-round endpoints sampled on the grid border, so inner error
-is identically zero.
+features predicts traversal costs, and predicted and true costs are floored
+at ``COST_FLOOR``. The inner problem is an exact shortest-path solve between
+per-round endpoints sampled on the grid border, so inner error is
+identically zero.
 
 Because the solver is combinatorial, the smooth adjoint route does not apply.
 The outer gradient is the finite-difference-of-paths surrogate: perturb the
@@ -31,8 +32,8 @@ one preallocated array. The batched solve keeps every field in one flat
 buffer, so each min-plus sweep over all of them is a few contiguous array
 operations, and it backtracks every path at once; its buffers come from a
 workspace reused across calls (see ``solvers.grid_shortest_paths``). A
-stored round whose bumped path equals its base path, on every cell the
-cost floor leaves free, contributes an exact ``+0.0`` row without a
+stored round whose bumped path equals its base path, on every cell
+``COST_FLOOR`` leaves free, contributes an exact ``+0.0`` row without a
 matrix-vector product; in a full buffer that is about two rows in five. A
 batch of one (an arrival into an empty buffer, as every round at d = 0, or a
 stale arrival at its own dispatch snapshot) keeps two heap solves: at one
@@ -60,6 +61,7 @@ from delayopt.solvers import (
 )
 
 TERRAIN_LEVELS = (1.0, 2.0, 5.0, 10.0)
+COST_FLOOR = 1e-3
 
 
 @dataclass
@@ -71,7 +73,6 @@ class GridPathConfig:
     feature_noise: float = 0.5  # distractor feature magnitude
     drift_rate: float = 0.05
     drift_noise: float = 0.15
-    cost_floor: float = 1e-3
     task_seed: int = 0  # terrain and features; run seed drives drift and endpoints
 
     def __post_init__(self):  # each range test is written so that NaN fails it
@@ -83,8 +84,6 @@ class GridPathConfig:
             raise ContractError("the grid needs height * width >= 2 cells for distinct endpoints")
         if not self.perturbation > 0:
             raise ContractError("perturbation scale must be positive")
-        if not 0 < self.cost_floor < math.inf:
-            raise ContractError("cost_floor must be positive and finite")
         if not 0 <= self.drift_rate <= 1:
             raise ContractError("drift_rate must be in [0, 1]")
         for name in ("feature_noise", "drift_noise"):
@@ -136,11 +135,11 @@ class GridPathProblem(Environment):
 
     def predicted_costs(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raw = self.features @ np.asarray(theta)
-        mask = (raw > self.cfg.cost_floor).astype(float)
-        return np.maximum(raw, self.cfg.cost_floor), mask
+        mask = (raw > COST_FLOOR).astype(float)
+        return np.maximum(raw, COST_FLOOR), mask
 
     def current_true_costs(self) -> np.ndarray:
-        return np.maximum(self.base_costs + self.drift, self.cfg.cost_floor)
+        return np.maximum(self.base_costs + self.drift, COST_FLOOR)
 
     def _shortest(self, costs: np.ndarray, start, goal) -> tuple[np.ndarray, float]:
         grid = costs.reshape(self.cfg.height, self.cfg.width)

@@ -48,7 +48,6 @@ class HardQuadraticProblem(Environment):
 
     def __init__(self, cfg: HardQuadraticConfig, seed: int = 0):
         self.cfg = cfg
-        self.coupling = abs(cfg.a - cfg.b)
         self.comparator_note = "fixed comparator theta=0 (closed-form optimum)"
 
     # -- derivative products (z, the outcome payload, is always None) ---------

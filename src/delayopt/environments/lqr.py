@@ -4,7 +4,11 @@ The outer parameters stack a learned state matrix and input matrix; the inner
 problem picks a static feedback gain minimizing a one-step quadratic proxy
 under the learned model, averaged over an isotropic reference state. The
 realized loss plays the gain on the true dynamics with persistent state and
-process noise, so bad gains feed back into the data the learner sees.
+process noise, so bad gains feed back into the data the learner sees. A
+realized loss above ``LOSS_CAP`` (or NaN) is logged as ``LOSS_CAP``, a next
+state whose norm exceeds ``STATE_CAP`` has each coordinate clipped to
+``[-STATE_CAP, STATE_CAP]``, and either marks the environment unstable,
+which ends the run.
 
 The state cost is ``Q = I`` and the control cost ``R = r_weight * I``, so
 neither enters a round as a matrix product: ``x'Qx`` is ``x . x`` and
@@ -21,8 +25,8 @@ Two hot paths are shaped by that structure. The model gradient
 once per inner solve and handed to ``solvers.inner_gd``, which descends on
 the (n_u, n_x) gain itself in place: no step reshapes, ravels, allocates or
 calls back. It checks finiteness once per solve, not per step, and computes
-no exit residual: ``inner_diagnostics`` evaluates the gradient at a returned
-gain when asked, and no round asks.
+no exit residual: ``inner_diagnostics`` evaluates ``grad_w_model`` at a
+returned gain when asked, and no round asks.
 Re-evaluating a stored round reads its adjoint gain ``V`` and the products
 ``W V'`` and ``V W'`` of its gain and adjoint, none of which depends on the
 parameters: those are its ``stored_factors``, formed once when the round
@@ -54,6 +58,9 @@ from delayopt.core import ContractError
 from delayopt.environments.base import Environment
 from delayopt.solvers import inner_gd
 
+LOSS_CAP = 1e8
+STATE_CAP = 1e8
+
 
 @dataclass
 class LQRConfig:
@@ -66,8 +73,6 @@ class LQRConfig:
     init_spread: float = 0.1  # theta_1 = truth + spread * N(0, 1)
     inner_steps: int = 10
     inner_step_size: float = 0.01
-    loss_cap: float = 1e8
-    state_cap: float = 1e8
     task_seed: int = 0  # dynamics matrices and initial parameters; run seed drives noise
 
     def __post_init__(self):  # each range test is written so that NaN fails it
@@ -81,9 +86,6 @@ class LQRConfig:
         for name in ("noise_std", "spectral_radius", "b_scale", "init_spread"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ContractError(f"{name} must be finite and >= 0")
-        for name in ("loss_cap", "state_cap"):
-            if not getattr(self, name) > 0:
-                raise ContractError(f"{name} must be positive")
         if self.task_seed < 0:
             raise ContractError("task_seed must be >= 0")
 
@@ -149,16 +151,6 @@ class LQRProblem(Environment):
         W = self._gain(w)
         closed = A - B @ W
         return float(np.trace(W.T @ self.R @ W) + np.trace(closed.T @ closed))
-
-    def model_gradient(self, theta, W):
-        """``2 (M W - C)`` on the (n_u, n_x) gain ``W``, a fresh (n_u, n_x)
-        array: ``grad_w_model(w, theta)`` unflattened, in the operations and
-        order of one ``inner_gd`` step."""
-        M, C = self._model_terms(theta)
-        G = M.dot(W)
-        G -= C
-        G *= 2.0
-        return G
 
     def grad_w_model(self, w, theta):
         A, B = self._unpack(theta)
@@ -246,10 +238,10 @@ class LQRProblem(Environment):
         return inner_gd(*self._model_terms(theta), self._gain(w_prev), cfg.inner_steps, cfg.inner_step_size)
 
     def inner_diagnostics(self, theta, w):
-        """The model-gradient norm at gain ``w`` (``np.linalg.norm`` of the
-        flattened gradient without its checks), and that norm over the
-        strong-convexity hint ``2 r_weight``."""
-        g = self.model_gradient(theta, self._gain(w))
+        """The norm of ``grad_w_model`` at gain ``w`` (``np.linalg.norm``
+        without its checks), and that norm over the strong-convexity hint
+        ``2 r_weight``."""
+        g = self.grad_w_model(w, theta)
         residual = math.sqrt(np.vdot(g, g))
         return residual, residual / max(self.mu_w_hint, 1e-12)
 
@@ -263,12 +255,12 @@ class LQRProblem(Environment):
         loss = float(u.dot(self.r * u) + xx)
         # NaN fails every comparison, so each test rejects NaN and inf too;
         # sqrt(x . x) is np.linalg.norm of a vector
-        if not (loss <= cfg.loss_cap):
-            loss = cfg.loss_cap
+        if not (loss <= LOSS_CAP):
+            loss = LOSS_CAP
             self.unstable = True
-        if not (math.sqrt(xx) <= cfg.state_cap):
+        if not (math.sqrt(xx) <= STATE_CAP):
             self.unstable = True
-            x_next = np.clip(np.nan_to_num(x_next), -cfg.state_cap, cfg.state_cap)
+            x_next = np.clip(np.nan_to_num(x_next), -STATE_CAP, STATE_CAP)
         self.x = x_next
         return z, loss, None
 

@@ -14,7 +14,10 @@ matters beyond positivity: it makes the predictor Jacobian depend on the
 parameters, so re-evaluating a stored gradient at new parameters actually
 changes it. With a purely affine predictor the re-evaluation would be a
 no-op and the transport correction could never differ from the stale
-baseline.
+baseline. Predicted and realized costs are floored at ``COST_FLOOR``; the
+inner solve raises coupling masses below ``COUPLING_FLOOR`` to it, counting
+each in ``floored_couplings``; and the adjoint system alone floors masses at
+``ADJOINT_FLOOR`` (see ``exact_adjoint``).
 
 The entropic term makes the inner objective strongly convex with curvature
 ``regularization / w`` per coordinate. On the marginal-preserving couplings
@@ -49,6 +52,10 @@ from delayopt.core import ContractError
 from delayopt.environments.base import Environment
 from delayopt.solvers import assignment_min_cost, sinkhorn_log
 
+COST_FLOOR = 1e-3
+COUPLING_FLOOR = 1e-30
+ADJOINT_FLOOR = 1e-6
+
 
 @dataclass
 class SinkhornConfig:
@@ -59,9 +66,6 @@ class SinkhornConfig:
     drift_rate: float = 0.05
     drift_noise: float = 0.1  # context-feature noise scale
     cost_scale: float = 1.0
-    cost_floor: float = 1e-3
-    coupling_floor: float = 1e-30
-    adjoint_floor: float = 1e-6  # mass floor inside the adjoint system only
     task_seed: int = 0  # structure (true map, anchor features); run seed drives drift
 
     def __post_init__(self):  # each range test is written so that NaN fails it
@@ -76,9 +80,8 @@ class SinkhornConfig:
             raise ContractError("drift_rate must be in [0, 1]")
         if not 0 <= self.drift_noise < math.inf:
             raise ContractError("drift_noise must be finite and >= 0")
-        for name in ("cost_scale", "cost_floor", "coupling_floor", "adjoint_floor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ContractError(f"{name} must be positive and finite")
+        if not 0 < self.cost_scale < math.inf:
+            raise ContractError("cost_scale must be positive and finite")
         if self.task_seed < 0:
             raise ContractError("task_seed must be >= 0")
 
@@ -129,10 +132,10 @@ class SinkhornProblem(Environment):
         change when re-evaluated at new parameters.
         """
         capped = np.exp(np.minimum(raw, self._log_cap))
-        costs = np.maximum(capped, self.cfg.cost_floor)
+        costs = np.maximum(capped, COST_FLOOR)
         if not derivative:
             return costs
-        clamped = (capped < self.cfg.cost_floor) | (raw >= self._log_cap)
+        clamped = (capped < COST_FLOOR) | (raw >= self._log_cap)
         return costs, np.where(clamped, 0.0, capped)
 
     def predicted_costs(self, theta: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +144,7 @@ class SinkhornProblem(Environment):
 
     def true_costs(self, features: np.ndarray) -> np.ndarray:
         """Realized cost vector of the ground-truth map at ``features``."""
-        return np.maximum(self.map_true @ features, self.cfg.cost_floor)
+        return np.maximum(self.map_true @ features, COST_FLOOR)
 
     def _features(self, z: Optional[dict]) -> np.ndarray:
         """Features of outcome payload ``z``; the current round's when None."""
@@ -152,12 +155,12 @@ class SinkhornProblem(Environment):
     def model_loss(self, w, theta, z=None) -> float:
         costs, _ = self.predicted_costs(theta, self._features(z))
         w = np.asarray(w)
-        ent = float(np.sum(w * np.log(np.maximum(w, self.cfg.coupling_floor))))
+        ent = float(np.sum(w * np.log(np.maximum(w, COUPLING_FLOOR))))
         return float(costs @ w) + self.cfg.regularization * ent
 
     def grad_w_model(self, w, theta, z=None):
         costs, _ = self.predicted_costs(theta, self._features(z))
-        w = np.maximum(np.asarray(w), self.cfg.coupling_floor)
+        w = np.maximum(np.asarray(w), COUPLING_FLOOR)
         return costs + self.cfg.regularization * (1.0 + np.log(w))
 
     def exact_adjoint(self, w, theta, z):
@@ -172,7 +175,7 @@ class SinkhornProblem(Environment):
         whose null direction ``(a + s, b - s)`` is removed by pinning the last
         column dual to 0.
 
-        Masses below ``adjoint_floor`` are raised to it: the curvature of
+        Masses below ``ADJOINT_FLOOR`` are raised to it: the curvature of
         near-empty coordinates is inversely proportional to their mass, and
         the floor bounds it at the cost of an O(floor) bias on those
         already-negligible coordinates.
@@ -184,7 +187,7 @@ class SinkhornProblem(Environment):
         ``n`` and dropping the last.
         """
         n = self.cfg.n
-        K = np.maximum(np.asarray(w), self.cfg.adjoint_floor).reshape(n, n) / self.cfg.regularization
+        K = np.maximum(np.asarray(w), ADJOINT_FLOOR).reshape(n, n) / self.cfg.regularization
         C = z["costs_true"].reshape(n, n)
         KC = K * C
         K_head = K[:, :-1]
@@ -254,10 +257,10 @@ class SinkhornProblem(Environment):
         plan = sinkhorn_log(costs.reshape(self.cfg.n, self.cfg.n), self.mu, self.nu,
                             self.cfg.regularization, iterations)
         w = plan.ravel()
-        low = w < self.cfg.coupling_floor
+        low = w < COUPLING_FLOOR
         if np.any(low):
             self.floored_couplings += int(np.sum(low))
-            w = np.maximum(w, self.cfg.coupling_floor)
+            w = np.maximum(w, COUPLING_FLOOR)
         return w
 
     def marginal_residual(self, w: np.ndarray) -> float:

@@ -9,6 +9,7 @@ byte-identical files and any run can be traced back to its settings.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -295,7 +296,8 @@ def run_controlled_comparison(cfg: ExperimentConfig, parallel: int = 1, write: b
             delay=delay,
             treatment_mean=w.mean_a, treatment_sd=w.sd_a,
             control_mean=w.mean_b, control_sd=w.sd_b,
-            improvement_pct=improvement_pct(w.mean_a, w.mean_b),
+            # no percentage of a control regret <= 0: the cell is left empty
+            improvement_pct=improvement_pct(w.mean_a, w.mean_b) if w.mean_b > 0 else math.nan,
             t_stat=w.t_stat, p_value=w.p_value,
         ))
     if write:
@@ -305,10 +307,11 @@ def run_controlled_comparison(cfg: ExperimentConfig, parallel: int = 1, write: b
                      (_cells({**dataclasses.asdict(r), "p_value": p_value_display(r.p_value)}.values())
                       for r in rows))
     for r in rows:
+        improvement = "n/a" if math.isnan(r.improvement_pct) else f"{r.improvement_pct:+6.2f}%"
         print(
             f"{r.delay:<14} treatment {r.treatment_mean:9.3f}+-{r.treatment_sd:7.3f}  "
             f"control {r.control_mean:9.3f}+-{r.control_sd:7.3f}  "
-            f"improvement {r.improvement_pct:+6.2f}%  p={p_value_display(r.p_value)}"
+            f"improvement {improvement}  p={p_value_display(r.p_value)}"
         )
     return rows
 

@@ -109,8 +109,6 @@ SCHEDULE_MODES = ("queue_adaptive", "constant")
 
 
 def make_base_rule(cfg: "AlgorithmConfig"):
-    if cfg.base not in BASE_RULES:
-        raise ContractError(f"unknown base rule {cfg.base!r}")
     return BASE_RULES[cfg.base]()
 
 
@@ -189,6 +187,10 @@ class AlgorithmConfig:
             raise ContractError("eta0 must be positive and finite")
         if not 0 <= self.beta_damping < math.inf:
             raise ContractError("beta_damping must be finite and >= 0")
+        if self.gradient not in GRADIENT_SOURCES:
+            raise ContractError(f"gradient {self.gradient!r} is unknown; known: {', '.join(GRADIENT_SOURCES)}")
+        if self.base not in BASE_RULES:
+            raise ContractError(f"base {self.base!r} is unknown; known: {', '.join(BASE_RULES)}")
         if self.schedule_mode not in SCHEDULE_MODES:
             raise ContractError(f"unknown schedule mode {self.schedule_mode!r}")
         if self.clip_norm is not None and not self.clip_norm > 0:
@@ -222,10 +224,9 @@ def make_algorithm(name: str, **overrides) -> AlgorithmConfig:
 
 
 def make_engine(cfg: AlgorithmConfig, problem: Environment, buffer_capacity: int):
+    # AlgorithmConfig admits only the GRADIENT_SOURCES
     if cfg.gradient == "transport":
         return TransportEngine(problem, buffer_capacity)
     if cfg.gradient == "stale":
         return StaleArrivalEngine(problem)
-    if cfg.gradient == "two_stage":
-        return TwoStageEngine(problem)
-    raise ContractError(f"unknown gradient source {cfg.gradient!r}")
+    return TwoStageEngine(problem)

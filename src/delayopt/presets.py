@@ -7,26 +7,10 @@ are recorded in every output header.
 
 from __future__ import annotations
 
-from delayopt.config import ExperimentConfig, parse_config
+from delayopt.config import ConfigError, ExperimentConfig, parse_config
 
-PRESETS: dict[str, str] = {}
-
-
-def register(name: str, text: str) -> None:
-    PRESETS[name] = text
-
-
-def preset_names() -> list[str]:
-    return sorted(PRESETS)
-
-
-def load_preset(name: str) -> ExperimentConfig:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    return parse_config(PRESETS[name])
-
-
-register("hard_instance_floor", """
+PRESETS: dict[str, str] = {
+    "hard_instance_floor": """
 # Biased-solver steady state on the scalar quadratic instance: with bias 0.1
 # and coupling |a - b| = 1, stale OMD at d = 10 pays 0.005 = bias^2/2 per round
 # over the last 500 rounds, the loss at theta = -bias/coupling. Cumulative
@@ -52,10 +36,8 @@ d = 10
 [algorithm.stale_omd]
 eta0 = 0.04
 schedule_mode = constant
-""")
-
-
-register("transport_scaling", """
+""",
+    "transport_scaling": """
 # Transport-error surrogates on one stale Adam arm: the ratio of the squared
 # window drift to the per-step sum, which the window inequality bounds by the
 # queue length d, reads 1 / 1.97 / 4.78 / 9.16 / 16.95 / 35.92 at
@@ -76,10 +58,8 @@ sweep = 1,2,5,10,20,50
 
 [algorithm.stale_adam]
 eta0 = 0.001
-""")
-
-
-register("controlled_comparison", """
+""",
+    "controlled_comparison": """
 # Transport vs stale gradients under an identical Adam base. The two arms are
 # bit-identical only at d = 0 (the paper's unit delay, see the delay convention
 # in docs/config_schema.md); from d = 1 on they differ, and the d = 1 cell
@@ -107,10 +87,8 @@ eta0 = 0.002
 [compare]
 treatment = transport_adam
 control = stale_adam
-""")
-
-
-register("uniform_delay_validation", """
+""",
+    "uniform_delay_validation": """
 # Transport vs stale gradients under an identical Adam base at uniform delays
 # 0..50, a mean queue length of 24-25 per seed. Transport reads -26.58%
 # (p = 0.21): worse on average, and the arms do not separate over 5 seeds.
@@ -137,10 +115,8 @@ eta0 = 0.002
 [compare]
 treatment = transport_adam
 control = stale_adam
-""")
-
-
-register("lqr_stability", """
+""",
+    "lqr_stability": """
 # Maximum stable learning rate vs queue length on the control task. eta_max
 # reads 8.559 / 2.719 / 1.414 / 1.088 for transport_omd and 5.492 / 2.420 /
 # 1.791 / 0.926 for two_stage at d = 1 / 10 / 20 / 40: both fall with the
@@ -172,10 +148,8 @@ eta_hi = 16.0
 resolution = 0.002
 horizon = 500
 delays = 1,10,20,40
-""")
-
-
-register("grid_delay_sweep", """
+""",
+    "grid_delay_sweep": """
 # Terrain-grid shortest-path decisions: window-mean optimality gap under
 # no delay and long delay for the transported optimizer against both
 # baselines the Warcraft comparison names. D-FTRL is the stale delayed
@@ -209,10 +183,8 @@ schedule_mode = queue_adaptive
 
 [algorithm.two_stage_adam]
 eta0 = 0.001
-""")
-
-
-register("k_sweep", """
+""",
+    "k_sweep": """
 # Inner-solver budget sweep at d = 20, one comparison per inner_iterations K.
 # Transport vs stale reads +4.66 / -9.33 / -8.48 / -7.70 / -7.20 / -8.43% at
 # K = 1 / 3 / 5 / 10 / 20 / 50 (Welch p 0.63 / 0.39 / 0.43 / 0.47 / 0.49 /
@@ -243,10 +215,8 @@ eta0 = 0.002
 [compare]
 treatment = transport_adam
 control = stale_adam
-""")
-
-
-register("delay_patterns", """
+""",
+    "delay_patterns": """
 # One transported OMD arm under three delay processes whose mean queue length
 # is 19-20: constant:20, uniform:0-40 and bursty:10x40. Regret reads 14.02 /
 # 11.64 / 9.44 (sd 0.15 / 0.49 / 0.51 over 3 seeds). With a single arm the
@@ -276,4 +246,15 @@ block_len = 10
 
 [algorithm.transport_omd]
 eta0 = 0.05
-""")
+""",
+}
+
+
+def preset_names() -> list[str]:
+    return sorted(PRESETS)
+
+
+def load_preset(name: str) -> ExperimentConfig:
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return parse_config(PRESETS[name])

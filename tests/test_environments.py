@@ -2,6 +2,7 @@
 closed-form adjoints vs conjugate gradient, and structural behaviors."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from delayopt.environments import make_environment
 from delayopt.environments.grid_path import GridPathConfig, GridPathProblem
 from delayopt.environments.hard_quadratic import HardQuadraticConfig
 from delayopt.environments import lqr as lqr_module
+from delayopt.environments import sinkhorn_flow
 from delayopt.environments.lqr import LQRConfig, LQRProblem
 from delayopt.environments.sinkhorn_flow import SinkhornConfig, SinkhornProblem
 from delayopt.optimizers import make_algorithm
@@ -281,8 +283,8 @@ def test_lqr_unstable_gain_flags_run():
 
 
 def test_lqr_model_gradient_equals_inline_formula():
-    # the model gradient on the (n_u, n_x) gain, grad_w_model and the exact
-    # gain reproduce the per-call formulas bit for bit
+    # grad_w_model and the exact gain reproduce the per-call formulas bit
+    # for bit
     env = fresh("lqr")
     n_u, n_x = env.cfg.n_u, env.cfg.n_x
     rng = np.random.default_rng(12)
@@ -292,7 +294,6 @@ def test_lqr_model_gradient_equals_inline_formula():
         for _ in range(3):
             w = scale * rng.standard_normal(env.q)
             inline = (2.0 * ((env.R + B.T @ B) @ w.reshape(n_u, n_x) - B.T @ A)).ravel()
-            assert np.array_equal(env.model_gradient(theta, w.reshape(n_u, n_x)).ravel(), inline)
             assert np.array_equal(env.grad_w_model(w, theta), inline)
         gain = np.linalg.solve(env.R + B.T @ B, B.T @ A)
         assert np.array_equal(env.exact_inner(theta), gain.ravel())
@@ -315,7 +316,7 @@ def test_lqr_round_formulas_equal_explicit_cost_products_bitwise(n_x, n_u, r_wei
         z, loss, _ = env.realize_outcome(t, theta, w)
         x, xi, u, x_next = z["x"], z["xi"], z["u"], z["x_next"]
         expected = float(u @ (R @ u) + x_next @ (Q @ x_next))
-        assert loss == min(expected, env.cfg.loss_cap)
+        assert loss == min(expected, lqr_module.LOSS_CAP)
         assert env.true_loss(w, theta, z) == expected
         u_cmp = -env.W_cmp @ x
         x_cmp = env.A_true @ x + env.B_true @ u_cmp + xi
@@ -373,12 +374,12 @@ def lqr_realize_outcome_reference(env, theta, w):
     z = {"x": x, "xi": xi, "u": u, "x_next": x_next}
     xx = x_next @ x_next
     loss = float(u @ (env.r * u) + xx)
-    if not (loss <= cfg.loss_cap):
-        loss = cfg.loss_cap
+    if not (loss <= lqr_module.LOSS_CAP):
+        loss = lqr_module.LOSS_CAP
         env.unstable = True
-    if not (np.linalg.norm(x_next) <= cfg.state_cap):
+    if not (np.linalg.norm(x_next) <= lqr_module.STATE_CAP):
         env.unstable = True
-        x_next = np.clip(np.nan_to_num(x_next), -cfg.state_cap, cfg.state_cap)
+        x_next = np.clip(np.nan_to_num(x_next), -lqr_module.STATE_CAP, lqr_module.STATE_CAP)
     env.x = x_next
     return z, loss, None
 
@@ -429,7 +430,6 @@ def test_lqr_round_path_equals_readable_forms_bitwise(n_x, n_u, r_weight, theta_
         assert as_bits(env._model_terms, theta) == as_bits(lqr_model_terms_reference, env, theta)
         for t in range(1, 4):
             w, v = w_scale * rng.standard_normal(env.q), w_scale * rng.standard_normal(env.q)
-            assert as_bits(env.model_gradient, theta, env._gain(w)) == as_bits(env.grad_w_model, w, theta)
             z, loss, _ = env.realize_outcome(t, theta, w)
             z_ref, loss_ref, _ = lqr_realize_outcome_reference(twin, theta, w)
             assert as_bits(lambda: tuple(z.values()) + (loss, env.x)) == \
@@ -453,7 +453,7 @@ def test_lqr_nan_outcome_caps_loss_and_resets_state():
     env = fresh("lqr")
     z, loss, _ = env.realize_outcome(1, env.theta_init(), np.full(env.q, np.nan))
     assert np.isnan(z["x_next"]).all()
-    assert loss == env.cfg.loss_cap and env.unstable
+    assert loss == lqr_module.LOSS_CAP and env.unstable
     assert np.array_equal(env.x, np.zeros(env.cfg.n_x))
 
 
@@ -540,7 +540,7 @@ def sinkhorn_exact_adjoint_reference(env, w, z):
     """The closed-form adjoint as first written, with ``np.diag`` blocks and a
     concatenated right-hand side."""
     n = env.cfg.n
-    K = np.maximum(np.asarray(w), env.cfg.adjoint_floor).reshape(n, n) / env.cfg.regularization
+    K = np.maximum(np.asarray(w), sinkhorn_flow.ADJOINT_FLOOR).reshape(n, n) / env.cfg.regularization
     C = z["costs_true"].copy().reshape(n, n)
     KC = K * C
     M = np.zeros((2 * n - 1, 2 * n - 1))
@@ -563,7 +563,7 @@ def test_sinkhorn_exact_adjoint_equals_reference_bitwise(n, cost_scale, eps, bel
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.0, 1.0, n * n)
     w /= w.sum()
-    w[rng.integers(0, n * n, below)] = 1e-3 * env.cfg.adjoint_floor
+    w[rng.integers(0, n * n, below)] = 1e-3 * sinkhorn_flow.ADJOINT_FLOOR
     z = {"features": np.ones(2), "costs_true": cost_scale * rng.uniform(0.01, 2.0, n * n)}
     costs = z["costs_true"].copy()
     v = env.exact_adjoint(w, env.theta_init(), z)
@@ -590,9 +590,10 @@ def adjoint_cases(draw):
 @given(adjoint_cases())
 def test_sinkhorn_exact_adjoint_equals_cg_on_floored_tangent_operator(case):
     n, w, costs, floor, eps = case
-    env = SinkhornProblem(SinkhornConfig(n=n, feature_dim=2, regularization=eps, adjoint_floor=floor))
+    env = SinkhornProblem(SinkhornConfig(n=n, feature_dim=2, regularization=eps))
     z = {"features": np.ones(2), "costs_true": costs}
-    v = env.exact_adjoint(w, env.theta_init(), z)
+    with mock.patch.object(sinkhorn_flow, "ADJOINT_FLOOR", floor):
+        v = env.exact_adjoint(w, env.theta_init(), z)
 
     # reference: the entropic Hessian with masses floored, restricted to
     # couplings with zero row and column sums by double centering, solved
@@ -621,14 +622,14 @@ def test_sinkhorn_positive_costs_always():
     for _ in range(10):
         theta = rng.standard_normal(env.p) * 5.0
         costs, _ = env.predicted_costs(theta, env.features)
-        assert np.all(costs >= env.cfg.cost_floor)
+        assert np.all(costs >= sinkhorn_flow.COST_FLOOR)
 
 
 def test_sinkhorn_link_derivative_is_zero_where_cap_or_floor_binds():
     # one raw activation per regime: under the floor, inside, just under the
     # cap, just past it and far past it
     env = fresh("sinkhorn")
-    floor, cap = env.cfg.cost_floor, env._log_cap
+    floor, cap = sinkhorn_flow.COST_FLOOR, env._log_cap
     raw = np.array([np.log(floor) - 3.0, 0.0, cap - 1e-6, cap + 1e-6, cap + 3.0])
     theta = np.zeros(env.p)
     theta[: raw.size * env.cfg.feature_dim] = (np.outer(raw, env.features)
@@ -728,17 +729,17 @@ def test_the_round_path_never_computes_inner_diagnostics(monkeypatch):
         assert res.rounds_logged == 12 and priced == [], environment
     env = fresh("lqr")
     evaluations, descents = [], []
-    gradient = env.model_gradient
+    gradient = env.grad_w_model
 
-    def counted_gradient(theta, W):
-        evaluations.append(W)
-        return gradient(theta, W)
+    def counted_gradient(w, theta):
+        evaluations.append(w)
+        return gradient(w, theta)
 
     def counted_descent(M, C, w_init, steps, step_size):
         descents.append(steps)
         return inner_gd(M, C, w_init, steps, step_size)
 
-    env.model_gradient = counted_gradient
+    env.grad_w_model = counted_gradient
     monkeypatch.setattr(lqr_module, "inner_gd", counted_descent)
     theta = env.theta_init()
     w = env.solve_inner(theta, env.initial_decision())

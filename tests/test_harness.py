@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from delayopt.config import ConfigError, _int_list, parse_config
 from delayopt.core import ContractError, InvariantError
 from delayopt.delays import DelaySpec
+from delayopt.environments import ENVIRONMENTS
 from delayopt.harness import (
     RunKey,
     read_run_csv,
@@ -213,6 +214,24 @@ def test_forged_delay_hash_breaks_the_pairing_with_a_named_error(tmp_path):
     assert isinstance(err.value, AssertionError)
 
 
+def test_compare_with_no_control_regret_leaves_the_improvement_empty(tmp_path, capsys):
+    # theta_bound = 0 starts both arms at the optimum, so both regrets are
+    # exactly 0; the comparison used to end in a ContractError traceback
+    # with no compare.csv
+    from delayopt.cli import main
+    cfg_path = tmp_path / "zero.ini"
+    cfg_path.write_text("[experiment]\nenvironment = hard_quadratic\nrounds = 20\nseeds = 0,1\n"
+                        f"out = {tmp_path / 'out'}\n[environment.args]\ntheta_bound = 0.0\n"
+                        "[delay]\nd = 3\n[algorithm.transport_omd]\neta0 = 0.1\n[algorithm.stale_omd]\neta0 = 0.1\n"
+                        "[compare]\ntreatment = transport_omd\ncontrol = stale_omd\n")
+    assert main(["compare", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "constant:3     treatment     0.000+-  0.000  control     0.000+-  0.000  improvement n/a  p=1")
+    lines = (tmp_path / "out" / "compare.csv").read_text().splitlines()
+    assert lines[2:] == ["delay,treatment_mean,treatment_sd,control_mean,control_sd,improvement_pct,t_stat,p_value",
+                         "constant:3,0,0,0,0,,0,1"]
+
+
 def test_config_error_messages_name_section_and_key():
     with pytest.raises(ConfigError, match=r"\[experiment\] unknown key"):
         parse_config("[experiment]\nbogus = 1\n[algorithm.stale_omd]\neta0 = 0.1\n")
@@ -326,7 +345,13 @@ def test_cli_run_and_errors(tmp_path, capsys):
     cfg_path.write_text(MINIMAL.format(out=tmp_path / "cli"))
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "cli" / "summary.csv").exists()
+    capsys.readouterr()
+    # a KeyError used to print its repr, the message in quotes
     assert main(["run", "--preset", "not_a_preset"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown preset 'not_a_preset'; available: controlled_comparison, delay_patterns, "
+        "grid_delay_sweep, hard_instance_floor, k_sweep, lqr_stability, transport_scaling, "
+        "uniform_delay_validation\n")
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nbogus = 1\n")
     assert main(["run", "--config", str(bad)]) == 2
@@ -395,6 +420,19 @@ TYPOS = [
      r"\[delay\] delay labels must be unique; constant:5 is repeated$"),
     ("grid_path", "[delay]\nkind = uniform\nd_max = 4\n[delay.same]\nkind = uniform\nd_max = 4\n",
      r"\[delay\] delay labels must be unique; uniform:0-4 is repeated$"),
+    # the floors and caps are module constants, not keys
+    ("lqr", "[environment.args]\nloss_cap = 1e8\n",
+     r"\[environment.args\] unknown key 'loss_cap' for environment 'lqr'$"),
+    ("lqr", "[environment.args]\nstate_cap = 1e8\n",
+     r"\[environment.args\] unknown key 'state_cap' for environment 'lqr'$"),
+    ("sinkhorn", "[environment.args]\ncost_floor = 1e-3\n",
+     r"\[environment.args\] unknown key 'cost_floor' for environment 'sinkhorn'$"),
+    ("sinkhorn", "[environment.args]\ncoupling_floor = 1e-30\n",
+     r"\[environment.args\] unknown key 'coupling_floor' for environment 'sinkhorn'$"),
+    ("sinkhorn", "[environment.args]\nadjoint_floor = 1e-6\n",
+     r"\[environment.args\] unknown key 'adjoint_floor' for environment 'sinkhorn'$"),
+    ("grid_path", "[environment.args]\ncost_floor = 1e-3\n",
+     r"\[environment.args\] unknown key 'cost_floor' for environment 'grid_path'$"),
 ]
 
 
@@ -505,10 +543,6 @@ VALUE_RANGES = [
      r"\[environment.args\] drift_rate must be in \[0, 1\] \(environment 'sinkhorn'\)$"),
     ("sinkhorn", "[environment.args]\ndrift_noise = nan\n", "",
      r"\[environment.args\] drift_noise must be finite and >= 0 \(environment 'sinkhorn'\)$"),
-    ("sinkhorn", "[environment.args]\ncost_floor = 0\n", "",
-     r"\[environment.args\] cost_floor must be positive and finite \(environment 'sinkhorn'\)$"),
-    ("sinkhorn", "[environment.args]\nadjoint_floor = nan\n", "",
-     r"\[environment.args\] adjoint_floor must be positive and finite \(environment 'sinkhorn'\)$"),
     ("grid_path", "[environment.args]\nheight = 0\n", "",
      r"\[environment.args\] height must be >= 1 \(environment 'grid_path'\)$"),
     ("grid_path", "[environment.args]\nwidth = 0\n", "",
@@ -517,8 +551,6 @@ VALUE_RANGES = [
      r"\[environment.args\] feature_dim must be >= 1 \(environment 'grid_path'\)$"),
     ("grid_path", "[environment.args]\nperturbation = nan\n", "",
      r"\[environment.args\] perturbation scale must be positive \(environment 'grid_path'\)$"),
-    ("grid_path", "[environment.args]\ncost_floor = nan\n", "",
-     r"\[environment.args\] cost_floor must be positive and finite \(environment 'grid_path'\)$"),
     ("grid_path", "[environment.args]\ndrift_rate = nan\n", "",
      r"\[environment.args\] drift_rate must be in \[0, 1\] \(environment 'grid_path'\)$"),
     ("grid_path", "[environment.args]\ndrift_noise = -1\n", "",
@@ -535,15 +567,6 @@ VALUE_RANGES = [
      r"\[environment.args\] task_seed must be >= 0 \(environment 'sinkhorn'\)$"),
     ("grid_path", "[environment.args]\ntask_seed = -1\n", "",
      r"\[environment.args\] task_seed must be >= 0 \(environment 'grid_path'\)$"),
-    # a NaN loss cap used to log a NaN loss and stop as diverged, exit 0
-    ("lqr", "[environment.args]\nloss_cap = nan\n", "",
-     r"\[environment.args\] loss_cap must be positive \(environment 'lqr'\)$"),
-    ("lqr", "[environment.args]\nloss_cap = 0\n", "",
-     r"\[environment.args\] loss_cap must be positive \(environment 'lqr'\)$"),
-    ("lqr", "[environment.args]\nstate_cap = nan\n", "",
-     r"\[environment.args\] state_cap must be positive \(environment 'lqr'\)$"),
-    ("lqr", "[environment.args]\nstate_cap = -1\n", "",
-     r"\[environment.args\] state_cap must be positive \(environment 'lqr'\)$"),
     ("hard_quadratic", "[delay.late]\nd = -1\n", "", r"\[delay.late\] d must be >= 0$"),
     ("hard_quadratic", "[delay.late]\nsweep = 2,-1\n", "", r"\[delay.late\] sweep: d must be >= 0$"),
 ]
@@ -561,12 +584,10 @@ VALUE_RANGES = [
                               "lqr_init_spread_negative", "hard_quadratic_mu_w_nan", "hard_quadratic_a_nan",
                               "hard_quadratic_bias_inf", "sinkhorn_n", "sinkhorn_feature_dim",
                               "sinkhorn_regularization_nan", "sinkhorn_drift_rate", "sinkhorn_drift_noise_nan",
-                              "sinkhorn_cost_floor_zero", "sinkhorn_adjoint_floor_nan", "grid_path_height",
-                              "grid_path_width", "grid_path_feature_dim", "grid_path_perturbation_nan",
-                              "grid_path_cost_floor_nan", "grid_path_drift_rate_nan",
+                              "grid_path_height", "grid_path_width", "grid_path_feature_dim",
+                              "grid_path_perturbation_nan", "grid_path_drift_rate_nan",
                               "grid_path_drift_noise_negative", "grid_path_feature_noise_inf", "seeds_negative",
                               "seeds_empty", "lqr_task_seed", "sinkhorn_task_seed", "grid_path_task_seed",
-                              "lqr_loss_cap_nan", "lqr_loss_cap_zero", "lqr_state_cap_nan", "lqr_state_cap_negative",
                               "labelled_delay_d", "labelled_delay_sweep"])
 def test_value_range_errors_exit_2_before_running(tmp_path, capsys, environment, extra, algo_arg, message):
     from delayopt.cli import main
@@ -599,9 +620,9 @@ def test_explicit_zero_rounds_is_not_the_default():
 
 ALGORITHM_ERRORS = [
     ("lqr", "transport_omd", "base = bogus",
-     r"\[algorithm.transport_omd\] base 'bogus' is unknown; known: plain_gd, adam, dftrl"),
+     r"\[algorithm.transport_omd\]: base 'bogus' is unknown; known: plain_gd, adam, dftrl$"),
     ("lqr", "transport_omd", "gradient = bogus",
-     r"\[algorithm.transport_omd\] gradient 'bogus' is unknown; known: transport, stale, two_stage"),
+     r"\[algorithm.transport_omd\]: gradient 'bogus' is unknown; known: transport, stale, two_stage$"),
     ("hard_quadratic", "two_stage", "",
      r"\[algorithm.two_stage\]: environment 'hard_quadratic' exposes no prediction target"),
     ("lqr", "transport_omd", "eta0 = abc", r"\[algorithm.transport_omd\] eta0 = 'abc': expected float$"),
@@ -654,6 +675,14 @@ def test_config_schema_lists_every_algorithm_key_and_registry_entry():
         assert (algo.gradient, algo.base, algo.schedule_mode) == (gradient, base, mode), kind
         assert algo.clip_norm == (None if clip == "none" else float(clip)), kind
         assert algo.beta_damping == float(damping), kind
+
+
+def test_config_schema_range_table_names_exactly_each_environment_configs_fields():
+    with open(SCHEMA_PATH, encoding="utf-8") as f:
+        section = f.read().split("## `[environment.args]`")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", section, re.MULTILINE)
+    named = {env: set(re.findall(r"[a-z_]\w*", " ".join(re.findall(r"`([^`]+)`", ranges)))) for env, ranges in rows}
+    assert named == {name: set(entry.fields) for name, entry in ENVIRONMENTS.items()}
 
 
 def test_every_command_and_flag_the_docs_name_exists(capsys):

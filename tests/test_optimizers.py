@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.delays import DelaySchedule
-from delayopt.environments import environment_class, environment_names, make_environment
+from delayopt.environments import ENVIRONMENTS, environment_names, make_environment
 from delayopt.optimizers import (
     Adam,
     AlgorithmConfig,
@@ -260,7 +260,7 @@ def test_step_norm_identity_plain_gd():
     # reconstruct gradient norms from consecutive losses: theta_{t+1} = (1 - eta) theta_t ... use step_sq directly
     theta = env.theta_init()[0]
     for t in range(30):
-        g = env.coupling**2 * theta
+        g = (env.cfg.a - env.cfg.b)**2 * theta
         expected_step = 0.07 * abs(g)
         assert np.sqrt(res.columns["step_sq"][t]) == pytest.approx(expected_step, abs=1e-12)
         theta -= 0.07 * g
@@ -329,7 +329,7 @@ def test_failed_inner_solve_ends_the_run_as_diverged():
 
 # every registry algorithm on every environment that can run it
 RUNNABLE = [(env_name, name) for env_name in environment_names() for name in algorithm_names()
-            if make_algorithm(name).gradient != "two_stage" or environment_class(env_name).has_prediction_target]
+            if make_algorithm(name).gradient != "two_stage" or ENVIRONMENTS[env_name].problem.has_prediction_target]
 
 
 @settings(max_examples=40, deadline=None)

@@ -72,7 +72,7 @@ def test_hypergradient_exact_inner_closed_form():
     w = env.exact_inner(theta)
     v = np.array([(env.cfg.b - env.cfg.a) * theta[0] / env.cfg.mu_w])
     g = hypergradient_at(env, w, v, theta, None)
-    assert g[0] == pytest.approx(env.coupling**2 * theta[0], abs=1e-12)
+    assert g[0] == pytest.approx((env.cfg.a - env.cfg.b)**2 * theta[0], abs=1e-12)
 
 
 def test_hypergradient_matches_finite_difference_of_reduced_objective():
@@ -90,17 +90,18 @@ def test_hypergradient_matches_finite_difference_of_reduced_objective():
 def test_hypergradient_biased_solver_formula():
     # with solution b*theta + eps, the gradient picks up a constant bias
     env = quad_env()
+    coupling = abs(env.cfg.a - env.cfg.b)
     eps = 0.1
     theta = np.array([0.0])
     w = np.array([env.cfg.b * theta[0] + eps])
     adj = solve_adjoint(env, w, theta, None)
     g = hypergradient_at(env, w, adj, theta, None)
-    assert g[0] == pytest.approx(env.coupling * eps, abs=1e-10)
+    assert g[0] == pytest.approx(coupling * eps, abs=1e-10)
     theta = np.array([0.7])
     w = np.array([env.cfg.b * theta[0] + eps])
     adj = solve_adjoint(env, w, theta, None)
     g = hypergradient_at(env, w, adj, theta, None)
-    assert g[0] == pytest.approx(env.coupling**2 * theta[0] + env.coupling * eps, abs=1e-10)
+    assert g[0] == pytest.approx(coupling**2 * theta[0] + coupling * eps, abs=1e-10)
 
 
 def test_hypergradient_zero_terms():
