@@ -78,6 +78,9 @@ CASES = {
     # constant d = 20, the bench workload's buffer: every transport round
     # re-evaluates a full batch of 20 (gain, adjoint) pairs
     "lqr_full_buffer": ("lqr", {}, 0.01, ("transport_omd", "stale_omd", "two_stage"), [constant(20)], 60),
+    # 200 rounds draw process noise across several blocks of 64 rounds, and
+    # every LQR round after the first 20 reads a full buffer of 20
+    "lqr_long": ("lqr", {}, 0.01, ("transport_omd", "stale_omd", "two_stage"), [constant(20)], 200),
 }
 
 DIGESTS = {
@@ -131,6 +134,12 @@ DIGESTS = {
         "runs/transport_omd__constant-20__seed0.csv": "ddfcbf4f14ceaf67431f561cec507f134a6c78f92650b16207ff681f8b7b2a51",
         "runs/two_stage__constant-20__seed0.csv": "7b90fae005fbaea82ae17be8073094a776f926140d588e3448c55311ac7eb689",
         "summary.csv": "16fe70d8b12fa8f4023751b7ff2e1b2bebc372d26a89975bb3f557c32b2c0770",
+    },
+    "lqr_long": {
+        "runs/stale_omd__constant-20__seed0.csv": "5e60b399b8863bb976b14d7d922d660f8e5ab39029b94d3d4c8ec29fe314f21a",
+        "runs/transport_omd__constant-20__seed0.csv": "569c20febda812c25e49398aa65a5eb95f0c49707ea0ec1bd20ea0c023e13329",
+        "runs/two_stage__constant-20__seed0.csv": "665a73bb58b94c8f9598729da4605a28d6ea09e620ab02c501579618e0b4221a",
+        "summary.csv": "9be2d1fad10b9eabc77e68323d49710bf2c3d5688f2f7dbae3edfb94f3462c9e",
     },
     "sinkhorn": {
         "runs/stale_adam__constant-0__seed0.csv": "2d7165246e55f2fa572857483c2979951d19c2225a68cfa759091a78d29e3480",
@@ -191,6 +200,11 @@ COLUMN_DIGESTS = {
         "stale_omd__constant-20__seed0.csv": "5a63909b83b31635973e65ce69e911b1991af75d2c45adee81d4f1fa82be7440",
         "transport_omd__constant-20__seed0.csv": "88f7d9f4f01259a143500b3af22528af392184a5ca9de7db60c1d42616baeb97",
         "two_stage__constant-20__seed0.csv": "64ae1720bce8d10895c89ecb53770baefdbb4e78d7851597e0e4bcf9bab116e5",
+    },
+    "lqr_long": {
+        "stale_omd__constant-20__seed0.csv": "7553ef5a5823ad6cbcc880b052ac8f6171a5bbdb4ddf2a58c63612a6d9b66822",
+        "transport_omd__constant-20__seed0.csv": "da400f0449a664ef82e7730a71903c61f62eae09ea4c528a0178ebdee23011e1",
+        "two_stage__constant-20__seed0.csv": "11652357950a10f0939938d1119235f8d5c162f597c25f109e7295c56b4496c8",
     },
     "sinkhorn": {
         "stale_adam__constant-0__seed0.csv": "84bcc22e4248bc610e7e4f05c0f929ff840ea3c96f582212edf28539771d82cf",
