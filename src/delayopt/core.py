@@ -26,13 +26,30 @@ class InvariantError(AssertionError):
     ``AssertionError`` so that callers catching that still catch it."""
 
 
+def _snapshot(a: Any) -> np.ndarray:
+    """``a`` itself when it is a read-only float64 ndarray that owns its
+    data, else a read-only float64 copy of it."""
+    if type(a) is np.ndarray and a.dtype == np.float64:
+        flags = a.flags
+        if not flags.writeable and flags.owndata:
+            return a
+    a = np.array(a, dtype=float, copy=True)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class OutcomeRecord:
     """Feedback for one dispatched round, revealed after its delay elapses.
 
     ``payload`` is environment-specific realized data (cost matrix, observed
-    next state, ...). The dispatch snapshots are immutable copies of the
-    parameters and decision in force when the round was played.
+    next state, ...). The dispatch snapshots are read-only float64 arrays of
+    the parameters and decision in force when the round was played. An
+    input that already is one and owns its data, as every parameter vector
+    the runner makes is, is shared rather than copied: nothing can write it,
+    and an environment that keeps terms of a frozen parameter vector by
+    identity finds them again from the record. Anything else, a writeable
+    array or a view included, is copied and the copy frozen.
     """
 
     round: int
@@ -43,7 +60,5 @@ class OutcomeRecord:
     def __post_init__(self):
         if self.round < 1:
             raise ContractError("round index must be >= 1")
-        object.__setattr__(self, "dispatch_params", np.array(self.dispatch_params, dtype=float, copy=True))
-        object.__setattr__(self, "dispatch_decision", np.array(self.dispatch_decision, dtype=float, copy=True))
-        self.dispatch_params.setflags(write=False)
-        self.dispatch_decision.setflags(write=False)
+        object.__setattr__(self, "dispatch_params", _snapshot(self.dispatch_params))
+        object.__setattr__(self, "dispatch_decision", _snapshot(self.dispatch_decision))

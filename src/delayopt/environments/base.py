@@ -19,6 +19,12 @@ Environments whose values read endogenous state (LQR's comparator reads the
 state the played gains produced) never consult it. Cells on worker processes
 (``parallel > 1``) each price their own rounds.
 
+Every parameter vector a run hands an environment is read-only, and the
+runner never writes it, so an environment may keep terms it forms from one,
+keyed by its identity (LQR keeps one slot of them), as long as it keeps none
+of a writeable array. An outcome record shares the vector it was played at,
+so a stored round's dispatch parameters are that same object.
+
 Transport needs one thing from an environment: a stored round's gradient
 re-evaluated at the current parameters. ``exact_adjoint`` runs once per
 arrival (closed form for ``hard_quadratic``, ``lqr`` and ``sinkhorn``, None
@@ -163,9 +169,13 @@ class Environment(ABC):
         its rows in place."""
 
     def exact_adjoint(self, w: np.ndarray, theta: np.ndarray, z: Any) -> Optional[np.ndarray]:
-        """The adjoint stored with an arrived round; None here, for an
-        environment off the adjoint route, whose ``stored_factors`` read only
-        the decision and the outcome payload."""
+        """The adjoint stored with an arrived round, solved at ``theta`` for
+        decision ``w``. ``z`` is the payload ``realize_outcome`` returned when
+        it played ``w``, so an environment may read the realized step from
+        it instead of taking the step again (LQR does). A singular system
+        raises ``np.linalg.LinAlgError``, and the transport skips the
+        arrival. None here, for an environment off the adjoint route, whose
+        ``stored_factors`` read only the decision and the outcome payload."""
         return None
 
     def two_stage_gradient(self, theta: np.ndarray, record: OutcomeRecord) -> np.ndarray:

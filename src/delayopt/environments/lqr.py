@@ -21,12 +21,34 @@ are analytic. The model objective is quadratic in the gain with Hessian
 so both the exact inner gain and the adjoint are one small linear solve.
 
 Two hot paths are shaped by that structure. The model gradient
-``2 (M W - C)`` has theta-only terms ``M = R + B'B`` and ``C = B'A``, formed
-once per inner solve and handed to ``solvers.inner_gd``, which descends on
-the (n_u, n_x) gain itself in place: no step reshapes, ravels, allocates or
-calls back. It checks finiteness once per solve, not per step, and computes
-no exit residual: ``inner_diagnostics`` evaluates ``grad_w_model`` at a
-returned gain when asked, and no round asks.
+``2 (M W - C)`` has theta-only terms ``M = R + B'B`` and ``C = B'A``, handed
+to ``solvers.inner_gd``, which descends on the (n_u, n_x) gain itself in
+place: no step reshapes, ravels, allocates or calls back. It checks
+finiteness once per solve, not per step, and computes no exit residual:
+``inner_diagnostics`` evaluates ``grad_w_model`` at a returned gain when
+asked, and no round asks.
+
+A round reads the theta-only terms three times at the round's parameters:
+the inner solve reads ``M`` and ``C``, an arrival's adjoint ``M``, and the
+buffer's re-evaluation the blocks ``A`` and ``B``. The runner freezes every
+parameter vector it makes, so the environment keeps ``(A, B, M, C)`` of the
+last frozen one it saw in one slot, compared by identity, and forms them
+once per round. A writeable vector can change under the slot, so its terms
+are formed on every call and never kept. ``2 M`` and ``-2 B`` are formed
+where they are read, so a round that reads neither (a two-stage round)
+pays nothing for them.
+
+An arrival's adjoint solves ``2 M V = G``, with ``G`` the realized-loss
+gradient. ``G`` reads the control ``u`` and next state ``x_next`` that
+``realize_outcome`` stored in the payload when the decision was played, so
+the step on the true dynamics is not run again; the operations are those of
+``grad_w_true``, which stays the reference. The solve goes to
+``solvers.lapack_solve``, the gufunc ``np.linalg.solve`` calls, with the same
+bits. The process noise is drawn ``NOISE_BLOCK`` rounds at a time, each
+block a fresh array whose rows the payloads keep: a generator gives the
+same normals in one ``(NOISE_BLOCK, n_x)`` draw as in that many draws of
+``n_x``, so the rounds see the same noise.
+
 Re-evaluating a stored round reads its adjoint gain ``V`` and the products
 ``W V'`` and ``V W'`` of its gain and adjoint, none of which depends on the
 parameters: those are its ``stored_factors``, formed once when the round
@@ -51,15 +73,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from delayopt.core import ContractError
 from delayopt.environments.base import Environment
-from delayopt.solvers import inner_gd
+from delayopt.solvers import inner_gd, lapack_solve
 
 LOSS_CAP = 1e8
 STATE_CAP = 1e8
+NOISE_BLOCK = 64  # rounds of process noise per generator call
 
 
 @dataclass
@@ -109,7 +133,10 @@ class LQRProblem(Environment):
         self._theta1 = self._pack(self.A_true, self.B_true) + cfg.init_spread * rng.standard_normal(self.p)
         self._noise_rng = np.random.default_rng([int(seed), 3001])
         self.x = 0.1 * self._noise_rng.standard_normal(n_x)
-        self._xi = np.zeros(n_x)
+        self._noise = np.empty((0, n_x))  # the current block of process noise
+        self._noise_next = 0  # its next unused row
+        self._slot_theta: Optional[np.ndarray] = None  # the frozen theta whose terms are kept
+        self._slot_terms: tuple[np.ndarray, ...] = ()
         theta_cmp = self._pack(self.A_true, self.B_true)
         self.W_cmp = self._exact_gain(theta_cmp)
         self.comparator_note = "fixed comparator: true dynamics parameters"
@@ -128,20 +155,32 @@ class LQRProblem(Environment):
     def _gain(self, w: np.ndarray) -> np.ndarray:
         return np.asarray(w).reshape(self.cfg.n_u, self.cfg.n_x)
 
-    def _hessian_half(self, B: np.ndarray) -> np.ndarray:
-        """``M = R + B'B``: half the model objective's Hessian in the gain."""
+    def _theta_terms(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(A, B, M, C)`` at ``theta``: its two blocks, ``M = R + B'B``
+        (half the model objective's Hessian in the gain) and ``C = B'A``
+        (``Q = I``). The model gradient is ``2 (M W - C)`` and the exact gain
+        solves ``M W = C``.
+
+        The terms of a read-only ``theta`` that owns its data stay in the
+        slot, read-only themselves, until another such ``theta`` comes; a
+        call with the same object returns them. Whoever froze ``theta`` must
+        never make it writeable again. A writeable ``theta`` (or a view) is
+        never kept."""
+        if theta is self._slot_theta:
+            return self._slot_terms
+        A, B = self._unpack(theta)
         M = B.T.dot(B)
         M += self.R
-        return M
-
-    def _model_terms(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``M = R + B'B`` and ``C = B'A`` (``Q = I``): the model gradient is
-        ``2 (M W - C)`` and the exact gain solves ``M W = C``."""
-        A, B = self._unpack(theta)
-        return self._hessian_half(B), B.T.dot(A)
+        C = B.T.dot(A)
+        flags = theta.flags
+        if not flags.writeable and flags.owndata:
+            M.setflags(write=False)
+            C.setflags(write=False)
+            self._slot_theta, self._slot_terms = theta, (A, B, M, C)
+        return A, B, M, C
 
     def _exact_gain(self, theta: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(*self._model_terms(theta))
+        return np.linalg.solve(*self._theta_terms(theta)[2:])
 
     # -- derivative products ---------------------------------------------------
     # model objective: E_{x ~ N(0, I)} [ u'Ru + |A x + B u|^2 ], u = -W x
@@ -158,9 +197,14 @@ class LQRProblem(Environment):
 
     def exact_adjoint(self, w, theta, z):
         """``2 M V = G`` for the adjoint gain ``V``, with ``G`` the realized-loss
-        gradient as an (n_u, n_x) gain."""
-        M = self._hessian_half(self._unpack(theta)[1])
-        return np.linalg.solve(2.0 * M, self._gain(self.grad_w_true(w, theta, z))).ravel()
+        gradient as an (n_u, n_x) gain. ``G`` is ``grad_w_true``'s, in its
+        order of operations, from the control and next state that
+        ``realize_outcome`` stored in ``z`` when it played ``w``."""
+        dLdu = 2.0 * (self.r * z["u"])
+        dLdu += 2.0 * self.B_true.T.dot(z["x_next"])
+        G = np.multiply.outer(dLdu, z["x"])
+        np.negative(G, G)
+        return lapack_solve(2.0 * self._theta_terms(theta)[2], G).ravel()
 
     def cross_partial_transpose_vp(self, w, theta, v, z=None):
         A, B = self._unpack(theta)
@@ -181,7 +225,7 @@ class LQRProblem(Environment):
         over the (m, n_u, n_x) adjoints and the (m, n_u, n_u) products,
         negated (the direct term is zero). Rows are bit-identical to the
         per-entry formula."""
-        A, B = self._unpack(theta)
+        A, B, _, _ = self._theta_terms(theta)
         m, k = len(V), self.cfg.n_x * self.cfg.n_x
         rows = np.empty((m, self.p))
         rows[:, :k] = ((-2.0 * B) @ V).reshape(m, k)
@@ -235,7 +279,8 @@ class LQRProblem(Environment):
 
     def solve_inner(self, theta, w_prev):
         cfg = self.cfg
-        return inner_gd(*self._model_terms(theta), self._gain(w_prev), cfg.inner_steps, cfg.inner_step_size)
+        _, _, M, C = self._theta_terms(theta)
+        return inner_gd(M, C, self._gain(w_prev), cfg.inner_steps, cfg.inner_step_size)
 
     def inner_diagnostics(self, theta, w):
         """The norm of ``grad_w_model`` at gain ``w`` (``np.linalg.norm``
@@ -247,7 +292,11 @@ class LQRProblem(Environment):
 
     def realize_outcome(self, t, theta, w):
         cfg = self.cfg
-        xi = cfg.noise_std * self._noise_rng.standard_normal(cfg.n_x)
+        if self._noise_next == len(self._noise):
+            self._noise = cfg.noise_std * self._noise_rng.standard_normal((NOISE_BLOCK, cfg.n_x))
+            self._noise_next = 0
+        xi = self._noise[self._noise_next]
+        self._noise_next += 1
         x = self.x.copy()
         u, x_next = self._step(self._gain(w), x, xi)
         z = {"x": x, "xi": xi, "u": u, "x_next": x_next}

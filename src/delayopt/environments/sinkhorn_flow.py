@@ -22,7 +22,8 @@ each in ``floored_couplings``; and the adjoint system alone floors masses at
 The entropic term makes the inner objective strongly convex with curvature
 ``regularization / w`` per coordinate. On the marginal-preserving couplings
 the adjoint system therefore has a closed form through a 2n dual system (see
-``exact_adjoint``), so no iterative solve is needed.
+``exact_adjoint``), so no iterative solve is needed: one dense solve through
+``solvers.lapack_solve`` per arrival.
 
 A stored round's re-evaluation reads its context features and its adjoint,
 which are its ``stored_factors``; the transport buffer keeps both stacked,
@@ -50,7 +51,7 @@ import numpy as np
 
 from delayopt.core import ContractError
 from delayopt.environments.base import Environment
-from delayopt.solvers import assignment_min_cost, sinkhorn_log
+from delayopt.solvers import assignment_min_cost, lapack_solve, sinkhorn_log
 
 COST_FLOOR = 1e-3
 COUPLING_FLOOR = 1e-30
@@ -184,7 +185,8 @@ class SinkhornProblem(Environment):
         view of ``M``, the right-hand side into one vector negated in place.
         Column sums run row after row whichever columns are summed, so
         summing the first ``n - 1`` columns gives the bits of summing all
-        ``n`` and dropping the last.
+        ``n`` and dropping the last. The system goes to ``solvers.lapack_solve``,
+        the gufunc ``np.linalg.solve`` calls, with the same bits.
         """
         n = self.cfg.n
         K = np.maximum(np.asarray(w), ADJOINT_FLOOR).reshape(n, n) / self.cfg.regularization
@@ -201,7 +203,7 @@ class SinkhornProblem(Environment):
         np.add.reduce(KC, 1, None, rhs[:n])
         np.add.reduce(KC[:, :-1], 0, None, rhs[n:])
         np.negative(rhs, rhs)
-        duals = np.linalg.solve(M, rhs)
+        duals = lapack_solve(M, rhs)
         b = np.zeros(n)  # the last column dual stays pinned at 0
         b[:-1] = duals[n:]
         V = C + duals[:n, None]

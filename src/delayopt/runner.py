@@ -8,6 +8,11 @@ at the first round whose parameters are non-finite or exceed
 ``DIVERGENCE_NORM`` in norm, whose environment reports itself unstable, or
 whose inner solve fails (that round plays the previous decision).
 Runs are deterministic given (environment seed, delay seed, config).
+
+Every parameter vector the loop makes is frozen (``setflags(write=False)``)
+before anything reads it, and the loop never writes one: the outcome
+record shares it instead of copying it, and an environment may keep terms
+formed from it, keyed by its identity, for the rest of the round (LQR does).
 """
 
 from __future__ import annotations
@@ -72,10 +77,11 @@ def run_online(
     queue = DelayQueue()
 
     theta = np.array(env.theta_init(), dtype=float)
+    theta.setflags(write=False)
     w_prev = np.array(env.initial_decision(), dtype=float)
     # history[s] = theta_s and step_sqs[s] = ||theta_{s+1} - theta_s||^2, kept
     # only from the oldest outstanding round on: no later window reaches back further
-    history: dict[int, np.ndarray] = {1: theta.copy()}
+    history: dict[int, np.ndarray] = {1: theta}
     step_sqs: dict[int, float] = {}
     kept_from = 1  # the oldest round still in history
 
@@ -112,6 +118,7 @@ def run_online(
                 if norm > algo.clip_norm:
                     g = g * (algo.clip_norm / norm)
             theta_next = base.update(theta, g, eta)
+            theta_next.setflags(write=False)
             engine.end_round()
 
             history[t + 1] = theta_next

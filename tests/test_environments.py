@@ -101,7 +101,9 @@ def test_grad_theta_true_fixed_w_matches_fd(name):
 
 @st.composite
 def adjoint_points(draw, name):
-    """An environment with a point ``(theta, w)`` and an outcome ``z``."""
+    """An environment with a point ``(theta, w)`` and an outcome ``z``; an
+    LQR outcome is the environment's own step from a drawn state and noise
+    under the gain ``w``, as ``realize_outcome`` stores it."""
     def vec(n, bound):
         return draw(arrays(float, n, elements=st.floats(-bound, bound)))
 
@@ -112,8 +114,9 @@ def adjoint_points(draw, name):
         return env, vec(1, 5.0), vec(1, 5.0), None
     env = make_environment(name, seed=0, n_x=draw(st.integers(1, 6)), n_u=draw(st.integers(1, 3)),
                            r_weight=draw(st.floats(0.01, 2.0)), task_seed=draw(st.integers(0, 2**16)))
-    z = {"x": vec(env.cfg.n_x, 2.0), "xi": vec(env.cfg.n_x, 0.5)}
-    return env, env.theta_init() + vec(env.p, 1.0), vec(env.q, 2.0), z
+    w, x, xi = vec(env.q, 2.0), vec(env.cfg.n_x, 2.0), vec(env.cfg.n_x, 0.5)
+    u, x_next = env._step(env._gain(w), x, xi)
+    return env, env.theta_init() + vec(env.p, 1.0), w, {"x": x, "xi": xi, "u": u, "x_next": x_next}
 
 
 def fd_hessian_action(env, w, theta):
@@ -427,7 +430,7 @@ def test_lqr_round_path_equals_readable_forms_bitwise(n_x, n_u, r_weight, theta_
     theta = env.theta_init() + theta_scale * rng.standard_normal(env.p)
     as_bits = functools.partial(bits, signed_zeros=n_x > 1)
     with np.errstate(all="ignore"):
-        assert as_bits(env._model_terms, theta) == as_bits(lqr_model_terms_reference, env, theta)
+        assert as_bits(lambda: env._theta_terms(theta)[2:]) == as_bits(lqr_model_terms_reference, env, theta)
         for t in range(1, 4):
             w, v = w_scale * rng.standard_normal(env.q), w_scale * rng.standard_normal(env.q)
             z, loss, _ = env.realize_outcome(t, theta, w)
@@ -447,6 +450,77 @@ def test_lqr_round_path_equals_readable_forms_bitwise(n_x, n_u, r_weight, theta_
         rows = [hypergradient_at(env, w, v, theta, None) for w, v in zip(decisions, adjoints)]
         assert as_bits(env.hypergradients_at_many, theta, *stacked(env, decisions, adjoints, [None] * m)) == \
             as_bits(np.array, rows)
+
+
+def frozen(values):
+    a = np.array(values, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("kw", [{}, dict(n_x=1, n_u=2, r_weight=0.01), dict(n_x=4, n_u=4, r_weight=3.7)])
+def test_lqr_exact_adjoint_equals_the_reference_solve_on_realized_payloads(kw):
+    # rounds as a run plays them: a frozen theta, the decision its inner
+    # solve returns and the payload realize_outcome stores for that decision.
+    # The adjoint from the stored step, through the term slot and
+    # lapack_solve, equals np.linalg.solve(2 M, grad_w_true) recomputed.
+    env = make_environment("lqr", seed=5, **kw)
+    rng = np.random.default_rng(5)
+    w = env.initial_decision()
+    for t in range(1, 81):
+        theta = frozen(env.theta_init() + 0.1 * rng.standard_normal(env.p))
+        w = env.solve_inner(theta, w)
+        z, _, _ = env.realize_outcome(t, theta, w)
+        M, _ = lqr_model_terms_reference(env, theta)
+        expected = np.linalg.solve(2.0 * M, env._gain(env.grad_w_true(w, theta, z))).ravel()
+        assert env.exact_adjoint(w, theta, z).tobytes() == expected.tobytes()
+
+
+def test_lqr_noise_blocks_replay_a_per_round_generator():
+    # the noise comes NOISE_BLOCK rounds at a time; a twin of the generator
+    # drawing one round at a time gives the same bits, over several blocks,
+    # and no later block overwrites the noise an earlier payload keeps
+    env = make_environment("lqr", seed=7)
+    twin = np.random.default_rng([7, 3001])
+    n_x, noise_std = env.cfg.n_x, env.cfg.noise_std
+    assert env.x.tobytes() == (0.1 * twin.standard_normal(n_x)).tobytes()
+    theta, w = frozen(env.theta_init()), env.initial_decision()
+    payloads, expected = [], []
+    for t in range(1, 201):
+        z, _, _ = env.realize_outcome(t, theta, w)
+        payloads.append(z)
+        expected.append((noise_std * twin.standard_normal(n_x)).tobytes())
+        assert z["xi"].tobytes() == expected[-1]
+    assert 200 > 3 * lqr_module.NOISE_BLOCK
+    assert [z["xi"].tobytes() for z in payloads] == expected
+
+
+def test_lqr_term_slot_never_serves_a_writeable_theta():
+    env, twin = make_environment("lqr", seed=0), make_environment("lqr", seed=0)
+    k, w0 = env.cfg.n_x ** 2, env.initial_decision()
+    rng = np.random.default_rng(0)
+    w, v = rng.standard_normal(env.q), rng.standard_normal(env.q)
+    z, _, _ = env.realize_outcome(1, env.theta_init(), w)
+    factors = stacked(env, [w], [v], [z])
+
+    def outputs(problem, theta):
+        return (problem.solve_inner(theta, w0).tobytes(), problem.exact_adjoint(w, theta, z).tobytes(),
+                problem.hypergradients_at_many(theta, *factors).tobytes())
+
+    theta = env.theta_init()
+    view = theta.view()
+    view.setflags(write=False)  # read-only, but its data can change through theta
+    for probe in (theta, view):
+        before = outputs(env, probe)
+        theta[k:] *= 1.5  # B moves in place
+        after = outputs(env, probe)
+        assert after == outputs(twin, theta.copy())
+        assert all(b != a for b, a in zip(before, after))
+    # a frozen theta that owns its data is kept: the same terms come back
+    fixed = frozen(theta)
+    terms = env._theta_terms(fixed)
+    assert all(a is b for a, b in zip(env._theta_terms(fixed), terms))
+    assert outputs(env, fixed) == outputs(twin, theta.copy())
 
 
 def test_lqr_nan_outcome_caps_loss_and_resets_state():

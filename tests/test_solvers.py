@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment, linprog
 
-from delayopt.core import ContractError
+from delayopt import solvers
+from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments import make_environment
 from delayopt.environments.lqr import LQRConfig, LQRProblem
 from delayopt.solvers import (
@@ -22,10 +23,12 @@ from delayopt.solvers import (
     dijkstra_grid,
     grid_shortest_paths,
     inner_gd,
+    lapack_solve,
     shortest_path_tree,
     sinkhorn_log,
     tree_path,
 )
+from delayopt.transport import TransportBuffer, transport_step
 
 
 # -- warm-started gradient descent -------------------------------------------
@@ -785,3 +788,59 @@ def test_cg_detects_indefinite_operator():
     A = np.diag([1.0, -1.0])
     with pytest.raises(SolverError, match="not SPD"):
         conjugate_gradient(lambda v: A @ v, np.array([0.0, 1.0]))
+
+
+# -- the LAPACK solve behind closed-form adjoints --------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 20), k=st.one_of(st.none(), st.integers(1, 12)), seed=st.integers(0, 2**32 - 1))
+def test_lapack_solve_equals_np_linalg_solve_bitwise(n, k, seed):
+    # well conditioned: a random matrix shifted by n along the diagonal;
+    # k None gives a vector right-hand side, else an (n, k) matrix
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    b = rng.standard_normal(n if k is None else (n, k))
+    x = lapack_solve(a, b)
+    assert x.shape == b.shape and x.dtype == np.float64
+    assert x.tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+@pytest.mark.parametrize("b", [np.ones(3), np.ones((3, 2))])
+def test_lapack_solve_raises_linalgerror_on_a_singular_system(b):
+    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        lapack_solve(a, b)
+
+
+def test_a_singular_lqr_adjoint_system_skips_the_arrival(caplog):
+    # with n_u > n_x, B'B is singular; R = 1e-300 I vanishes next to it, so
+    # M = R + B'B is exactly singular in floating point and the adjoint
+    # solve raises inside lapack_solve, not in a stand-in
+    env = make_environment("lqr", seed=0, n_x=1, n_u=2, r_weight=1e-300)
+    theta, w, x, xi = np.array([0.5, 1.0, 1.0]), np.array([0.3, -0.2]), np.array([1.0]), np.zeros(1)
+    u, x_next = env._step(env._gain(w), x, xi)
+    rec = OutcomeRecord(round=3, payload={"x": x, "xi": xi, "u": u, "x_next": x_next},
+                        dispatch_params=theta, dispatch_decision=w)
+    with pytest.raises(np.linalg.LinAlgError):
+        env.exact_adjoint(w, theta, rec.payload)
+    buf = TransportBuffer(capacity=2)
+    g, skipped = transport_step(buf, [rec], env, theta)
+    assert skipped == 1 and len(buf) == 0 and not g.any()
+    assert "round 3 arrival skipped: adjoint solve failed: Singular matrix" in caplog.text
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="the private gufuncs are verified on numpy 2.4.6 only")
+def test_lapack_solve_calls_the_gufuncs_not_the_wrapper(monkeypatch):
+    from numpy.linalg import _umath_linalg
+
+    assert solvers._lapack_solve is _umath_linalg.solve
+    assert solvers._lapack_solve1 is _umath_linalg.solve1
+
+    def wrapper(a, b):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", wrapper)
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert lapack_solve(a, np.array([3.0, 4.0])).tolist() == [1.0, 1.0]
+    assert lapack_solve(a, np.array([[3.0], [4.0]])).tolist() == [[1.0], [1.0]]
