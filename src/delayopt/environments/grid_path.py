@@ -62,6 +62,7 @@ from delayopt.solvers import (
 
 TERRAIN_LEVELS = (1.0, 2.0, 5.0, 10.0)
 COST_FLOOR = 1e-3
+DRIFT_RATE = 0.05  # per-round decay of the cost drift
 
 
 @dataclass
@@ -71,7 +72,6 @@ class GridPathConfig:
     feature_dim: int = 128
     perturbation: float = 1.0  # surrogate perturbation scale
     feature_noise: float = 0.5  # distractor feature magnitude
-    drift_rate: float = 0.05
     drift_noise: float = 0.15
     task_seed: int = 0  # terrain and features; run seed drives drift and endpoints
 
@@ -84,8 +84,6 @@ class GridPathConfig:
             raise ContractError("the grid needs height * width >= 2 cells for distinct endpoints")
         if not self.perturbation > 0:
             raise ContractError("perturbation scale must be positive")
-        if not 0 <= self.drift_rate <= 1:
-            raise ContractError("drift_rate must be in [0, 1]")
         for name in ("feature_noise", "drift_noise"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ContractError(f"{name} must be finite and >= 0")
@@ -218,7 +216,7 @@ class GridPathProblem(Environment):
     def begin_round(self, t: int) -> None:
         self.round = t
         noise = self._drift_rng.standard_normal(self.n_cells)
-        self.drift = (1.0 - self.cfg.drift_rate) * self.drift + self.cfg.drift_noise * noise
+        self.drift = (1.0 - DRIFT_RATE) * self.drift + self.cfg.drift_noise * noise
         start = self._border[self._endpoint_rng.integers(len(self._border))]
         goal = start
         while goal == start:

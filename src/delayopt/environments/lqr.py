@@ -84,6 +84,7 @@ from delayopt.solvers import inner_gd, lapack_solve
 LOSS_CAP = 1e8
 STATE_CAP = 1e8
 NOISE_BLOCK = 64  # rounds of process noise per generator call
+SPECTRAL_RADIUS = 0.95  # of the true state matrix
 
 
 @dataclass
@@ -92,7 +93,6 @@ class LQRConfig:
     n_u: int = 3
     r_weight: float = 0.1  # control cost R = r_weight * I
     noise_std: float = 0.1  # process noise std per coordinate (covariance 0.01 I)
-    spectral_radius: float = 0.95
     b_scale: float = 0.5
     init_spread: float = 0.1  # theta_1 = truth + spread * N(0, 1)
     inner_steps: int = 10
@@ -107,7 +107,7 @@ class LQRConfig:
             raise ContractError("r_weight must be positive: the model objective needs R > 0")
         if not 0 < self.inner_step_size < math.inf:
             raise ContractError("inner_step_size must be positive and finite")
-        for name in ("noise_std", "spectral_radius", "b_scale", "init_spread"):
+        for name in ("noise_std", "b_scale", "init_spread"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ContractError(f"{name} must be finite and >= 0")
         if self.task_seed < 0:
@@ -125,7 +125,7 @@ class LQRProblem(Environment):
         rng = np.random.default_rng([int(cfg.task_seed), 2417])
         A = rng.standard_normal((n_x, n_x))
         radius = max(abs(np.linalg.eigvals(A)))
-        self.A_true = A * (cfg.spectral_radius / radius)
+        self.A_true = A * (SPECTRAL_RADIUS / radius)
         self.B_true = cfg.b_scale * rng.standard_normal((n_x, n_u))
         self.r = float(cfg.r_weight)
         self.R = self.r * np.eye(n_u)

@@ -56,6 +56,8 @@ from delayopt.solvers import assignment_min_cost, lapack_solve, sinkhorn_log
 COST_FLOOR = 1e-3
 COUPLING_FLOOR = 1e-30
 ADJOINT_FLOOR = 1e-6
+DRIFT_RATE = 0.05  # per-round pull of the context features toward their anchor
+COST_SCALE = 1.0  # mean true cost at the anchor features
 
 
 @dataclass
@@ -64,9 +66,7 @@ class SinkhornConfig:
     feature_dim: int = 20
     regularization: float = 0.05
     inner_iterations: int = 10
-    drift_rate: float = 0.05
     drift_noise: float = 0.1  # context-feature noise scale
-    cost_scale: float = 1.0
     task_seed: int = 0  # structure (true map, anchor features); run seed drives drift
 
     def __post_init__(self):  # each range test is written so that NaN fails it
@@ -77,12 +77,8 @@ class SinkhornConfig:
             raise ContractError("entropic regularization must be positive")
         if self.inner_iterations < 1:
             raise ContractError("inner iterations must be >= 1")
-        if not 0 <= self.drift_rate <= 1:
-            raise ContractError("drift_rate must be in [0, 1]")
         if not 0 <= self.drift_noise < math.inf:
             raise ContractError("drift_noise must be finite and >= 0")
-        if not 0 < self.cost_scale < math.inf:
-            raise ContractError("cost_scale must be positive and finite")
         if self.task_seed < 0:
             raise ContractError("task_seed must be >= 0")
 
@@ -99,11 +95,11 @@ class SinkhornProblem(Environment):
         rng = np.random.default_rng([int(cfg.task_seed), 5077])
         # ground-truth nonnegative map; features mean-revert around a positive
         # anchor so realized costs stay bounded away from zero. The map is
-        # rescaled so the anchor-point mean cost equals cost_scale exactly,
+        # rescaled so the anchor-point mean cost equals COST_SCALE exactly,
         # keeping regret magnitudes comparable across seeds.
         self.map_true = np.abs(rng.standard_normal((self.q, k))) / np.sqrt(k)
         self.feat_mean = 0.5 + np.abs(rng.standard_normal(k))
-        self.map_true *= cfg.cost_scale / float(np.mean(self.map_true @ self.feat_mean))
+        self.map_true *= COST_SCALE / float(np.mean(self.map_true @ self.feat_mean))
         self._drift_rng = np.random.default_rng([int(seed), 5231])
         self.features = self.feat_mean.copy()
         self.mu = np.full(n, 1.0 / n)
@@ -248,22 +244,10 @@ class SinkhornProblem(Environment):
 
     def begin_round(self, t: int) -> None:
         self.round = t
-        rate = self.cfg.drift_rate
         noise = self._drift_rng.standard_normal(self.cfg.feature_dim)
         self.features = (
-            (1.0 - rate) * self.features + rate * self.feat_mean + self.cfg.drift_noise * noise
+            (1.0 - DRIFT_RATE) * self.features + DRIFT_RATE * self.feat_mean + self.cfg.drift_noise * noise
         )
-
-    def _solve_coupling(self, theta: np.ndarray, features: np.ndarray, iterations: int) -> np.ndarray:
-        costs = self._link(self._weights(theta) @ features)
-        plan = sinkhorn_log(costs.reshape(self.cfg.n, self.cfg.n), self.mu, self.nu,
-                            self.cfg.regularization, iterations)
-        w = plan.ravel()
-        low = w < COUPLING_FLOOR
-        if np.any(low):
-            self.floored_couplings += int(np.sum(low))
-            w = np.maximum(w, COUPLING_FLOOR)
-        return w
 
     def marginal_residual(self, w: np.ndarray) -> float:
         plan = np.asarray(w).reshape(self.cfg.n, self.cfg.n)
@@ -272,7 +256,15 @@ class SinkhornProblem(Environment):
         return float(max(row, col))
 
     def solve_inner(self, theta, w_prev):
-        return self._solve_coupling(theta, self.features, self.cfg.inner_iterations)
+        costs = self._link(self._weights(theta) @ self.features)
+        plan = sinkhorn_log(costs.reshape(self.cfg.n, self.cfg.n), self.mu, self.nu,
+                            self.cfg.regularization, self.cfg.inner_iterations)
+        w = plan.ravel()
+        low = w < COUPLING_FLOOR
+        if np.any(low):
+            self.floored_couplings += int(np.sum(low))
+            w = np.maximum(w, COUPLING_FLOOR)
+        return w
 
     def inner_diagnostics(self, theta, w):
         """The coupling's marginal residual, and that over the entropic

@@ -130,9 +130,6 @@ class SummaryRow:
     ratio: float
     diverged: int
 
-    def as_csv(self) -> str:
-        return ",".join(_cells(dataclasses.astuple(self)))
-
 
 SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))
 

@@ -43,13 +43,16 @@ class RunResult:
     """Columnar per-round log plus run-level diagnostics."""
 
     columns: dict[str, np.ndarray]
-    diverged: bool
-    diverged_round: Optional[int]
+    diverged_round: Optional[int]  # the round the run stopped on, if it diverged
     delay_hash: str
     poisson_cap_hits: int
     skipped_arrivals: int
     comparator_note: str
     final_theta: np.ndarray
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_round is not None
 
     @property
     def rounds_logged(self) -> int:
@@ -86,7 +89,6 @@ def run_online(
     kept_from = 1  # the oldest round still in history
 
     rows: list[tuple] = []  # one value per ROW_COLUMNS entry
-    diverged = False
     diverged_round: Optional[int] = None
     skipped = 0
     is_constant_delay = delay.kind == "constant"
@@ -146,14 +148,12 @@ def run_online(
                      np.nan if opt_gap is None else opt_gap, 1.0 if row_diverged else 0.0))
         theta = theta_next
         if row_diverged:
-            diverged = True
             diverged_round = t
             break
 
     columns = {k: np.asarray(v, dtype=float) for k, v in zip(ROW_COLUMNS, zip(*rows))}
     return RunResult(
         columns=columns,
-        diverged=diverged,
         diverged_round=diverged_round,
         delay_hash=delay.realized_hash(),
         poisson_cap_hits=delay.cap_hits,

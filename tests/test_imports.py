@@ -1,5 +1,7 @@
 """Every name a module of ``src/delayopt`` imports is used in that module,
-and the harness loads no process-pool module until a run asks for one.
+the package root exports only its version, and the harness and the CLI load
+no process-pool module until a run asks for one, and no module outside the
+numpy-only runtime.
 
 Two kinds of binding are exempt: a package ``__init__`` imports names to
 re-export them, and the benchmark's tracer (``bench/instrument.py``
@@ -84,10 +86,22 @@ def test_scan_sees_an_unused_import():
     assert set(imported_names(tree)) - used_names(tree) == {"Any"}
 
 
+def test_the_package_root_exports_only_its_version():
+    # every caller imports a submodule; the root imports none of them
+    with open(os.path.join(PACKAGE, "__init__.py")) as f:
+        tree = ast.parse(f.read())
+    assert not imported_names(tree)
+    assigned = [target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets]
+    assert assigned == ["__version__"]
+
+
 def test_importing_the_harness_loads_no_process_pool():
-    # only a parallel run needs the pool; its modules take tens of ms to load
-    code = ("import sys, delayopt.harness; "
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    # only a parallel run needs the pool; its modules take tens of ms to load.
+    # numpy is the only runtime dependency: scipy, hypothesis and pytest are
+    # for the tests alone
+    code = ("import sys, delayopt.harness, delayopt.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'scipy', 'hypothesis', 'pytest')"
+            " if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

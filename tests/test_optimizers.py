@@ -1,6 +1,7 @@
 """Update rules, gradient engines, schedules, and the online loop invariants."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from delayopt.optimizers import (
     make_algorithm,
     make_engine,
 )
-from delayopt.runner import run_online
+from delayopt.runner import DIVERGENCE_NORM, run_online
 from delayopt.transport import hypergradient_at, solve_adjoint
 
 
@@ -363,6 +364,41 @@ def test_zero_gradient_rounds_keep_theta_constant():
     env = quad(seed=0)
     res = run_online(env, make_algorithm("stale_omd", eta0=0.1), const_delay(7), rounds=7)
     assert np.all(res.columns["step_sq"] == 0.0)
+
+
+def delayed_gd(eta, d, rounds):
+    """theta_{t+1} = theta_t - eta * theta_{t-d} from theta_1 = 1, with a zero
+    gradient while t <= d, stopped where the runner stops a diverging run.
+    Returns the last theta and every round's squared step."""
+    thetas = [None, 1.0]  # thetas[t] is theta_t
+    step_sqs = []
+    for t in range(1, rounds + 1):
+        theta_next = thetas[t] - eta * (thetas[t - d] if t > d else 0.0)
+        thetas.append(theta_next)
+        step = theta_next - thetas[t]
+        step_sqs.append(step * step)
+        if not math.sqrt(theta_next * theta_next) <= DIVERGENCE_NORM:
+            break
+    return thetas[-1], step_sqs
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+@pytest.mark.parametrize("d", [0, 1, 10, 40])
+def test_stale_arm_on_the_closed_form_instance_is_delayed_gradient_descent(d, factor):
+    # a = 1, b = 2: a stale row at its dispatch snapshot is (b - a)^2 theta_s =
+    # theta_s exactly, so under plain GD and a constant step the run is the
+    # delayed recurrence, stable iff eta < 2 sin(pi / (2 (2d + 1)))
+    eta = factor * 2 * math.sin(math.pi / (2 * (2 * d + 1)))
+    rounds = 3000
+    algo = make_algorithm("stale_omd", eta0=eta, schedule_mode="constant")
+    res = run_online(quad(a=1.0, b=2.0), algo, const_delay(d), rounds)
+    theta_last, step_sqs = delayed_gd(eta, d, rounds)
+    assert res.final_theta.tolist() == [theta_last]
+    assert res.columns["step_sq"].tolist() == step_sqs
+    if factor < 1:
+        assert not res.diverged and abs(theta_last) < 1.0
+    else:
+        assert res.diverged or abs(theta_last) > 1.0
 
 
 def test_clip_norm_bounds_every_step():
