@@ -19,6 +19,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -108,6 +109,10 @@ class ExperimentConfig:
         if not self.algorithms:
             raise ConfigError("at least one [algorithm.*] section is required")
         names = [a.name for a in self.algorithms]
+        # a name is a file name part and a CSV cell, so it holds no separator
+        for name in names:
+            if not re.fullmatch(r"[A-Za-z0-9_.-]+", name):
+                raise ConfigError(f"[algorithm.{name}] the label may hold only letters, digits, '_', '.' and '-'")
         # cells are keyed by seed, delay label and algorithm name, so a repeat
         # would overwrite a cell or be counted twice
         for what, labels in (("[experiment] seeds", self.seeds),
@@ -207,8 +212,10 @@ def _section_keys(cls: type, *names: str, **extra: Any) -> dict[str, Any]:
 _EXPERIMENT_KEYS = _section_keys(ExperimentConfig, "name", "environment", "rounds", "seeds",
                                  "summary_window", out=str)
 _DELAY_KEYS = _section_keys(DelaySpec, sweep=list[int])
-# the section label is the algorithm's name, and ``kind`` its registry entry
-_ALGORITHM_KEYS = {key: t for key, t in _section_keys(AlgorithmConfig, kind=str).items() if key != "name"}
+# the section label is the algorithm's name, and ``kind`` its registry entry,
+# which alone sets the gradient source and the base rule
+_ALGORITHM_KEYS = {"kind": str, **_section_keys(AlgorithmConfig, "eta0", "beta_damping", "schedule_mode",
+                                                "clip_norm")}
 _STABILITY_KEYS = _section_keys(StabilitySettings)
 _COMPARE_KEYS = _section_keys(CompareSettings)
 # every section a config may hold; ``<label>`` stands for any non-empty name
@@ -262,6 +269,8 @@ def _delay_specs(parser: configparser.ConfigParser, section: str) -> list[DelayS
         return [spec]
     if spec.kind != "constant":
         raise ConfigError(f"[{section}] sweep lists are only supported for constant delays")
+    if not sweep:
+        raise ConfigError(f"[{section}] sweep lists no delay; give at least one value")
     return [_built(f"[{section}] sweep:", dataclasses.replace, spec, d=d) for d in sweep]
 
 

@@ -70,6 +70,13 @@ class DelaySpec:
         spec = {f.name: getattr(self, f.name) for f in dataclasses.fields(DelaySpec)}
         return DelaySchedule(**spec, seed=seed)
 
+    def stream_hash(self, seed: int, rounds: int) -> str:
+        """The ``realized_hash`` of the first ``rounds`` delays of ``seed``'s stream."""
+        schedule = self.schedule(seed)
+        for t in range(1, rounds + 1):
+            schedule.sample(t)
+        return schedule.realized_hash()
+
     @property
     def sigma_bound(self) -> int:
         """Worst-case queue length; sizes the transport buffer."""

@@ -265,8 +265,9 @@ def run_controlled_comparison(cfg: ExperimentConfig, parallel: int = 1, write: b
     """Treatment vs control regret per delay with Welch p-values.
 
     Delay realizations are paired per seed (the delay stream is seeded
-    independently of everything else), verified by comparing realized delay
-    hashes between the two arms.
+    independently of everything else), verified by checking each arm's
+    realized delay hash against its seed's stream over the rounds it played.
+    A diverged run stops early, and its regret counts as NaN.
     """
     if cfg.compare is None:
         raise ConfigError("controlled comparison needs a [compare] section")
@@ -279,15 +280,13 @@ def run_controlled_comparison(cfg: ExperimentConfig, parallel: int = 1, write: b
         delay = spec.describe()
         tr, ctl = [], []
         for seed in cfg.seeds:
-            a = result.runs[(cfg.compare.treatment, delay, seed)]
-            b = result.runs[(cfg.compare.control, delay, seed)]
-            if a.delay_hash != b.delay_hash:
-                raise InvariantError(
-                    f"paired-delay violation at seed {seed}, delay {delay}: "
-                    f"{a.delay_hash} != {b.delay_hash}"
-                )
-            tr.append(a.cumulative_regret)
-            ctl.append(b.cumulative_regret)
+            for arm, regrets in ((cfg.compare.treatment, tr), (cfg.compare.control, ctl)):
+                run = result.runs[(arm, delay, seed)]
+                expected = spec.stream_hash(seed, run.rounds_logged)
+                if run.delay_hash != expected:
+                    raise InvariantError(f"paired-delay violation at seed {seed}, delay {delay}: "
+                                         f"{arm} saw {run.delay_hash}, the stream gives {expected}")
+                regrets.append(math.nan if run.diverged else run.cumulative_regret)
         w = welch_t(tr, ctl)
         rows.append(CompareRow(
             delay=delay,

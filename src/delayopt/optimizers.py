@@ -42,12 +42,10 @@ class PlainGD:
 class Adam:
     """Adam with bias correction; the schedule's eta_t is the learning rate.
 
-    The moments ``m`` and ``v`` are updated in place, and the step is formed
-    in two scratch vectors, so an update allocates only the θ it returns. The
-    operations keep the order of the textbook expressions (kept as the
-    reference in the tests), so every bit matches them. The returned θ is a
-    fresh array on every call, never a buffer reused by the next one: the
-    runner keeps each θ in its history.
+    The moments ``m`` and ``v`` are the rule's own state, so they are
+    updated in place; each step rounds as the textbook expression does, so
+    every bit matches it. The returned θ is a fresh array on every call:
+    the runner keeps each θ in its history.
     """
 
     beta1 = 0.9  # first-moment decay
@@ -57,35 +55,20 @@ class Adam:
     def __init__(self):
         self.m: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
-        self._step: Optional[np.ndarray] = None  # scratch: the step
-        self._root: Optional[np.ndarray] = None  # scratch: its denominator
         self.t = 0
 
     def update(self, theta: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
         if self.m is None:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
-            self._step = np.empty_like(theta)
-            self._root = np.empty_like(theta)
         self.t += 1
-        m, v, step, root = self.m, self.v, self._step, self._root
-        # m = beta1 * m + (1 - beta1) * g
-        np.multiply(m, self.beta1, m)
-        np.multiply(g, 1 - self.beta1, step)
-        np.add(m, step, m)
-        # v = beta2 * v + (1 - beta2) * g * g
-        np.multiply(v, self.beta2, v)
-        np.multiply(g, 1 - self.beta2, step)
-        np.multiply(step, g, step)
-        np.add(v, step, v)
-        # theta - eta * m_hat / (sqrt(v_hat) + floor)
-        np.divide(m, 1 - self.beta1 ** self.t, step)
-        np.multiply(step, eta, step)
-        np.divide(v, 1 - self.beta2 ** self.t, root)
-        np.sqrt(root, root)
-        np.add(root, self.floor, root)
-        np.divide(step, root, step)
-        return np.subtract(theta, step)
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * g * g
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        return theta - eta * m_hat / (np.sqrt(v_hat) + self.floor)
 
 
 class LazyFTRL:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayopt.config import ConfigError, _int_list, parse_config
+from delayopt.config import _ALGORITHM_KEYS, ConfigError, _int_list, parse_config
 from delayopt.core import ContractError, InvariantError
 from delayopt.delays import DelaySpec
 from delayopt.environments import ENVIRONMENTS
@@ -24,7 +24,7 @@ from delayopt.harness import (
     summarize_cell,
     write_run_csv,
 )
-from delayopt.optimizers import AlgorithmConfig, algorithm_names, make_algorithm
+from delayopt.optimizers import algorithm_names, make_algorithm
 from delayopt.runner import ROW_COLUMNS, RunResult
 from delayopt.presets import PRESETS, load_preset, preset_names
 
@@ -213,6 +213,26 @@ def test_forged_delay_hash_breaks_the_pairing_with_a_named_error(tmp_path):
     with pytest.raises(InvariantError, match="paired-delay violation at seed 1") as err:
         run_controlled_comparison(cfg, write=False, experiment=result)
     assert isinstance(err.value, AssertionError)
+
+
+def test_compare_with_a_diverged_arm_counts_its_regret_as_nan(tmp_path, capsys):
+    # the diverged arm stops sampling delays, so its delay hash covers fewer
+    # rounds than the other arm's; the comparison used to end in a false
+    # paired-delay InvariantError with a traceback
+    from delayopt.cli import main
+    cfg_path = tmp_path / "diverge.ini"
+    cfg_path.write_text("[experiment]\nenvironment = hard_quadratic\nrounds = 200\nseeds = 0,1\n"
+                        f"out = {tmp_path / 'out'}\n[delay]\nd = 1\n"
+                        "[algorithm.transport_omd]\neta0 = 50.0\nschedule_mode = constant\n"
+                        "[algorithm.stale_omd]\neta0 = 0.01\n"
+                        "[compare]\ntreatment = transport_omd\ncontrol = stale_omd\n")
+    assert main(["compare", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "constant:1     treatment       nan+-    nan  control    33.684+-  0.000  improvement n/a  p=nan")
+    lines = (tmp_path / "out" / "compare.csv").read_text().splitlines()
+    assert lines[3:] == ["constant:1,,,33.6835507,0,,,nan"]
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[-1] for row in summary[3:]] == ["2", "0"]  # both treatment runs diverged
 
 
 def test_compare_with_no_control_regret_leaves_the_improvement_empty(tmp_path, capsys):
@@ -421,6 +441,16 @@ TYPOS = [
      r"\[delay\] delay labels must be unique; constant:5 is repeated$"),
     ("grid_path", "[delay]\nkind = uniform\nd_max = 4\n[delay.same]\nkind = uniform\nd_max = 4\n",
      r"\[delay\] delay labels must be unique; uniform:0-4 is repeated$"),
+    # an empty sweep used to run no cell and exit 0 with a header-only summary
+    ("grid_path", "[delay]\nsweep =\n", r"\[delay\] sweep lists no delay; give at least one value$"),
+    ("grid_path", "[delay]\nd = 5\n[delay.none]\nsweep =\n",
+     r"\[delay.none\] sweep lists no delay; give at least one value$"),
+    # a label is a file name part and a CSV cell: '../escape' wrote outside
+    # <out>/runs/, and 'a,b' wrote a summary row of 11 cells under 10 names
+    ("grid_path", "[algorithm../escape]\nkind = stale_omd\n",
+     r"\[algorithm\.\./escape\] the label may hold only letters, digits, '_', '\.' and '-'$"),
+    ("grid_path", "[algorithm.a/b]\nkind = stale_omd\n", r"\[algorithm\.a/b\] the label may hold only "),
+    ("grid_path", "[algorithm.a,b]\nkind = stale_omd\n", r"\[algorithm\.a,b\] the label may hold only "),
     # the floors and caps are module constants, not keys
     ("lqr", "[environment.args]\nloss_cap = 1e8\n",
      r"\[environment.args\] unknown key 'loss_cap' for environment 'lqr'$"),
@@ -623,10 +653,9 @@ def test_explicit_zero_rounds_is_not_the_default():
 
 
 ALGORITHM_ERRORS = [
-    ("lqr", "transport_omd", "base = bogus",
-     r"\[algorithm.transport_omd\]: base 'bogus' is unknown; known: plain_gd, adam, dftrl$"),
-    ("lqr", "transport_omd", "gradient = bogus",
-     r"\[algorithm.transport_omd\]: gradient 'bogus' is unknown; known: transport, stale, two_stage$"),
+    # the registry entry named by kind alone sets the gradient source and base rule
+    ("lqr", "transport_omd", "base = dftrl", r"\[algorithm.transport_omd\] unknown key 'base'$"),
+    ("lqr", "transport_omd", "gradient = stale", r"\[algorithm.transport_omd\] unknown key 'gradient'$"),
     ("hard_quadratic", "two_stage", "",
      r"\[algorithm.two_stage\]: environment 'hard_quadratic' exposes no prediction target"),
     ("lqr", "transport_omd", "eta0 = abc", r"\[algorithm.transport_omd\] eta0 = 'abc': expected float$"),
@@ -671,7 +700,7 @@ def schema_table(after: str) -> list[list[str]]:
 
 def test_config_schema_lists_every_algorithm_key_and_registry_entry():
     keys = [row[0] for row in schema_table("## `[algorithm.<label>]`")]
-    assert keys == [f.name for f in dataclasses.fields(AlgorithmConfig) if f.name != "name"]
+    assert keys == list(_ALGORITHM_KEYS) == ["kind", "eta0", "beta_damping", "schedule_mode", "clip_norm"]
     entries = schema_table("The registry entries set these fields, and leave `eta0` at its default:")
     assert [row[0] for row in entries] == algorithm_names()
     for kind, gradient, base, mode, clip, damping in entries:
