@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("[experiment] summary_window must be >= 1")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"[experiment] seeds must be a non-empty list of seeds >= 0, got {self.seeds}")
+        if not self.delays:
+            raise ConfigError("[delay] at least one delay process is required")
         if not self.algorithms:
             raise ConfigError("at least one [algorithm.*] section is required")
         names = [a.name for a in self.algorithms]

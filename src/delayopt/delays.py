@@ -112,9 +112,8 @@ class DelaySchedule(DelaySpec):
             d = int(self._rng.integers(0, self.d_max + 1))
         elif self.kind == "poisson":
             d = int(self._rng.poisson(self.lam))
-            cap = int(POISSON_CAP_FACTOR * self.lam)
-            if d > cap:
-                d = cap
+            if d > self.sigma_bound:
+                d = self.sigma_bound
                 self.cap_hits += 1
         else:  # bursty
             d = 0 if ((t - 1) // self.block_len) % 2 == 0 else self.d_high

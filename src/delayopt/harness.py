@@ -52,15 +52,16 @@ def _write_table(path: str, kind: str, meta: str, columns: Iterable[str], rows: 
         fh.write("\n".join(lines) + "\n")
 
 
-@dataclass
-class RunKey:
-    algorithm: str
-    delay: str
-    seed: int
+def run_filename(key: tuple[str, str, int]) -> str:
+    """The run CSV's file name for the cell key ``(algorithm, delay label, seed)``."""
+    algorithm, delay, seed = key
+    return f"{algorithm}__{delay.replace(':', '-')}__seed{seed}.csv"
 
-    def filename(self) -> str:
-        delay = self.delay.replace(":", "-")
-        return f"{self.algorithm}__{delay}__seed{self.seed}.csv"
+
+def run_regret(columns: dict[str, np.ndarray]) -> float:
+    """A run's cumulative regret, or NaN when its last row is diverged: a
+    diverged run stops early, so its sum covers fewer rounds than the others."""
+    return math.nan if columns["diverged"][-1] else float(np.sum(columns["regret_inc"]))
 
 
 def run_one(
@@ -109,8 +110,9 @@ def _map_cells(fn: Callable, cells: Iterable, parallel: int) -> Iterable:
     return map(fn, cells)
 
 
-def write_run_csv(path: str, cfg: ExperimentConfig, key: RunKey, res: RunResult) -> None:
-    meta = (f"config_hash={cfg.hash()} seed={key.seed} algorithm={key.algorithm} delay={key.delay} "
+def write_run_csv(path: str, cfg: ExperimentConfig, key: tuple[str, str, int], res: RunResult) -> None:
+    algorithm, delay, seed = key
+    meta = (f"config_hash={cfg.hash()} seed={seed} algorithm={algorithm} delay={delay} "
             f"delay_hash={res.delay_hash} cap_hits={res.poisson_cap_hits} comparator={res.comparator_note!r}")
     # formatted column by column, then zipped into rows
     cells = [[_fmt(x) for x in res.columns[c].tolist()] for c in ROW_COLUMNS]
@@ -136,7 +138,7 @@ SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))
 
 def summarize_cell(algorithm: str, delay: str, runs: list[dict[str, np.ndarray]], window: int) -> SummaryRow:
     """One summary row from the per-round columns of each run of a cell."""
-    regrets = [float(np.sum(cols["regret_inc"])) for cols in runs]
+    regrets = [run_regret(cols) for cols in runs]
     gaps = [float(np.mean(cols["opt_gap"][-window:])) for cols in runs]
     drift_totals = [float(np.sum(cols["drift_sq"])) for cols in runs]
     step_totals = [float(np.sum(cols["step_sq_sum"])) for cols in runs]
@@ -155,6 +157,18 @@ def summarize_cell(algorithm: str, delay: str, runs: list[dict[str, np.ndarray]]
     )
 
 
+def _summary(cfg: ExperimentConfig, columns_of: Callable[[tuple[str, str, int]], dict]) -> list[SummaryRow]:
+    """One summary row per (algorithm, delay) cell, in config order;
+    ``columns_of`` gives the per-round columns of the run a key names."""
+    rows: list[SummaryRow] = []
+    for algo in cfg.algorithms:
+        for spec in cfg.delays:
+            delay = spec.describe()
+            runs = [columns_of((algo.name, delay, seed)) for seed in cfg.seeds]
+            rows.append(summarize_cell(algo.name, delay, runs, cfg.summary_window))
+    return rows
+
+
 @dataclass
 class ExperimentResult:
     summary: list[SummaryRow]
@@ -168,25 +182,17 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1, write: bool = True)
     cfg.validate()
     cells = _experiment_cells(cfg, share=parallel <= 1)
     results: dict[tuple[str, str, int], RunResult] = dict(_map_cells(_run_cell, cells, parallel))
-
-    summary: list[SummaryRow] = []
-    for algo in cfg.algorithms:
-        for spec in cfg.delays:
-            delay = spec.describe()
-            runs = [results[(algo.name, delay, s)].columns for s in cfg.seeds]
-            summary.append(summarize_cell(algo.name, delay, runs, cfg.summary_window))
-
+    summary = _summary(cfg, lambda key: results[key].columns)
     if write:
-        for (alg, delay, seed), res in sorted(results.items()):
-            key = RunKey(alg, delay, seed)
-            write_run_csv(os.path.join(cfg.out_dir, "runs", key.filename()), cfg, key, res)
+        for key, res in sorted(results.items()):
+            write_run_csv(os.path.join(cfg.out_dir, "runs", run_filename(key)), cfg, key, res)
         _write_table(os.path.join(cfg.out_dir, "summary.csv"), "summary",
                      f"config_hash={cfg.hash()} seeds={','.join(map(str, cfg.seeds))}",
                      SUMMARY_COLUMNS, (_cells(dataclasses.astuple(row)) for row in summary))
     return ExperimentResult(summary=summary, runs=results)
 
 
-def print_summary(rows: Iterable[SummaryRow]) -> str:
+def print_summary(rows: Iterable[SummaryRow]) -> None:
     header = f"{'algorithm':<22} {'delay':<14} {'regret':>12} {'+-sd':>10} {'gap':>9} {'ratio':>8} {'div':>4}"
     lines = [header, "-" * len(header)]
     for r in rows:
@@ -196,9 +202,7 @@ def print_summary(rows: Iterable[SummaryRow]) -> str:
             f"{r.algorithm:<22} {r.delay:<14} {r.regret_mean:>12.4f} {r.regret_sd:>10.4f} "
             f"{gap:>9} {ratio:>8} {r.diverged:>4d}"
         )
-    text = "\n".join(lines)
-    print(text)
-    return text
+    print("\n".join(lines))
 
 
 # -- stability sweep ----------------------------------------------------------
@@ -286,7 +290,7 @@ def run_controlled_comparison(cfg: ExperimentConfig, parallel: int = 1, write: b
                 if run.delay_hash != expected:
                     raise InvariantError(f"paired-delay violation at seed {seed}, delay {delay}: "
                                          f"{arm} saw {run.delay_hash}, the stream gives {expected}")
-                regrets.append(math.nan if run.diverged else run.cumulative_regret)
+                regrets.append(run_regret(run.columns))
         w = welch_t(tr, ctl)
         rows.append(CompareRow(
             delay=delay,
@@ -328,12 +332,5 @@ def read_run_csv(path: str) -> dict[str, np.ndarray]:
 
 def recompute_summary(cfg: ExperimentConfig) -> list[SummaryRow]:
     """Rebuild the summary from the emitted run CSVs (round-trip check)."""
-    rows: list[SummaryRow] = []
     runs_dir = os.path.join(cfg.out_dir, "runs")
-    for algo in cfg.algorithms:
-        for spec in cfg.delays:
-            delay = spec.describe()
-            cell_runs = [read_run_csv(os.path.join(runs_dir, RunKey(algo.name, delay, seed).filename()))
-                         for seed in cfg.seeds]
-            rows.append(summarize_cell(algo.name, delay, cell_runs, cfg.summary_window))
-    return rows
+    return _summary(cfg, lambda key: read_run_csv(os.path.join(runs_dir, run_filename(key))))

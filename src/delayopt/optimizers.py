@@ -19,7 +19,7 @@ import numpy as np
 
 from delayopt.core import ContractError, OutcomeRecord
 from delayopt.environments.base import Environment
-from delayopt.transport import TransportBuffer, solved_arrivals, transport_step
+from delayopt.transport import TransportBuffer, arrival_factors, transport_step
 # unused here, but bench/instrument.py traces these two bindings of this module
 from delayopt.transport import hypergradient_at, solve_adjoint  # noqa: F401
 
@@ -120,11 +120,10 @@ class StaleArrivalEngine:
 
     def round_gradient(self, theta_t: np.ndarray, arrivals: list[OutcomeRecord]) -> tuple[np.ndarray, int]:
         g = np.zeros(theta_t.shape)
-        solved = solved_arrivals(self.problem, arrivals)
-        for rec, adjoint in solved:
-            factors = self.problem.stored_factors(rec.dispatch_decision, adjoint, rec.payload)
+        arrived = arrival_factors(self.problem, arrivals)
+        for rec, factors in arrived:
             g += self.problem.hypergradients_at_many(rec.dispatch_params, *[f[None] for f in factors])[0]
-        return g, len(arrivals) - len(solved)
+        return g, len(arrivals) - len(arrived)
 
     def end_round(self) -> int:
         return 0

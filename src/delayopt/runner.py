@@ -59,10 +59,6 @@ class RunResult:
         return len(self.columns["t"])
 
     @property
-    def cumulative_regret(self) -> float:
-        return float(np.sum(self.columns["regret_inc"]))
-
-    @property
     def cumulative_loss(self) -> float:
         return float(np.sum(self.columns["true_loss"]))
 

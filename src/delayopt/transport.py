@@ -135,19 +135,21 @@ class TransportBuffer:
         return evicted
 
 
-def solved_arrivals(problem: Environment, arrivals: list[OutcomeRecord],
-                    theta: Optional[np.ndarray] = None) -> list[tuple[OutcomeRecord, Optional[np.ndarray]]]:
-    """Each arrival with its adjoint, solved at ``theta`` or, when that is
-    None, at the arrival's dispatch parameters. An arrival whose solve fails
-    is left out, with a warning."""
-    solved = []
+def arrival_factors(problem: Environment, arrivals: list[OutcomeRecord],
+                    theta: Optional[np.ndarray] = None) -> list[tuple[OutcomeRecord, tuple[np.ndarray, ...]]]:
+    """Each arrival with its ``problem.stored_factors``, its adjoint solved
+    at ``theta`` or, when that is None, at the arrival's dispatch
+    parameters. An arrival whose solve fails is left out, with a warning."""
+    pairs = []
     for rec in arrivals:
         at = rec.dispatch_params if theta is None else theta
         try:
-            solved.append((rec, solve_adjoint(problem, rec.dispatch_decision, at, rec.payload)))
+            adjoint = solve_adjoint(problem, rec.dispatch_decision, at, rec.payload)
         except SolverError as exc:
             log.warning("round %d arrival skipped: %s", rec.round, exc)
-    return solved
+            continue
+        pairs.append((rec, problem.stored_factors(rec.dispatch_decision, adjoint, rec.payload)))
+    return pairs
 
 
 def transport_step(
@@ -171,9 +173,9 @@ def transport_step(
     Eviction to capacity is the caller's final step.
     """
     buffered = len(buffer)
-    solved = solved_arrivals(problem, arrivals, theta_t)
-    for rec, adjoint in solved:
-        buffer.append(rec.round, problem.stored_factors(rec.dispatch_decision, adjoint, rec.payload))
+    arrived = arrival_factors(problem, arrivals, theta_t)
+    for rec, factors in arrived:
+        buffer.append(rec.round, factors)
     g = np.zeros(theta_t.shape)
     if len(buffer):
         rows = problem.hypergradients_at_many(theta_t, *buffer.factors)
@@ -186,7 +188,7 @@ def transport_step(
             np.add(g, increments[0], out=increments[0])
             g = np.add.accumulate(increments)[-1] if increments.shape[1] == 1 else np.add.reduce(increments)
         buffer.gradients = rows
-    return g, len(arrivals) - len(solved)
+    return g, len(arrivals) - len(arrived)
 
 
 def transport_error_surrogates(

@@ -24,9 +24,9 @@ from delayopt.config import DelaySpec, ExperimentConfig, parse_config
 from delayopt.environments import make_environment
 from delayopt.harness import (
     ExperimentResult,
-    RunKey,
     run_controlled_comparison,
     run_experiment,
+    run_filename,
     run_stability_sweep,
 )
 from delayopt.optimizers import make_algorithm
@@ -250,12 +250,12 @@ def column_digests(name: str, out_dir: str) -> dict[str, str]:
     bytes, in ``ROW_COLUMNS`` order, then its final parameters, keyed by the
     run's CSV file name."""
     digests = {}
-    for (algorithm, delay, seed), res in run_case(name, out_dir).runs.items():
+    for key, res in run_case(name, out_dir).runs.items():
         h = hashlib.sha256()
         for column in ROW_COLUMNS:
             h.update(res.columns[column].tobytes())
         h.update(res.final_theta.tobytes())
-        digests[RunKey(algorithm, delay, seed).filename()] = h.hexdigest()
+        digests[run_filename(key)] = h.hexdigest()
     return dict(sorted(digests.items()))
 
 

@@ -14,11 +14,11 @@ from delayopt.core import ContractError, InvariantError
 from delayopt.delays import DelaySpec
 from delayopt.environments import ENVIRONMENTS
 from delayopt.harness import (
-    RunKey,
     read_run_csv,
     recompute_summary,
     run_controlled_comparison,
     run_experiment,
+    run_filename,
     run_one,
     run_stability_sweep,
     summarize_cell,
@@ -114,10 +114,10 @@ def test_run_csv_round_trip_keeps_nine_significant_digits(tmp_path_factory, runs
     os.makedirs(os.path.join(cfg.out_dir, "runs"))
     rounded = []
     for seed, cols in enumerate(runs):
-        key = RunKey(algo, delay, seed)
+        key = (algo, delay, seed)
         res = RunResult(columns=cols, diverged_round=None, delay_hash="0", poisson_cap_hits=0,
                         skipped_arrivals=0, comparator_note="", final_theta=np.zeros(1))
-        path = os.path.join(cfg.out_dir, "runs", key.filename())
+        path = os.path.join(cfg.out_dir, "runs", run_filename(key))
         write_run_csv(path, cfg, key, res)
         back = read_run_csv(path)
         assert list(back) == list(ROW_COLUMNS)
@@ -133,6 +133,7 @@ def test_run_csv_round_trip_keeps_nine_significant_digits(tmp_path_factory, runs
 
 def write_run_csv_reference(path, cfg, key, res):
     """The run CSV as first written: one row at a time, NaN by ``np.isnan``."""
+    algorithm, delay, seed = key
 
     def fmt(x):
         if isinstance(x, float) and np.isnan(x):
@@ -142,8 +143,8 @@ def write_run_csv_reference(path, cfg, key, res):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# delayopt run v1\n")
         fh.write(
-            f"# config_hash={cfg.hash()} seed={key.seed} algorithm={key.algorithm} "
-            f"delay={key.delay} delay_hash={res.delay_hash} cap_hits={res.poisson_cap_hits} "
+            f"# config_hash={cfg.hash()} seed={seed} algorithm={algorithm} "
+            f"delay={delay} delay_hash={res.delay_hash} cap_hits={res.poisson_cap_hits} "
             f"comparator={res.comparator_note!r}\n"
         )
         fh.write(",".join(ROW_COLUMNS) + "\n")
@@ -163,7 +164,7 @@ def test_run_csv_text_equals_the_row_formatter(tmp_path_factory, rounds, data):
             for c in ROW_COLUMNS}
     out = tmp_path_factory.mktemp("text")
     cfg = parse_config(MINIMAL.format(out=out))
-    key = RunKey(cfg.algorithms[0].name, cfg.delays[0].describe(), 0)
+    key = (cfg.algorithms[0].name, cfg.delays[0].describe(), 0)
     res = RunResult(columns=cols, diverged_round=None, delay_hash="0", poisson_cap_hits=0,
                     skipped_arrivals=0, comparator_note="", final_theta=np.zeros(1))
     write_run_csv(str(out / "run.csv"), cfg, key, res)
@@ -233,6 +234,8 @@ def test_compare_with_a_diverged_arm_counts_its_regret_as_nan(tmp_path, capsys):
     assert lines[3:] == ["constant:1,,,33.6835507,0,,,nan"]
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert [row.split(",")[-1] for row in summary[3:]] == ["2", "0"]  # both treatment runs diverged
+    # the summary counts a diverged run's regret as NaN too, so its cells are empty
+    assert [row.split(",")[3:5] for row in summary[3:]] == [["", ""], ["33.6835507", "0"]]
 
 
 def test_compare_with_no_control_regret_leaves_the_improvement_empty(tmp_path, capsys):
@@ -860,7 +863,7 @@ def test_delay_sections_run_in_file_order_under_their_describe_labels(tmp_path):
     result = run_experiment(cfg)
     assert [row.delay for row in result.summary] == labels
     assert sorted(os.listdir(tmp_path / "pat" / "runs")) == sorted(
-        RunKey("stale_omd", label, seed).filename() for label in labels for seed in (0, 1))
+        run_filename(("stale_omd", label, seed)) for label in labels for seed in (0, 1))
     # each cell is the cell of a config that lists its process alone
     for spec in cfg.delays:
         alone = run_experiment(dataclasses.replace(cfg, delays=[spec]), write=False)
@@ -869,6 +872,15 @@ def test_delay_sections_run_in_file_order_under_their_describe_labels(tmp_path):
             assert alone.runs[key].delay_hash == result.runs[key].delay_hash
             np.testing.assert_array_equal(alone.runs[key].columns["true_loss"],
                                           result.runs[key].columns["true_loss"])
+
+
+def test_a_config_with_no_delay_process_fails_validation_before_running(tmp_path):
+    # a programmatic config with no delay process used to run no cell and
+    # write a header-only summary.csv
+    cfg = dataclasses.replace(parse_config(MINIMAL.format(out=tmp_path / "out")), delays=[])
+    with pytest.raises(ConfigError, match=r"^\[delay\] at least one delay process is required$"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_override_is_range_checked_and_unique(tmp_path, capsys):
