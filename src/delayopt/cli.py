@@ -55,9 +55,10 @@ def _load(args) -> "ExperimentConfig":
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     cfg = load_config(args.config) if args.config else load_preset(args.preset)
-    if args.out:
+    # an empty override is an error for validate(), not a fall-back to the config
+    if args.out is not None:
         cfg.out_dir = args.out
-    if args.seeds:
+    if args.seeds is not None:
         cfg.seeds = _int_list(args.seeds, "--seeds")
     cfg.validate()
     return cfg

@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ConfigError("[experiment] rounds must be >= 1")
         if self.summary_window < 1:
             raise ConfigError("[experiment] summary_window must be >= 1")
+        if not self.out_dir:
+            raise ConfigError("[experiment] out must name a directory, got ''")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"[experiment] seeds must be a non-empty list of seeds >= 0, got {self.seeds}")
         if not self.delays:

@@ -79,7 +79,8 @@ class DelaySpec:
 
     @property
     def sigma_bound(self) -> int:
-        """Worst-case queue length; sizes the transport buffer."""
+        """Worst-case queue length. A run sizes its transport buffer by the
+        smaller of this and its round count, which no queue can outgrow."""
         if self.kind == "constant":
             return self.d
         if self.kind == "uniform":

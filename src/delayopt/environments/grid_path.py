@@ -38,10 +38,11 @@ matrix-vector product; in a full buffer that is about two rows in five. A
 batch of one (an arrival into an empty buffer, as every round at d = 0, or a
 stale arrival at its own dispatch snapshot) keeps two heap solves: at one
 grid the heap solver is still the faster one. The heap solver relaxes
-through a neighbour table built once per grid shape. The batched solve
-returns the heap solver's paths bit for bit: ties go to the neighbour
-smallest in (distance, row, column), the order in which the heap settles
-cells.
+through a neighbour table built once per grid shape; cell costs are positive
+and paid on entry, so a cell's first relaxation is final and the search
+needs no settled set. The batched solve returns the heap solver's paths bit
+for bit: ties go to the neighbour smallest in (distance, row, column), the
+order in which the heap pops cells.
 """
 
 from __future__ import annotations

@@ -72,7 +72,8 @@ def run_online(
     if rounds < 1:
         raise ContractError("rounds must be >= 1")
     base = make_base_rule(algo)
-    engine = make_engine(algo, env, delay.sigma_bound)
+    # a run holds no more outstanding rounds than it plays
+    engine = make_engine(algo, env, min(delay.sigma_bound, rounds))
     queue = DelayQueue()
 
     theta = np.array(env.theta_init(), dtype=float)

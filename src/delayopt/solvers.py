@@ -279,7 +279,8 @@ def dijkstra_grid(
     The cost of a path is the sum of the costs of the cells it enters; the
     start cell is excluded. Ties are broken lexicographically on
     (cost, row, column) so paths are identical across platforms. The search
-    is :func:`shortest_path_tree`'s, stopped once the goal is settled.
+    is :func:`shortest_path_tree`'s, stopped at the goal's first relaxation,
+    which is final.
     """
     dist, parent = shortest_path_tree(cell_costs, start, goal)
     W = np.shape(cell_costs)[1]
@@ -294,20 +295,26 @@ def shortest_path_tree(
     """Heap shortest-path distances and parents from ``start``, flat row-major.
 
     Returns ``(dist, parent)`` as lists over the ``H * W`` cells;
-    ``parent[start]`` is -1. Without ``goal`` every cell is settled. With one,
-    the search stops once the goal is settled, which fixes the parents of
-    every cell on its path. A settled cell's parent never changes again, so
-    :func:`tree_path` on the full tree gives the early-stopped path for every
-    goal, bit for bit.
+    ``parent[start]`` is -1. Every cell cost is positive and is paid on
+    entering the cell, so a cell's entry cost is the same from every
+    neighbour, and heap keys pop in nondecreasing order: a cell's first
+    relaxation comes from its earliest-popped neighbour and is final. No cell
+    is relaxed or pushed twice, so the heap holds no stale entries and the
+    search keeps no settled set. Without ``goal`` the whole tree is built.
+    With one, the search returns at the goal's first relaxation, whose parent
+    chain is already final, so :func:`tree_path` on the full tree gives the
+    early-stopped path and its total for every goal, bit for bit.
 
     The loop runs on plain Python lists: indexing a numpy array yields a
     boxed scalar per access, which costs more than the arithmetic itself.
-    Python float addition is the same IEEE double add as numpy's. The heap
-    orders on ``(cost, index)`` and a neighbour is relaxed only on strict
-    improvement, in up, down, left, right order, so ties break the same way
-    on every platform and :func:`grid_shortest_paths` reproduces them. The
-    neighbours come from a table built once per grid shape, in that order,
-    so a settled cell costs no ``divmod`` and no bound tests.
+    Python float addition is the same IEEE double add as numpy's, and its
+    rounding is monotone, so the order argument holds in floating point. The
+    heap orders on ``(cost, index)`` and a neighbour is relaxed only on
+    strict improvement, in up, down, left, right order, so ties keep the
+    first relaxation on every platform and :func:`grid_shortest_paths`
+    reproduces them. The neighbours come from a table built once per grid
+    shape, in that order, so a popped cell costs no ``divmod`` and no bound
+    tests.
     """
     costs = _checked_costs(cell_costs, "grid shortest-path solve")
     H, W = costs.shape
@@ -324,25 +331,21 @@ def shortest_path_tree(
     g_idx = -1 if goal is None else gr * W + gc
     dist = [math.inf] * n
     parent = [-1] * n
-    done = [False] * n
     dist[s_idx] = 0.0
     heap: list[tuple[float, int]] = [(0.0, s_idx)]
     neighbours = _neighbour_table(H, W)
     push, pop = heapq.heappush, heapq.heappop
-    # strict improvement only: the first settle under the (cost, index) heap
-    # order fixes lexicographic tie-breaking
+    # strict improvement only: the first relaxation under the (cost, index)
+    # heap order is final and fixes lexicographic tie-breaking
     while heap:
         d, u = pop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == g_idx:
-            break
         for v in neighbours[u]:
             nd = d + flat[v]
             if nd < dist[v]:
                 dist[v] = nd
                 parent[v] = u
+                if v == g_idx:
+                    return dist, parent
                 push(heap, (nd, v))
     return dist, parent
 
@@ -366,7 +369,9 @@ def tree_path(
     width: int,
 ) -> list[tuple[int, int]]:
     """The ``start`` to ``goal`` path of a :func:`shortest_path_tree` parent
-    list over a grid ``width`` cells wide, as (row, column) cells."""
+    list over a grid ``width`` cells wide, as (row, column) cells. A parent
+    is set once, at the cell's first relaxation, so the path read from an
+    early-stopped search equals the one read from the full tree."""
     s_idx = start[0] * width + start[1]
     g_idx = goal[0] * width + goal[1]
     path_idx = [g_idx]
@@ -471,12 +476,12 @@ def grid_shortest_paths(
     Paths are then backtracked from every goal at once. The parent of ``v``
     is its neighbour ``u`` smallest in ``(dist[u], u)``: by the same
     monotonicity it satisfies ``dist[u] + cost[v] == dist[v]``, and it is the
-    first such neighbour the heap solver settles, so ties break the same way
-    too. A successor table holds the flat index of every cell's parent, and
-    each start's own index, so a walker that has reached its start stays
-    there: a hop moves every walker with one gather from the table, with no
-    mask, and the cells walked are marked in one scatter at the end, with the
-    starts cleared. A walk that has not reached its start within ``H * W``
+    first such neighbour the heap solver pops, the one whose relaxation of
+    ``v`` is final, so ties break the same way too. A successor table holds
+    the flat index of every cell's parent, and each start's own index, so a
+    walker that has reached its start stays there: a hop moves every walker
+    with one gather from the table, with no mask, and the cells walked are
+    marked in one scatter at the end, with the starts cleared. A walk that has not reached its start within ``H * W``
     hops raises :class:`SolverError`. For a single problem the heap solver is
     faster; this pays off once a batch holds a few dozen fields.
 

@@ -80,8 +80,8 @@ class TransportBuffer:
     oldest first, their ``factors`` (one stacked array per factor, rows in
     the same order) and after each step ``gradients``, their (len, p) rows at
     its parameters: a view of the environment's batch, never a copy.
-    Capacity is the worst-case queue length; eviction drops the oldest
-    rounds. At most one entry per round."""
+    Capacity is the run's worst-case queue length, at most its round count;
+    eviction drops the oldest rounds. At most one entry per round."""
 
     def __init__(self, capacity: int):
         if capacity < 0:

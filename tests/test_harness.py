@@ -390,6 +390,21 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert (tmp_path / "ovr" / "runs" / "stale_omd__constant-0__seed5.csv").exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--seeds", "error: [experiment] seeds must be a non-empty list of seeds >= 0, got []\n"),
+    ("--out", "error: [experiment] out must name a directory, got ''\n"),
+])
+def test_cli_empty_override_is_an_error(tmp_path, monkeypatch, capsys, flag, message):
+    # an empty override is neither ignored nor run: nothing is written
+    from delayopt.cli import main
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "orig"))
+    assert main(["run", "--config", str(cfg_path), flag, ""]) == 2
+    assert capsys.readouterr().err == message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
 TYPOS = [
     ("grid_path", "[environment.args]\nheigth = 5\n", r"\[environment.args\] unknown key 'heigth'"),
     ("grid_path", "[environment.args]\nheight = abc\n",

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -402,6 +403,80 @@ def test_stale_arm_on_the_closed_form_instance_is_delayed_gradient_descent(d, fa
         assert not res.diverged and abs(theta_last) < 1.0
     else:
         assert res.diverged or abs(theta_last) > 1.0
+
+
+def transport_eta_star(d, a=1.0, b=2.0):
+    """The largest stable constant step of the transport arm with a full
+    buffer of d rounds, theta_{t+1} = theta_t - eta [(b - a)(b theta_{t-d} -
+    a theta_t) + d a^2 (theta_t - theta_{t-1})]: bisection on the spectral
+    radius of its companion matrix."""
+    def radius(eta):
+        companion = np.eye(d + 1, k=-1)
+        companion[0, 0] = 1 + eta * (b - a) * a - eta * d * a * a
+        companion[0, 1] += eta * d * a * a
+        companion[0, d] -= eta * (b - a) * b
+        return max(abs(np.linalg.eigvals(companion)))
+
+    stable, unstable = 0.0, 2.0
+    for _ in range(60):
+        mid = (stable + unstable) / 2
+        stable, unstable = (mid, unstable) if radius(mid) < 1 else (stable, mid)
+    return stable
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+@pytest.mark.parametrize("d", [1, 10, 40])
+def test_transport_arm_on_the_closed_form_instance_follows_its_recurrence(d, factor):
+    # a = 1, b = 2: the gradient is 0 while t <= d, and afterwards the
+    # arrival's row (b - a)(b theta_{t-d} - a theta_t) plus one increment
+    # a^2 (theta_t - theta_{t-1}) per buffered round, k_t = min(t - d - 1, d)
+    # of them. At d = 1 that is the stale recurrence; at even d the full-buffer
+    # characteristic polynomial has the root -1 at eta = 2 / (2d + 1).
+    eta_star = transport_eta_star(d)
+    assert eta_star == pytest.approx({1: 1.0, 10: 2 / 21, 40: 2 / 81}[d], rel=1e-12)
+    eta = factor * eta_star
+    env = quad(a=1.0, b=2.0)
+    thetas = [None]  # thetas[t] is theta_t, as round t's inner solve receives it
+    solve = env.solve_inner
+
+    def recording_solve(theta, w_prev):
+        thetas.append(theta[0])
+        return solve(theta, w_prev)
+
+    env.solve_inner = recording_solve
+    res = run_online(env, make_algorithm("transport_omd", eta0=eta, schedule_mode="constant"),
+                     const_delay(d), 3000)
+    thetas.append(res.final_theta[0])
+    rounds = res.rounds_logged
+    steps = [thetas[t + 1] - thetas[t] for t in range(1, rounds + 1)]
+    assert [step * step for step in steps] == res.columns["step_sq"].tolist()
+
+    # Round t's float steps against the exact recurrence on the run's own
+    # thetas. Products by a, b and mu_w = 1 are exact, so only additions and
+    # subtractions round, each by at most u times its result. With Theta the
+    # largest |theta| the round reads (thetas t - 2d to t + 1), the stored
+    # w_s = 2 theta_s and v_s are at most 2 Theta and 3 Theta, |w_s - theta|
+    # at most 3 Theta and a row at most 9 Theta. So the arrival's row errs by
+    # 3u Theta; each buffered round's two rows by 12u Theta each and their
+    # increment, at most 2 Theta, by 2u Theta more; the left-to-right sum of
+    # k + 1 terms by k u (3 + 2k) Theta; eta * g by u eta (3 + 2k) Theta; and
+    # the update by u Theta. Twice that first-order bound covers the terms in u^2.
+    u = 2.0 ** -53
+    exact = [None] + [Fraction(float(x)) for x in thetas[1:]]
+    for t in range(1, rounds + 1):
+        if t <= d:
+            assert thetas[t + 1] == thetas[t]
+            continue
+        k = min(t - d - 1, d)
+        g = (2 * exact[t - d] - exact[t]) + k * (exact[t] - exact[t - 1])
+        err = abs(exact[t + 1] - (exact[t] - Fraction(eta) * g))
+        big = max(abs(x) for x in thetas[max(1, t - 2 * d):t + 2])
+        assert err <= 2 * u * big * (1 + eta * (6 + 31 * k + 2 * k * k)), t
+
+    if factor < 1:
+        assert not res.diverged and abs(thetas[-1]) < 1.0
+    else:
+        assert res.diverged
 
 
 def test_clip_norm_bounds_every_step():

@@ -2,6 +2,7 @@
 hand-iterated recursions, exhaustive path enumeration, closed-form couplings,
 scipy's assignment and LP solvers, and dense linear algebra."""
 
+import heapq
 import itertools
 import warnings
 
@@ -734,6 +735,69 @@ def test_full_tree_backtracks_to_every_dijkstra_path(costs):
                 path, total = dijkstra_grid(costs, start, goal)
                 assert tree_path(parent, start, goal, W) == path
                 assert dist[goal[0] * W + goal[1]] == total
+
+
+def reference_shortest_path_tree(costs, start, goal=None):
+    """Textbook heap search with a settled set, which skips stale heap
+    entries and stops when the goal is popped."""
+    H, W = costs.shape
+    flat = costs.ravel().tolist()
+    s_idx = start[0] * W + start[1]
+    g_idx = -1 if goal is None else goal[0] * W + goal[1]
+    dist, parent, done = [np.inf] * (H * W), [-1] * (H * W), [False] * (H * W)
+    dist[s_idx] = 0.0
+    heap = [(0.0, s_idx)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == g_idx:
+            break
+        r, c = divmod(u, W)
+        for inside, v in ((r > 0, u - W), (r + 1 < H, u + W), (c > 0, u - 1), (c + 1 < W, u + 1)):
+            if inside and d + flat[v] < dist[v]:
+                dist[v] = d + flat[v]
+                parent[v] = u
+                heapq.heappush(heap, (dist[v], v))
+    return dist, parent
+
+
+@st.composite
+def tree_grids(draw):
+    """Grids of every shape down to 1 x 2 and 2 x 1, strips included."""
+    H, W = draw(st.one_of(st.tuples(st.just(1), st.integers(2, 9)),
+                          st.tuples(st.integers(2, 9), st.just(1)),
+                          st.tuples(st.integers(2, 6), st.integers(2, 6))))
+    return draw(arrays(float, (H, W), elements=cost_elements(draw)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(tree_grids())
+def test_heap_search_equals_the_settled_set_reference_and_pushes_each_cell_once(costs):
+    H, W = costs.shape
+    cells = [(r, c) for r in range(H) for c in range(W)]
+    pairs = [(start, goal) for start in cells for goal in [None, *cells] if goal != start]
+    references = [reference_shortest_path_tree(costs, start, goal) for start, goal in pairs]
+    pushed = []
+    heappush = heapq.heappush  # the solver reads the module attribute patched below
+
+    def counting_push(heap, item):
+        pushed.append(item[1])
+        heappush(heap, item)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers.heapq, "heappush", counting_push)
+        for (start, goal), (dist, parent) in zip(pairs, references):
+            pushed.clear()
+            if goal is None:
+                assert shortest_path_tree(costs, start) == (dist, parent)
+                assert sorted(pushed) == [i for i in range(H * W) if i != start[0] * W + start[1]]
+            else:
+                path, total = dijkstra_grid(costs, start, goal)
+                assert len(set(pushed)) == len(pushed)
+                assert path == tree_path(parent, start, goal, W)
+                assert total == dist[goal[0] * W + goal[1]]
 
 
 # -- conjugate gradient --------------------------------------------------------

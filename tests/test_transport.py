@@ -135,6 +135,18 @@ def test_negative_capacity_is_rejected():
         TransportBuffer(capacity=-1)
 
 
+def test_buffer_is_provisioned_for_the_rounds_a_run_plays():
+    # a run holds no more outstanding rounds than it plays, so a delay bound
+    # far past the round count changes no output and allocates no more rows
+    runs = [run_online(make_environment("sinkhorn", seed=0), make_algorithm("transport_adam"),
+                       DelaySchedule(kind="bursty", d_high=d_high, block_len=10), rounds=30)
+            for d_high in (10**6, 10**15)]
+    assert runs[1].columns.keys() == runs[0].columns.keys()
+    for name, column in runs[0].columns.items():
+        assert runs[1].columns[name].tobytes() == column.tobytes(), name
+    assert runs[1].final_theta.tobytes() == runs[0].final_theta.tobytes()
+
+
 def test_transport_step_empty_is_zero():
     env = quad_env()
     buf = TransportBuffer(capacity=5)
